@@ -19,7 +19,9 @@
 //!
 //! One-shot mode runs the workload for `--duration-ms`, then prints the
 //! final snapshot JSON (stdout, or `--out`). `--watch` additionally
-//! prints a one-line summary every `--interval-ms` while the load runs.
+//! prints a one-line summary every `--interval-ms` while the load runs,
+//! ending in the dispatchers' wait accounting: `parks` (times blocked),
+//! `polls=hits/windows` and `batch` (mean jobs per drain).
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -210,14 +212,20 @@ fn main() -> ExitCode {
                 Some(mode) => format!(" numa={mode} switches={}", t.mode_switches()),
                 None => String::new(),
             };
+            let w = t.waits();
             eprintln!(
-                "[{:>6.0}ms] dispatched={} misses={} depth={} rank_err={:.3} windows={}{numa}",
+                "[{:>6.0}ms] dispatched={} misses={} depth={} rank_err={:.3} windows={} \
+                 parks={} polls={}/{} batch={:.1}{numa}",
                 t.at_ns as f64 / 1e6,
                 t.dispatched(),
                 t.misses(),
                 t.depth(),
                 t.rank_error_mean(),
                 t.windows.len(),
+                w.parks,
+                w.poll_hits,
+                w.poll_hits + w.poll_misses,
+                w.mean_batch(),
             );
         }
     }

@@ -8,11 +8,13 @@
 //! absolute deadlines; a [`Router`] hashes (or pins) each tenant onto one
 //! of N shards; admission control enforces per-tenant quotas and a global
 //! in-flight capacity, refusing with typed [`ServerError`]s that carry the
-//! job back; each shard runs one dispatcher thread draining its queue with
-//! `delete_min_batch` and re-arming periodic jobs through the fused
-//! `replace_min` — every shard can be backed by any [`funnelpq::PqConfig`]
-//! backend, strict (`SingleLock`, `FunnelTree`, …) or relaxed
-//! (`MultiQueue`).
+//! job back; each shard runs one event-driven dispatcher thread (it polls
+//! a lock-free depth gauge for a self-tuned window, coalesces small
+//! backlogs, and parks when idle, woken by the submit that needs it)
+//! draining its queue with `delete_min_batch` and re-arming periodic jobs
+//! through the fused `replace_min` — every shard can be backed by any
+//! [`funnelpq::PqConfig`] backend, strict (`SingleLock`, `FunnelTree`, …)
+//! or relaxed (`MultiQueue`).
 //!
 //! Deadline misses are evaluated on a per-shard *virtual service clock*
 //! (dispatch counts, paced at [`ServerConfig::service_ns`] per job) so the
@@ -81,4 +83,4 @@ pub use router::Router;
 pub use scheduler::{OverloadConfig, Scheduler, ServerConfig, ServerReport};
 pub use shard::{DispatchRecord, ShardReport};
 pub use supervise::{StopOutcome, StopReport, SuperviseConfig};
-pub use telemetry::{ShardStats, TelemetrySnapshot, TenantStats, WindowStats};
+pub use telemetry::{ShardStats, TelemetrySnapshot, TenantStats, WaitStats, WindowStats};

@@ -25,6 +25,39 @@ use crate::telemetry::{ShardTelemetry, TelemetrySnapshot, RANK_SAMPLE_PERIOD};
 /// estimate (the denominator of the shed check's drain-time projection).
 const RATE_WINDOW: u64 = 32;
 
+/// The idle poll window's first step up from zero, and its ceiling. Above
+/// the ceiling a park (a futex wake plus a reschedule, tens of µs on a VM)
+/// is cheaper than the core the spin burns.
+const POLL_START_NS: u64 = 10_000;
+const POLL_MAX_NS: u64 = 50_000;
+
+/// How long the dispatcher lets a backlog smaller than `drain_batch` grow
+/// before draining it anyway.
+const COALESCE_NS: u64 = 2_000;
+
+/// The dispatcher's busy-time accumulator behind [`Shard::rate_ns`]: mean
+/// nanoseconds per dispatch over at least [`RATE_WINDOW`] dispatches,
+/// fed whole episodes (drain + dispatch + pacing) and nothing else.
+#[derive(Default)]
+struct RateWindow {
+    busy: Duration,
+    dispatches: u64,
+}
+
+impl RateWindow {
+    /// Adds one episode; returns the window's mean once it is full.
+    fn add(&mut self, busy: Duration, dispatches: u64) -> Option<u64> {
+        self.busy += busy;
+        self.dispatches += dispatches;
+        if self.dispatches < RATE_WINDOW {
+            return None;
+        }
+        let per = self.busy.as_nanos() as u64 / self.dispatches;
+        *self = RateWindow::default();
+        Some(per)
+    }
+}
+
 /// Deadline-aware load shedding knobs (see `docs/SERVER.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadConfig {
@@ -268,15 +301,10 @@ impl<R: Recorder> Scheduler<R> {
             let queue = PqBuilder::from_config(cfg.backend.clone(), cfg.bands, cfg.clients + 2)
                 .recorder(Arc::clone(&recorder))
                 .try_build::<Job>()?;
-            shards.push(Arc::new(Shard {
-                queue: Arc::from(queue),
-                dispatched: CachePadded::new(AtomicU64::new(0)),
-                enqueued: CachePadded::new(AtomicU64::new(0)),
-                telemetry: Mutex::new(ShardTelemetry::new(cfg.tenants, cfg.telemetry_window_ns)),
-                healthy: AtomicBool::new(true),
-                shed: CachePadded::new(AtomicU64::new(0)),
-                rate_ns: CachePadded::new(AtomicU64::new(0)),
-            }));
+            shards.push(Arc::new(Shard::new(
+                Arc::from(queue),
+                ShardTelemetry::new(cfg.tenants, cfg.telemetry_window_ns),
+            )));
         }
         let mut router = Router::new(cfg.shards, cfg.tenants);
         for (tenant, shard) in &cfg.affinity {
@@ -417,12 +445,7 @@ impl<R: Recorder> Scheduler<R> {
         }
         self.admission.try_admit(job)?;
         let band = self.band_of(job.deadline_ns);
-        // Depth goes up *before* the insert (and back down on failure) so
-        // the dispatcher's decrement for this job can never observe the
-        // counter below the true population.
-        shard.enqueued.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = shard.queue.try_insert(client, band, job) {
-            shard.enqueued.fetch_sub(1, Ordering::Relaxed);
+        if let Err(e) = shard.enqueue(client, band, job) {
             self.admission.release(job.tenant.0 as usize);
             return Err(e.into());
         }
@@ -444,7 +467,7 @@ impl<R: Recorder> Scheduler<R> {
     /// is the dispatcher's own windowed measurement, never better than the
     /// configured pacing floor.
     fn shed_check(&self, shard: &Shard, job: &Job) -> Option<u64> {
-        let depth = shard.enqueued.load(Ordering::Relaxed);
+        let depth = shard.depth();
         let published = shard.rate_ns.load(Ordering::Relaxed);
         let rate_ns = if published == 0 {
             self.cfg.service_ns
@@ -474,7 +497,7 @@ impl<R: Recorder> Scheduler<R> {
             .map(|s| {
                 (
                     s.telemetry_cell().clone(),
-                    s.enqueued.load(Ordering::Relaxed),
+                    s.depth(),
                     s.shed.load(Ordering::Relaxed),
                     s.queue.adaptive_stats(),
                 )
@@ -536,6 +559,11 @@ impl<R: Recorder> Scheduler<R> {
     /// [`ServerReport::in_flight_at_stop`].
     pub fn stop(&self) -> ServerReport {
         self.stopping.store(true, Ordering::Release);
+        // Unconditionally: a dispatcher that read the flag down and is
+        // about to park keeps the token and returns from that park at once.
+        for shard in &self.shards {
+            shard.unpark();
+        }
         let handles = std::mem::take(&mut *self.handles.lock().unwrap());
         let run_ns = self
             .started_at
@@ -688,11 +716,9 @@ impl<R: Recorder> DispatcherCtx<R> {
     fn restart(&self, report: &mut ShardReport, survivors: Vec<(usize, Job)>) {
         let mut requeued = 0u64;
         for (band, job) in survivors {
-            self.shard.enqueued.fetch_add(1, Ordering::Relaxed);
-            if self.shard.queue.try_insert(self.tid, band, job).is_ok() {
+            if self.shard.enqueue(self.tid, band, job).is_ok() {
                 requeued += 1;
             } else {
-                self.shard.enqueued.fetch_sub(1, Ordering::Relaxed);
                 self.admission.release(job.tenant.0 as usize);
                 report.lost += 1;
             }
@@ -750,14 +776,9 @@ impl<R: Recorder> DispatcherCtx<R> {
                 .map(|k| (start + k) % n)
                 .find(|&si| si != self.index && self.shards[si].healthy.load(Ordering::Acquire));
             let placed = target.is_some_and(|si| {
-                let peer = &self.shards[si];
-                peer.enqueued.fetch_add(1, Ordering::Relaxed);
-                if peer.queue.try_insert(self.recovery_tid, band, job).is_ok() {
-                    true
-                } else {
-                    peer.enqueued.fetch_sub(1, Ordering::Relaxed);
-                    false
-                }
+                self.shards[si]
+                    .enqueue(self.recovery_tid, band, job)
+                    .is_ok()
             });
             if placed {
                 requeued += 1;
@@ -774,12 +795,15 @@ impl<R: Recorder> DispatcherCtx<R> {
         self.shard.telemetry_cell().requeued += requeued;
     }
 
-    /// The dispatcher loop proper: drain a batch, account each job, re-arm
-    /// periodic ones via the fused `replace_min`, pace at `service_ns` per
-    /// job. Returns once the stop flag is up *and* a drain came back
-    /// empty. Runs inside the supervisor's `catch_unwind`; all loop state
-    /// that must survive a panic lives in `state`.
+    /// The dispatcher loop proper: wait for work (poll → coalesce → park,
+    /// see [`Self::idle_wait`] and [`Self::coalesce`]), drain a batch,
+    /// account each job, re-arm periodic ones via the fused `replace_min`,
+    /// pace at `service_ns` per job. Once the stop flag is up it stops
+    /// waiting and returns on the first drain that comes back empty. Runs
+    /// inside the supervisor's `catch_unwind`; all loop state that must
+    /// survive a panic lives in `state`.
     fn run_episodes(&self, report: &mut ShardReport, state: &mut EpisodeState) {
+        self.shard.attach_dispatcher();
         // Rank-error sampling only makes sense when a drain batch is an
         // en-bloc snapshot of the queue (see `telemetry` module docs).
         let track_rank = self.shard.queue.ordered_batch_drain();
@@ -787,38 +811,51 @@ impl<R: Recorder> DispatcherCtx<R> {
         // and we spin up to it, so sustained throughput is one job per
         // service_ns and the virtual clock tracks wall time.
         let mut next_ready = Instant::now();
-        // Dispatch-rate window for the shed check's drain-time projection.
-        let mut rate_start = Instant::now();
-        let mut rate_count: u64 = 0;
+        let mut rate = RateWindow::default();
+        let mut poll_ns = 0;
         loop {
+            let stopping = self.stopping.load(Ordering::Acquire);
+            if !stopping {
+                let depth = self.shard.depth();
+                if depth == 0 {
+                    self.idle_wait(&mut poll_ns);
+                    next_ready = Instant::now();
+                    continue;
+                }
+                if depth < self.drain as u64 {
+                    self.coalesce();
+                }
+            }
             state.out.clear();
             state.cursor = 0;
+            // The rate window sees only drain + dispatch + pacing, never
+            // the waits above: an idle gap must not read as slow service.
+            let busy = Instant::now();
             let got = self
                 .shard
                 .queue
                 .delete_min_batch(self.tid, self.drain, &mut state.out);
             if got == 0 {
-                if self.stopping.load(Ordering::Acquire) {
+                if stopping {
                     return;
                 }
-                next_ready = Instant::now();
-                // An idle gap would inflate the measured per-dispatch
-                // time; drop the estimate rather than publish stale data.
-                rate_start = Instant::now();
-                rate_count = 0;
-                self.shard.rate_ns.store(0, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(20));
+                // Depth says non-empty but nothing could be taken: a
+                // submitter is between its depth bump and its insert.
+                std::thread::yield_now();
                 continue;
             }
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             state.episode += 1;
-            if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {
-                // Score the batch before the index-walk below: replace_min
-                // re-arms append to `out`, and those entries are not part
-                // of the drained snapshot.
-                self.shard
-                    .telemetry_cell()
-                    .record_rank_sample(&state.out[..got]);
+            {
+                let mut t = self.shard.telemetry_cell();
+                t.waits.drains += 1;
+                t.waits.drained += got as u64;
+                if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {
+                    // Score the batch before the index-walk below:
+                    // replace_min re-arms append to `out`, and those
+                    // entries are not part of the drained snapshot.
+                    t.record_rank_sample(&state.out[..got]);
+                }
             }
             // replace_min below may append the entry it popped; index-walk
             // so those are dispatched in the same episode. The cursor only
@@ -837,17 +874,67 @@ impl<R: Recorder> DispatcherCtx<R> {
                 }
                 self.dispatch(job, report, &mut state.out);
                 state.cursor += 1;
-                rate_count += 1;
-                if rate_count == RATE_WINDOW {
-                    let per = (rate_start.elapsed().as_nanos() as u64 / RATE_WINDOW)
-                        .clamp(self.service_ns, self.service_ns.saturating_mul(1024));
-                    self.shard.rate_ns.store(per, Ordering::Relaxed);
-                    rate_start = Instant::now();
-                    rate_count = 0;
-                }
                 next_ready += Duration::from_nanos(self.service_ns);
                 Self::pace(next_ready);
             }
+            if let Some(per) = rate.add(busy.elapsed(), state.cursor as u64) {
+                let per = per.clamp(self.service_ns, self.service_ns.saturating_mul(1024));
+                self.shard.rate_ns.store(per, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The queue is empty. **Poll** the lock-free depth gauge for the
+    /// self-tuned window `poll_ns`, then **park** until a submitter (or
+    /// `stop`) unparks us. The window adapts the way KVM's halt-polling
+    /// does: it doubles (from [`POLL_START_NS`], up to [`POLL_MAX_NS`])
+    /// whenever polling found work or would have — a park that ended
+    /// within `POLL_MAX_NS` — and collapses to zero the moment a poll
+    /// expires empty. So a steady stream is picked up within a cache miss,
+    /// an idle shard costs nothing, and on a host with fewer cores than
+    /// busy threads (where our spinning is what keeps the submitter off
+    /// the CPU, so polls expire) we degrade to parking.
+    fn idle_wait(&self, poll_ns: &mut u64) {
+        let grown = |poll_ns: u64| (poll_ns * 2).clamp(POLL_START_NS, POLL_MAX_NS);
+        let began = Instant::now();
+        if *poll_ns > 0 {
+            let window = Duration::from_nanos(*poll_ns);
+            let hit = loop {
+                if self.shard.depth() > 0 || self.stopping.load(Ordering::Acquire) {
+                    break true;
+                }
+                if began.elapsed() >= window {
+                    break false;
+                }
+                std::hint::spin_loop();
+            };
+            if hit {
+                *poll_ns = grown(*poll_ns);
+                self.shard.telemetry_cell().waits.poll_hits += 1;
+                return;
+            }
+            *poll_ns = 0;
+            self.shard.telemetry_cell().waits.poll_misses += 1;
+        }
+        // Counted before blocking so an idle server's snapshot shows it.
+        self.shard.telemetry_cell().waits.parks += 1;
+        if self.shard.park_while_empty() && began.elapsed() < Duration::from_nanos(POLL_MAX_NS) {
+            *poll_ns = grown(*poll_ns);
+        }
+    }
+
+    /// The queue holds less than one drain batch. Wait — at most
+    /// [`COALESCE_NS`] — for it to fill, so a producer running flat out is
+    /// drained a batch per lock hold instead of a job per lock hold and
+    /// the two stop colliding on the queue lock. The bound is what a job
+    /// arriving alone pays for that, so it stays a few microseconds.
+    fn coalesce(&self) {
+        let began = Instant::now();
+        while self.shard.depth() < self.drain as u64
+            && began.elapsed() < Duration::from_nanos(COALESCE_NS)
+            && !self.stopping.load(Ordering::Acquire)
+        {
+            std::hint::spin_loop();
         }
     }
 
@@ -887,8 +974,7 @@ impl<R: Recorder> DispatcherCtx<R> {
         {
             let mut t = self.shard.telemetry_cell();
             t.record_dispatch(&job, now, latency, missed);
-            t.windows
-                .record_depth(now, self.shard.enqueued.load(Ordering::Relaxed));
+            t.windows.record_depth(now, self.shard.depth());
         }
         let rearm =
             job.period_ns > 0 && job.repeats_left > 0 && !self.stopping.load(Ordering::Acquire);
@@ -1143,6 +1229,69 @@ mod tests {
         // Telemetry agrees with the report.
         let t = s.telemetry();
         assert_eq!(t.restarts(), 2);
+    }
+
+    #[test]
+    fn rate_window_publishes_mean_busy_time_per_dispatch() {
+        let mut w = RateWindow::default();
+        assert_eq!(w.add(Duration::from_nanos(16_000), 16), None);
+        // The window closes on the episode that fills it, over all of it.
+        assert_eq!(w.add(Duration::from_nanos(32_000), 24), Some(1_200));
+        assert_eq!(w.add(Duration::from_nanos(1), 1), None, "and starts afresh");
+    }
+
+    #[test]
+    fn an_idle_gap_does_not_inflate_the_published_dispatch_rate() {
+        const SERVICE_NS: u64 = 20_000;
+        let cfg = || ServerConfig {
+            shards: 1,
+            service_ns: SERVICE_NS,
+            ..tiny_cfg()
+        };
+        let submit = |s: &Scheduler, jobs: u64| {
+            for k in 0..jobs {
+                s.submit(
+                    0,
+                    JobSpec::once(TenantId(0), Deadline::In(1_000_000_000), k),
+                )
+                .unwrap();
+            }
+        };
+        let drain = |s: &Scheduler| {
+            while s.in_flight() > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Busy only: the second window (dispatches 33–64) is paced work.
+        let s = Scheduler::new(cfg()).unwrap();
+        submit(&s, 64);
+        s.start();
+        drain(&s);
+        // Read after stop(): the join orders it after the last publish.
+        s.stop();
+        let busy_only = s.shards[0].rate_ns.load(Ordering::Relaxed);
+        // The same 64 dispatches with 300 ms of nothing after the 48th: the
+        // second window now straddles the gap, which would read as ~9 ms per
+        // dispatch if any of the dispatcher's waiting were counted.
+        let s = Scheduler::new(cfg()).unwrap();
+        submit(&s, 48);
+        s.start();
+        drain(&s);
+        std::thread::sleep(Duration::from_millis(300));
+        submit(&s, 16);
+        drain(&s);
+        s.stop();
+        let gapped = s.shards[0].rate_ns.load(Ordering::Relaxed);
+        for rate in [busy_only, gapped] {
+            assert!(
+                rate >= SERVICE_NS,
+                "published rates respect the pacing floor"
+            );
+            assert!(
+                rate < 50 * SERVICE_NS,
+                "busy-only {busy_only} ns, with an idle gap {gapped} ns per dispatch"
+            );
+        }
     }
 
     #[test]

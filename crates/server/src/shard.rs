@@ -1,9 +1,10 @@
 //! One shard: a priority queue of jobs plus its dispatch accounting.
 
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 
-use funnelpq::BoundedPq;
+use funnelpq::{BoundedPq, PqError};
 use funnelpq_util::{Acc, CachePadded};
 
 use crate::job::{Job, JobId, TenantId};
@@ -19,9 +20,12 @@ pub(crate) struct Shard {
     /// [`Job::enqueued_slot`]; the dispatcher evaluates deadline misses
     /// against it (see `docs/SERVER.md`).
     pub(crate) dispatched: CachePadded<AtomicU64>,
-    /// Live queue depth: incremented by submitters on a successful insert,
-    /// decremented by the dispatcher as it drains. Lock-free so submit
-    /// never touches the telemetry mutex.
+    /// Live queue depth: incremented *before* every insert (and rolled
+    /// back if it fails), decremented by the dispatcher after it drains, so
+    /// it never reads below the true population — `0` proves the queue
+    /// empty, which is what lets an idle dispatcher wait on this gauge
+    /// instead of on the queue's lock. Lock-free so submit never touches
+    /// the telemetry mutex.
     pub(crate) enqueued: CachePadded<AtomicU64>,
     /// The shard's telemetry cell. Written only by the shard's dispatcher
     /// (so the lock is uncontended on the hot path); read by
@@ -39,9 +43,90 @@ pub(crate) struct Shard {
     /// published for the submit-side shed check. `0` means "no estimate
     /// yet" (callers fall back to the configured `service_ns`).
     pub(crate) rate_ns: CachePadded<AtomicU64>,
+    /// Raised by the dispatcher around `thread::park`; whoever makes the
+    /// queue non-empty and sees it raised owes the dispatcher an unpark.
+    /// All accesses are `SeqCst`, pairing with the `SeqCst` depth bump in
+    /// [`Shard::enqueue`] and depth re-check in [`Shard::park_while_empty`]
+    /// (store-then-load on both sides: at least one side sees the other).
+    parked: AtomicBool,
+    /// The dispatcher thread, registered by itself before it can park.
+    dispatcher: Mutex<Option<Thread>>,
 }
 
 impl Shard {
+    pub(crate) fn new(queue: Arc<dyn BoundedPq<Job>>, telemetry: ShardTelemetry) -> Self {
+        Shard {
+            queue,
+            dispatched: CachePadded::new(AtomicU64::new(0)),
+            enqueued: CachePadded::new(AtomicU64::new(0)),
+            telemetry: Mutex::new(telemetry),
+            healthy: AtomicBool::new(true),
+            shed: CachePadded::new(AtomicU64::new(0)),
+            rate_ns: CachePadded::new(AtomicU64::new(0)),
+            parked: AtomicBool::new(false),
+            dispatcher: Mutex::new(None),
+        }
+    }
+
+    /// Jobs queued (or one step from it) right now.
+    pub(crate) fn depth(&self) -> u64 {
+        self.enqueued.load(Ordering::Relaxed)
+    }
+
+    /// The one way a job enters this shard's queue from outside its own
+    /// dispatch loop — client submits, supervisor requeues, a dying peer's
+    /// failover. Depth goes up *before* the insert (and back down on
+    /// failure) so the dispatcher's decrement for this job can never
+    /// observe the gauge below the true population; once the job has
+    /// landed, a parked dispatcher is woken.
+    pub(crate) fn enqueue(&self, tid: usize, band: usize, job: Job) -> Result<(), PqError<Job>> {
+        self.enqueued.fetch_add(1, Ordering::SeqCst);
+        if let Err(e) = self.queue.try_insert(tid, band, job) {
+            self.enqueued.fetch_sub(1, Ordering::Relaxed);
+            return Err(e);
+        }
+        // The swap elects one waker among racing submitters.
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
+            self.unpark();
+        }
+        Ok(())
+    }
+
+    /// Called by the dispatcher thread each time it (re-)enters its loop:
+    /// makes it reachable by [`Shard::unpark`] and drops a parked flag a
+    /// previous incarnation may have left up.
+    pub(crate) fn attach_dispatcher(&self) {
+        *self.dispatcher_cell() = Some(std::thread::current());
+        self.parked.store(false, Ordering::SeqCst);
+    }
+
+    /// Dispatcher only: blocks until unparked, unless the queue turned
+    /// non-empty after the flag went up. Returns whether it blocked. A
+    /// wake-up it did not need (a submitter that saw the flag just before
+    /// the re-check pulled it down) leaves a token behind that ends the
+    /// next park at once — the caller loops, so that costs one re-check.
+    pub(crate) fn park_while_empty(&self) -> bool {
+        self.parked.store(true, Ordering::SeqCst);
+        let empty = self.enqueued.load(Ordering::SeqCst) == 0;
+        if empty {
+            std::thread::park();
+        }
+        self.parked.store(false, Ordering::SeqCst);
+        empty
+    }
+
+    /// Ends the dispatcher's current park, or its next one.
+    pub(crate) fn unpark(&self) {
+        if let Some(t) = self.dispatcher_cell().as_ref() {
+            t.unpark();
+        }
+    }
+
+    fn dispatcher_cell(&self) -> MutexGuard<'_, Option<Thread>> {
+        // Only ever assigned whole, so a poisoned cell is still valid.
+        self.dispatcher.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The telemetry cell, recovering from poisoning: a dispatcher that
     /// panicked while holding the lock leaves behind nothing worse than a
     /// half-filed dispatch (all fields are plain counters/histograms), and
@@ -116,5 +201,71 @@ impl ShardReport {
             shard,
             ..ShardReport::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use funnelpq::{PqBuilder, PqConfig};
+
+    fn shard() -> Arc<Shard> {
+        let queue = PqBuilder::from_config(PqConfig::SingleLock, 8, 2)
+            .try_build::<Job>()
+            .unwrap();
+        Arc::new(Shard::new(Arc::from(queue), ShardTelemetry::new(1, 1_000)))
+    }
+
+    fn job(id: JobId) -> Job {
+        Job {
+            id,
+            tenant: TenantId(0),
+            deadline_ns: 0,
+            payload: 0,
+            period_ns: 0,
+            repeats_left: 0,
+            enqueued_ns: 0,
+            enqueued_slot: 0,
+        }
+    }
+
+    #[test]
+    fn enqueue_tracks_depth_and_rolls_back_a_refused_insert() {
+        let s = shard();
+        s.enqueue(0, 3, job(1)).unwrap();
+        assert_eq!(s.depth(), 1);
+        // Band 8 is out of range: the job comes back, the gauge with it.
+        assert_eq!(s.enqueue(0, 8, job(2)).unwrap_err().into_item().id, 2);
+        assert_eq!(s.depth(), 1);
+    }
+
+    #[test]
+    fn a_non_empty_queue_refuses_the_park() {
+        let s = shard();
+        s.attach_dispatcher();
+        s.enqueue(0, 0, job(1)).unwrap();
+        assert!(!s.park_while_empty());
+    }
+
+    #[test]
+    fn enqueue_unparks_the_dispatcher() {
+        let s = shard();
+        let (parking, parked) = std::sync::mpsc::channel();
+        let dispatcher = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                s.attach_dispatcher();
+                parking.send(()).unwrap();
+                // Whether the enqueue lands before the flag goes up (park
+                // refused), between flag and park (token kept) or after
+                // (unparked), this returns — and only once depth is 1.
+                while s.depth() == 0 {
+                    s.park_while_empty();
+                }
+            })
+        };
+        parked.recv().unwrap();
+        s.enqueue(0, 0, job(1)).unwrap();
+        dispatcher.join().unwrap();
     }
 }

@@ -92,10 +92,51 @@ pub struct ShardStats {
     pub requeued: u64,
     /// Jobs shed at admission for this shard (overload control).
     pub shed: u64,
+    /// How the dispatcher has spent its time between drains.
+    pub waits: WaitStats,
     /// NUMA-adaptive controller snapshot, when the backend is `NumaPq`:
     /// current mode, switch-overs, epochs, delegation traffic. `None`
     /// for every other backend.
     pub adaptive: Option<AdaptiveStats>,
+}
+
+/// The dispatcher's wait accounting (see `docs/SERVER.md`, "The
+/// dispatcher"): how often it found work by polling, gave up polling,
+/// blocked, and how much each drain then took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaitStats {
+    /// Times the dispatcher went to `thread::park` on an empty queue
+    /// (filed before it blocks, so a snapshot of an idle server shows it;
+    /// the rare park called off by a job landing that instant counts too).
+    pub parks: u64,
+    /// Poll windows that ended because work arrived.
+    pub poll_hits: u64,
+    /// Poll windows that expired empty (each collapses the window to zero
+    /// and is followed by a park).
+    pub poll_misses: u64,
+    /// Non-empty `delete_min_batch` episodes.
+    pub drains: u64,
+    /// Jobs those episodes took off the queue.
+    pub drained: u64,
+}
+
+impl WaitStats {
+    /// Mean jobs per drain episode (`0.0` before the first drain).
+    pub fn mean_batch(&self) -> f64 {
+        if self.drains == 0 {
+            0.0
+        } else {
+            self.drained as f64 / self.drains as f64
+        }
+    }
+
+    fn merge(&mut self, other: &WaitStats) {
+        self.parks += other.parks;
+        self.poll_hits += other.poll_hits;
+        self.poll_misses += other.poll_misses;
+        self.drains += other.drains;
+        self.drained += other.drained;
+    }
 }
 
 /// One time-series window: counts over `window_ns` of wall clock.
@@ -182,6 +223,7 @@ pub(crate) struct ShardTelemetry {
     /// dispatcher thread).
     pub(crate) restarts: u64,
     pub(crate) requeued: u64,
+    pub(crate) waits: WaitStats,
     pub(crate) windows: WindowRing,
     /// Indexed by tenant id.
     pub(crate) tenants: Vec<TenantStats>,
@@ -197,6 +239,7 @@ impl ShardTelemetry {
             rank_samples: 0,
             restarts: 0,
             requeued: 0,
+            waits: WaitStats::default(),
             windows: WindowRing::new(window_ns),
             tenants: (0..tenants)
                 .map(|t| TenantStats {
@@ -302,6 +345,14 @@ impl TelemetrySnapshot {
     /// Total jobs shed at admission, across shards.
     pub fn shed(&self) -> u64 {
         self.shards.iter().map(|s| s.shed).sum()
+    }
+
+    /// Dispatcher wait accounting summed across shards.
+    pub fn waits(&self) -> WaitStats {
+        self.shards.iter().fold(WaitStats::default(), |mut w, s| {
+            w.merge(&s.waits);
+            w
+        })
     }
 
     /// The NUMA-adaptive controller's current mode name, when the
@@ -455,6 +506,7 @@ impl TelemetrySnapshot {
                 restarts: cell.restarts,
                 requeued: cell.requeued,
                 shed,
+                waits: cell.waits,
                 adaptive,
             });
             for t in &cell.tenants {

@@ -411,3 +411,83 @@ fn shedding_reacts_to_a_stalled_dispatcher() {
     assert_eq!(report.completed, 60);
     assert!(report.stops.iter().all(|x| x.outcome.is_clean()));
 }
+
+/// A dispatcher that panics on its way out of a park and is restarted
+/// keeps its wake protocol: the supervisor's requeue goes through the same
+/// enqueue path as a submit, the restarted loop re-registers itself and
+/// clears whatever the dead incarnation left of the parked flag, and jobs
+/// submitted after it has parked *again* still wake it.
+#[test]
+fn a_dispatcher_restarted_around_a_park_still_wakes() {
+    let plan = FaultPlan::new(17).dispatcher_panic(0, 0);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    cfg.shards = 1;
+    cfg.affinity.clear();
+    let s = Scheduler::new(cfg).unwrap();
+    s.start();
+    let parks = |s: &Scheduler| s.telemetry().waits().parks;
+    let base = s.now_ns() + 1_000_000_000;
+    let mut parked_before = 0;
+    for _round in 0..2 {
+        // Only submit once the dispatcher has (re-)parked on the empty queue.
+        let mut spins = 0;
+        while parks(&s) == parked_before {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 30_000, "dispatcher never parked");
+        }
+        parked_before = parks(&s);
+        for k in 0..10u64 {
+            s.submit(0, JobSpec::once(TenantId(0), Deadline::At(base + k), k))
+                .unwrap();
+        }
+        drain(&s); // the first round panics on its first dispatch and recovers
+    }
+    let report = s.stop();
+    assert_eq!(report.panics, 1);
+    assert_eq!(report.completed, 20);
+    assert_eq!(report.lost, 0);
+    assert!(matches!(
+        report.stops[0].outcome,
+        StopOutcome::Recovered { restarts: 1, .. }
+    ));
+}
+
+/// Give-up failover into a *parked* peer: shard 1 has no traffic of its
+/// own and parks at start; shard 0 sits in an injected stall, then
+/// exhausts its (zero) restart budget and pours its queue into shard 1
+/// through the recovery slot. Those inserts must wake shard 1 — nothing
+/// else ever will — or the jobs strand and the drain watchdog trips.
+#[test]
+fn failover_into_a_parked_peer_wakes_it() {
+    let plan = FaultPlan::new(19)
+        .dispatcher_stall(0, 0, 50_000_000)
+        .dispatcher_panic(0, 5);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    cfg.supervise = SuperviseConfig {
+        max_restarts: 0,
+        ..SuperviseConfig::default()
+    };
+    let s = Scheduler::new(cfg).unwrap();
+    let base = s.now_ns() + 1_000_000_000;
+    // Tenant 0 is pinned to shard 0; shard 1 gets nothing.
+    for k in 0..100u64 {
+        s.submit(0, JobSpec::once(TenantId(0), Deadline::At(base + k), k))
+            .unwrap();
+    }
+    s.start();
+    drain(&s);
+    let t = s.telemetry();
+    let report = s.stop();
+
+    assert_eq!(report.lost, 0);
+    assert_eq!(report.completed, 100);
+    assert!(report.requeued >= 90, "shard 0's queue failed over");
+    assert!(t.shards[1].waits.parks >= 1, "shard 1 had parked");
+    assert!(report.shards[1].dispatch_log.len() >= 90);
+    assert!(matches!(
+        report.stops[0].outcome,
+        StopOutcome::GaveUp { lost: 0, .. }
+    ));
+    assert!(report.stops[1].outcome.is_clean());
+}

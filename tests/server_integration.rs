@@ -571,3 +571,153 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
         assert_eq!(report.lost, 0);
     }
 }
+
+/// Polls `cond` under the same watchdog budget as [`drain`].
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let mut spins = 0;
+    while !cond() {
+        std::thread::sleep(Duration::from_millis(1));
+        spins += 1;
+        assert!(spins < 30_000, "timed out waiting until {what}");
+    }
+}
+
+/// `stop()` on a helper thread, so a dispatcher that never wakes fails the
+/// test instead of hanging it.
+fn stop_within(s: &Arc<Scheduler>, limit: Duration) -> funnelpq_server::ServerReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = {
+        let s = Arc::clone(s);
+        std::thread::spawn(move || {
+            // The receiver only goes away if the limit below already fired.
+            let _ = tx.send(s.stop());
+        })
+    };
+    let report = rx
+        .recv_timeout(limit)
+        .expect("stop() did not return: a dispatcher slept through it");
+    stopper.join().unwrap();
+    report
+}
+
+/// Lost-wake-up stress: four clients submit short bursts separated by
+/// random gaps of 0–150 µs, on both sides of the dispatcher's 50 µs
+/// poll-window ceiling, so dispatchers keep crossing poll → park → poll
+/// while jobs land. A submit that slips between a dispatcher's last depth
+/// check and its park, unnoticed, strands its job and trips the watchdog.
+#[test]
+fn bursts_straddling_the_poll_park_boundary_lose_no_wake_up() {
+    for (backend, seed) in [
+        (PqConfig::SingleLock, 0xA5A5_u64),
+        (PqConfig::MultiQueue(MultiQueueConfig::default()), 0x5A5A),
+    ] {
+        let mut c = cfg(backend);
+        c.shards = 2;
+        c.record_dispatches = false;
+        let s = Arc::new(Scheduler::new(c).unwrap());
+        s.start();
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let mut rng = XorShift64Star::new(seed ^ (client as u64) << 32);
+                    let mut admitted = 0u64;
+                    for _ in 0..300 {
+                        for k in 0..1 + rng.below(8) {
+                            let tenant = TenantId(rng.below(TENANTS as u64) as u32);
+                            match s
+                                .submit(client, JobSpec::once(tenant, Deadline::In(1_000_000), k))
+                            {
+                                Ok(_) => admitted += 1,
+                                Err(ServerError::Admit(_)) => {}
+                                Err(other) => panic!("unexpected submit error: {other}"),
+                            }
+                        }
+                        let gap = Duration::from_micros(rng.below(150));
+                        let t0 = std::time::Instant::now();
+                        while t0.elapsed() < gap {
+                            std::thread::yield_now();
+                        }
+                    }
+                    admitted
+                })
+            })
+            .collect();
+        let admitted: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+        drain(&s);
+        let waits = s.telemetry().waits();
+        let report = stop_within(&s, Duration::from_secs(30));
+        assert_eq!(report.admitted, admitted);
+        assert_eq!(report.completed, admitted);
+        assert_eq!(report.lost, 0);
+        assert_eq!(waits.drained, admitted, "one-shot jobs: each drained once");
+        assert!(waits.parks >= 2, "both dispatchers started out parked");
+        assert!(report.stops.iter().all(|x| x.outcome.is_clean()));
+    }
+}
+
+/// An idle started scheduler blocks: over 100 ms each dispatcher parks
+/// once and stays there (the 20 µs sleep-poll it replaces woke ~1400
+/// times per shard in the same span).
+#[test]
+fn an_idle_scheduler_parks_instead_of_polling() {
+    let s = Arc::new(Scheduler::new(cfg(PqConfig::SingleLock)).unwrap());
+    s.start();
+    std::thread::sleep(Duration::from_millis(100));
+    let t = s.telemetry();
+    for shard in &t.shards {
+        assert!(
+            (1..=2).contains(&shard.waits.parks),
+            "shard {} went to park {} times while idle",
+            shard.shard,
+            shard.waits.parks
+        );
+        assert_eq!(shard.waits.poll_hits + shard.waits.poll_misses, 0);
+        assert_eq!(shard.waits.drains, 0);
+    }
+    // Stopping while every dispatcher is parked returns promptly.
+    let t0 = std::time::Instant::now();
+    let report = stop_within(&s, Duration::from_secs(30));
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "stop() took {:?} to wake parked dispatchers",
+        t0.elapsed()
+    );
+    assert_eq!(report.stops.len(), SHARDS);
+    assert!(report.stops.iter().all(|x| x.outcome.is_clean()));
+}
+
+/// Sparse arrivals — one job every few milliseconds, far beyond the poll
+/// window — cost exactly one wake-up each: the dispatcher parks, is
+/// unparked by the submit, drains that one job and parks again, without a
+/// single poll in between.
+#[test]
+fn sparse_arrivals_cost_one_wake_up_each() {
+    const JOBS: u64 = 20;
+    let mut c = cfg(PqConfig::SingleLock);
+    c.shards = 1;
+    let s = Arc::new(Scheduler::new(c).unwrap());
+    s.start();
+    for k in 0..JOBS {
+        std::thread::sleep(Duration::from_millis(3));
+        s.submit(0, JobSpec::once(TenantId(0), Deadline::In(1_000_000), k))
+            .unwrap();
+        wait_until("the lone job is dispatched", || s.in_flight() == 0);
+    }
+    // The dispatcher files its park before blocking; give the last one a
+    // moment to be filed.
+    wait_until("the dispatcher has parked again", || {
+        s.telemetry().waits().parks > JOBS
+    });
+    let waits = s.telemetry().waits();
+    let report = stop_within(&s, Duration::from_secs(30));
+    assert_eq!(report.completed, JOBS);
+    assert_eq!(waits.drains, JOBS, "one drain per job");
+    assert_eq!(waits.mean_batch(), 1.0);
+    assert_eq!(waits.parks, JOBS + 1, "the initial park, then one per job");
+    assert_eq!(
+        waits.poll_hits + waits.poll_misses,
+        0,
+        "millisecond parks must keep the poll window collapsed"
+    );
+}
