@@ -21,10 +21,10 @@
 //! [`OpKind::index`] op spans, [`TAG_LOCK`] a lock interval, [`TAG_CAS`]
 //! a CAS-retry burst — and `w1..w3` are tag-specific timestamps/counts on
 //! the [`mono_ns`] timeline. Lock intervals arrive via the substrate
-//! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release when a
-//! sink is attached); CAS bursts arrive via `event_n(CasRetry, n)`, which
-//! the substrate already batches per operation episode, so one record is
-//! one burst.
+//! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release for a
+//! sink that [wants spans](EventSink::wants_lock_spans)); CAS bursts
+//! arrive via `event_n(CasRetry, n)`, which the substrate already batches
+//! per operation episode, so one record is one burst.
 
 use std::sync::Arc;
 
@@ -331,6 +331,10 @@ impl EventSink for TracingRecorder {
         self.record_event_n(event, n);
     }
 
+    fn wants_lock_spans(&self) -> bool {
+        true
+    }
+
     fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
         self.ring()
             .push([TAG_LOCK, wait_start_ns, acquired_ns, released_ns]);
@@ -403,6 +407,34 @@ mod tests {
                 assert!(wait_start_ns <= acquired_ns && acquired_ns <= released_ns);
             }
         }
+    }
+
+    #[test]
+    fn counting_recorder_sees_every_acquisition() {
+        // The `AtomicRecorder` twin of the test above: it asks for no
+        // spans, so the substrate never reads the clock for it, and the
+        // acquisition count must still be exact — one per operation.
+        const THREADS: usize = 2;
+        const PAIRS: u64 = 5_000;
+        let rec = Arc::new(AtomicRecorder::new());
+        let q = PqBuilder::new(Algorithm::SingleLock, 8, THREADS)
+            .recorder(Arc::clone(&rec))
+            .build::<u64>();
+        std::thread::scope(|s| {
+            for tid in 0..THREADS {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..PAIRS {
+                        q.insert(tid, (i % 8) as usize, i);
+                        q.delete_min(tid);
+                    }
+                });
+            }
+        });
+        let snap = rec.snapshot();
+        let ops = snap.insert.count + snap.delete_min.count;
+        assert_eq!(ops, 2 * PAIRS * THREADS as u64);
+        assert_eq!(snap.event(CounterEvent::LockAcquire), ops);
     }
 
     #[test]

@@ -5,18 +5,143 @@
 //! contention every waiter spins on a distinct cache line and lock handoff
 //! causes a single remote write. This is the lock the paper uses for every
 //! "bin" and for the non-funnel counters.
+//!
+//! Queue nodes are recycled through a small per-thread cache: a holder
+//! always retires *its own* node after signalling its successor, so taking
+//! and returning a node is thread-local and the steady state allocates
+//! nothing.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
-use funnelpq_util::{mono_ns, Backoff, CachePadded};
+use funnelpq_util::{mono_ns, CachePadded};
 
 use crate::probe::{CounterEvent, SinkRef};
 
+/// Queue nodes a thread keeps for reuse — the number of MCS locks it can
+/// hold at once without allocating. No queue in this workspace holds more
+/// than one; the depth leaves room for callers that nest.
+const CACHE_DEPTH: usize = 4;
+
+/// Polls a waiter makes, one `spin_loop` hint apart, before it yields the
+/// processor between polls. With a core per thread a hand-off lands within
+/// one critical section and the waiter should never yield through it; with
+/// more threads than cores the FIFO order hands the lock to waiters that
+/// are not running, and every further poll only keeps the core from the
+/// thread being waited on. 64 is the measured balance on a 2-core host
+/// (sweep in EXPERIMENTS.md, "Ledger rows: MCS hand-off").
+const SPIN_BOUND: u32 = 64;
+
+// Aligned like `CachePadded`: a waiter spins on `locked` in its own node,
+// so two nodes must never share a line (or a prefetched line pair).
+#[repr(align(128))]
 struct QNode {
     locked: AtomicBool,
     next: AtomicPtr<QNode>,
+}
+
+/// Spare queue nodes of one thread, freed when the thread exits.
+struct NodeCache {
+    nodes: [Cell<*mut QNode>; CACHE_DEPTH],
+    len: Cell<usize>,
+}
+
+impl NodeCache {
+    const fn new() -> Self {
+        NodeCache {
+            nodes: [const { Cell::new(ptr::null_mut()) }; CACHE_DEPTH],
+            len: Cell::new(0),
+        }
+    }
+
+    fn take(&self) -> Option<*mut QNode> {
+        let n = self.len.get().checked_sub(1)?;
+        self.len.set(n);
+        Some(self.nodes[n].get())
+    }
+
+    /// Keeps `node` unless the cache is full.
+    fn give(&self, node: *mut QNode) -> bool {
+        let n = self.len.get();
+        if n == CACHE_DEPTH {
+            return false;
+        }
+        self.nodes[n].set(node);
+        self.len.set(n + 1);
+        true
+    }
+}
+
+impl Drop for NodeCache {
+    fn drop(&mut self) {
+        while let Some(node) = self.take() {
+            // SAFETY: every cached pointer came from `Box::into_raw` in
+            // `take_node` and was retired by `retire_node`, which runs only
+            // once no other thread can reach the node.
+            drop(unsafe { Box::from_raw(node) });
+        }
+    }
+}
+
+thread_local! {
+    static NODE_CACHE: NodeCache = const { NodeCache::new() };
+}
+
+/// A queue node that is `locked` and has no successor, owned by the caller
+/// until it passes it to [`retire_node`].
+#[inline]
+fn take_node() -> *mut QNode {
+    // `try_with` fails once this thread's cache has been destroyed (a lock
+    // taken from another thread-local's destructor); allocate then too.
+    if let Ok(Some(node)) = NODE_CACHE.try_with(NodeCache::take) {
+        // SAFETY: a cached node is reachable from this thread's cache only.
+        unsafe {
+            (*node).locked.store(true, Ordering::Relaxed);
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+        }
+        return node;
+    }
+    #[cfg(test)]
+    tests::NODE_ALLOCS.with(|c| c.set(c.get() + 1));
+    Box::into_raw(Box::new(QNode {
+        locked: AtomicBool::new(true),
+        next: AtomicPtr::new(ptr::null_mut()),
+    }))
+}
+
+/// Returns a node to this thread's cache, or frees it when the cache is
+/// full or gone.
+///
+/// # Safety
+///
+/// `node` must come from [`take_node`], and no other thread may still hold
+/// a pointer to it: it is off every lock's queue and its successor (if
+/// any) has been signalled.
+#[inline]
+unsafe fn retire_node(node: *mut QNode) {
+    if !matches!(NODE_CACHE.try_with(|c| c.give(node)), Ok(true)) {
+        // SAFETY: `take_node` nodes are `Box` allocations, and by the
+        // caller's contract this is the only pointer left.
+        drop(unsafe { Box::from_raw(node) });
+    }
+}
+
+/// Waits out `blocked`, which another thread clears with one store to a
+/// word only this thread polls: poll on every iteration, with no growing
+/// gaps to sleep through the hand-off, and past [`SPIN_BOUND`] yield
+/// between polls so an oversubscribed host still makes progress.
+#[inline]
+fn spin_while(mut blocked: impl FnMut() -> bool) {
+    let mut polls = 0u32;
+    while blocked() {
+        if polls < SPIN_BOUND {
+            polls += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
 }
 
 // The sink rides inside the padded block: acquirers must touch the tail's
@@ -25,6 +150,9 @@ struct QNode {
 struct LockInner {
     tail: AtomicPtr<QNode>,
     sink: Option<SinkRef>,
+    /// `sink.wants_lock_spans()`, asked once: only then does an
+    /// acquisition read the clock.
+    spans: bool,
 }
 
 /// A raw MCS queue lock (no data). See [`McsMutex`] for the RAII wrapper
@@ -55,29 +183,35 @@ impl McsLock {
     }
 
     /// Creates an unlocked MCS lock reporting each acquisition as a
-    /// [`CounterEvent::LockAcquire`] to `sink` (when present).
+    /// [`CounterEvent::LockAcquire`] to `sink` (when present), and as a
+    /// timed span too if the sink
+    /// [wants them](crate::probe::EventSink::wants_lock_spans).
     pub fn with_sink(sink: Option<SinkRef>) -> Self {
+        let spans = sink.as_ref().is_some_and(|s| s.wants_lock_spans());
         McsLock {
             inner: CachePadded::new(LockInner {
                 tail: AtomicPtr::new(ptr::null_mut()),
                 sink,
+                spans,
             }),
         }
     }
 
     // Out-of-line so the sink-absent fast path of `lock`/`try_lock` pays
     // only a predictable not-taken branch, not the inlined dyn-call code
-    // (measurable on the cheapest queues' ns/op).
+    // (measurable on the cheapest queues' ns/op). Returns the clock when
+    // the sink takes spans, so a counting sink never reads it.
     #[cold]
     #[inline(never)]
-    fn note_acquire(&self) {
+    fn note_acquire(&self) -> Option<u64> {
         if let Some(s) = &self.inner.sink {
             s.event(CounterEvent::LockAcquire);
         }
+        self.inner.spans.then(mono_ns)
     }
 
     // Span reporting happens after the handoff in `McsGuard::drop`, so the
-    // sink call never extends the critical section.
+    // sink call itself never extends the critical section.
     #[cold]
     #[inline(never)]
     fn note_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
@@ -90,36 +224,24 @@ impl McsLock {
     #[inline]
     pub fn lock(&self) -> McsGuard<'_> {
         let wait_start = if self.inner.sink.is_some() {
-            self.note_acquire();
-            mono_ns()
-        } else {
-            0
-        };
-        let node = Box::into_raw(Box::new(QNode {
-            locked: AtomicBool::new(true),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
-        let pred = self.inner.tail.swap(node, Ordering::AcqRel);
-        if !pred.is_null() {
-            // SAFETY: `pred` was the previous tail; its owner cannot free it
-            // until it has signalled its successor, and it cannot signal us
-            // before we link ourselves in below.
-            unsafe { (*pred).next.store(node, Ordering::Release) };
-            let backoff = Backoff::new();
-            // SAFETY: `node` is owned by this call until unlock.
-            while unsafe { (*node).locked.load(Ordering::Acquire) } {
-                backoff.snooze();
-            }
-        }
-        let stamps = if self.inner.sink.is_some() {
-            Some((wait_start, mono_ns()))
+            self.note_acquire()
         } else {
             None
         };
+        let node = take_node();
+        let pred = self.inner.tail.swap(node, Ordering::AcqRel);
+        if !pred.is_null() {
+            // SAFETY: `pred` was the previous tail; its owner cannot retire
+            // it until it has signalled its successor, and it cannot signal
+            // us before we link ourselves in below.
+            unsafe { (*pred).next.store(node, Ordering::Release) };
+            // SAFETY: `node` is owned by this call until unlock.
+            spin_while(|| unsafe { (*node).locked.load(Ordering::Acquire) });
+        }
         McsGuard {
             lock: self,
             node,
-            stamps,
+            stamps: wait_start.map(|wait| (wait, mono_ns())),
         }
     }
 
@@ -130,10 +252,7 @@ impl McsLock {
         if !self.inner.tail.load(Ordering::Relaxed).is_null() {
             return None;
         }
-        let node = Box::into_raw(Box::new(QNode {
-            locked: AtomicBool::new(true),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
+        let node = take_node();
         match self.inner.tail.compare_exchange(
             ptr::null_mut(),
             node,
@@ -142,10 +261,8 @@ impl McsLock {
         ) {
             Ok(_) => {
                 let stamps = if self.inner.sink.is_some() {
-                    self.note_acquire();
                     // No queueing on the try path: wait == acquire instant.
-                    let now = mono_ns();
-                    Some((now, now))
+                    self.note_acquire().map(|now| (now, now))
                 } else {
                     None
                 };
@@ -157,7 +274,7 @@ impl McsLock {
             }
             Err(_) => {
                 // SAFETY: `node` never became visible to other threads.
-                drop(unsafe { Box::from_raw(node) });
+                unsafe { retire_node(node) };
                 None
             }
         }
@@ -171,8 +288,9 @@ impl McsLock {
 }
 
 // SAFETY: the lock protocol only shares heap-allocated queue nodes through
-// atomics; the lock itself holds no interior data.
+// atomics, the sink is `Send + Sync`, and the lock holds no interior data.
 unsafe impl Send for McsLock {}
+// SAFETY: as for `Send`; every `&self` method goes through the atomics.
 unsafe impl Sync for McsLock {}
 
 impl std::fmt::Debug for McsLock {
@@ -188,8 +306,8 @@ impl std::fmt::Debug for McsLock {
 pub struct McsGuard<'a> {
     lock: &'a McsLock,
     node: *mut QNode,
-    /// `(wait_start_ns, acquired_ns)` when the lock has a sink; the
-    /// release stamp completes the span in `drop`.
+    /// `(wait_start_ns, acquired_ns)` when the lock's sink takes spans;
+    /// the release stamp completes the span in `drop`.
     stamps: Option<(u64, u64)>,
 }
 
@@ -200,37 +318,33 @@ impl Drop for McsGuard<'_> {
         let released = if self.stamps.is_some() { mono_ns() } else { 0 };
         let node = self.node;
         // SAFETY: `node` is this guard's own queue node.
-        let next = unsafe { (*node).next.load(Ordering::Acquire) };
-        if next.is_null() {
-            // No known successor: try to swing the tail back to null.
-            if self
+        let mut next = unsafe { (*node).next.load(Ordering::Acquire) };
+        // No known successor: try to swing the tail back to null.
+        if next.is_null()
+            && self
                 .lock
                 .inner
                 .tail
                 .compare_exchange(node, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // SAFETY: tail no longer references the node and no
-                // successor ever linked in, so we hold the only pointer.
-                drop(unsafe { Box::from_raw(node) });
-                if let Some((wait, acq)) = self.stamps {
-                    self.lock.note_span(wait, acq, released);
-                }
-                return;
-            }
-            // A successor swapped the tail but has not linked in yet; wait.
-            let backoff = Backoff::new();
-            // SAFETY: as above, node is still ours until handoff.
-            while unsafe { (*node).next.load(Ordering::Acquire).is_null() } {
-                backoff.snooze();
-            }
+                .is_err()
+        {
+            // A successor swapped the tail but has not linked in yet; it
+            // is between two instructions, so this wait is short.
+            spin_while(|| {
+                // SAFETY: the node is still ours until handoff.
+                next = unsafe { (*node).next.load(Ordering::Acquire) };
+                next.is_null()
+            });
         }
-        // SAFETY: re-load is non-null now; the successor node stays alive
-        // until *it* unlocks, which cannot happen before this store.
-        let next = unsafe { (*node).next.load(Ordering::Acquire) };
-        unsafe { (*next).locked.store(false, Ordering::Release) };
-        // SAFETY: after signalling, no thread references our node.
-        drop(unsafe { Box::from_raw(node) });
+        if !next.is_null() {
+            // SAFETY: the successor node stays alive until *it* unlocks,
+            // which cannot happen before this store.
+            unsafe { (*next).locked.store(false, Ordering::Release) };
+        }
+        // SAFETY: the tail no longer points at the node (we swung it to
+        // null, or a successor replaced it) and the successor, once
+        // signalled, never touches it again.
+        unsafe { retire_node(node) };
         if let Some((wait, acq)) = self.stamps {
             self.lock.note_span(wait, acq, released);
         }
@@ -331,6 +445,33 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::{Duration, Instant};
+
+    thread_local! {
+        /// `QNode`s this thread has heap-allocated (the cache-miss path).
+        pub(super) static NODE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn node_allocs() -> usize {
+        NODE_ALLOCS.with(Cell::get)
+    }
+
+    /// Joins `handles`, failing loudly if they are not all done within
+    /// `limit`: a spin bound that starves a preempted holder shows up as a
+    /// run hundreds of times longer than the work, not as a wrong result.
+    fn join_within(handles: Vec<thread::JoinHandle<()>>, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !handles.iter().all(|h| h.is_finished()) {
+            assert!(
+                Instant::now() < deadline,
+                "lock hand-off starved: workers still running after {limit:?}"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
 
     #[test]
     fn uncontended_lock_unlock() {
@@ -365,9 +506,8 @@ mod tests {
                 }
             }));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
+        // Four threads per core here; about 50 ms of work.
+        join_within(handles, Duration::from_secs(20));
         assert_eq!(*m.lock(), (T * N) as u64);
     }
 
@@ -401,6 +541,39 @@ mod tests {
     }
 
     #[test]
+    fn counting_sink_is_never_timed() {
+        use crate::probe::{CounterEvent, EventSink};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        #[derive(Default)]
+        struct CountOnly(AtomicU64);
+        impl EventSink for CountOnly {
+            fn event_n(&self, _: CounterEvent, n: u64) {
+                self.0.fetch_add(n, Ordering::Relaxed);
+            }
+            fn lock_span(&self, _: u64, _: u64, _: u64) {
+                panic!("lock_span reached a sink that did not ask for spans");
+            }
+        }
+
+        let sink = Arc::new(CountOnly::default());
+        let l = McsLock::with_sink(Some(sink.clone()));
+        let g = l.lock();
+        assert!(
+            g.stamps.is_none(),
+            "counting sink made lock() read the clock"
+        );
+        drop(g);
+        let g = l.try_lock().expect("uncontended try_lock");
+        assert!(
+            g.stamps.is_none(),
+            "counting sink made try_lock() read the clock"
+        );
+        drop(g);
+        assert_eq!(sink.0.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
     fn sink_sees_ordered_lock_spans() {
         use crate::probe::{CounterEvent, EventSink};
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -415,6 +588,9 @@ mod tests {
             fn event_n(&self, event: CounterEvent, n: u64) {
                 assert_eq!(event, CounterEvent::LockAcquire);
                 self.acquires.fetch_add(n, Ordering::Relaxed);
+            }
+            fn wants_lock_spans(&self) -> bool {
+                true
             }
             fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
                 self.spans
@@ -455,13 +631,106 @@ mod tests {
                 }
             }));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_within(handles, Duration::from_secs(20));
         let v = m.lock();
         assert_eq!(v.len(), 1000);
         for (k, &(_, _, len)) in v.iter().enumerate() {
             assert_eq!(k, len, "no two pushes observed the same length");
         }
+    }
+
+    #[test]
+    fn cached_nodes_are_reused_not_shared() {
+        // Three locks held at once and released first-acquired first,
+        // rotating which is first: the three live nodes are always
+        // distinct, and after the first round the thread allocates nothing.
+        let locks = [McsLock::new(), McsLock::new(), McsLock::new()];
+        let round = |r: usize| {
+            let mut guards: Vec<Option<McsGuard<'_>>> =
+                locks.iter().map(|l| Some(l.lock())).collect();
+            let nodes: Vec<*mut QNode> = guards.iter().flatten().map(|g| g.node).collect();
+            assert!(nodes[0] != nodes[1] && nodes[1] != nodes[2] && nodes[0] != nodes[2]);
+            for k in 0..3 {
+                guards[(r + k) % 3] = None;
+            }
+            assert!(locks.iter().all(|l| !l.is_locked()));
+        };
+        let before = node_allocs();
+        round(0);
+        let warm = node_allocs();
+        assert!(warm - before <= CACHE_DEPTH);
+        for r in 1..10_000 {
+            round(r);
+            assert_eq!(node_allocs(), warm, "round {r} allocated a node");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cache_falls_back_to_box() {
+        let locks: Vec<McsLock> = (0..=CACHE_DEPTH).map(|_| McsLock::new()).collect();
+        // First pass fills the cache on release (one node is freed); the
+        // second finds CACHE_DEPTH nodes cached and boxes the last.
+        for pass in 0..2 {
+            let before = node_allocs();
+            let guards: Vec<McsGuard<'_>> = locks.iter().map(McsLock::lock).collect();
+            let boxed = node_allocs() - before;
+            assert!(locks.iter().all(McsLock::is_locked));
+            assert!(locks.iter().all(|l| l.try_lock().is_none()));
+            drop(guards);
+            assert!(locks.iter().all(|l| !l.is_locked()));
+            if pass == 1 {
+                assert_eq!(boxed, 1, "only the node past the cache depth is boxed");
+            }
+        }
+    }
+
+    #[test]
+    fn short_lived_threads_and_tls_destructors() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // 64 threads that each lock once and exit: each frees its cached
+        // node at exit (Miri's leak check is what watches this).
+        let m = Arc::new(McsMutex::new(0u32));
+        let handles: Vec<_> = (0..64)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                thread::spawn(move || *m.lock() += 1)
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*m.lock(), 64);
+
+        // A lock taken from another thread-local's destructor, with the
+        // node cache initialised before and after that thread-local so
+        // that, whatever order the platform destroys them in, one of the
+        // two runs locks after the cache is gone (`try_with` fails) and
+        // has to allocate a second node; the other reuses its first.
+        struct LocksOnDrop(Arc<McsMutex<u32>>, Arc<AtomicUsize>);
+        impl Drop for LocksOnDrop {
+            fn drop(&mut self) {
+                *self.0.lock() += 1;
+                self.1.fetch_add(node_allocs(), Ordering::Relaxed);
+            }
+        }
+        thread_local! {
+            static PROBE: Cell<Option<LocksOnDrop>> = const { Cell::new(None) };
+        }
+        let allocs = Arc::new(AtomicUsize::new(0));
+        for cache_first in [true, false] {
+            let (m, allocs) = (Arc::clone(&m), Arc::clone(&allocs));
+            thread::spawn(move || {
+                if cache_first {
+                    drop(m.lock());
+                }
+                PROBE.with(|p| p.set(Some(LocksOnDrop(Arc::clone(&m), allocs))));
+                drop(m.lock());
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(*m.lock(), 66, "both destructors took the lock");
+        assert_eq!(allocs.load(Ordering::Relaxed), 1 + 2);
     }
 }

@@ -137,10 +137,17 @@ impl std::fmt::Display for CounterEvent {
     }
 }
 
-/// Receiver for substrate events. Implementations must be cheap and
-/// wait-free-ish: sinks are called from inside hot paths (though never while
-/// a lock is held by the reporting structure's caller-visible critical
-/// section is extended at most by one atomic add).
+/// Receiver for substrate events. Sinks are called from inside hot paths,
+/// so implementations must be cheap and must not block.
+///
+/// What a sink costs a lock acquisition depends on what it asks for. A
+/// counting sink (the default) costs one [`EventSink::event`] call, made
+/// before the thread queues for the lock, and no clock reads. A sink that
+/// returns `true` from [`EventSink::wants_lock_spans`] also gets one
+/// [`EventSink::lock_span`] per acquisition and pays three
+/// [`funnelpq_util::mono_ns`] reads for it, two of them — the acquire and
+/// release stamps — inside the critical section; the `lock_span` call
+/// itself is made after the hand-off.
 ///
 /// Methods take no thread id — locks do not know their caller's dense id —
 /// so implementations that shard must derive a shard key themselves (the
@@ -154,14 +161,20 @@ pub trait EventSink: Send + Sync {
         self.event_n(event, 1);
     }
 
+    /// Whether this sink consumes [`EventSink::lock_span`]. Locks ask once,
+    /// at construction, and time their acquisitions only for a sink that
+    /// says yes; a sink that overrides `lock_span` must override this too.
+    fn wants_lock_spans(&self) -> bool {
+        false
+    }
+
     /// Record one completed lock acquire→hold→release interval, with all
     /// three timestamps from [`funnelpq_util::mono_ns`]:
     /// `wait_start_ns ≤ acquired_ns ≤ released_ns`, wait time being
     /// `acquired - wait_start` and hold time `released - acquired`.
     ///
-    /// Default is a no-op so counting-only sinks need not care; locks
-    /// call it off the critical path (after the handoff) and only when a
-    /// sink is installed, so the uninstrumented cost stays one branch.
+    /// Called only when [`EventSink::wants_lock_spans`] returned `true`,
+    /// after the lock has been handed off.
     fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
         let _ = (wait_start_ns, acquired_ns, released_ns);
     }

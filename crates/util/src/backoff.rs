@@ -46,7 +46,9 @@ impl Backoff {
     }
 
     /// Backs off while blocked on another thread: spins while cheap, then
-    /// yields the processor so the partner can run.
+    /// yields the processor so the partner can run. For waits of unknown
+    /// length on a *shared* word; a queue-lock waiter spinning on its own
+    /// flag should poll it every iteration instead (see `McsLock`).
     pub fn snooze(&self) {
         let step = self.step.get();
         if step <= SPIN_LIMIT {

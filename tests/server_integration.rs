@@ -498,20 +498,29 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
         s.start();
 
         let stop_monitor = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The clients start only once the monitor is sampling: on a busy
+        // 2-CPU host they could otherwise finish before it is first run.
+        let monitoring = Arc::new(std::sync::Barrier::new(2));
         let monitor = {
             let s = Arc::clone(&s);
             let stop = Arc::clone(&stop_monitor);
+            let monitoring = Arc::clone(&monitoring);
             std::thread::spawn(move || {
                 let mut peak = 0usize;
                 let mut samples = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                monitoring.wait();
+                loop {
                     peak = peak.max(s.in_flight());
                     samples += 1;
+                    if stop.load(std::sync::atomic::Ordering::Acquire) {
+                        break;
+                    }
                     std::thread::yield_now();
                 }
                 (peak, samples)
             })
         };
+        monitoring.wait();
 
         let base = s.now_ns();
         let handles: Vec<_> = (0..CLIENTS)
