@@ -13,12 +13,15 @@
 //! `MetricsSnapshot`s are written to `BENCH_native_metrics.json`. The
 //! noop-vs-atomic delta is the observable price of metrics; the noop
 //! column itself is the number to compare against pre-observability
-//! baselines.
+//! baselines. The recorder counts every op and times a sample of them;
+//! the `timed/count` column shows the sample, and the bench fails if a
+//! recorder stopped sampling (`timed == 0`) or stopped skipping
+//! (`timed == count`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use funnelpq::obs::AtomicRecorder;
+use funnelpq::obs::{AtomicRecorder, MetricsSnapshot};
 use funnelpq::{
     Algorithm, BoundedPq, FunnelConfig, FunnelTreeConfig, HuntConfig, LinearFunnelsConfig,
     PqBuilder, PqConfig,
@@ -55,7 +58,7 @@ struct SingleThreadRow {
     algorithm: Algorithm,
     noop_ns: f64,
     atomic_ns: f64,
-    snapshot_json: String,
+    snapshot: MetricsSnapshot,
 }
 
 fn bench_single_thread_ops(iters: u64) -> Vec<SingleThreadRow> {
@@ -68,11 +71,24 @@ fn bench_single_thread_ops(iters: u64) -> Vec<SingleThreadRow> {
         let q = builder(a, 16, 1).recorder(Arc::clone(&rec)).build::<u64>();
         let atomic_ns = time_pairs(q.as_ref(), iters);
 
+        let snapshot = rec.snapshot();
+        for (s, kind) in [
+            (&snapshot.insert, "insert"),
+            (&snapshot.delete_min, "delete_min"),
+        ] {
+            assert!(
+                0 < s.timed && s.timed < s.count,
+                "{}: {kind} timed {} of {} ops — the recorder must time a sample, not none or all",
+                a.name(),
+                s.timed,
+                s.count
+            );
+        }
         rows.push(SingleThreadRow {
             algorithm: a,
             noop_ns,
             atomic_ns,
-            snapshot_json: rec.snapshot().to_json(a.name()),
+            snapshot,
         });
     }
     rows
@@ -212,15 +228,23 @@ fn main() {
     let single = bench_single_thread_ops(iters);
     print_table(
         "Native single-thread insert+delete pair cost",
-        &["queue", "ns/pair (noop)", "ns/pair (metrics)", "overhead %"],
+        &[
+            "queue",
+            "ns/pair (noop)",
+            "ns/pair (metrics)",
+            "overhead %",
+            "timed/count",
+        ],
         &single
             .iter()
             .map(|r| {
+                let timed = r.snapshot.insert.timed + r.snapshot.delete_min.timed;
                 vec![
                     r.algorithm.name().to_string(),
                     format!("{:.0}", r.noop_ns),
                     format!("{:.0}", r.atomic_ns),
                     format!("{:+.1}", (r.atomic_ns / r.noop_ns - 1.0) * 100.0),
+                    format!("{timed}/{}", r.snapshot.total_ops()),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -326,7 +350,7 @@ fn main() {
         funnelpq_util::json::SCHEMA_VERSION,
     );
     for (i, r) in single.iter().enumerate() {
-        out.push_str(&r.snapshot_json);
+        out.push_str(&r.snapshot.to_json(r.algorithm.name()));
         out.push_str(if i + 1 == single.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]\n}\n");

@@ -16,7 +16,8 @@
 //!   read.
 //! * [`AtomicRecorder`] — thread-sharded atomic aggregation, drained into a
 //!   [`MetricsSnapshot`] that serializes to JSON with no external
-//!   dependencies.
+//!   dependencies. It counts every operation and times about one in 64,
+//!   so it is cheap enough to leave attached.
 //!
 //! The substrate events come from `funnelpq-sync`'s probe layer
 //! ([`EventSink`]); a queue wires its recorder's sink into its locks,
@@ -26,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use funnelpq_util::json::{JsonWriter, SCHEMA_VERSION};
-use funnelpq_util::{mono_ns, CachePadded};
+use funnelpq_util::{mono_ns, AtomicRng, CachePadded};
 
 pub use funnelpq_sync::probe::{CounterEvent, EventSink, SinkRef};
 
@@ -106,7 +107,7 @@ pub const BATCH_BUCKETS: usize = 16;
 /// queues hold them in an `Arc` and call them from every operating thread.
 ///
 /// The `ENABLED` constant lets the compiler erase the instrumented paths —
-/// including the `Instant::now()` reads bracketing each operation — when the
+/// including the clock reads bracketing a timed operation — when the
 /// recorder is a no-op: queues guard their instrumentation with
 /// `if R::ENABLED { ... }`, which monomorphizes to nothing for
 /// [`NoopRecorder`].
@@ -121,6 +122,15 @@ pub trait Recorder: Send + Sync + 'static {
     /// Record one occurrence of a counter event.
     fn record_event(&self, event: CounterEvent) {
         self.record_event_n(event, 1);
+    }
+
+    /// Asked by [`timed`] before each operation of `kind`: `true` means
+    /// "time it and report it through [`Recorder::record_op_span`]";
+    /// `false` means the recorder has counted the operation itself and
+    /// wants no clock read for it. The default times every operation.
+    fn begin_op(&self, kind: OpKind) -> bool {
+        let _ = kind;
+        true
     }
 
     /// Record one operation of `kind` that took `nanos` nanoseconds.
@@ -180,13 +190,15 @@ pub fn record_batch_op<R: Recorder>(rec: &R, size: u64) {
     }
 }
 
-/// Times `f` and reports it to `rec` as one `kind` operation span — free
-/// when `R::ENABLED` is false (no timer read, no call). Timestamps come
-/// from the process-wide [`funnelpq_util::mono_ns`] clock so recorders
-/// that keep span endpoints (the tracer) see one cross-thread timeline.
+/// Runs `f` as one `kind` operation on `rec`: every operation is counted,
+/// and the ones the recorder asks for ([`Recorder::begin_op`]) are timed
+/// and reported as a span — free when `R::ENABLED` is false (no timer
+/// read, no call, no branch). Timestamps come from the process-wide
+/// [`funnelpq_util::mono_ns`] clock so recorders that keep span endpoints
+/// (the tracer) see one cross-thread timeline.
 #[inline]
 pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O {
-    if R::ENABLED {
+    if R::ENABLED && rec.begin_op(kind) {
         let start = mono_ns();
         let out = f();
         rec.record_op_span(kind, start, mono_ns());
@@ -196,17 +208,35 @@ pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O 
     }
 }
 
-/// One operation kind's latency aggregate within a shard.
+/// Mean number of operations [`AtomicRecorder`] counts without timing
+/// between two timed ones, per thread and base kind: each gap is drawn
+/// uniformly from `[MEAN_GAP / 2, 3 * MEAN_GAP / 2)`, so a periodic caller
+/// cannot stay in phase with the samples. At 64 the two ≈ 33 ns clock
+/// reads of a timed op come to ≈ 1 ns per op, and one second of a
+/// 250 k ops/s caller still yields ≈ 3 800 samples, enough for a p99; 16
+/// costs a MultiQueue ≈ 3 % more and 256 is no cheaper within noise
+/// (sweep in `EXPERIMENTS.md`, "Ledger rows: sampled op timing").
+const MEAN_GAP: u64 = 64;
+
+/// One operation kind's count and latency aggregate within a shard.
 #[derive(Debug, Default)]
 struct OpShard {
     count: AtomicU64,
+    timed: AtomicU64,
     total_nanos: AtomicU64,
     buckets: [AtomicU64; LATENCY_BUCKETS],
+    /// Operations left to count untimed before the next sample; 0 in a
+    /// fresh shard, so its first operation is timed. Plain load/store:
+    /// threads sharing a shard may lose a decrement, which shifts a
+    /// sample by an op and never touches `count`.
+    skip: AtomicU64,
 }
 
 impl OpShard {
+    /// One operation, timed.
     fn record(&self, nanos: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.timed.fetch_add(1, Ordering::Relaxed);
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
     }
@@ -238,12 +268,34 @@ impl BatchShard {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     events: [AtomicU64; CounterEvent::COUNT],
     insert: OpShard,
     delete_min: OpShard,
     batch: BatchShard,
+    /// Draws the sampling gaps of both op kinds.
+    rng: AtomicRng,
+}
+
+impl Shard {
+    fn new(seed: u64) -> Self {
+        Shard {
+            events: Default::default(),
+            insert: OpShard::default(),
+            delete_min: OpShard::default(),
+            batch: BatchShard::default(),
+            rng: AtomicRng::new(seed),
+        }
+    }
+
+    /// The aggregate `kind` lands in.
+    fn op(&self, kind: OpKind) -> &OpShard {
+        match kind.base() {
+            OpKind::Insert => &self.insert,
+            _ => &self.delete_min,
+        }
+    }
 }
 
 /// Dense per-thread shard index: assigned once per OS thread, round-robin.
@@ -269,8 +321,15 @@ pub(crate) fn shard_index(n_shards: usize) -> usize {
 /// latency histograms in per-thread-sharded atomics, drained on demand into
 /// a [`MetricsSnapshot`].
 ///
-/// Counts are exact: every event lands in exactly one shard's atomic, and
-/// [`AtomicRecorder::snapshot`] sums over all shards.
+/// Counts are exact: every event and every operation lands in exactly one
+/// shard's atomic, and [`AtomicRecorder::snapshot`] sums over all shards.
+/// Operation *timing* is sampled: of the operations a queue runs through
+/// [`timed`], each thread times the first of each base kind and then about
+/// one in 64 (gaps redrawn at random, `insert` and `delete_min` counted
+/// down separately) and only counts the rest, so the clock is read twice
+/// per sample instead of twice per operation. [`OpStats::timed`] says how
+/// many samples stand behind the latency figures. A direct
+/// [`Recorder::record_op`] call is always one operation, timed.
 ///
 /// # Examples
 ///
@@ -314,7 +373,7 @@ impl AtomicRecorder {
         assert!(n_shards > 0, "need at least one shard");
         AtomicRecorder {
             shards: (0..n_shards)
-                .map(|_| CachePadded::new(Shard::default()))
+                .map(|i| CachePadded::new(Shard::new(i as u64)))
                 .collect(),
         }
     }
@@ -335,6 +394,7 @@ impl AtomicRecorder {
                 (&mut snap.delete_min, &shard.delete_min),
             ] {
                 agg.count += src.count.load(Ordering::Relaxed);
+                agg.timed += src.timed.load(Ordering::Relaxed);
                 agg.total_nanos += src.total_nanos.load(Ordering::Relaxed);
                 for (b, s) in agg.buckets.iter_mut().zip(src.buckets.iter()) {
                     *b += s.load(Ordering::Relaxed);
@@ -362,12 +422,26 @@ impl Recorder for AtomicRecorder {
         self.shard().events[event.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    fn record_op(&self, kind: OpKind, nanos: u64) {
+    #[inline]
+    fn begin_op(&self, kind: OpKind) -> bool {
         let shard = self.shard();
-        match kind.base() {
-            OpKind::Insert => shard.insert.record(nanos),
-            _ => shard.delete_min.record(nanos),
+        let op = shard.op(kind);
+        match op.skip.load(Ordering::Relaxed) {
+            0 => {
+                let gap = MEAN_GAP / 2 + shard.rng.below(MEAN_GAP);
+                op.skip.store(gap, Ordering::Relaxed);
+                true
+            }
+            left => {
+                op.skip.store(left - 1, Ordering::Relaxed);
+                op.count.fetch_add(1, Ordering::Relaxed);
+                false
+            }
         }
+    }
+
+    fn record_op(&self, kind: OpKind, nanos: u64) {
+        self.shard().op(kind).record(nanos);
     }
 
     fn record_batch(&self, size: u64) {
@@ -385,15 +459,19 @@ impl EventSink for AtomicRecorder {
     }
 }
 
-/// Latency aggregate for one operation kind (plain data).
+/// Count and latency aggregate for one operation kind (plain data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
-    /// Number of recorded operations.
+    /// Number of operations, exact.
     pub count: u64,
-    /// Sum of all recorded durations, in nanoseconds.
+    /// How many of them were timed: the sample behind `total_nanos` and
+    /// `buckets` (`timed <= count`).
+    pub timed: u64,
+    /// Sum of the timed durations, in nanoseconds.
     pub total_nanos: u64,
-    /// Log₂ histogram: `buckets[i]` counts samples whose duration `d`
-    /// satisfies `floor(log2(d)) + 1 == i` (`buckets[0]` holds `d == 0`).
+    /// Log₂ histogram of the timed durations: `buckets[i]` counts samples
+    /// whose duration `d` satisfies `floor(log2(d)) + 1 == i`
+    /// (`buckets[0]` holds `d == 0`).
     pub buckets: [u64; LATENCY_BUCKETS],
 }
 
@@ -401,6 +479,7 @@ impl Default for OpStats {
     fn default() -> Self {
         OpStats {
             count: 0,
+            timed: 0,
             total_nanos: 0,
             buckets: [0; LATENCY_BUCKETS],
         }
@@ -408,23 +487,25 @@ impl Default for OpStats {
 }
 
 impl OpStats {
-    /// Mean duration in nanoseconds (0.0 when no samples).
+    /// Mean duration of the timed operations in nanoseconds (0.0 when
+    /// none were timed).
     pub fn mean_nanos(&self) -> f64 {
-        if self.count == 0 {
+        if self.timed == 0 {
             0.0
         } else {
-            self.total_nanos as f64 / self.count as f64
+            self.total_nanos as f64 / self.timed as f64
         }
     }
 
     /// Upper edge (in nanoseconds) of the bucket containing quantile `q`
-    /// (`0.0..=1.0`), or 0 when no samples. Bucket-resolution only — good
-    /// for "p99 is under 4 µs" statements, not exact ranks.
+    /// (`0.0..=1.0`) of the timed operations, or 0 when none were timed.
+    /// Bucket-resolution only — good for "p99 is under 4 µs" statements,
+    /// not exact ranks.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        if self.timed == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.timed as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
@@ -489,10 +570,10 @@ impl MetricsSnapshot {
     /// offline). Layout:
     ///
     /// ```json
-    /// {"schema_version": 1,
+    /// {"schema_version": 3,
     ///  "algorithm": "...",
     ///  "events": {"cas_retry": 0, ...},
-    ///  "insert": {"count": 0, "total_nanos": 0, "mean_nanos": 0,
+    ///  "insert": {"count": 0, "timed": 0, "total_nanos": 0, "mean_nanos": 0,
     ///             "p50_nanos_le": 0, "p99_nanos_le": 0, "buckets": [...]},
     ///  "delete_min": {...},
     ///  "batch": {"count": 0, "total_items": 0, "mean_items": 0,
@@ -515,6 +596,7 @@ impl MetricsSnapshot {
             w.key(key);
             w.begin_obj(false);
             w.field_u64("count", s.count);
+            w.field_u64("timed", s.timed);
             w.field_u64("total_nanos", s.total_nanos);
             w.field_f64_fixed("mean_nanos", s.mean_nanos(), 1);
             w.field_u64("p50_nanos_le", s.quantile_upper_bound(0.5));
@@ -598,6 +680,29 @@ mod tests {
         let p99 = s.quantile_upper_bound(0.99);
         assert!(p50 <= p99);
         assert!(p99 >= 100_000);
+    }
+
+    #[test]
+    fn sampled_ops_count_exactly_and_rank_within_the_sample() {
+        let rec = AtomicRecorder::with_shards(1);
+        for _ in 0..10_000 {
+            timed(&rec, OpKind::Insert, || std::hint::black_box(0));
+        }
+        let s = rec.snapshot().insert;
+        assert_eq!(s.count, 10_000);
+        // The first op, then one per gap of MEAN_GAP/2 .. 3*MEAN_GAP/2.
+        let per_sample = |gap: u64| 1 + 10_000 / (gap + 1);
+        assert!((per_sample(3 * MEAN_GAP / 2)..=per_sample(MEAN_GAP / 2)).contains(&s.timed));
+        assert_eq!(s.buckets.iter().sum::<u64>(), s.timed);
+        // Ranked against `count`, p100 would walk off the histogram and
+        // report the top bucket's edge.
+        let top = s.buckets.iter().rposition(|&b| b != 0).unwrap();
+        assert_eq!(
+            s.quantile_upper_bound(1.0),
+            if top == 0 { 0 } else { 1 << top }
+        );
+        // A kind that never ran has no sample to rank.
+        assert_eq!(rec.snapshot().delete_min.quantile_upper_bound(0.5), 0);
     }
 
     #[test]

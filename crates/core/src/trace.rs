@@ -12,6 +12,9 @@
 //!
 //! [`TracingRecorder`] wraps an [`AtomicRecorder`], so attaching it buys
 //! spans *and* the usual [`MetricsSnapshot`] counters with one recorder.
+//! Unlike the bare `AtomicRecorder`, which times a sample of the
+//! operations, it keeps [`Recorder::begin_op`]'s default and times every
+//! one: a span per operation is what a trace is for.
 //! Like every recorder, it is opt-in per queue: the default
 //! [`crate::obs::NoopRecorder`] still monomorphizes all instrumentation
 //! (including the clock reads) to nothing, which the `obs_overhead`

@@ -62,11 +62,14 @@ fn main() {
     // What did the queue's internals get up to?
     let snap = rec.snapshot();
     println!(
-        "metrics: {} inserts (mean {} ns), {} delete-mins (mean {} ns), \
+        "metrics: {} inserts (mean of {} timed: {:.0} ns), \
+         {} delete-mins (mean of {} timed: {:.0} ns), \
          {} lock acquisitions, {} empty delete-mins",
         snap.insert.count,
+        snap.insert.timed,
         snap.insert.mean_nanos(),
         snap.delete_min.count,
+        snap.delete_min.timed,
         snap.delete_min.mean_nanos(),
         snap.event(funnelpq::obs::CounterEvent::LockAcquire),
         snap.event(funnelpq::obs::CounterEvent::EmptyDeleteMin),

@@ -1,28 +1,51 @@
 //! Observability conformance: an `AtomicRecorder` attached through
 //! `PqBuilder` must count operations *exactly* — every insert and every
-//! delete-min call, across threads and algorithms — and its JSON snapshot
-//! must carry those counts.
+//! delete-min call, across threads and algorithms — while timing only a
+//! sample of them, and its JSON snapshot must carry both numbers.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use funnelpq::obs::{record_batch_op, AtomicRecorder, CounterEvent, Recorder};
+use funnelpq::obs::{record_batch_op, AtomicRecorder, CounterEvent, OpStats, Recorder};
+use funnelpq::trace::{TraceRecord, TracingRecorder};
 use funnelpq::{Algorithm, BoundedPq, NumaConfig, PqBuilder, PqConfig};
 
 const THREADS: usize = 4;
 const INSERTS_PER_THREAD: usize = 250;
 const DELETES_PER_THREAD: usize = 200;
 
+/// What every snapshot owes its reader about the timed sample: it is
+/// non-empty once anything ran, never larger than the exact count, and it
+/// is precisely what the histogram and the nanosecond total describe.
+fn assert_timed_sample(s: &OpStats, what: &str) {
+    assert!(
+        (1..=s.count).contains(&s.timed),
+        "{what}: timed {} outside 1..={}",
+        s.timed,
+        s.count
+    );
+    assert_eq!(
+        s.buckets.iter().sum::<u64>(),
+        s.timed,
+        "{what}: histogram mass must equal the timed sample"
+    );
+    assert!(s.total_nanos > 0, "{what}: latency recorded");
+}
+
 /// Seeded multi-threaded stress: every thread performs a fixed, known
 /// number of operations; the recorder must report exactly those totals for
-/// every algorithm (op counts are exact even though which items the
-/// delete-mins return is racy).
+/// every natively buildable algorithm — all nine — (op counts are exact
+/// even though which items the delete-mins return is racy).
 #[test]
 fn atomic_recorder_counts_exact_op_totals() {
-    for a in Algorithm::ALL {
+    for cfg in Algorithm::EVERY
+        .into_iter()
+        .filter_map(PqConfig::for_algorithm)
+    {
+        let a = cfg.algorithm();
         let rec = Arc::new(AtomicRecorder::new());
         let q: Arc<dyn BoundedPq<u64>> = Arc::from(
-            PqBuilder::new(a, 16, THREADS)
+            PqBuilder::from_config(cfg, 16, THREADS)
                 .recorder(Arc::clone(&rec))
                 .build::<u64>(),
         );
@@ -63,29 +86,111 @@ fn atomic_recorder_counts_exact_op_totals() {
             (THREADS * (INSERTS_PER_THREAD + DELETES_PER_THREAD)) as u64,
             "{a}: total op count must be exact"
         );
-        // Latency totals are nonzero once anything was timed.
-        assert!(snap.insert.total_nanos > 0, "{a}: insert latency recorded");
-        assert!(
-            snap.delete_min.total_nanos > 0,
-            "{a}: delete_min latency recorded"
-        );
-        // Histogram mass equals op count.
-        assert_eq!(
-            snap.insert.buckets.iter().sum::<u64>(),
-            snap.insert.count,
-            "{a}: insert histogram mass"
-        );
-        assert_eq!(
-            snap.delete_min.buckets.iter().sum::<u64>(),
-            snap.delete_min.count,
-            "{a}: delete_min histogram mass"
-        );
+        assert_timed_sample(&snap.insert, &format!("{a} insert"));
+        assert_timed_sample(&snap.delete_min, &format!("{a} delete_min"));
 
-        // The snapshot serializes with the exact counts embedded.
+        // The snapshot serializes with the exact count and the sample size.
         let json = snap.to_json(a.name());
         assert!(json.contains(&format!("\"algorithm\": \"{}\"", a.name())));
-        assert!(json.contains(&format!("\"count\": {}", snap.insert.count)));
+        assert!(json.contains(&format!(
+            "\"count\": {}, \"timed\": {}",
+            snap.insert.count, snap.insert.timed
+        )));
     }
+}
+
+/// A caller whose op kinds are perfectly periodic must not alias one kind
+/// out of the histogram: one thread strictly alternating `insert` and
+/// `delete_min` leaves *both* kinds sampled at about one op in 64.
+#[test]
+fn alternating_caller_cannot_alias_a_kind_out_of_the_sample() {
+    const PAIRS: u64 = 10_000;
+    for a in [Algorithm::SingleLock, Algorithm::MultiQueue] {
+        let rec = Arc::new(AtomicRecorder::new());
+        let q = PqBuilder::new(a, 16, 1)
+            .recorder(Arc::clone(&rec))
+            .build::<u64>();
+        for i in 0..PAIRS {
+            q.insert(0, (i % 16) as usize, i);
+            q.delete_min(0);
+        }
+        let snap = rec.snapshot();
+        for (s, kind) in [(&snap.insert, "insert"), (&snap.delete_min, "delete_min")] {
+            assert_eq!(s.count, PAIRS, "{a} {kind}: count stays exact");
+            assert_timed_sample(s, &format!("{a} {kind}"));
+            let expected = PAIRS / 64;
+            assert!(
+                (expected / 2..=expected * 2).contains(&s.timed),
+                "{a} {kind}: timed {} not within [1/2, 2] x {expected}",
+                s.timed
+            );
+        }
+    }
+}
+
+/// The flight recorder keeps the trait's default "time everything": one op
+/// span per operation, and a histogram over all of them.
+#[test]
+fn tracing_recorder_still_records_every_op_span() {
+    const PAIRS: u64 = 1_000;
+    // One ring, sized for every op span plus the lock span each op causes.
+    let rec = Arc::new(TracingRecorder::with_config(1, 8 * PAIRS as usize));
+    let q = PqBuilder::new(Algorithm::SingleLock, 16, 1)
+        .recorder(Arc::clone(&rec))
+        .build::<u64>();
+    for i in 0..PAIRS {
+        q.insert(0, (i % 16) as usize, i);
+        q.delete_min(0);
+    }
+    let snap = rec.snapshot();
+    let spans = rec
+        .drain()
+        .iter()
+        .filter(|r| matches!(r, TraceRecord::Op { .. }))
+        .count() as u64;
+    assert_eq!(snap.total_ops(), 2 * PAIRS);
+    assert_eq!(spans, snap.total_ops(), "one op span per operation");
+    assert_eq!(snap.insert.timed, snap.insert.count);
+    assert_eq!(snap.delete_min.timed, snap.delete_min.count);
+}
+
+/// Op counts stay exact when more OS threads than shards share a recorder:
+/// threads on one shard race on its sampling countdown (plain load/store),
+/// which may move a sample but must never lose or invent an operation.
+#[test]
+fn op_counts_are_exact_when_threads_share_shards() {
+    const WRITERS: usize = 8;
+    const PAIRS: u64 = 5_000;
+    let rec = Arc::new(AtomicRecorder::with_shards(2));
+    let q: Arc<dyn BoundedPq<u64>> = Arc::from(
+        PqBuilder::new(Algorithm::MultiQueue, 16, WRITERS)
+            .recorder(Arc::clone(&rec))
+            .build::<u64>(),
+    );
+    let barrier = Arc::new(Barrier::new(WRITERS));
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|tid| {
+            let q = Arc::clone(&q);
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait();
+                for i in 0..PAIRS {
+                    q.insert(tid, (i % 16) as usize, i);
+                    q.delete_min(tid);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let snap = rec.snapshot();
+    assert_eq!(snap.insert.count, WRITERS as u64 * PAIRS);
+    assert_eq!(snap.delete_min.count, WRITERS as u64 * PAIRS);
+    assert_timed_sample(&snap.insert, "shared-shard insert");
+    assert_timed_sample(&snap.delete_min, "shared-shard delete_min");
+    // Sampled, not timed throughout: the skipping path really ran.
+    assert!(snap.insert.timed < snap.insert.count / 8);
 }
 
 /// Lock-based algorithms must report substrate traffic (lock acquisitions);
