@@ -5,8 +5,9 @@
 //! FunnelTree ahead at high P, SimpleTree collapsing — should hold in all
 //! of them; only the absolute cycle counts move.
 
-use funnelpq_bench::{lat, print_table, scalable_algorithms, scaled_ops};
+use funnelpq_bench::{lat, print_table, scaled_ops};
 use funnelpq_sim::MachineConfig;
+use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::{run_queue_workload, Workload};
 
 fn main() {
@@ -49,14 +50,14 @@ fn main() {
                 naive_events: false,
             };
             let mut row = vec![p.to_string()];
-            for algo in scalable_algorithms() {
+            for algo in Algorithm::SCALABLE {
                 let r = run_queue_workload(algo, &wl);
                 row.push(lat(r.all.mean()));
             }
             rows.push(row);
         }
         let mut header = vec!["P"];
-        header.extend(scalable_algorithms().iter().map(|a| a.name()));
+        header.extend(Algorithm::SCALABLE.iter().map(|a| a.name()));
         print_table(
             &format!("Memory-model sensitivity — {label}"),
             &header,

@@ -6,9 +6,7 @@
 //! LinearFunnels is ~2–3x SimpleLinear; FunnelTree ≈ SimpleTree, both
 //! ~40–50% above SimpleLinear.
 
-use funnelpq_bench::{
-    all_algorithms, lat, print_table, standard_workload, trace_enabled, write_trace_artifacts,
-};
+use funnelpq_bench::{lat, print_table, standard_workload, trace_enabled, write_trace_artifacts};
 use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::run_queue_workload;
 
@@ -18,14 +16,14 @@ fn main() {
     for &p in &procs {
         let wl = standard_workload(p, 16);
         let mut row = vec![p.to_string()];
-        for algo in all_algorithms() {
+        for algo in Algorithm::ALL {
             let r = run_queue_workload(algo, &wl);
             row.push(lat(r.all.mean()));
         }
         rows.push(row);
     }
     let mut header = vec!["P"];
-    let names: Vec<&str> = all_algorithms().iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
     header.extend(names);
     print_table(
         "Figure 6 — mean access latency (cycles), 16 priorities, low concurrency",

@@ -9,8 +9,7 @@
 //! than SimpleTree and ~3x faster than SimpleLinear.
 
 use funnelpq_bench::{
-    lat, max_procs, print_table, scalable_algorithms, standard_workload, trace_enabled,
-    write_trace_artifacts,
+    lat, max_procs, print_table, standard_workload, trace_enabled, write_trace_artifacts,
 };
 use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::run_queue_workload;
@@ -22,14 +21,14 @@ fn main() {
     for &p in all_procs.iter().filter(|&&p| p <= cap) {
         let wl = standard_workload(p, 16);
         let mut row = vec![p.to_string()];
-        for algo in scalable_algorithms() {
+        for algo in Algorithm::SCALABLE {
             let r = run_queue_workload(algo, &wl);
             row.push(lat(r.all.mean()));
         }
         rows.push(row);
     }
     let mut header = vec!["P"];
-    header.extend(scalable_algorithms().iter().map(|a| a.name()));
+    header.extend(Algorithm::SCALABLE.iter().map(|a| a.name()));
     print_table(
         &format!(
             "Figure 7 — mean access latency (cycles), 16 priorities, 2..{} processors",

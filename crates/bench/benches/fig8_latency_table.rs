@@ -12,9 +12,7 @@
 //! (log2-histogram upper bounds) — the tail is where contention collapse
 //! shows long before the mean moves.
 
-use funnelpq_bench::{
-    print_table, scalable_algorithms, standard_workload, trace_enabled, write_trace_artifacts,
-};
+use funnelpq_bench::{print_table, standard_workload, trace_enabled, write_trace_artifacts};
 use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::run_queue_workload;
 
@@ -36,7 +34,7 @@ fn main() {
     for &(p, n) in &combos {
         let wl = standard_workload(p, n);
         let mut row = vec![p.to_string(), n.to_string()];
-        for algo in scalable_algorithms() {
+        for algo in Algorithm::SCALABLE {
             let r = run_queue_workload(algo, &wl);
             row.push(kcyc(r.insert.mean()));
             row.push(kcyc(r.delete.mean()));
@@ -47,7 +45,7 @@ fn main() {
         rows.push(row);
     }
     let mut header: Vec<String> = vec!["P".into(), "N".into()];
-    for algo in scalable_algorithms() {
+    for algo in Algorithm::SCALABLE {
         let n = algo.name();
         header.push(format!("{n} Ins."));
         header.push(format!("{n} Del."));

@@ -9,15 +9,13 @@
 //! is the only method that works well across nearly all priority ranges at
 //! high concurrency.
 
-use funnelpq_bench::{
-    lat, print_table, scalable_algorithms, standard_workload, trace_enabled, write_trace_artifacts,
-};
+use funnelpq_bench::{lat, print_table, standard_workload, trace_enabled, write_trace_artifacts};
 use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::run_queue_workload;
 
 fn sweep(procs: usize, include_simple_tree: bool) {
     let priorities = [2usize, 4, 8, 16, 32, 64, 128, 256, 512];
-    let algos: Vec<Algorithm> = scalable_algorithms()
+    let algos: Vec<Algorithm> = Algorithm::SCALABLE
         .into_iter()
         .filter(|a| include_simple_tree || *a != Algorithm::SimpleTree)
         .collect();

@@ -30,15 +30,18 @@ struct Measurement {
     sim_cycles: u64,
 }
 
-fn measure(name: &str, wl: &Workload, reps: usize) -> (Measurement, RunResult) {
-    // One warm-up run, then time `reps` full runs.
+/// Timed runs per measurement.
+const REPS: usize = 3;
+
+fn measure(name: &str, wl: &Workload) -> (Measurement, RunResult) {
+    // One warm-up run, then time `REPS` full runs.
     let result = run_queue_workload(Algorithm::FunnelTree, wl);
     let t0 = Instant::now();
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let r = run_queue_workload(Algorithm::FunnelTree, wl);
         assert_eq!(r.total_cycles, result.total_cycles, "non-deterministic run");
     }
-    let wall_s = t0.elapsed().as_secs_f64() / reps as f64;
+    let wall_s = t0.elapsed().as_secs_f64() / REPS as f64;
     let transactions = result.stats.mem_accesses;
     (
         Measurement {
@@ -53,12 +56,6 @@ fn measure(name: &str, wl: &Workload, reps: usize) -> (Measurement, RunResult) {
 }
 
 fn main() {
-    let reps: usize = std::env::var("FUNNELPQ_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v: &usize| v > 0)
-        .unwrap_or(3);
-
     let mut measurements: Vec<Measurement> = Vec::new();
     let mut records: Vec<BenchRecord> = Vec::new();
 
@@ -66,17 +63,17 @@ fn main() {
     // covered by the head-to-head below).
     for &p in &[64usize, 512, 1024] {
         let wl = standard_workload(p, 16);
-        let (m, _) = measure(&format!("wheel_p{p}"), &wl, reps);
+        let (m, _) = measure(&format!("wheel_p{p}"), &wl);
         measurements.push(m);
     }
 
     // Head-to-head at the paper's headline point: identical workload on the
     // wheel and on the naive linear-scan reference queue.
     let wl = standard_workload(256, 16);
-    let (wheel, wheel_result) = measure("wheel_p256", &wl, reps);
+    let (wheel, wheel_result) = measure("wheel_p256", &wl);
     let mut naive_wl = wl.clone();
     naive_wl.naive_events = true;
-    let (naive, naive_result) = measure("naive_p256", &naive_wl, reps);
+    let (naive, naive_result) = measure("naive_p256", &naive_wl);
 
     // The two machines must agree bit-for-bit before the speedup means
     // anything.

@@ -3,16 +3,41 @@
 
 #![warn(missing_docs)]
 
-use funnelpq::Algorithm;
 use funnelpq_sim::trace::{chrome_trace_json, TimeSeries};
 use funnelpq_simqueues::funnel::{CounterMode, SimFunnelConfig};
+use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::{
     run_counter_workload_traced, run_queue_workload_traced, TracedRun, Workload,
 };
 use funnelpq_util::json::{JsonWriter, SCHEMA_VERSION};
 
+/// Parses the value of a positive-integer environment knob: `None` (unset)
+/// gives `default`; anything that is not an integer ≥ 1 is an error naming
+/// the variable and the value, so a typo cannot silently run the default
+/// (full-scale) sweep.
+fn parse_knob(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(v) = raw else {
+        return Ok(default);
+    };
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{name}={v:?}: expected a positive integer")),
+    }
+}
+
+/// Reads the positive-integer knob `name` from the environment; exits with
+/// status 2 on a value [`parse_knob`] rejects.
+fn env_knob(name: &str, default: usize) -> usize {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Scale factor for experiment sizes, set with `FUNNELPQ_SCALE` (percent).
-/// `FUNNELPQ_FAST=1` is shorthand for 25%. Defaults to 100%.
+/// `FUNNELPQ_FAST=1` is shorthand for 25%. Defaults to 100%; an unparsable
+/// or zero `FUNNELPQ_SCALE` exits with an error.
 pub fn scale_percent() -> usize {
     if std::env::var("FUNNELPQ_FAST")
         .map(|v| v == "1")
@@ -20,11 +45,7 @@ pub fn scale_percent() -> usize {
     {
         return 25;
     }
-    std::env::var("FUNNELPQ_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v: &usize| v > 0)
-        .unwrap_or(100)
+    env_knob("FUNNELPQ_SCALE", 100)
 }
 
 /// Operations per processor after scaling (base 64, minimum 8).
@@ -41,13 +62,10 @@ pub fn standard_workload(procs: usize, num_priorities: usize) -> Workload {
 
 /// Largest processor count the concurrency sweeps run, set with
 /// `FUNNELPQ_MAX_P`. Defaults to 256 (the paper's figures); the event-wheel
-/// scheduler makes 512 and 1024 practical.
+/// scheduler makes 512 and 1024 practical. An unparsable or zero value
+/// exits with an error.
 pub fn max_procs() -> usize {
-    std::env::var("FUNNELPQ_MAX_P")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v: &usize| v > 0)
-        .unwrap_or(256)
+    env_knob("FUNNELPQ_MAX_P", 256)
 }
 
 /// One measurement row of a machine-readable benchmark report: a name plus
@@ -69,7 +87,7 @@ pub struct BenchRecord {
 /// ```
 ///
 /// `schema_version` is [`funnelpq_util::json::SCHEMA_VERSION`]; the CI
-/// validators assert it so emitter and readers cannot silently drift.
+/// validator asserts it so emitter and reader cannot silently drift.
 pub fn write_bench_json(
     path: &str,
     benchmark: &str,
@@ -147,7 +165,7 @@ pub fn trace_enabled() -> bool {
 }
 
 /// Directory trace artifacts are written to: `FUNNELPQ_TRACE_DIR`, or the
-/// workspace root (next to the `BENCH_*.json` reports).
+/// workspace root (next to `BENCH_sim.json`).
 pub fn trace_dir() -> String {
     std::env::var("FUNNELPQ_TRACE_DIR")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into())
@@ -197,16 +215,6 @@ pub fn write_counter_trace_artifacts(
     write_trace_files(tag, &traced)
 }
 
-/// Short fixed-order list of the seven algorithms for figure 6.
-pub fn all_algorithms() -> [Algorithm; 7] {
-    Algorithm::ALL
-}
-
-/// The four high-concurrency algorithms for figures 7–9.
-pub fn scalable_algorithms() -> [Algorithm; 4] {
-    Algorithm::SCALABLE
-}
-
 /// Formats a mean-latency cell.
 pub fn lat(v: f64) -> String {
     format!("{v:.0}")
@@ -236,11 +244,15 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_lists_are_consistent() {
-        assert_eq!(all_algorithms().len(), 7);
-        assert_eq!(scalable_algorithms().len(), 4);
-        for a in scalable_algorithms() {
-            assert!(all_algorithms().contains(&a));
+    fn env_knobs_reject_what_they_cannot_parse() {
+        assert_eq!(parse_knob("FUNNELPQ_SCALE", None, 100), Ok(100));
+        assert_eq!(parse_knob("FUNNELPQ_SCALE", Some("25"), 100), Ok(25));
+        for bad in ["", "0", "abc"] {
+            let err = parse_knob("FUNNELPQ_MAX_P", Some(bad), 256).unwrap_err();
+            assert!(
+                err.contains("FUNNELPQ_MAX_P") && err.contains(&format!("{bad:?}")),
+                "error must name the variable and the value: {err}"
+            );
         }
     }
 

@@ -7,8 +7,8 @@
 //! knobs a given algorithm actually has — and let callers configure
 //! contradictions the builder could only ignore. This module replaces the
 //! knob soup with one config struct per algorithm, grouped under
-//! [`PqConfig`]; the old builder methods remain as deprecated shims that
-//! rewrite into these structs.
+//! [`PqConfig`]; the old builder methods spent one release as deprecated
+//! shims over these structs and have been removed.
 //!
 //! Each struct derives [`Default`] with the same defaults the flat knobs
 //! had, so `PqConfig::for_algorithm(a)` (or a struct literal with

@@ -160,7 +160,8 @@ pub trait Recorder: Send + Sync + 'static {
 
 /// The do-nothing recorder every queue defaults to. All methods are empty
 /// and [`Recorder::ENABLED`] is `false`, so an un-observed queue carries no
-/// instrumentation cost (verified by the `native_ops` bench's overhead row).
+/// instrumentation cost (`pqbench`'s `native_mixed` runs on it, and the
+/// ledger's `core.obs.overhead_ratio.*` rows price attaching a recorder).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopRecorder;
 
@@ -180,8 +181,8 @@ impl Recorder for NoopRecorder {
 
 /// Reports one batched operation that moved `size` items to `rec`: a
 /// [`CounterEvent::BatchOp`] plus a batch-size sample — free when
-/// `R::ENABLED` is false (monomorphizes to nothing, as the `native_ops`
-/// noop/atomic A/B verifies).
+/// `R::ENABLED` is false (the branch is on a constant and monomorphizes to
+/// nothing).
 #[inline]
 pub fn record_batch_op<R: Recorder>(rec: &R, size: u64) {
     if R::ENABLED {

@@ -1,7 +1,7 @@
 //! `pqstat` — live stats surface for the funnelpq-server scheduler.
 //!
-//! Drives a `server_load`-style closed-loop workload (bursty hot-tenant
-//! skew, one-shot + periodic jobs) against a chosen queue backend and
+//! Drives a closed-loop workload (bursty arrivals, hot-tenant skew,
+//! one-shot + periodic jobs) against a chosen queue backend and
 //! prints the scheduler's [`TelemetrySnapshot`]: per-tenant and per-shard
 //! latency/slack histograms, the windowed throughput/depth time-series,
 //! and the sampled rank-error estimate (nonzero only for relaxed
@@ -94,7 +94,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-// The server_load geometry: shallow per-tenant quotas keep the MultiQueue's
+// The load geometry: shallow per-tenant quotas keep the MultiQueue's
 // internal heaps short, so drain batches cross heap boundaries and the
 // rank-error estimator sees genuine relaxation.
 const SHARDS: usize = 4;

@@ -5,9 +5,9 @@
 //! back by value with a typed reason. A well-behaved client backs off
 //! before retrying; a fleet of them must not resynchronise into a
 //! thundering herd. [`RetryPolicy`] packages the house policy used by the
-//! `server_load` bench and the `pqstat` example: jittered exponential
-//! backoff, seeded per client so runs replay, that honours the server's
-//! own [`AdmitError::Retry`] hint when one is given.
+//! `pqstat` example: jittered exponential backoff, seeded per client so
+//! runs replay, that honours the server's own [`AdmitError::Retry`] hint
+//! when one is given.
 //!
 //! [`AdmitError::Retry`]: crate::AdmitError::Retry
 

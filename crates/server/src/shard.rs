@@ -80,12 +80,17 @@ impl Shard {
     /// observe the gauge below the true population; once the job has
     /// landed, a parked dispatcher is woken.
     pub(crate) fn enqueue(&self, tid: usize, band: usize, job: Job) -> Result<(), PqError<Job>> {
+        // ORDERING: SeqCst, the submitter's Dekker store; partner is the gauge
+        // load in `park_while_empty` (docs/SERVER.md, "The dispatcher": Park).
         self.enqueued.fetch_add(1, Ordering::SeqCst);
         if let Err(e) = self.queue.try_insert(tid, band, job) {
             self.enqueued.fetch_sub(1, Ordering::Relaxed);
             return Err(e);
         }
         // The swap elects one waker among racing submitters.
+        // ORDERING: SeqCst load, the submitter's Dekker load; partner is
+        // `parked.store(true)` in `park_while_empty`. SeqCst swap: same total
+        // order, against racing submitters and the dispatcher's own stores.
         if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
             self.unpark();
         }
@@ -97,6 +102,8 @@ impl Shard {
     /// previous incarnation may have left up.
     pub(crate) fn attach_dispatcher(&self) {
         *self.dispatcher_cell() = Some(std::thread::current());
+        // ORDERING: SeqCst, same total order as the load/swap of `parked` in
+        // `enqueue` (docs/SERVER.md: cleared "before it can park").
         self.parked.store(false, Ordering::SeqCst);
     }
 
@@ -106,11 +113,17 @@ impl Shard {
     /// the re-check pulled it down) leaves a token behind that ends the
     /// next park at once — the caller loops, so that costs one re-check.
     pub(crate) fn park_while_empty(&self) -> bool {
+        // ORDERING: SeqCst, the dispatcher's Dekker store; partner is the
+        // `parked` load in `enqueue` (docs/SERVER.md, "The dispatcher": Park).
         self.parked.store(true, Ordering::SeqCst);
+        // ORDERING: SeqCst, the dispatcher's Dekker load; partner is the gauge
+        // `fetch_add` in `enqueue`. One side always sees the other's store.
         let empty = self.enqueued.load(Ordering::SeqCst) == 0;
         if empty {
             std::thread::park();
         }
+        // ORDERING: SeqCst, same total order as the load/swap in `enqueue`
+        // that decide whether this dispatcher is owed an unpark.
         self.parked.store(false, Ordering::SeqCst);
         empty
     }

@@ -43,7 +43,7 @@ pub struct FunnelConfig {
     /// Give every collision slot its own cache line (default `true`).
     /// `false` restores the dense pre-padding layout, where 16 slots share
     /// a padding unit and neighbouring swaps false-share — kept for A/B
-    /// measurement in the benches.
+    /// measurement.
     pub pad_slots: bool,
 }
 
@@ -57,18 +57,6 @@ impl FunnelConfig {
             widths: vec![w0, w1],
             attempts: 3,
             spin: vec![64, 128],
-            max_threads,
-            pad_slots: true,
-        }
-    }
-
-    /// A degenerate funnel with no combining layers: every operation goes
-    /// straight to the central compare-and-swap. Useful as a baseline.
-    pub fn no_combining(max_threads: usize) -> Self {
-        FunnelConfig {
-            widths: vec![],
-            attempts: 1,
-            spin: vec![],
             max_threads,
             pad_slots: true,
         }
@@ -534,8 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn no_combining_config_works() {
-        let c = FunnelCounter::new(10, Bounds::unbounded(), FunnelConfig::no_combining(2));
+    fn zero_layer_funnel_goes_straight_to_the_central_value() {
+        let no_layers = FunnelConfig {
+            widths: vec![],
+            spin: vec![],
+            ..FunnelConfig::for_threads(2)
+        };
+        let c = FunnelCounter::new(10, Bounds::unbounded(), no_layers);
         assert_eq!(c.fetch_dec(0), 10);
         assert_eq!(c.fetch_inc(1), 9);
         assert_eq!(c.value(), 10);

@@ -7,8 +7,7 @@
 //! lines through the coherence protocol — false sharing on the structure
 //! whose whole job is spreading contention. The padded flavour gives each
 //! slot its own line; the compact flavour keeps the historical dense
-//! layout so the difference stays measurable (`FunnelConfig::pad_slots`,
-//! A/B'd in the `native_ops` bench).
+//! layout so the difference stays measurable (`FunnelConfig::pad_slots`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -20,16 +20,14 @@
 //! hundreds of numeric samples per row).
 
 /// Version stamp written into every machine-read JSON artifact
-/// (`MetricsSnapshot`, `BENCH_*.json`, `TelemetrySnapshot`). CI
-/// validators assert it so a parser and an emitter cannot silently
+/// (`MetricsSnapshot`, `BENCH_sim.json`, `CHAOS_server.json`,
+/// `TelemetrySnapshot`). CI validators assert it so a parser and an emitter cannot silently
 /// drift apart. Bump on any breaking layout change.
 ///
 /// History: 2 added the server resilience fields (`restarts`, `requeued`,
-/// `shed` in `TelemetrySnapshot`; the overload-regime rows in
-/// `BENCH_server.json`) and the supervision counter events. 3 added the
-/// NUMA controller surface (`numa_mode` / `mode_switches` totals and the
-/// per-shard `numa` block in `TelemetrySnapshot`) and the
-/// `BENCH_numa.json` crossover artifact.
+/// `shed` in `TelemetrySnapshot`) and the supervision counter events.
+/// 3 added the NUMA controller surface (`numa_mode` / `mode_switches`
+/// totals and the per-shard `numa` block in `TelemetrySnapshot`).
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Minimal JSON string escaping for names (labels contain no exotic

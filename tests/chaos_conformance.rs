@@ -225,7 +225,7 @@ fn watchdog_fires_on_wedged_run_and_names_the_stalled_proc() {
 }
 
 /// Per-delete drain rank error the MultiQueue sweeps tolerate. Generous —
-/// the real distributions sit near zero (see `BENCH_multiqueue.json`) —
+/// the real distributions at this size sit far below it —
 /// but far below the ~50 items a run holds, so a queue that degenerated
 /// into returning arbitrary elements would trip it.
 const MQ_RANK_BOUND: u64 = 40;

@@ -7,6 +7,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use funnelpq::obs::{AtomicRecorder, CounterEvent, Recorder};
 use funnelpq::{MultiQueueConfig, PqConfig};
 use funnelpq_server::{Deadline, JobId, JobSpec, Scheduler, ServerConfig, ServerError, TenantId};
 use funnelpq_util::XorShift64Star;
@@ -31,7 +32,7 @@ fn cfg(backend: PqConfig) -> ServerConfig {
     }
 }
 
-fn drain(s: &Scheduler) {
+fn drain<R: Recorder>(s: &Scheduler<R>) {
     let mut spins = 0;
     while s.in_flight() > 0 {
         std::thread::sleep(Duration::from_millis(1));
@@ -298,6 +299,33 @@ fn strict_backend_dispatches_in_deadline_band_order_within_a_shard() {
     // Dispatched in band order and unpaced from a quiescent queue: nothing
     // can miss on the virtual service clock.
     assert_eq!(report.misses, 0);
+}
+
+/// Every miss the dispatcher counts also reaches an attached recorder as
+/// `CounterEvent::DeadlineMiss`, so the obs pipeline and the stop report
+/// agree. Jobs queued before `start()` with a deadline already behind them
+/// have zero slack: on one strict shard the k-th dispatch has waited k
+/// slots, so all but the first miss on both clocks.
+#[test]
+fn deadline_misses_reach_the_recorder_and_match_the_report() {
+    let mut c = cfg(PqConfig::SingleLock);
+    c.shards = 1;
+    c.tenants = 1;
+    let recorder = Arc::new(AtomicRecorder::new());
+    let s = Scheduler::with_recorder(c, Arc::clone(&recorder)).unwrap();
+    for k in 0..64u64 {
+        s.submit(0, JobSpec::once(TenantId(0), Deadline::At(0), k))
+            .unwrap();
+    }
+    s.start();
+    drain(&s);
+    let report = s.stop();
+    assert_eq!(report.dispatched, 64);
+    assert_eq!(report.misses, 63);
+    assert_eq!(
+        recorder.snapshot().event(CounterEvent::DeadlineMiss),
+        report.misses
+    );
 }
 
 #[test]
