@@ -184,11 +184,6 @@ impl<R: Recorder> PqBuilder<R> {
         let n = self.num_priorities;
         let t = self.max_threads;
         let rec = Arc::clone(&self.recorder);
-        let funnel_cfg = |explicit: &Option<FunnelConfig>| {
-            explicit
-                .clone()
-                .unwrap_or_else(|| FunnelConfig::for_threads(t))
-        };
         Ok(match config {
             PqConfig::SingleLock => Box::new(SingleLockPq::with_recorder(n, t, rec)),
             PqConfig::HuntEtAl(c) => Box::new(HuntPq::with_recorder(n, t, c.capacity, rec)),
@@ -197,14 +192,14 @@ impl<R: Recorder> PqBuilder<R> {
                 Box::new(SimpleLinearPq::with_recorder(n, t, c.order, rec))
             }
             PqConfig::SimpleTree(c) => Box::new(SimpleTreePq::with_recorder(n, t, c.order, rec)),
-            PqConfig::LinearFunnels(c) => Box::new(LinearFunnelsPq::with_recorder(
+            PqConfig::LinearFunnels => Box::new(LinearFunnelsPq::with_recorder(
                 n,
-                funnel_cfg(&c.funnel),
+                FunnelConfig::for_threads(t),
                 rec,
             )),
             PqConfig::FunnelTree(c) => Box::new(FunnelTreePq::with_recorder(
                 n,
-                funnel_cfg(&c.funnel),
+                FunnelConfig::for_threads(t),
                 c.funnel_levels,
                 rec,
             )),

@@ -26,7 +26,7 @@
 //! assert_eq!(q.delete_min(1), Some((3, 30)));
 //! ```
 
-use funnelpq_sync::{BinOrder, FunnelConfig};
+use funnelpq_sync::BinOrder;
 
 use crate::adaptive::NumaPolicy;
 use crate::algorithm::Algorithm;
@@ -70,20 +70,9 @@ pub struct BinPqConfig {
     pub order: BinOrder,
 }
 
-/// Config for [`Algorithm::LinearFunnels`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LinearFunnelsConfig {
-    /// Explicit combining-funnel parameters, or `None` for
-    /// [`FunnelConfig::for_threads`] at build time.
-    pub funnel: Option<FunnelConfig>,
-}
-
 /// Config for [`Algorithm::FunnelTree`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunnelTreeConfig {
-    /// Explicit combining-funnel parameters, or `None` for
-    /// [`FunnelConfig::for_threads`] at build time.
-    pub funnel: Option<FunnelConfig>,
     /// Number of counter-tree levels served by funnel counters (the rest
     /// use plain MCS-locked counters). Must be at least 1.
     pub funnel_levels: usize,
@@ -92,7 +81,6 @@ pub struct FunnelTreeConfig {
 impl Default for FunnelTreeConfig {
     fn default() -> Self {
         FunnelTreeConfig {
-            funnel: None,
             funnel_levels: DEFAULT_FUNNEL_LEVELS,
         }
     }
@@ -179,7 +167,7 @@ pub enum PqConfig {
     /// Tree of MCS-locked counters over locked bins.
     SimpleTree(BinPqConfig),
     /// Array of combining-funnel stacks.
-    LinearFunnels(LinearFunnelsConfig),
+    LinearFunnels,
     /// Tree with funnel counters at the top and funnel-stack bins.
     FunnelTree(FunnelTreeConfig),
     /// Relaxed MultiQueue.
@@ -199,7 +187,7 @@ impl PqConfig {
             Algorithm::SkipList => PqConfig::SkipList(SkipListConfig::default()),
             Algorithm::SimpleLinear => PqConfig::SimpleLinear(BinPqConfig::default()),
             Algorithm::SimpleTree => PqConfig::SimpleTree(BinPqConfig::default()),
-            Algorithm::LinearFunnels => PqConfig::LinearFunnels(LinearFunnelsConfig::default()),
+            Algorithm::LinearFunnels => PqConfig::LinearFunnels,
             Algorithm::FunnelTree => PqConfig::FunnelTree(FunnelTreeConfig::default()),
             Algorithm::MultiQueue => PqConfig::MultiQueue(MultiQueueConfig::default()),
             Algorithm::NumaPq => PqConfig::NumaPq(NumaConfig::default()),
@@ -215,7 +203,7 @@ impl PqConfig {
             PqConfig::SkipList(_) => Algorithm::SkipList,
             PqConfig::SimpleLinear(_) => Algorithm::SimpleLinear,
             PqConfig::SimpleTree(_) => Algorithm::SimpleTree,
-            PqConfig::LinearFunnels(_) => Algorithm::LinearFunnels,
+            PqConfig::LinearFunnels => Algorithm::LinearFunnels,
             PqConfig::FunnelTree(_) => Algorithm::FunnelTree,
             PqConfig::MultiQueue(_) => Algorithm::MultiQueue,
             PqConfig::NumaPq(_) => Algorithm::NumaPq,
@@ -258,10 +246,10 @@ mod tests {
         assert_eq!(HuntConfig::default().capacity, 1 << 16);
         assert_eq!(SkipListConfig::default().seed, 0x5EED_CAFE);
         assert_eq!(BinPqConfig::default().order, BinOrder::Lifo);
-        assert_eq!(LinearFunnelsConfig::default().funnel, None);
-        let ft = FunnelTreeConfig::default();
-        assert_eq!(ft.funnel, None);
-        assert_eq!(ft.funnel_levels, DEFAULT_FUNNEL_LEVELS);
+        assert_eq!(
+            FunnelTreeConfig::default().funnel_levels,
+            DEFAULT_FUNNEL_LEVELS
+        );
         let mq = MultiQueueConfig::default();
         assert_eq!(mq.factor, DEFAULT_MQ_FACTOR);
         assert_eq!(mq.stickiness, DEFAULT_MQ_STICKINESS);
@@ -304,10 +292,7 @@ mod tests {
         ));
         let bad = PqConfig::HuntEtAl(HuntConfig { capacity: 0 });
         assert!(bad.validate().is_err());
-        let bad = PqConfig::FunnelTree(FunnelTreeConfig {
-            funnel_levels: 0,
-            ..Default::default()
-        });
+        let bad = PqConfig::FunnelTree(FunnelTreeConfig { funnel_levels: 0 });
         assert!(bad.validate().is_err());
     }
 }

@@ -88,8 +88,8 @@ pub use adaptive::{AdaptiveStats, NumaMode, NumaPolicy};
 pub use algorithm::Algorithm;
 pub use builder::{BuildError, PqBuilder};
 pub use config::{
-    BinPqConfig, FunnelTreeConfig, HuntConfig, LinearFunnelsConfig, MultiQueueConfig, NumaConfig,
-    PqConfig, SkipListConfig,
+    BinPqConfig, FunnelTreeConfig, HuntConfig, MultiQueueConfig, NumaConfig, PqConfig,
+    SkipListConfig,
 };
 pub use error::Error;
 pub use funnel_tree::{FunnelTreePq, DEFAULT_FUNNEL_LEVELS};

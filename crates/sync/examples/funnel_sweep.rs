@@ -1,0 +1,89 @@
+//! One hot `FunnelCounter` (alternating inc/dec) and one hot `FunnelStack`
+//! (push + pop) at T ∈ {1, 2, 4, 8} behind a start barrier: ns per
+//! operation as a thread sees it, total Mops, and each thread's own count —
+//! a funnel that lets one thread monopolise the object while the others
+//! wait for partners shows only in the last column.
+//!
+//! `cargo run --release -p funnelpq-sync --example funnel_sweep -- [window_ms]`
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
+
+use funnelpq_sync::{Bounds, FunnelConfig, FunnelCounter, FunnelStack, SharedCounter};
+
+const MAX_T: usize = 8;
+
+/// Runs `op(tid, i)` on `threads` threads for `window`; returns each
+/// thread's operation count and the longest busy interval.
+fn drive(threads: usize, window: Duration, op: impl Fn(usize, u64) + Sync) -> (Vec<u64>, Duration) {
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(threads + 1);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|tid| {
+                let (stop, start, op) = (&stop, &start, &op);
+                s.spawn(move || {
+                    start.wait();
+                    let t0 = Instant::now();
+                    let mut n = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        for _ in 0..64 {
+                            op(tid, n);
+                            n += 1;
+                        }
+                    }
+                    (n, t0.elapsed())
+                })
+            })
+            .collect();
+        start.wait();
+        std::thread::sleep(window);
+        stop.store(true, Ordering::Relaxed);
+        let done: Vec<(u64, Duration)> = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .collect();
+        let busy = done.iter().map(|d| d.1).max().expect("at least one thread");
+        (done.into_iter().map(|d| d.0).collect(), busy)
+    })
+}
+
+fn row(object: &str, threads: usize, (counts, busy): (Vec<u64>, Duration)) {
+    let total: u64 = counts.iter().sum();
+    let ns = busy.as_nanos() as f64;
+    println!(
+        "{object:<8} T={threads}  {:>8.1} ns/op  {:>7.2} Mops  per-thread {counts:?}",
+        threads as f64 * ns / total as f64,
+        total as f64 * 1e3 / ns,
+    );
+}
+
+fn main() {
+    let window = match std::env::args().nth(1).map(|a| a.parse::<u64>()) {
+        None => Duration::from_millis(400),
+        Some(Ok(ms)) if ms > 0 => Duration::from_millis(ms),
+        Some(_) => {
+            eprintln!("usage: funnel_sweep [window_ms > 0]");
+            std::process::exit(2);
+        }
+    };
+    for threads in [1, 2, 4, 8] {
+        let cfg = FunnelConfig::for_threads(MAX_T);
+        let c = FunnelCounter::new(1 << 20, Bounds::non_negative(), cfg.clone());
+        let counts = drive(threads, window, |tid, i| {
+            if (i + tid as u64).is_multiple_of(2) {
+                std::hint::black_box(c.fetch_inc(tid));
+            } else {
+                std::hint::black_box(c.fetch_dec(tid));
+            }
+        });
+        row("counter", threads, counts);
+        let s: FunnelStack<u64> = FunnelStack::new(cfg);
+        let counts = drive(threads, window, |tid, i| {
+            s.push(tid, i);
+            std::hint::black_box(s.pop(tid));
+        });
+        row("stack", threads, counts);
+    }
+}

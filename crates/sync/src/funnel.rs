@@ -17,12 +17,19 @@
 //! because advancement to layer `d+1` happens only after combining with an
 //! equal-size, same-kind tree at layer `d`.
 //!
+//! How wide, how deep and how long a thread lingers in the layers is its
+//! own local decision ([`crate::adaption`]). A thread that has met no
+//! contention lately skips them: its `location` stays frozen, so nobody can
+//! capture it, and the operation is one compare-and-swap on the central
+//! value.
+//!
 //! This implementation is quiescently consistent, like the paper's.
 
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use funnelpq_util::{AtomicRng, Backoff, CachePadded};
+use funnelpq_util::{Backoff, CachePadded};
 
+use crate::adaption::{self, Adaption, Signals, MAX_LAYERS};
 use crate::counter::{Bounds, SharedCounter};
 use crate::probe::{CounterEvent, SinkRef};
 use crate::slots::SlotArray;
@@ -35,16 +42,8 @@ pub struct FunnelConfig {
     pub widths: Vec<usize>,
     /// Collision attempts per layer before trying the central value.
     pub attempts: u32,
-    /// Spin iterations spent waiting to be collided-with after each attempt,
-    /// per layer.
-    pub spin: Vec<u32>,
     /// Maximum number of registered threads (dense thread ids `0..max`).
     pub max_threads: usize,
-    /// Give every collision slot its own cache line (default `true`).
-    /// `false` restores the dense pre-padding layout, where 16 slots share
-    /// a padding unit and neighbouring swaps false-share — kept for A/B
-    /// measurement.
-    pub pad_slots: bool,
 }
 
 impl FunnelConfig {
@@ -56,18 +55,15 @@ impl FunnelConfig {
         FunnelConfig {
             widths: vec![w0, w1],
             attempts: 3,
-            spin: vec![64, 128],
             max_threads,
-            pad_slots: true,
         }
     }
 
     pub(crate) fn validate(&self) {
         assert!(self.max_threads > 0, "max_threads must be positive");
-        assert_eq!(
-            self.widths.len(),
-            self.spin.len(),
-            "spin must give one value per layer"
+        assert!(
+            self.widths.len() <= MAX_LAYERS,
+            "at most {MAX_LAYERS} combining layers"
         );
         assert!(
             self.widths.iter().all(|&w| w > 0),
@@ -78,7 +74,20 @@ impl FunnelConfig {
 }
 
 /// `location` states beyond layer indices.
-const LOC_FROZEN: u64 = u64::MAX - 1;
+pub(crate) const LOC_FROZEN: u64 = u64::MAX - 1;
+
+/// Freezes a `location` that still says layer `d`. Every way out of a
+/// published layer is this CAS on the one word — the owner's, when it
+/// collides or goes central, and a partner's capture — so exactly one wins.
+pub(crate) fn freeze(location: &AtomicU64, d: usize) -> bool {
+    // ORDERING: SeqCst RMW, the last leg of the Dekker-style trio (owner's
+    // `location` store → slot swap → this CAS). A partner's success
+    // acquires the owner's publish (its `sum`, its chain); the owner's
+    // failure sends it to `await_result`.
+    location
+        .compare_exchange(d as u64, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
+        .is_ok()
+}
 /// Result word states/tags.
 const RES_NONE: u64 = 0;
 const TAG_COUNT: u64 = 1;
@@ -93,35 +102,31 @@ fn unpack_result(x: u64) -> (u64, i64) {
     (x & 0b11, (x as i64) >> 2)
 }
 
-/// Per-thread collision record. Shared state only; the children list lives
-/// in the operation's stack frame.
+/// Per-thread collision record. The children list lives in the operation's
+/// stack frame.
 struct Record {
-    /// Layer index this thread is combinable at, or [`LOC_FROZEN`].
+    /// Layer index this thread is combinable at, or [`LOC_FROZEN`] — which
+    /// it is between operations and throughout one that never enters the
+    /// layers.
     location: CachePadded<AtomicU64>,
     /// Signed size of the tree rooted here (+k for k increments, -k for k
-    /// decrements). Stable while frozen.
+    /// decrements). Written before `location` is published, stable while
+    /// frozen.
     sum: AtomicI64,
-    /// Packed result delivered by whoever captured us (or by ourselves).
+    /// Packed result delivered by whoever captured us; [`RES_NONE`] between
+    /// operations (the captured thread swaps it back).
     result: AtomicU64,
-    /// Adaption: fraction of the layer width to use, in 1/256ths.
-    width_frac: AtomicU32,
-    /// Adaption: how many combining layers to traverse before applying to
-    /// the central value (0 = straight to the central CAS). Owner-only.
-    depth_pref: AtomicU32,
-    /// Per-thread xorshift64* slot-selection stream, seeded from the dense
-    /// thread id (owner-only; no TLS lookup per collision attempt).
-    rng: AtomicRng,
+    /// Owner-only width / depth / wait adaption.
+    adapt: Adaption,
 }
 
 impl Record {
-    fn new(tid: usize, levels: u32) -> Self {
+    fn new(tid: usize) -> Self {
         Record {
             location: CachePadded::new(AtomicU64::new(LOC_FROZEN)),
             sum: AtomicI64::new(0),
             result: AtomicU64::new(RES_NONE),
-            width_frac: AtomicU32::new(256),
-            depth_pref: AtomicU32::new(levels),
-            rng: AtomicRng::new(tid as u64),
+            adapt: Adaption::new(tid),
         }
     }
 }
@@ -158,39 +163,6 @@ pub struct FunnelCounter {
 }
 
 impl FunnelCounter {
-    // Out-of-line so the sink-absent path pays only a not-taken branch.
-    #[cold]
-    #[inline(never)]
-    fn report_batch(
-        &self,
-        collisions_won: u32,
-        central_fails: u32,
-        elim_count: u64,
-        elim_miss: u64,
-        grows: u64,
-        shrinks: u64,
-    ) {
-        let Some(sink) = &self.sink else { return };
-        if collisions_won > 0 {
-            sink.event_n(CounterEvent::FunnelCollision, u64::from(collisions_won));
-        }
-        if central_fails > 0 {
-            sink.event_n(CounterEvent::CasRetry, u64::from(central_fails));
-        }
-        if elim_count > 0 {
-            sink.event_n(CounterEvent::ElimHit, elim_count);
-        }
-        if elim_miss > 0 {
-            sink.event_n(CounterEvent::ElimMiss, elim_miss);
-        }
-        if grows > 0 {
-            sink.event_n(CounterEvent::AdaptGrow, grows);
-        }
-        if shrinks > 0 {
-            sink.event_n(CounterEvent::AdaptShrink, shrinks);
-        }
-    }
-
     /// Creates a funnel counter.
     ///
     /// # Panics
@@ -220,15 +192,8 @@ impl FunnelCounter {
             initial,
             "initial value out of bounds"
         );
-        let levels = cfg.widths.len() as u32;
-        let records = (0..cfg.max_threads)
-            .map(|tid| Record::new(tid, levels))
-            .collect();
-        let layers = cfg
-            .widths
-            .iter()
-            .map(|&w| SlotArray::new(w, cfg.pad_slots))
-            .collect();
+        let records = (0..cfg.max_threads).map(Record::new).collect();
+        let layers = cfg.widths.iter().map(|&w| SlotArray::new(w)).collect();
         FunnelCounter {
             cfg,
             bounds,
@@ -249,215 +214,176 @@ impl FunnelCounter {
         self.cfg.max_threads
     }
 
-    /// Clamp a distributed per-operation return value to the window bounded
-    /// operations may report.
-    fn clamp_ret(&self, v: i64) -> i64 {
-        self.bounds.clamp(v)
-    }
-
     /// The funnel traversal shared by both operation kinds.
     /// `delta` is +1 (increment) or -1 (decrement).
     fn operate(&self, tid: usize, delta: i64) -> i64 {
         assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
         let me = &self.records[tid];
+        let levels = self.layers.len();
         let mut sum = delta;
-        // (child tid, child subtree sum) in capture order.
-        let mut children: Vec<(usize, i64)> = Vec::new();
-        let mut d: u64 = 0; // current layer
-        let levels = self.layers.len() as u64;
-        let mut max_d = u64::from(me.depth_pref.load(Ordering::Relaxed)).min(levels);
-
-        // Local adaption bookkeeping.
-        let mut attempts_made = 0u32;
-        let mut collisions_won = 0u32;
-        let mut central_fails = 0u32;
-        let mut was_captured = false;
+        // Layers advanced through so far, each by capturing one child:
+        // `children[k]` is the tid captured at layer `k`, whose tree — like
+        // ours at the time — held `2^k` operations of our kind.
+        let mut d = 0usize;
+        let mut children = [0usize; MAX_LAYERS];
+        let mut max_d = me.adapt.depth(levels);
+        let mut sig = Signals::default();
         // Operations eliminated by this op acting as the colliding root
         // (covers both trees; members never report themselves).
         let mut elim_count = 0u64;
 
-        me.sum.store(sum, Ordering::Relaxed);
-        me.result.store(RES_NONE, Ordering::Relaxed);
-        me.location.store(d, Ordering::SeqCst);
-
         let (tag, base) = 'mainloop: loop {
-            let mut n = 0;
-            while n < self.cfg.attempts && d < max_d {
-                n += 1;
-                attempts_made += 1;
-                let layer = &self.layers[d as usize];
-                let frac = me.width_frac.load(Ordering::Relaxed) as usize;
-                let wid = ((layer.len() * frac) / 256).clamp(1, layer.len());
-                let slot = me.rng.below(wid as u64) as usize;
-                let q = layer.swap(slot, tid + 1, Ordering::AcqRel);
-                if q != 0 && q - 1 != tid {
-                    let q = q - 1;
-                    // Freeze myself so nobody captures me mid-collision.
-                    if me
-                        .location
-                        .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_err()
-                    {
-                        // Someone captured me first.
-                        was_captured = true;
-                        break 'mainloop self.await_result(tid);
-                    }
-                    let qr = &self.records[q];
-                    if qr
-                        .location
-                        .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        collisions_won += 1;
-                        // q is frozen at our layer, so its tree has our size.
-                        let qsum = qr.sum.load(Ordering::SeqCst);
-                        debug_assert_eq!(qsum.abs(), sum.abs());
-                        if qsum == -sum {
-                            // Reversing operations: eliminate both trees.
-                            let val = self.central.load(Ordering::SeqCst);
-                            // Pick a plausible adjacent (inc, dec) pairing
-                            // that stays within bounds: dec observes `dv`,
-                            // inc observes `dv - 1`.
-                            let mut dv = val;
-                            if self.bounds.lo == Some(dv) {
-                                dv += 1;
-                            }
-                            if let Some(hi) = self.bounds.hi {
-                                dv = dv.min(hi);
-                            }
-                            let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
-                            elim_count = sum.unsigned_abs() * 2;
-                            qr.result
-                                .store(pack_result(TAG_ELIM, q_v), Ordering::SeqCst);
-                            break 'mainloop (TAG_ELIM, my_v);
+            // The layers, when the adaption wants them and the wait budget
+            // is worth a collision attempt. Otherwise `location` stays
+            // frozen and the central CAS below is the whole operation.
+            if d < max_d && me.adapt.wait(d) > 0 {
+                // ORDERING: Relaxed; published by the `location` store
+                // below, which a capturer's successful CAS acquires.
+                me.sum.store(sum, Ordering::Relaxed);
+                // ORDERING: SeqCst publish, the first leg of the Dekker-style
+                // trio (my `location` store → slot swap → partner's CAS on my
+                // `location`): whoever reads my id out of a slot must find me
+                // at `d`; the store also releases `sum` to that CAS.
+                me.location.store(d as u64, Ordering::SeqCst);
+                let mut n = 0;
+                while n < self.cfg.attempts && d < max_d {
+                    n += 1;
+                    sig.attempts += 1;
+                    let layer = &self.layers[d];
+                    // ORDERING: AcqRel; the release half orders my publish
+                    // before my id becomes readable, the acquire half pairs
+                    // with the release half of the swap that wrote `q`.
+                    let q = layer.swap(me.adapt.slot(layer.len()), tid + 1, Ordering::AcqRel);
+                    if q != 0 && q - 1 != tid {
+                        let qr = &self.records[q - 1];
+                        // Freeze myself so nobody captures me mid-collision.
+                        if !freeze(&me.location, d) {
+                            sig.captured = true;
+                            break 'mainloop self.await_result(tid);
                         }
-                        // Same kind: combine; q's tree becomes our child.
-                        sum += qsum;
-                        me.sum.store(sum, Ordering::SeqCst);
-                        children.push((q, qsum));
-                        d += 1;
-                        me.location.store(d, Ordering::SeqCst);
-                        n = 0;
-                        continue;
+                        if freeze(&qr.location, d) {
+                            sig.collisions_won += 1;
+                            // q is frozen at our layer, so its tree has our
+                            // size.
+                            // ORDERING: Relaxed; acquired by `freeze` and
+                            // stable while q is frozen.
+                            let qsum = qr.sum.load(Ordering::Relaxed);
+                            debug_assert_eq!(qsum.abs(), sum.abs());
+                            if qsum == -sum {
+                                // Reversing operations: eliminate both trees.
+                                // ORDERING: SeqCst like every access to
+                                // `central`; any recent value would do.
+                                let val = self.central.load(Ordering::SeqCst);
+                                // Pick a plausible adjacent (inc, dec) pairing
+                                // that stays within bounds: dec observes `dv`,
+                                // inc observes `dv - 1`.
+                                let mut dv = val;
+                                if self.bounds.lo == Some(dv) {
+                                    dv += 1;
+                                }
+                                if let Some(hi) = self.bounds.hi {
+                                    dv = dv.min(hi);
+                                }
+                                let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
+                                elim_count = sum.unsigned_abs() * 2;
+                                self.deliver(q - 1, pack_result(TAG_ELIM, q_v));
+                                break 'mainloop (TAG_ELIM, my_v);
+                            }
+                            // Same kind: combine; q's tree becomes our child.
+                            sum += qsum;
+                            children[d] = q - 1;
+                            d += 1;
+                            n = 0;
+                        }
+                        // Captured q or not, (re)publish at the layer we are
+                        // now at; having advanced, collide there before
+                        // waiting.
+                        // ORDERING: Relaxed, released by the store below.
+                        me.sum.store(sum, Ordering::Relaxed);
+                        // ORDERING: SeqCst publish, as on entry.
+                        me.location.store(d as u64, Ordering::SeqCst);
+                        if n == 0 {
+                            continue;
+                        }
                     }
-                    // Failed to capture q: unfreeze, stay at this layer.
-                    me.location.store(d, Ordering::SeqCst);
-                }
-                // Delay, watching for someone to capture us.
-                let spin = self.cfg.spin[d as usize];
-                for _ in 0..spin {
-                    if me.location.load(Ordering::SeqCst) != d {
-                        was_captured = true;
-                        break 'mainloop self.await_result(tid);
+                    // Delay, watching for someone to capture us.
+                    for _ in 0..me.adapt.wait(d) {
+                        // ORDERING: SeqCst read of the word partners CAS;
+                        // a change only sends me to `await_result`, whose
+                        // swap does the synchronising.
+                        if me.location.load(Ordering::SeqCst) != d as u64 {
+                            sig.captured = true;
+                            break 'mainloop self.await_result(tid);
+                        }
+                        std::hint::spin_loop();
                     }
-                    std::hint::spin_loop();
+                    sig.waits_expired += 1;
                 }
-            }
-            // Try to apply the whole tree to the central value.
-            match me
-                .location
-                .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    let val = self.central.load(Ordering::SeqCst);
-                    let new = self.bounds.clamp(val + sum);
-                    if self
-                        .central
-                        .compare_exchange(val, new, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        break 'mainloop (TAG_COUNT, val);
-                    }
-                    // Central contention: allow deeper combining on retry.
-                    central_fails += 1;
-                    max_d = (max_d + 1).min(levels);
-                    me.location.store(d, Ordering::SeqCst);
-                }
-                Err(_) => {
-                    was_captured = true;
+                // Leave the layers, unless a partner got there first.
+                if !freeze(&me.location, d) {
+                    sig.captured = true;
                     break 'mainloop self.await_result(tid);
                 }
             }
-        };
-
-        // Adapt the slice of the layer widths we use to the observed load.
-        let mut grows = 0u64;
-        let mut shrinks = 0u64;
-        if attempts_made > 0 {
-            let frac = me.width_frac.load(Ordering::Relaxed);
-            let new = if collisions_won * 2 >= attempts_made {
-                (frac.saturating_mul(2)).min(256)
-            } else if collisions_won == 0 {
-                (frac / 2).max(16)
-            } else {
-                frac
-            };
-            match new.cmp(&frac) {
-                std::cmp::Ordering::Greater => grows += 1,
-                std::cmp::Ordering::Less => shrinks += 1,
-                std::cmp::Ordering::Equal => {}
+            // Frozen: apply the whole tree to the central value.
+            // ORDERING: SeqCst, with the CAS below.
+            let val = self.central.load(Ordering::SeqCst);
+            let new = self.bounds.clamp(val + sum);
+            // ORDERING: SeqCst CAS on the one word every root serialises
+            // on. What callers need is the release/acquire edge between an
+            // increment and the decrement that claims it (`CounterTree`:
+            // bin insert → inc, dec → bin delete); kept SeqCst because on
+            // x86 it is the same instruction.
+            if self
+                .central
+                .compare_exchange(val, new, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                break 'mainloop (TAG_COUNT, val);
             }
-            me.width_frac.store(new, Ordering::Relaxed);
-        }
-        // Depth adaption: engagement argues for traversing layers; a clean
-        // solo pass argues for going straight to the central CAS.
-        let engaged = collisions_won > 0 || was_captured || central_fails > 0;
-        let dp = me.depth_pref.load(Ordering::Relaxed);
-        let new_dp = if engaged {
-            (dp + 1).min(levels as u32)
-        } else {
-            dp.saturating_sub(1)
+            // Central contention: allow deeper combining on retry.
+            sig.central_fails += 1;
+            max_d = (max_d + 1).min(levels);
         };
-        match new_dp.cmp(&dp) {
-            std::cmp::Ordering::Greater => grows += 1,
-            std::cmp::Ordering::Less => shrinks += 1,
-            std::cmp::Ordering::Equal => {}
-        }
-        me.depth_pref.store(new_dp, Ordering::Relaxed);
 
+        let (grows, shrinks) = me.adapt.update(levels, &sig);
         // One batched report per operation. Eliminated / centrally-applied
         // operation totals are reported by the tree root only, so sinks see
         // each operation exactly once.
-        if self.sink.is_some() {
-            self.report_batch(
-                collisions_won,
-                central_fails,
-                elim_count,
-                if !was_captured && tag == TAG_COUNT && !children.is_empty() {
-                    sum.unsigned_abs()
-                } else {
-                    0
-                },
-                grows,
-                shrinks,
+        if let Some(sink) = &self.sink {
+            let applied = !sig.captured && tag == TAG_COUNT && d > 0;
+            adaption::report(
+                sink,
+                [
+                    (CounterEvent::FunnelCollision, sig.collisions_won.into()),
+                    (CounterEvent::CasRetry, sig.central_fails.into()),
+                    (CounterEvent::ElimHit, elim_count),
+                    (
+                        CounterEvent::ElimMiss,
+                        if applied { sum.unsigned_abs() } else { 0 },
+                    ),
+                    (CounterEvent::AdaptGrow, grows),
+                    (CounterEvent::AdaptShrink, shrinks),
+                ],
             );
         }
 
-        // Distribute results to the trees we captured.
-        let my_ret = match tag {
-            TAG_ELIM => {
-                // Everyone in an eliminated tree reports the same plausible
-                // value (the paper's interleaved inc/dec ordering).
-                for &(child, _) in &children {
-                    self.records[child]
-                        .result
-                        .store(pack_result(TAG_ELIM, base), Ordering::SeqCst);
-                }
-                self.clamp_ret(base)
-            }
-            TAG_COUNT => {
-                let mut total = delta;
-                for &(child, csum) in &children {
-                    self.records[child]
-                        .result
-                        .store(pack_result(TAG_COUNT, base + total), Ordering::SeqCst);
-                    total += csum;
-                }
-                self.clamp_ret(base)
-            }
-            _ => unreachable!("funnel result tag"),
-        };
-        my_ret
+        // Distribute results to the trees we captured. Everyone in an
+        // eliminated tree reports the same plausible value (the paper's
+        // interleaved inc/dec ordering); a counted tree's members get
+        // consecutive prefixes.
+        for (k, &child) in children[..d].iter().enumerate() {
+            let before = delta << k;
+            let v = if tag == TAG_ELIM { base } else { base + before };
+            self.deliver(child, pack_result(tag, v));
+        }
+        self.bounds.clamp(base)
+    }
+
+    /// Hands a captured (frozen, waiting) thread its result.
+    fn deliver(&self, child: usize, packed: u64) {
+        // ORDERING: Release; pairs with the Acquire swap in `await_result`.
+        self.records[child].result.store(packed, Ordering::Release);
     }
 
     /// Wait (frozen) until our capturer hands us a result.
@@ -465,7 +391,9 @@ impl FunnelCounter {
         let me = &self.records[tid];
         let backoff = Backoff::new();
         loop {
-            let r = me.result.swap(RES_NONE, Ordering::SeqCst);
+            // ORDERING: Acquire swap; pairs with `deliver`'s Release store
+            // and leaves the word `RES_NONE` for the next operation.
+            let r = me.result.swap(RES_NONE, Ordering::Acquire);
             if r != RES_NONE {
                 return unpack_result(r);
             }
@@ -484,6 +412,8 @@ impl SharedCounter for FunnelCounter {
     }
 
     fn value(&self) -> i64 {
+        // ORDERING: SeqCst like every access to `central`; a racy snapshot,
+        // exact at quiescence.
         self.central.load(Ordering::SeqCst)
     }
 }
@@ -501,11 +431,69 @@ impl std::fmt::Debug for FunnelCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::mcs::tests::join_within;
+    use crate::probe::tests::TestSink;
+    use std::sync::{Arc, Barrier};
     use std::thread;
+    use std::time::Duration;
 
     fn cfg(threads: usize) -> FunnelConfig {
         FunnelConfig::for_threads(threads)
+    }
+
+    /// Two threads, `n` operations each on one unbounded counter from 0
+    /// behind a start barrier. Before every operation thread `t` pins its
+    /// adaption to the busy (`true`) or quiet end as `busy(t, i)` says;
+    /// operation `i` of thread `t` is an increment when `(i / 2 + t)` is
+    /// even, so every thread does both kinds in both states and the exact
+    /// final value is 0. Returns what the sink counted.
+    fn pinned_pair(n: usize, busy: fn(usize, usize) -> bool) -> Arc<TestSink> {
+        let sink = Arc::new(TestSink::default());
+        let c = Arc::new(FunnelCounter::with_sink(
+            0,
+            Bounds::unbounded(),
+            cfg(2),
+            Some(sink.clone()),
+        ));
+        let start = Arc::new(Barrier::new(2));
+        let handles = (0..2)
+            .map(|t| {
+                let (c, start) = (Arc::clone(&c), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..n {
+                        c.records[t].adapt.pin(c.layers.len(), busy(t, i));
+                        if (i / 2 + t) % 2 == 0 {
+                            c.fetch_inc(t);
+                        } else {
+                            c.fetch_dec(t);
+                        }
+                    }
+                })
+            })
+            .collect();
+        join_within(handles, Duration::from_secs(60));
+        assert_eq!(c.value(), 0, "every operation applied exactly once");
+        sink
+    }
+
+    #[test]
+    fn the_funnel_still_funnels_when_the_budget_says_so() {
+        // Left to adapt, two threads on this kind of host go direct and
+        // never meet; pinned busy, the collision machinery must work.
+        let sink = pinned_pair(50_000, |_, _| true);
+        assert!(sink.get(CounterEvent::FunnelCollision) > 0);
+        assert!(sink.get(CounterEvent::ElimHit) > 0);
+    }
+
+    #[test]
+    fn a_direct_operation_is_never_captured_through_a_stale_slot() {
+        // Thread 0 alternates layered and direct operations, so the
+        // width-1 slots keep naming it while it is on the direct path with
+        // `location` frozen; thread 1 stays in the layers and keeps reading
+        // that stale id. A capture then would apply the operation twice.
+        let sink = pinned_pair(50_000, |t, i| t == 1 || i % 2 == 0);
+        assert!(sink.get(CounterEvent::FunnelCollision) > 0);
     }
 
     #[test]
@@ -525,7 +513,6 @@ mod tests {
     fn zero_layer_funnel_goes_straight_to_the_central_value() {
         let no_layers = FunnelConfig {
             widths: vec![],
-            spin: vec![],
             ..FunnelConfig::for_threads(2)
         };
         let c = FunnelCounter::new(10, Bounds::unbounded(), no_layers);

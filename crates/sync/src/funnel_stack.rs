@@ -18,13 +18,13 @@
 //! `delete-min` scan of `LinearFunnels` cheap. Like the paper's structure,
 //! the stack is quiescently consistent.
 
-use std::marker::PhantomData;
 use std::ptr;
-use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 
-use funnelpq_util::{AtomicRng, Backoff, CachePadded};
+use funnelpq_util::{Backoff, CachePadded};
 
-use crate::funnel::FunnelConfig;
+use crate::adaption::{self, Adaption, Signals, MAX_LAYERS};
+use crate::funnel::{freeze, FunnelConfig, LOC_FROZEN};
 use crate::probe::{CounterEvent, SinkRef};
 use crate::slots::SlotArray;
 use crate::ttas::TtasMutex;
@@ -34,40 +34,37 @@ struct Node<T> {
     next: *mut Node<T>,
 }
 
-/// `location` states beyond layer indices.
-const LOC_FROZEN: u64 = u64::MAX - 1;
 /// Result word: 0 = none yet; low 3 bits tag, rest pointer.
 const RES_NONE: u64 = 0;
 const TAG_DONE: u64 = 1; // push completed
 const TAG_CHAIN: u64 = 2; // pop completed; high bits = chain head (may be null)
 
 struct Record<T> {
+    /// Layer index this thread is combinable at, or [`LOC_FROZEN`] (see the
+    /// counter's record).
     location: CachePadded<AtomicU64>,
     /// +k for a push tree of k items, -k for a pop tree of k requests.
     sum: AtomicI64,
     /// Head/tail of the pre-linked chain carried by a push tree root.
+    /// Written, like `sum`, before `location` is published.
     chain_head: AtomicPtr<Node<T>>,
     chain_tail: AtomicPtr<Node<T>>,
+    /// Tagged result delivered by whoever captured us; [`RES_NONE`] between
+    /// operations.
     result: AtomicU64,
-    width_frac: AtomicUsize,
-    /// Adaption: layers to traverse before going central (owner-only).
-    depth_pref: AtomicUsize,
-    /// Per-thread xorshift64* slot-selection stream, seeded from the dense
-    /// thread id (owner-only; no TLS lookup per collision attempt).
-    rng: AtomicRng,
+    /// Owner-only width / depth / wait adaption.
+    adapt: Adaption,
 }
 
 impl<T> Record<T> {
-    fn new(tid: usize, levels: usize) -> Self {
+    fn new(tid: usize) -> Self {
         Record {
             location: CachePadded::new(AtomicU64::new(LOC_FROZEN)),
             sum: AtomicI64::new(0),
             chain_head: AtomicPtr::new(ptr::null_mut()),
             chain_tail: AtomicPtr::new(ptr::null_mut()),
             result: AtomicU64::new(RES_NONE),
-            width_frac: AtomicUsize::new(256),
-            depth_pref: AtomicUsize::new(levels),
-            rng: AtomicRng::new(tid as u64),
+            adapt: Adaption::new(tid),
         }
     }
 }
@@ -96,7 +93,6 @@ pub struct FunnelStack<T> {
     records: Box<[Record<T>]>,
     layers: Vec<SlotArray>,
     sink: Option<SinkRef>,
-    _marker: PhantomData<T>,
 }
 
 // SAFETY: nodes carrying `T` move between threads through the funnel
@@ -104,47 +100,7 @@ pub struct FunnelStack<T> {
 unsafe impl<T: Send> Send for FunnelStack<T> {}
 unsafe impl<T: Send> Sync for FunnelStack<T> {}
 
-enum Outcome<T> {
-    /// Push applied (or eliminated).
-    Done,
-    /// Pop outcome: chain of nodes, ours first (null = empty pool).
-    Chain(*mut Node<T>),
-}
-
 impl<T: Send> FunnelStack<T> {
-    // Out-of-line so the sink-absent path pays only a not-taken branch.
-    #[cold]
-    #[inline(never)]
-    fn report_batch(
-        &self,
-        collisions_won: u32,
-        central_locks: u64,
-        elim_count: u64,
-        elim_miss: u64,
-        grows: u64,
-        shrinks: u64,
-    ) {
-        let Some(sink) = &self.sink else { return };
-        if collisions_won > 0 {
-            sink.event_n(CounterEvent::FunnelCollision, u64::from(collisions_won));
-        }
-        if central_locks > 0 {
-            sink.event_n(CounterEvent::LockAcquire, central_locks);
-        }
-        if elim_count > 0 {
-            sink.event_n(CounterEvent::ElimHit, elim_count);
-        }
-        if elim_miss > 0 {
-            sink.event_n(CounterEvent::ElimMiss, elim_miss);
-        }
-        if grows > 0 {
-            sink.event_n(CounterEvent::AdaptGrow, grows);
-        }
-        if shrinks > 0 {
-            sink.event_n(CounterEvent::AdaptShrink, shrinks);
-        }
-    }
-
     /// Creates an empty stack.
     ///
     /// # Panics
@@ -164,15 +120,8 @@ impl<T: Send> FunnelStack<T> {
     /// Panics if the configuration is invalid.
     pub fn with_sink(cfg: FunnelConfig, sink: Option<SinkRef>) -> Self {
         cfg.validate();
-        let levels = cfg.widths.len();
-        let records = (0..cfg.max_threads)
-            .map(|tid| Record::new(tid, levels))
-            .collect();
-        let layers = cfg
-            .widths
-            .iter()
-            .map(|&w| SlotArray::new(w, cfg.pad_slots))
-            .collect();
+        let records = (0..cfg.max_threads).map(Record::new).collect();
+        let layers = cfg.widths.iter().map(|&w| SlotArray::new(w)).collect();
         FunnelStack {
             cfg,
             head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
@@ -180,13 +129,14 @@ impl<T: Send> FunnelStack<T> {
             records,
             layers,
             sink,
-            _marker: PhantomData,
         }
     }
 
     /// True when the central stack holds no items. A single shared read;
     /// may race with concurrent operations (quiescently consistent).
     pub fn is_empty(&self) -> bool {
+        // ORDERING: Acquire; pairs with the Release `head` stores of the
+        // central section.
         self.head.load(Ordering::Acquire).is_null()
     }
 
@@ -197,314 +147,270 @@ impl<T: Send> FunnelStack<T> {
             item: Some(item),
             next: ptr::null_mut(),
         }));
-        match self.operate(tid, 1, node, node) {
-            Outcome::Done => {}
-            Outcome::Chain(_) => unreachable!("push produced a pop result"),
-        }
+        let chain = self.operate(tid, 1, node);
+        debug_assert!(chain.is_null(), "push produced a pop result");
     }
 
     /// Pops an item, or returns `None` when the pool appears empty.
     pub fn pop(&self, tid: usize) -> Option<T> {
-        match self.operate(tid, -1, ptr::null_mut(), ptr::null_mut()) {
-            Outcome::Done => unreachable!("pop produced a push result"),
-            Outcome::Chain(chain) => self.consume_chain_head(tid, chain),
-        }
-    }
-
-    /// Takes the first node of `chain` as our own result and distributes the
-    /// rest to the children recorded for `tid`'s last operation — except
-    /// distribution state lives on the stack frame, so this helper only
-    /// handles the head. (Distribution happens inside `operate`.)
-    fn consume_chain_head(&self, _tid: usize, chain: *mut Node<T>) -> Option<T> {
+        let chain = self.operate(tid, -1, ptr::null_mut());
         if chain.is_null() {
             return None;
         }
-        // SAFETY: the protocol hands each popped node to exactly one op.
+        // SAFETY: the protocol hands each popped node to exactly one op,
+        // and `operate` cut ours off the rest of its tree's chain.
         let mut node = unsafe { Box::from_raw(chain) };
         node.item.take()
     }
 
-    /// Core funnel traversal. For pushes, `chead`/`ctail` delimit the
-    /// (initially 1-node) chain; for pops both are null.
-    fn operate(
-        &self,
-        tid: usize,
-        delta: i64,
-        chead: *mut Node<T>,
-        ctail: *mut Node<T>,
-    ) -> Outcome<T> {
+    /// Core funnel traversal. A push (`delta` = 1) brings its one-node
+    /// chain `chead` and returns null; a pop (`delta` = -1) brings null and
+    /// returns its node, or null when the pool was empty.
+    fn operate(&self, tid: usize, delta: i64, chead: *mut Node<T>) -> *mut Node<T> {
         assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
         let me = &self.records[tid];
+        let levels = self.layers.len();
         let mut sum = delta;
-        let mut ctail = ctail;
-        let mut children: Vec<(usize, i64)> = Vec::new();
-        let mut d: u64 = 0;
-        let levels = self.layers.len() as u64;
-        let max_d = (me.depth_pref.load(Ordering::Relaxed) as u64).min(levels);
-
-        let mut attempts_made = 0u32;
-        let mut collisions_won = 0u32;
-        let mut central_contended = false;
-        let mut was_captured = false;
+        let mut ctail = chead;
+        // Layers advanced through so far, each by capturing one child:
+        // `children[k]` is the tid captured at layer `k`, whose tree — like
+        // ours at the time — held `2^k` operations of our kind.
+        let mut d = 0usize;
+        let mut children = [0usize; MAX_LAYERS];
+        let mut max_d = me.adapt.depth(levels);
+        let mut sig = Signals::default();
         // Operations eliminated by this op acting as the colliding root
         // (covers both trees), and central-lock acquisitions (0 or 1).
         let mut elim_count = 0u64;
         let mut central_locks = 0u64;
 
-        me.sum.store(sum, Ordering::Relaxed);
-        me.chain_head.store(chead, Ordering::Relaxed);
-        me.chain_tail.store(ctail, Ordering::Relaxed);
-        me.result.store(RES_NONE, Ordering::Relaxed);
-        me.location.store(d, Ordering::SeqCst);
-
-        // Tag + chain pointer describing our tree's outcome. Unlike the
-        // counter (whose central CAS can fail and loop back into the
-        // collision layers), the stack's central section is lock-based and
-        // always succeeds, so this is a run-once labelled block.
-        let (tag, my_chain) = 'mainloop: {
-            let mut n = 0;
-            while n < self.cfg.attempts && d < max_d {
-                n += 1;
-                attempts_made += 1;
-                let layer = &self.layers[d as usize];
-                let frac = me.width_frac.load(Ordering::Relaxed);
-                let wid = ((layer.len() * frac) / 256).clamp(1, layer.len());
-                let slot = me.rng.below(wid as u64) as usize;
-                let q = layer.swap(slot, tid + 1, Ordering::AcqRel);
-                if q != 0 && q - 1 != tid {
-                    let q = q - 1;
-                    if me
-                        .location
-                        .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_err()
-                    {
-                        was_captured = true;
-                        break 'mainloop self.await_result(tid);
-                    }
-                    let qr = &self.records[q];
-                    if qr
-                        .location
-                        .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        collisions_won += 1;
-                        let qsum = qr.sum.load(Ordering::SeqCst);
-                        debug_assert_eq!(qsum.abs(), sum.abs());
-                        if qsum == -sum {
-                            // Elimination: the push tree's chain goes to the
-                            // pop tree; the push tree is done.
-                            elim_count = sum.unsigned_abs() * 2;
-                            if sum > 0 {
-                                // We are the pushers; q gets our chain.
-                                qr.result.store(chead as u64 | TAG_CHAIN, Ordering::SeqCst);
-                                break 'mainloop (TAG_DONE, ptr::null_mut());
-                            } else {
-                                // We are the poppers; take q's chain.
-                                let qc = qr.chain_head.load(Ordering::SeqCst);
-                                qr.result.store(TAG_DONE, Ordering::SeqCst);
+        // Tag + chain pointer describing our tree's outcome.
+        let (tag, my_chain) = 'mainloop: loop {
+            // The layers, when the adaption wants them and the wait budget
+            // is worth a collision attempt. Otherwise `location` stays
+            // frozen and the central section below is the whole operation.
+            if d < max_d && me.adapt.wait(d) > 0 {
+                self.publish(me, d, sum, chead, ctail);
+                let mut n = 0;
+                while n < self.cfg.attempts && d < max_d {
+                    n += 1;
+                    sig.attempts += 1;
+                    let layer = &self.layers[d];
+                    // ORDERING: AcqRel; the release half orders my publish
+                    // before my id becomes readable, the acquire half pairs
+                    // with the release half of the swap that wrote `q`.
+                    let q = layer.swap(me.adapt.slot(layer.len()), tid + 1, Ordering::AcqRel);
+                    if q != 0 && q - 1 != tid {
+                        let qr = &self.records[q - 1];
+                        if !freeze(&me.location, d) {
+                            sig.captured = true;
+                            break 'mainloop self.await_result(tid);
+                        }
+                        if freeze(&qr.location, d) {
+                            sig.collisions_won += 1;
+                            // ORDERING: Relaxed; acquired by `freeze` and
+                            // stable while q is frozen.
+                            let qsum = qr.sum.load(Ordering::Relaxed);
+                            debug_assert_eq!(qsum.abs(), sum.abs());
+                            if qsum == -sum {
+                                // Elimination: the push tree's chain goes to
+                                // the pop tree; the push tree is done.
+                                elim_count = sum.unsigned_abs() * 2;
+                                if sum > 0 {
+                                    self.deliver(q - 1, chead as u64 | TAG_CHAIN);
+                                    break 'mainloop (TAG_DONE, ptr::null_mut());
+                                }
+                                // ORDERING: Relaxed, as `qsum`.
+                                let qc = qr.chain_head.load(Ordering::Relaxed);
+                                self.deliver(q - 1, TAG_DONE);
                                 break 'mainloop (TAG_CHAIN, qc);
                             }
-                        }
-                        // Same kind: merge trees.
-                        if sum > 0 {
-                            // Splice q's chain after ours.
-                            let qh = qr.chain_head.load(Ordering::SeqCst);
-                            let qt = qr.chain_tail.load(Ordering::SeqCst);
-                            debug_assert!(!qh.is_null() && !qt.is_null());
-                            // SAFETY: our tail is exclusively ours until the
-                            // chain is handed off; q's chain is frozen.
-                            unsafe { (*ctail).next = qh };
-                            ctail = qt;
-                            me.chain_tail.store(ctail, Ordering::SeqCst);
-                        }
-                        sum += qsum;
-                        me.sum.store(sum, Ordering::SeqCst);
-                        children.push((q, qsum));
-                        d += 1;
-                        me.location.store(d, Ordering::SeqCst);
-                        n = 0;
-                        continue;
-                    }
-                    me.location.store(d, Ordering::SeqCst);
-                }
-                let spin = self.cfg.spin[d as usize];
-                for _ in 0..spin {
-                    if me.location.load(Ordering::SeqCst) != d {
-                        was_captured = true;
-                        break 'mainloop self.await_result(tid);
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-            // Apply the tree to the central stack.
-            match me
-                .location
-                .compare_exchange(d, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    if sum > 0 {
-                        central_locks = 1;
-                        let _g = match self.central_lock.try_lock() {
-                            Some(g) => g,
-                            None => {
-                                central_contended = true;
-                                self.central_lock.lock()
+                            // Same kind: merge trees.
+                            if sum > 0 {
+                                // Splice q's chain after ours.
+                                // ORDERING: Relaxed, as `qsum` (both loads).
+                                let qh = qr.chain_head.load(Ordering::Relaxed);
+                                let qt = qr.chain_tail.load(Ordering::Relaxed);
+                                debug_assert!(!qh.is_null() && !qt.is_null());
+                                // SAFETY: our tail is exclusively ours until
+                                // the chain is handed off; q's chain is
+                                // frozen.
+                                unsafe { (*ctail).next = qh };
+                                ctail = qt;
                             }
-                        };
-                        let old = self.head.load(Ordering::Relaxed);
-                        // SAFETY: `ctail` is the last node of our private
-                        // chain; linking it to the current head is the push.
-                        unsafe { (*ctail).next = old };
-                        self.head.store(chead, Ordering::Release);
-                        break 'mainloop (TAG_DONE, ptr::null_mut());
-                    } else {
-                        // Detach up to |sum| nodes.
-                        let want = (-sum) as usize;
-                        central_locks = 1;
-                        let _g = match self.central_lock.try_lock() {
-                            Some(g) => g,
-                            None => {
-                                central_contended = true;
-                                self.central_lock.lock()
-                            }
-                        };
-                        let first = self.head.load(Ordering::Relaxed);
-                        let mut last = first;
-                        let mut got = 0usize;
-                        if !first.is_null() {
-                            got = 1;
-                            // SAFETY: the lock gives exclusive structural
-                            // access; pushers publish fully linked chains
-                            // before updating head.
-                            unsafe {
-                                while got < want && !(*last).next.is_null() {
-                                    last = (*last).next;
-                                    got += 1;
-                                }
-                                self.head.store((*last).next, Ordering::Release);
-                                (*last).next = ptr::null_mut();
-                            }
+                            sum += qsum;
+                            children[d] = q - 1;
+                            d += 1;
+                            n = 0;
                         }
-                        let _ = got;
-                        break 'mainloop (TAG_CHAIN, first);
+                        // Captured q or not, (re)publish at the layer we are
+                        // now at; having advanced, collide there before
+                        // waiting.
+                        self.publish(me, d, sum, chead, ctail);
+                        if n == 0 {
+                            continue;
+                        }
                     }
+                    // Delay, watching for someone to capture us.
+                    for _ in 0..me.adapt.wait(d) {
+                        // ORDERING: SeqCst read of the word partners CAS; a
+                        // change only sends me to `await_result`, whose swap
+                        // does the synchronising.
+                        if me.location.load(Ordering::SeqCst) != d as u64 {
+                            sig.captured = true;
+                            break 'mainloop self.await_result(tid);
+                        }
+                        std::hint::spin_loop();
+                    }
+                    sig.waits_expired += 1;
                 }
-                Err(_) => {
-                    was_captured = true;
+                // Leave the layers, unless a partner got there first.
+                if !freeze(&me.location, d) {
+                    sig.captured = true;
                     break 'mainloop self.await_result(tid);
                 }
             }
-        };
-
-        let mut grows = 0u64;
-        let mut shrinks = 0u64;
-        if attempts_made > 0 {
-            let frac = me.width_frac.load(Ordering::Relaxed);
-            let new = if collisions_won * 2 >= attempts_made {
-                (frac * 2).min(256)
-            } else if collisions_won == 0 {
-                (frac / 2).max(16)
-            } else {
-                frac
+            // Frozen: apply the tree to the central stack.
+            let _g = match self.central_lock.try_lock() {
+                Some(g) => g,
+                None => {
+                    // Central contention: an operation that came straight
+                    // here gives the layers one pass before it queues.
+                    sig.central_fails = 1;
+                    max_d = (max_d + 1).min(levels);
+                    if sig.attempts == 0 && d < max_d && me.adapt.wait(d) > 0 {
+                        continue;
+                    }
+                    self.central_lock.lock()
+                }
             };
-            match new.cmp(&frac) {
-                std::cmp::Ordering::Greater => grows += 1,
-                std::cmp::Ordering::Less => shrinks += 1,
-                std::cmp::Ordering::Equal => {}
+            central_locks = 1;
+            // ORDERING: Relaxed under the lock, which orders it after the
+            // previous holder's store.
+            let first = self.head.load(Ordering::Relaxed);
+            if sum > 0 {
+                // SAFETY: `ctail` is the last node of our private chain;
+                // linking it to the current head is the push.
+                unsafe { (*ctail).next = first };
+                // ORDERING: Release, so the lock-free `is_empty` reader
+                // that sees a node sees it linked.
+                self.head.store(chead, Ordering::Release);
+                break 'mainloop (TAG_DONE, ptr::null_mut());
             }
-            me.width_frac.store(new, Ordering::Relaxed);
-        }
-        // Depth adaption (see the counter for rationale).
-        let engaged = collisions_won > 0 || was_captured || central_contended;
-        let dp = me.depth_pref.load(Ordering::Relaxed);
-        let new_dp = if engaged {
-            (dp + 1).min(levels as usize)
-        } else {
-            dp.saturating_sub(1)
+            if !first.is_null() {
+                // Detach up to |sum| nodes.
+                let mut last = first;
+                // SAFETY: the lock gives exclusive structural access;
+                // pushers publish fully linked chains before updating head.
+                unsafe {
+                    for _ in 1..-sum {
+                        if (*last).next.is_null() {
+                            break;
+                        }
+                        last = (*last).next;
+                    }
+                    // ORDERING: Release, as the push's store.
+                    self.head.store((*last).next, Ordering::Release);
+                    (*last).next = ptr::null_mut();
+                }
+            }
+            break 'mainloop (TAG_CHAIN, first);
         };
-        match new_dp.cmp(&dp) {
-            std::cmp::Ordering::Greater => grows += 1,
-            std::cmp::Ordering::Less => shrinks += 1,
-            std::cmp::Ordering::Equal => {}
-        }
-        me.depth_pref.store(new_dp, Ordering::Relaxed);
 
+        let (grows, shrinks) = me.adapt.update(levels, &sig);
         // One batched report per operation (roots report tree-wide totals,
         // so each operation is seen exactly once; see the counter funnel).
-        if self.sink.is_some() {
-            self.report_batch(
-                collisions_won,
-                central_locks,
-                elim_count,
-                if !was_captured && central_locks > 0 && !children.is_empty() {
-                    sum.unsigned_abs()
-                } else {
-                    0
-                },
-                grows,
-                shrinks,
+        if let Some(sink) = &self.sink {
+            let applied = !sig.captured && central_locks > 0 && d > 0;
+            adaption::report(
+                sink,
+                [
+                    (CounterEvent::FunnelCollision, sig.collisions_won.into()),
+                    (CounterEvent::LockAcquire, central_locks),
+                    (CounterEvent::ElimHit, elim_count),
+                    (
+                        CounterEvent::ElimMiss,
+                        if applied { sum.unsigned_abs() } else { 0 },
+                    ),
+                    (CounterEvent::AdaptGrow, grows),
+                    (CounterEvent::AdaptShrink, shrinks),
+                ],
             );
         }
 
         // Distribute results down the tree.
-        match tag {
-            TAG_DONE => {
-                for &(child, _) in &children {
-                    self.records[child].result.store(TAG_DONE, Ordering::SeqCst);
-                }
-                Outcome::Done
+        if tag == TAG_DONE {
+            for &child in &children[..d] {
+                self.deliver(child, TAG_DONE);
             }
-            TAG_CHAIN => {
-                // Keep the first node for ourselves, then cut one subchain
-                // per child (child subtree size = |csum|), in capture order.
-                let mine = my_chain;
-                let mut rest = if mine.is_null() {
-                    ptr::null_mut()
-                } else {
-                    // SAFETY: we exclusively own the detached chain.
-                    unsafe {
-                        let r = (*mine).next;
-                        (*mine).next = ptr::null_mut();
-                        r
-                    }
-                };
-                for &(child, csum) in &children {
-                    let need = csum.unsigned_abs() as usize;
-                    let chead = rest;
-                    if !rest.is_null() {
-                        // Walk `need` nodes and cut.
-                        // SAFETY: exclusive ownership of `rest`.
-                        unsafe {
-                            let mut last = rest;
-                            let mut taken = 1usize;
-                            while taken < need && !(*last).next.is_null() {
-                                last = (*last).next;
-                                taken += 1;
-                            }
-                            rest = (*last).next;
-                            (*last).next = ptr::null_mut();
-                        }
-                    }
-                    self.records[child]
-                        .result
-                        .store(chead as u64 | TAG_CHAIN, Ordering::SeqCst);
-                }
-                debug_assert!(rest.is_null(), "chain longer than tree");
-                Outcome::Chain(mine)
-            }
-            _ => unreachable!("funnel stack result tag"),
+            return ptr::null_mut();
         }
+        // Keep the first node for ourselves, then cut one subchain per child
+        // (`2^k` nodes for the child captured at layer `k`), in capture order.
+        let mut rest = my_chain;
+        let mut cut = |need: u64| {
+            let head = rest;
+            if !rest.is_null() {
+                // SAFETY: we exclusively own the detached chain.
+                unsafe {
+                    let mut last = rest;
+                    for _ in 1..need {
+                        if (*last).next.is_null() {
+                            break;
+                        }
+                        last = (*last).next;
+                    }
+                    rest = (*last).next;
+                    (*last).next = ptr::null_mut();
+                }
+            }
+            head
+        };
+        let mine = cut(1);
+        for (k, &child) in children[..d].iter().enumerate() {
+            self.deliver(child, cut(1 << k) as u64 | TAG_CHAIN);
+        }
+        debug_assert!(rest.is_null(), "chain longer than tree");
+        mine
+    }
+
+    /// Makes `me` capturable at layer `d` with the given tree.
+    fn publish(
+        &self,
+        me: &Record<T>,
+        d: usize,
+        sum: i64,
+        chead: *mut Node<T>,
+        ctail: *mut Node<T>,
+    ) {
+        // ORDERING: Relaxed (all three); published by the `location` store
+        // below, which a capturer's successful CAS acquires.
+        me.sum.store(sum, Ordering::Relaxed);
+        me.chain_head.store(chead, Ordering::Relaxed);
+        me.chain_tail.store(ctail, Ordering::Relaxed);
+        // ORDERING: SeqCst publish, the first leg of the Dekker-style trio
+        // (my `location` store → slot swap → partner's CAS on my `location`):
+        // whoever reads my id out of a slot must find me at `d`, and the
+        // store releases the tree above (and the nodes' links) to that CAS.
+        me.location.store(d as u64, Ordering::SeqCst);
+    }
+
+    /// Hands a captured (frozen, waiting) thread its result.
+    fn deliver(&self, child: usize, tagged: u64) {
+        // ORDERING: Release (the chain's links go with it); pairs with the
+        // Acquire swap in `await_result`.
+        self.records[child].result.store(tagged, Ordering::Release);
     }
 
     fn await_result(&self, tid: usize) -> (u64, *mut Node<T>) {
         let me = &self.records[tid];
         let backoff = Backoff::new();
         loop {
-            let r = me.result.swap(RES_NONE, Ordering::SeqCst);
+            // ORDERING: Acquire swap; pairs with `deliver`'s Release store
+            // and leaves the word `RES_NONE` for the next operation.
+            let r = me.result.swap(RES_NONE, Ordering::Acquire);
             if r != RES_NONE {
-                let tag = r & 0b111;
-                let ptr = (r & !0b111) as *mut Node<T>;
-                return (tag, ptr);
+                return (r & 0b111, (r & !0b111) as *mut Node<T>);
             }
             backoff.snooze();
         }
@@ -513,7 +419,7 @@ impl<T: Send> FunnelStack<T> {
     /// Pops every remaining item (single-threaded teardown helper).
     pub fn drain(&mut self) -> Vec<T> {
         let mut out = Vec::new();
-        let mut p = self.head.swap(ptr::null_mut(), Ordering::AcqRel);
+        let mut p = std::mem::replace(self.head.get_mut(), ptr::null_mut());
         while !p.is_null() {
             // SAFETY: `&mut self` excludes concurrent access.
             let mut node = unsafe { Box::from_raw(p) };
@@ -528,7 +434,7 @@ impl<T: Send> FunnelStack<T> {
 
 impl<T> Drop for FunnelStack<T> {
     fn drop(&mut self) {
-        let mut p = self.head.load(Ordering::Relaxed);
+        let mut p = *self.head.get_mut();
         while !p.is_null() {
             // SAFETY: drop has exclusive access; every node in the central
             // chain is owned by the stack.
@@ -541,6 +447,7 @@ impl<T> Drop for FunnelStack<T> {
 impl<T> std::fmt::Debug for FunnelStack<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FunnelStack")
+            // ORDERING: Relaxed; a racy diagnostic snapshot.
             .field("empty", &self.head.load(Ordering::Relaxed).is_null())
             .field("max_threads", &self.cfg.max_threads)
             .finish()
@@ -550,9 +457,12 @@ impl<T> std::fmt::Debug for FunnelStack<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcs::tests::join_within;
+    use crate::probe::tests::TestSink;
     use std::collections::HashSet;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
+    use std::time::Duration;
 
     fn cfg(t: usize) -> FunnelConfig {
         FunnelConfig::for_threads(t)
@@ -632,6 +542,44 @@ mod tests {
         let set: HashSet<usize> = all.iter().copied().collect();
         assert_eq!(set.len(), T * N, "no duplicates");
         assert!(set.iter().all(|&x| x < T * N));
+    }
+
+    #[test]
+    fn the_funnel_still_funnels_when_the_budget_says_so() {
+        // Two threads, push + pop, adaption pinned busy before every
+        // operation (left alone they go direct on this kind of host):
+        // collisions and eliminations happen and no item is lost or
+        // duplicated.
+        const N: usize = 25_000;
+        let sink = Arc::new(TestSink::default());
+        let s = Arc::new(FunnelStack::with_sink(cfg(2), Some(sink.clone())));
+        let start = Arc::new(Barrier::new(2));
+        let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let handles = (0..2)
+            .map(|t| {
+                let (s, start, popped) = (Arc::clone(&s), Arc::clone(&start), Arc::clone(&popped));
+                thread::spawn(move || {
+                    let pin = || s.records[t].adapt.pin(s.layers.len(), true);
+                    let mut got = Vec::new();
+                    start.wait();
+                    for i in 0..N {
+                        pin();
+                        s.push(t, t * N + i);
+                        pin();
+                        got.extend(s.pop(t));
+                    }
+                    popped.lock().unwrap().extend(got);
+                })
+            })
+            .collect();
+        join_within(handles, Duration::from_secs(60));
+        let mut all = popped.lock().unwrap().clone();
+        let mut s = Arc::try_unwrap(s).unwrap_or_else(|_| panic!("stack still shared"));
+        all.extend(s.drain());
+        all.sort_unstable();
+        assert_eq!(all, (0..2 * N).collect::<Vec<_>>());
+        assert!(sink.get(CounterEvent::FunnelCollision) > 0);
+        assert!(sink.get(CounterEvent::ElimHit) > 0);
     }
 
     #[test]

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod adaption;
 mod bin;
 mod counter;
 mod funnel;

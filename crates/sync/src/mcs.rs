@@ -441,7 +441,7 @@ impl<T> std::ops::DerefMut for McsMutexGuard<'_, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
@@ -457,14 +457,15 @@ mod tests {
     }
 
     /// Joins `handles`, failing loudly if they are not all done within
-    /// `limit`: a spin bound that starves a preempted holder shows up as a
-    /// run hundreds of times longer than the work, not as a wrong result.
-    fn join_within(handles: Vec<thread::JoinHandle<()>>, limit: Duration) {
+    /// `limit`: a spin bound that starves a preempted holder, or a funnel
+    /// thread waiting on a partner that never delivers, shows up as a run
+    /// hundreds of times longer than the work, not as a wrong result.
+    pub(crate) fn join_within(handles: Vec<thread::JoinHandle<()>>, limit: Duration) {
         let deadline = Instant::now() + limit;
         while !handles.iter().all(|h| h.is_finished()) {
             assert!(
                 Instant::now() < deadline,
-                "lock hand-off starved: workers still running after {limit:?}"
+                "starved: workers still running after {limit:?}"
             );
             thread::sleep(Duration::from_millis(1));
         }

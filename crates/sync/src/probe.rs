@@ -33,11 +33,12 @@ pub enum CounterEvent {
     /// A combining-funnel collision was won: two operation trees merged or
     /// eliminated (counted by the capturing thread).
     FunnelCollision,
-    /// Funnel adaption widened its layer slice or deepened its traversal
-    /// preference.
+    /// Funnel adaption widened its layer slice, deepened its traversal
+    /// preference or lengthened its collision wait (one count per quantity
+    /// that moved, per operation).
     AdaptGrow,
-    /// Funnel adaption narrowed its layer slice or shallowed its traversal
-    /// preference.
+    /// Funnel adaption narrowed its layer slice, shallowed its traversal
+    /// preference or shortened its collision wait.
     AdaptShrink,
     /// A lock was acquired (MCS queue locks and the funnel stack's central
     /// lock).
@@ -184,13 +185,20 @@ pub trait EventSink: Send + Sync {
 pub type SinkRef = Arc<dyn EventSink>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Counts every event; shared with the funnel tests.
     #[derive(Default)]
-    struct TestSink {
+    pub(crate) struct TestSink {
         counts: [AtomicU64; CounterEvent::COUNT],
+    }
+
+    impl TestSink {
+        pub(crate) fn get(&self, event: CounterEvent) -> u64 {
+            self.counts[event.index()].load(Ordering::Relaxed)
+        }
     }
 
     impl EventSink for TestSink {
@@ -219,9 +227,6 @@ mod tests {
         let s = TestSink::default();
         s.event(CounterEvent::LockAcquire);
         s.event_n(CounterEvent::LockAcquire, 4);
-        assert_eq!(
-            s.counts[CounterEvent::LockAcquire.index()].load(Ordering::Relaxed),
-            5
-        );
+        assert_eq!(s.get(CounterEvent::LockAcquire), 5);
     }
 }
