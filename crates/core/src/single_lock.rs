@@ -98,7 +98,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
             });
         }
         obs::timed(&*self.recorder, OpKind::Insert, || {
-            self.heap.lock().push(pri, item)
+            self.heap.run(|heap| heap.push(pri, item))
         });
         Ok(())
     }
@@ -106,7 +106,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.heap.lock().pop()
+            self.heap.run(BinaryHeap::pop)
         });
         if R::ENABLED && out.is_none() {
             self.recorder.record_event(CounterEvent::EmptyDeleteMin);
@@ -145,10 +145,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            let mut heap = self.heap.lock();
-            for (pri, item) in batch {
-                heap.push(pri, item);
-            }
+            self.heap.run(|heap| {
+                for (pri, item) in batch {
+                    heap.push(pri, item);
+                }
+            })
         });
         obs::record_batch_op(&*self.recorder, n);
         Ok(())
@@ -158,6 +159,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+            // A guard, not `run`: the reply is `k` entries in the caller's
+            // `out`, so a delegated drain moves as much as it saves, and a
+            // drainer that releases through a guard hands the lock on
+            // without taking the queued inserts onto its own thread — the
+            // server's dispatcher is the thread that limits it.
             let mut heap = self.heap.lock();
             let mut taken = 0;
             while taken < k {
@@ -189,7 +195,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
             });
         }
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
-            self.heap.lock().replace_min(pri, item)
+            self.heap.run(|heap| heap.replace_min(pri, item))
         });
         obs::record_batch_op(&*self.recorder, 1);
         if R::ENABLED && out.is_none() {
@@ -205,7 +211,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     }
 
     fn is_empty(&self) -> bool {
-        self.heap.lock().is_empty()
+        self.heap.run(|heap| heap.is_empty())
     }
 }
 

@@ -231,8 +231,6 @@ pub struct ServerReport {
     pub shed: u64,
     /// Merged wall-clock enqueue→dispatch latency (nanoseconds).
     pub latency_ns: Acc,
-    /// Merged dispatch-slot delay histogram.
-    pub delay_slots: Acc,
     /// Wall-clock nanoseconds between `start()` and `stop()`.
     pub run_ns: u64,
     /// Jobs still admitted-but-undispatched at stop (0 when callers
@@ -591,7 +589,6 @@ impl<R: Recorder> Scheduler<R> {
                     report.requeued += s.requeued;
                     report.lost += s.lost;
                     report.latency_ns.merge(&s.latency_ns);
-                    report.delay_slots.merge(&s.delay_slots);
                     let outcome = if s.gave_up {
                         StopOutcome::GaveUp {
                             restarts: s.restarts,
@@ -945,7 +942,6 @@ impl<R: Recorder> DispatcherCtx<R> {
         let latency = now.saturating_sub(job.enqueued_ns);
         report.latency_ns.record(latency);
         let delay = pre.saturating_sub(job.enqueued_slot);
-        report.delay_slots.record(delay);
         let slack = job.deadline_ns.saturating_sub(job.enqueued_ns) / self.service_ns;
         // A miss must be late on BOTH clocks. Virtual-only lateness can be
         // manufactured by a client stalling between stamping the job and

@@ -185,10 +185,6 @@ pub struct ShardReport {
     pub rearmed: u64,
     /// Wall-clock enqueue→dispatch latency histogram (nanoseconds).
     pub latency_ns: Acc,
-    /// Dispatch-slot delay histogram: how many dispatches each job waited
-    /// beyond its enqueue stamp. Strict backends keep this bounded by the
-    /// in-flight population; relaxed backends add rank error on top.
-    pub delay_slots: Acc,
     /// Per-dispatch log, populated only when the server runs with
     /// `record_dispatches` (conservation/ordering tests).
     pub dispatch_log: Vec<DispatchRecord>,

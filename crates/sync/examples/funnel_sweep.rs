@@ -4,15 +4,37 @@
 //! a funnel that lets one thread monopolise the object while the others
 //! wait for partners shows only in the last column.
 //!
+//! Then the queue lock, two ways from the same build: a 16 384-entry
+//! `BinaryHeap` in one `McsMutex`, alternating push / pop, once through
+//! `lock()` guards (`heap/lock`: every operation is a FIFO hand-off) and
+//! once through `run` (`heap/run`: the holder runs its waiters' sections);
+//! and one `LockBin` (insert + delete), which uses guards.
+//!
 //! `cargo run --release -p funnelpq-sync --example funnel_sweep -- [window_ms]`
 
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use funnelpq_sync::{Bounds, FunnelConfig, FunnelCounter, FunnelStack, SharedCounter};
+use funnelpq_sync::{
+    Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, McsMutex, SharedCounter,
+};
 
 const MAX_T: usize = 8;
+
+/// Standing population of the `heap` object (pqbench's prefill).
+const HEAP_ITEMS: u64 = 16_384;
+
+/// One step of the `heap` object: push on even steps, pop on odd ones, with
+/// keys scattered over the population's range so a push sifts.
+fn heap_step(heap: &mut BinaryHeap<u64>, i: u64) {
+    if i.is_multiple_of(2) {
+        heap.push(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % HEAP_ITEMS);
+    } else {
+        std::hint::black_box(heap.pop());
+    }
+}
 
 /// Runs `op(tid, i)` on `threads` threads for `window`; returns each
 /// thread's operation count and the longest busy interval.
@@ -53,7 +75,7 @@ fn row(object: &str, threads: usize, (counts, busy): (Vec<u64>, Duration)) {
     let total: u64 = counts.iter().sum();
     let ns = busy.as_nanos() as f64;
     println!(
-        "{object:<8} T={threads}  {:>8.1} ns/op  {:>7.2} Mops  per-thread {counts:?}",
+        "{object:<9} T={threads}  {:>8.1} ns/op  {:>7.2} Mops  per-thread {counts:?}",
         threads as f64 * ns / total as f64,
         total as f64 * 1e3 / ns,
     );
@@ -85,5 +107,16 @@ fn main() {
             std::hint::black_box(s.pop(tid));
         });
         row("stack", threads, counts);
+        let heap = McsMutex::new((0..HEAP_ITEMS).collect::<BinaryHeap<u64>>());
+        let counts = drive(threads, window, |_, i| heap_step(&mut heap.lock(), i));
+        row("heap/lock", threads, counts);
+        let counts = drive(threads, window, |_, i| heap.run(|h| heap_step(h, i)));
+        row("heap/run", threads, counts);
+        let bin: LockBin<u64> = LockBin::new();
+        let counts = drive(threads, window, |_, i| {
+            bin.insert(i);
+            std::hint::black_box(bin.delete());
+        });
+        row("bin", threads, counts);
     }
 }

@@ -5,7 +5,13 @@
 //! Concurrent Priority Queue Algorithms* (PODC 1999):
 //!
 //! * [`McsLock`] / [`McsMutex`] — the Mellor-Crummey & Scott queue lock the
-//!   paper uses for bins and low-traffic counters;
+//!   paper uses for bins and low-traffic counters. Besides guards
+//!   (`lock`, `try_lock`) the mutex has [`McsMutex::run`], which takes the
+//!   critical section as a closure: under contention the thread that
+//!   holds the lock runs the sections queued behind it (a bounded number,
+//!   in queue order) instead of handing the lock from thread to thread,
+//!   so the protected data stays in one cache. Both kinds of waiter share
+//!   one queue;
 //! * [`TtasMutex`] — a centralized test-and-test-and-set baseline lock;
 //! * [`LockBin`] — the paper's Figure-1 bin (lock + pool + one-read
 //!   emptiness test);

@@ -41,7 +41,9 @@ pub enum CounterEvent {
     /// preference or shortened its collision wait.
     AdaptShrink,
     /// A lock was acquired (MCS queue locks and the funnel stack's central
-    /// lock).
+    /// lock) — one per critical section, whoever runs it: a
+    /// [`crate::McsMutex::run`] whose section the lock's holder executes
+    /// still counts once, on the caller's side.
     LockAcquire,
     /// A queue-level `delete_min` found nothing to return.
     EmptyDeleteMin,
@@ -175,7 +177,10 @@ pub trait EventSink: Send + Sync {
     /// `acquired - wait_start` and hold time `released - acquired`.
     ///
     /// Called only when [`EventSink::wants_lock_spans`] returned `true`,
-    /// after the lock has been handed off.
+    /// after the lock has been handed off. For a [`crate::McsMutex::run`]
+    /// section that the lock's holder executed, the call comes from the
+    /// thread that owns the section, with `acquired_ns` / `released_ns`
+    /// the section's start and end as the executing thread read them.
     fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
         let _ = (wait_start_ns, acquired_ns, released_ns);
     }
