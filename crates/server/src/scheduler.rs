@@ -444,7 +444,7 @@ impl<R: Recorder> Scheduler<R> {
         self.admission.try_admit(job)?;
         let band = self.band_of(job.deadline_ns);
         if let Err(e) = shard.enqueue(client, band, job) {
-            self.admission.release(job.tenant.0 as usize);
+            self.admission.release(&mut vec![job.tenant.0 as usize]);
             return Err(e.into());
         }
         Ok(id)
@@ -634,11 +634,13 @@ impl<R: Recorder> Scheduler<R> {
 
 /// Dispatch-loop state kept *outside* the supervisor's `catch_unwind` so a
 /// panic cannot take drained-but-undispatched jobs down with the stack:
-/// `out[cursor..]` are exactly the survivors the supervisor must requeue.
+/// `out[cursor..]` are exactly the survivors the supervisor must requeue;
+/// `finished` has one tenant per completed job whose slot is still owed.
 struct EpisodeState {
     out: Vec<(usize, Job)>,
     cursor: usize,
     episode: u64,
+    finished: Vec<usize>,
 }
 
 /// Everything one dispatcher thread owns or shares.
@@ -667,6 +669,10 @@ struct DispatcherCtx<R: Recorder> {
 }
 
 impl<R: Recorder> DispatcherCtx<R> {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     fn band_of(&self, deadline_ns: u64) -> usize {
         let b = (deadline_ns as u128 * self.bands as u128) / self.horizon_ns as u128;
         (b as usize).min(self.bands - 1)
@@ -681,6 +687,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             out: Vec::with_capacity(self.drain.max(1) * 2),
             cursor: 0,
             episode: 0,
+            finished: Vec::with_capacity(self.drain),
         };
         loop {
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -693,6 +700,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             report.panics += 1;
             report.last_panic = Some(panic_message(payload.as_ref()));
             drop(payload);
+            self.admission.release(&mut state.finished);
             // Jobs the dead incarnation had drained but not yet dispatched.
             let survivors = state.out.split_off(state.cursor.min(state.out.len()));
             state.out.clear();
@@ -716,7 +724,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             if self.shard.enqueue(self.tid, band, job).is_ok() {
                 requeued += 1;
             } else {
-                self.admission.release(job.tenant.0 as usize);
+                self.admission.release(&mut vec![job.tenant.0 as usize]);
                 report.lost += 1;
             }
         }
@@ -780,7 +788,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             if placed {
                 requeued += 1;
             } else {
-                self.admission.release(job.tenant.0 as usize);
+                self.admission.release(&mut vec![job.tenant.0 as usize]);
                 report.lost += 1;
             }
         }
@@ -795,10 +803,12 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// The dispatcher loop proper: wait for work (poll → coalesce → park,
     /// see [`Self::idle_wait`] and [`Self::coalesce`]), drain a batch,
     /// account each job, re-arm periodic ones via the fused `replace_min`,
-    /// pace at `service_ns` per job. Once the stop flag is up it stops
-    /// waiting and returns on the first drain that comes back empty. Runs
-    /// inside the supervisor's `catch_unwind`; all loop state that must
-    /// survive a panic lives in `state`.
+    /// pace at `service_ns` per job, and settle — sample depth, free the
+    /// finished jobs' admission slots — once per `drain` dispatches, under
+    /// one telemetry guard that is let go before anything that can block.
+    /// Once the stop flag is up it stops waiting and returns on the first
+    /// empty drain. Runs inside the supervisor's `catch_unwind`; all loop
+    /// state that must survive a panic lives in `state`.
     fn run_episodes(&self, report: &mut ShardReport, state: &mut EpisodeState) {
         self.shard.attach_dispatcher();
         // Rank-error sampling only makes sense when a drain batch is an
@@ -807,7 +817,7 @@ impl<R: Recorder> DispatcherCtx<R> {
         // The pacing clock: each dispatch pushes it service_ns further out,
         // and we spin up to it, so sustained throughput is one job per
         // service_ns and the virtual clock tracks wall time.
-        let mut next_ready = Instant::now();
+        let mut next_ready = self.now_ns();
         let mut rate = RateWindow::default();
         let mut poll_ns = 0;
         loop {
@@ -816,7 +826,7 @@ impl<R: Recorder> DispatcherCtx<R> {
                 let depth = self.shard.depth();
                 if depth == 0 {
                     self.idle_wait(&mut poll_ns);
-                    next_ready = Instant::now();
+                    next_ready = self.now_ns();
                     continue;
                 }
                 if depth < self.drain as u64 {
@@ -843,16 +853,17 @@ impl<R: Recorder> DispatcherCtx<R> {
             }
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             state.episode += 1;
-            {
-                let mut t = self.shard.telemetry_cell();
-                t.waits.drains += 1;
-                t.waits.drained += got as u64;
-                if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {
-                    // Score the batch before the index-walk below:
-                    // replace_min re-arms append to `out`, and those
-                    // entries are not part of the drained snapshot.
-                    t.record_rank_sample(&state.out[..got]);
-                }
+            // The telemetry guard: uncontended except against an occasional
+            // snapshot reader, and `None` while the dispatcher may block.
+            let mut held = None;
+            let t = held.get_or_insert_with(|| self.shard.telemetry_cell());
+            t.waits.drains += 1;
+            t.waits.drained += got as u64;
+            if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {
+                // Score the batch before the index-walk below:
+                // replace_min re-arms append to `out`, and those
+                // entries are not part of the drained snapshot.
+                t.record_rank_sample(&state.out[..got]);
             }
             // replace_min below may append the entry it popped; index-walk
             // so those are dispatched in the same episode. The cursor only
@@ -866,13 +877,25 @@ impl<R: Recorder> DispatcherCtx<R> {
                     if let Some(stall_ns) = faults
                         .at_dispatch(self.index, self.shard.dispatched.load(Ordering::Acquire))
                     {
+                        held = None;
                         std::thread::sleep(Duration::from_nanos(stall_ns));
                     }
                 }
-                self.dispatch(job, report, &mut state.out);
+                let t = held.get_or_insert_with(|| self.shard.telemetry_cell());
+                let now = self.dispatch(job, report, state, t);
                 state.cursor += 1;
-                next_ready += Duration::from_nanos(self.service_ns);
-                Self::pace(next_ready);
+                next_ready += self.service_ns;
+                if state.cursor == state.out.len() || state.cursor.is_multiple_of(self.drain) {
+                    // The depth series is last-write-wins per window.
+                    t.windows.record_depth(now, self.shard.depth());
+                    held = None;
+                    self.admission.release(&mut state.finished);
+                }
+                // No second clock read when backlogged: `dispatch`'s decides.
+                if now < next_ready {
+                    held = None;
+                    self.pace(next_ready);
+                }
             }
             if let Some(per) = rate.add(busy.elapsed(), state.cursor as u64) {
                 let per = per.clamp(self.service_ns, self.service_ns.saturating_mul(1024));
@@ -935,10 +958,17 @@ impl<R: Recorder> DispatcherCtx<R> {
         }
     }
 
-    fn dispatch(&self, job: Job, report: &mut ShardReport, out: &mut Vec<(usize, Job)>) {
+    /// Accounts one job, re-arms or finishes it; returns the clock it read.
+    fn dispatch(
+        &self,
+        job: Job,
+        report: &mut ShardReport,
+        state: &mut EpisodeState,
+        t: &mut ShardTelemetry,
+    ) -> u64 {
         let pre = self.shard.dispatched.fetch_add(1, Ordering::AcqRel);
         report.dispatched += 1;
-        let now = self.epoch.elapsed().as_nanos() as u64;
+        let now = self.now_ns();
         let latency = now.saturating_sub(job.enqueued_ns);
         report.latency_ns.record(latency);
         let delay = pre.saturating_sub(job.enqueued_slot);
@@ -965,13 +995,7 @@ impl<R: Recorder> DispatcherCtx<R> {
                 missed,
             });
         }
-        // This thread is the telemetry cell's only writer, so the lock is
-        // uncontended except against an occasional snapshot reader.
-        {
-            let mut t = self.shard.telemetry_cell();
-            t.record_dispatch(&job, now, latency, missed);
-            t.windows.record_depth(now, self.shard.depth());
-        }
+        t.record_dispatch(&job, now, latency, missed);
         let rearm =
             job.period_ns > 0 && job.repeats_left > 0 && !self.stopping.load(Ordering::Acquire);
         if rearm {
@@ -996,30 +1020,29 @@ impl<R: Recorder> DispatcherCtx<R> {
                 // The popped job left the queue and joins this episode's
                 // batch, so the re-arm was depth-neutral.
                 self.shard.enqueued.fetch_sub(1, Ordering::Relaxed);
-                out.push(popped);
+                state.out.push(popped);
             }
         } else {
             report.completed += 1;
-            self.admission.release(job.tenant.0 as usize);
+            state.finished.push(job.tenant.0 as usize);
         }
+        now
     }
 
-    /// Wait until `deadline`; no-op once the clock is past it, so a
-    /// backlogged dispatcher never waits. Sleeps for long waits and yields
-    /// for short ones rather than spinning: pacing only needs the *rate*
-    /// to be right (the virtual clock counts dispatches, not nanoseconds),
-    /// and a spinning dispatcher would starve every other thread on
-    /// low-core machines. Sleep overshoot self-corrects — the pacing
-    /// clock's `+= service_ns` lets a late dispatcher catch up.
-    fn pace(deadline: Instant) {
+    /// Wait until `deadline_ns` on the epoch clock. Sleeps for long waits
+    /// and yields for short ones rather than spinning: pacing only needs
+    /// the *rate* to be right (the virtual clock counts dispatches, not
+    /// nanoseconds), and a spinning dispatcher would starve every other
+    /// thread on low-core machines. Sleep overshoot self-corrects — the
+    /// pacing clock's `+= service_ns` lets a late dispatcher catch up.
+    fn pace(&self, deadline_ns: u64) {
         loop {
-            let now = Instant::now();
-            if now >= deadline {
+            let remaining = deadline_ns.saturating_sub(self.now_ns());
+            if remaining == 0 {
                 return;
             }
-            let remaining = deadline - now;
-            if remaining > Duration::from_micros(100) {
-                std::thread::sleep(remaining);
+            if remaining > 100_000 {
+                std::thread::sleep(Duration::from_nanos(remaining));
             } else {
                 std::thread::yield_now();
             }
@@ -1147,6 +1170,55 @@ mod tests {
         assert_eq!(r.completed, 10, "a periodic job completes exactly once");
         assert_eq!(r.dispatched, 30, "3 firings each");
         assert_eq!(r.rearmed, 20);
+    }
+
+    /// Slots are freed a drained batch at a time, and a batch a periodic
+    /// job keeps extending (each re-arm pops one more) is settled every
+    /// `drain_batch` dispatches — none of which may free the slot of a job
+    /// that re-armed.
+    #[test]
+    fn a_periodic_job_holds_its_slot_across_rearms_and_frees_it_once() {
+        const FIRINGS: u64 = 400;
+        let s = Scheduler::new(ServerConfig {
+            shards: 1,
+            tenant_quota: 1,
+            drain_batch: 4,
+            service_ns: 100_000,
+            ..tiny_cfg()
+        })
+        .unwrap();
+        let timer = JobSpec::periodic(
+            TenantId(0),
+            Deadline::In(1_000_000),
+            0,
+            1_000,
+            FIRINGS as u32 - 1,
+        );
+        s.submit(0, timer).unwrap();
+        s.start();
+        let mut witnessed = 0;
+        loop {
+            let before = s.telemetry().dispatched();
+            let held = s.in_flight();
+            if s.telemetry().dispatched() >= FIRINGS {
+                break;
+            }
+            // The last firing had not been filed after `held` was read, so
+            // the slot cannot have been given back yet.
+            assert_eq!(held, 1, "slot freed after {before} of {FIRINGS} firings");
+            witnessed += u64::from(before >= 1);
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        assert!(witnessed > 0, "never looked while the job was re-arming");
+        while s.in_flight() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Freed exactly once: a second release would have wrapped both.
+        assert_eq!(s.admission.tenant_in_flight(0), 0);
+        let r = s.stop();
+        assert_eq!(r.dispatched, FIRINGS);
+        assert_eq!(r.completed, 1);
+        assert_eq!(r.in_flight_at_stop, 0);
     }
 
     #[test]

@@ -29,8 +29,10 @@ pub(crate) struct Shard {
     pub(crate) enqueued: CachePadded<AtomicU64>,
     /// The shard's telemetry cell. Written only by the shard's dispatcher
     /// (so the lock is uncontended on the hot path); read by
-    /// [`Scheduler::telemetry`](crate::Scheduler::telemetry).
-    pub(crate) telemetry: Mutex<ShardTelemetry>,
+    /// [`Scheduler::telemetry`](crate::Scheduler::telemetry). Padded so the
+    /// unpadded fields, read on every submit, stay off the lines it dirties
+    /// whatever order the compiler lays the struct out in.
+    pub(crate) telemetry: CachePadded<Mutex<ShardTelemetry>>,
     /// Cleared when the shard's dispatcher exhausts its restart budget and
     /// gives up. Submitters route around dark shards; the give-up path
     /// drains the queue into healthy ones.
@@ -59,7 +61,7 @@ impl Shard {
             queue,
             dispatched: CachePadded::new(AtomicU64::new(0)),
             enqueued: CachePadded::new(AtomicU64::new(0)),
-            telemetry: Mutex::new(telemetry),
+            telemetry: CachePadded::new(Mutex::new(telemetry)),
             healthy: AtomicBool::new(true),
             shed: CachePadded::new(AtomicU64::new(0)),
             rate_ns: CachePadded::new(AtomicU64::new(0)),
@@ -213,6 +215,43 @@ impl ShardReport {
     }
 }
 
+/// `(name, offset, size)` of field `$f` of `$v: $T`, for layout tests.
+#[cfg(test)]
+macro_rules! span {
+    ($v:expr, $T:ty, $f:ident) => {
+        (
+            stringify!($f),
+            std::mem::offset_of!($T, $f),
+            std::mem::size_of_val(&$v.$f),
+        )
+    };
+}
+#[cfg(test)]
+pub(crate) use span;
+
+/// Layout tests: every field named in `written` (hot, and written by one
+/// side of the submit/dispatch pair) must share none of its 128-byte lines
+/// with any other field of the (128-aligned) struct.
+#[cfg(test)]
+pub(crate) fn assert_owns_its_lines(fields: &[(&str, usize, usize)], written: &[&str]) {
+    let lines = |&(_, at, size): &(&str, usize, usize)| at / 128..=(at + size.max(1) - 1) / 128;
+    for w in written {
+        let own = fields.iter().find(|f| f.0 == *w).expect("a listed field");
+        for other in fields.iter().filter(|f| f.0 != *w) {
+            let (a, b) = (lines(own), lines(other));
+            assert!(
+                a.end() < b.start() || b.end() < a.start(),
+                "`{w}` (bytes {}..{}) shares a 128-byte line with `{}` (bytes {}..{})",
+                own.1,
+                own.1 + own.2,
+                other.0,
+                other.1,
+                other.1 + other.2
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,5 +315,29 @@ mod tests {
         parked.recv().unwrap();
         s.enqueue(0, 0, job(1)).unwrap();
         dispatcher.join().unwrap();
+    }
+
+    /// What the dispatcher writes per job or per batch (`dispatched`, the
+    /// telemetry cell, `rate_ns`), what submitters write (`shed`) and what
+    /// both do (`enqueued`) each own their lines; what is left — `queue`,
+    /// `healthy`, `parked`, `dispatcher` — is read on every submit and
+    /// written only around a park, a give-up or a restart.
+    #[test]
+    fn submitter_and_dispatcher_written_fields_own_their_lines() {
+        let s = shard();
+        assert_eq!(std::mem::align_of::<Shard>(), 128);
+        let fields = [
+            span!(s, Shard, queue),
+            span!(s, Shard, dispatched),
+            span!(s, Shard, enqueued),
+            span!(s, Shard, telemetry),
+            span!(s, Shard, healthy),
+            span!(s, Shard, shed),
+            span!(s, Shard, rate_ns),
+            span!(s, Shard, parked),
+            span!(s, Shard, dispatcher),
+        ];
+        let written = ["dispatched", "enqueued", "telemetry", "shed", "rate_ns"];
+        assert_owns_its_lines(&fields, &written);
     }
 }

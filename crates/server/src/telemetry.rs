@@ -5,10 +5,11 @@
 //!
 //! Each shard owns one [`ShardTelemetry`] behind a `Mutex`. Its only
 //! writer is that shard's dispatcher thread, which takes the (therefore
-//! uncontended) lock briefly per dispatch; [`Scheduler::telemetry`]
-//! readers take it rarely, so a snapshot never blocks dispatch for more
-//! than one record. Queue depth is tracked separately as a lock-free
-//! counter on the shard so submitters never touch the mutex.
+//! uncontended) lock once per drained batch and lets go of it before it
+//! waits for anything; [`Scheduler::telemetry`] readers take it rarely,
+//! and wait out at most one batch of non-blocking work. Queue depth is
+//! tracked separately as a lock-free counter on the shard so submitters
+//! never touch the mutex.
 //!
 //! ## Rank error
 //!

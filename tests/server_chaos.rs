@@ -491,3 +491,59 @@ fn failover_into_a_parked_peer_wakes_it() {
     ));
     assert!(report.stops[1].outcome.is_clean());
 }
+
+/// Admission slots are freed once per drained batch, so a panic in the
+/// middle of one finds jobs that have completed but whose slots are still
+/// owed. One shard, 48 one-shot jobs queued before `start` (so every drain
+/// takes a full 16), and a panic injected before the k-th job of the
+/// second batch: the k − 1 jobs ahead of it have their slots freed by the
+/// supervisor before it requeues — read here during its restart backoff —
+/// the 17 − k behind it (the job in hand included) are requeued and
+/// complete after the restart, and nothing is freed twice: `in_flight`
+/// would wrap instead of reaching zero.
+#[test]
+fn a_panic_mid_batch_frees_the_finished_jobs_slots_exactly_once() {
+    const JOBS: u64 = 48;
+    const BACKOFF_NS: u64 = 200_000_000;
+    for k in [1u64, 8, 16] {
+        let plan = FaultPlan::new(k).dispatcher_panic(0, 16 + k - 1);
+        let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+        cfg.shards = 1;
+        cfg.affinity.clear();
+        cfg.drain_batch = 16;
+        cfg.supervise.backoff_base_ns = BACKOFF_NS;
+        cfg.supervise.backoff_max_ns = BACKOFF_NS;
+        let s = Scheduler::new(cfg).unwrap();
+        let base = s.now_ns() + 1_000_000_000;
+        let admitted: HashSet<JobId> = (0..JOBS)
+            .map(|j| {
+                let tenant = TenantId((j % TENANTS as u64) as u32);
+                s.submit(0, JobSpec::once(tenant, Deadline::At(base + j), j))
+                    .unwrap()
+            })
+            .collect();
+        s.start();
+        // The restart is filed after the requeue and before the backoff.
+        let mut spins = 0;
+        while s.telemetry().restarts() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 30_000, "k = {k}: the dispatcher never restarted");
+        }
+        assert_eq!(
+            s.in_flight() as u64,
+            JOBS - (16 + k - 1),
+            "k = {k}: slots of the jobs dispatched before the panic are free"
+        );
+        drain(&s);
+        let report = s.stop();
+
+        assert_eq!(report.panics, 1, "k = {k}");
+        assert_eq!(report.restarts, 1, "k = {k}");
+        assert_eq!(report.requeued, 17 - k, "k = {k}: survivors of the batch");
+        assert_eq!(report.completed, JOBS, "k = {k}");
+        assert_conserved(&admitted, &report);
+        let log = &report.shards[0].dispatch_log;
+        assert_eq!(log.len() as u64, JOBS, "k = {k}: each job dispatched once");
+    }
+}

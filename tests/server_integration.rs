@@ -609,6 +609,53 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
     }
 }
 
+/// The dispatcher holds the telemetry cell across a drained batch but lets
+/// go of it before it waits. Paced at 200 µs a job, a batch of 16 is 3.2 ms
+/// of almost nothing but `pace` sleeping: were the guard held across those
+/// sleeps, a snapshot taken at a random moment would wait 1.5 ms for it on
+/// average. Snapshots are spaced out so that one rarely coincides with this
+/// thread losing its CPU — the only other way a call gets slow, and what
+/// the tenth allowed is for. The count of dispatches a reader sees never
+/// goes backwards.
+#[test]
+fn a_snapshot_does_not_wait_out_a_paced_batch() {
+    const JOBS: u64 = 160;
+    let mut c = cfg(PqConfig::SingleLock);
+    c.shards = 1;
+    c.drain_batch = 16;
+    c.service_ns = 200_000;
+    c.record_dispatches = false;
+    let s = Scheduler::new(c).unwrap();
+    let base = s.now_ns() + 1_000_000_000;
+    for k in 0..JOBS {
+        let t = TenantId((k % TENANTS as u64) as u32);
+        s.submit(0, JobSpec::once(t, Deadline::At(base + k), k))
+            .unwrap();
+    }
+    s.start();
+    let (mut calls, mut slow, mut worst, mut seen) = (0u64, 0u64, Duration::ZERO, 0u64);
+    while s.in_flight() > 0 {
+        let t0 = std::time::Instant::now();
+        let snap = s.telemetry();
+        let took = t0.elapsed();
+        calls += 1;
+        slow += u64::from(took >= Duration::from_millis(1));
+        worst = worst.max(took);
+        assert!(snap.dispatched() >= seen, "dispatched went backwards");
+        seen = snap.dispatched();
+        std::thread::sleep(Duration::from_micros(300));
+    }
+    assert_eq!(s.stop().completed, JOBS);
+    assert!(
+        calls >= 20,
+        "only {calls} snapshots in 32 ms of dispatching"
+    );
+    assert!(
+        slow * 10 <= calls,
+        "{slow} of {calls} snapshots took >= 1 ms (worst {worst:?})"
+    );
+}
+
 /// Polls `cond` under the same watchdog budget as [`drain`].
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     let mut spins = 0;
