@@ -203,14 +203,9 @@ impl<R: Recorder> PqBuilder<R> {
                 c.funnel_levels,
                 rec,
             )),
-            PqConfig::MultiQueue(c) => Box::new(MultiQueuePq::with_config(
-                n,
-                t,
-                c.factor,
-                c.stickiness,
-                c.seed,
-                rec,
-            )),
+            PqConfig::MultiQueue(c) => {
+                Box::new(MultiQueuePq::with_config(n, t, c.factor, c.seed, rec))
+            }
             PqConfig::NumaPq(c) => Box::new(NumaPq::with_config(n, t, c.clone(), rec)),
         })
     }
@@ -289,13 +284,6 @@ mod tests {
                 reason: "factor must be at least 1",
             }),
         );
-        let cfg = PqConfig::MultiQueue(MultiQueueConfig {
-            stickiness: 0,
-            ..Default::default()
-        });
-        assert!(PqBuilder::from_config(cfg, 8, 2)
-            .try_build::<u64>()
-            .is_err());
         let cfg = PqConfig::HuntEtAl(HuntConfig { capacity: 0 });
         assert!(PqBuilder::from_config(cfg, 8, 2)
             .try_build::<u64>()
@@ -318,10 +306,9 @@ mod tests {
     #[test]
     fn builds_multiqueue_with_typed_knobs() {
         // Factor 1 on one thread still gets the two-heap minimum; with both
-        // heaps sampled every delete, the sequential drain is strict.
+        // heaps in every delete's pair, the sequential drain is strict.
         let cfg = PqConfig::MultiQueue(MultiQueueConfig {
             factor: 1,
-            stickiness: 1,
             seed: 42,
         });
         let q = PqBuilder::from_config(cfg, 8, 1).build::<usize>();

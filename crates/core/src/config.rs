@@ -32,7 +32,7 @@ use crate::adaptive::NumaPolicy;
 use crate::algorithm::Algorithm;
 use crate::builder::BuildError;
 use crate::funnel_tree::DEFAULT_FUNNEL_LEVELS;
-use crate::multiqueue::{DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED, DEFAULT_MQ_STICKINESS};
+use crate::multiqueue::{DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED};
 
 /// Config for [`Algorithm::HuntEtAl`]: its heap is pre-allocated, so the
 /// capacity is fixed at construction.
@@ -94,9 +94,6 @@ pub struct MultiQueueConfig {
     /// paper's baseline; larger values buy less contention at the price of
     /// a larger rank-error envelope.
     pub factor: usize,
-    /// Queue-choice stickiness: consecutive operations re-using the last
-    /// choice before re-drawing. Must be at least 1 (1 disables). Default 8.
-    pub stickiness: u32,
     /// Per-thread choice-RNG seed.
     pub seed: u64,
 }
@@ -105,7 +102,6 @@ impl Default for MultiQueueConfig {
     fn default() -> Self {
         MultiQueueConfig {
             factor: DEFAULT_MQ_FACTOR,
-            stickiness: DEFAULT_MQ_STICKINESS,
             seed: DEFAULT_MQ_SEED,
         }
     }
@@ -226,9 +222,6 @@ impl PqConfig {
                 invalid("funnel_levels must be at least 1")
             }
             PqConfig::MultiQueue(c) if c.factor == 0 => invalid("factor must be at least 1"),
-            PqConfig::MultiQueue(c) if c.stickiness == 0 => {
-                invalid("stickiness must be at least 1")
-            }
             PqConfig::NumaPq(c) if c.nodes == 0 => invalid("nodes must be at least 1"),
             PqConfig::NumaPq(c) if c.factor == 0 => invalid("factor must be at least 1"),
             PqConfig::NumaPq(c) if c.epoch_ops == 0 => invalid("epoch_ops must be at least 1"),
@@ -252,7 +245,6 @@ mod tests {
         );
         let mq = MultiQueueConfig::default();
         assert_eq!(mq.factor, DEFAULT_MQ_FACTOR);
-        assert_eq!(mq.stickiness, DEFAULT_MQ_STICKINESS);
         assert_eq!(mq.seed, DEFAULT_MQ_SEED);
     }
 
@@ -282,14 +274,6 @@ mod tests {
                 reason: "factor must be at least 1",
             })
         );
-        let bad = PqConfig::MultiQueue(MultiQueueConfig {
-            stickiness: 0,
-            ..Default::default()
-        });
-        assert!(matches!(
-            bad.validate(),
-            Err(BuildError::InvalidConfig { .. })
-        ));
         let bad = PqConfig::HuntEtAl(HuntConfig { capacity: 0 });
         assert!(bad.validate().is_err());
         let bad = PqConfig::FunnelTree(FunnelTreeConfig { funnel_levels: 0 });

@@ -10,7 +10,7 @@ use funnelpq_sync::{
 use crate::algorithm::Algorithm;
 use crate::counter_tree::CounterTree;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{BoundedPq, PqError};
+use crate::traits::{check_insert, BoundedPq, PqError};
 
 /// How many levels from the root use combining-funnel counters; deeper,
 /// lower-traffic counters fall back to MCS locks (paper: "only for counters
@@ -130,20 +130,13 @@ impl<T: Send, R: Recorder> BoundedPq<T> for FunnelTreePq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.tree.max_threads() {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.tree.max_threads(),
-                item,
-            });
-        }
-        if pri >= self.tree.num_priorities() {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.tree.num_priorities(),
-                item,
-            });
-        }
+        let item = check_insert(
+            tid,
+            pri,
+            self.tree.max_threads(),
+            self.tree.num_priorities(),
+            item,
+        )?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             self.tree.insert(tid, pri, item)
         });

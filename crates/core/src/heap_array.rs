@@ -1,0 +1,431 @@
+//! The heap array under both relaxed queues: cache-padded sequential heaps
+//! behind try-locks, each publishing its minimum for lockless sampling.
+//!
+//! [`crate::MultiQueuePq`] and [`crate::NumaPq`] are two front ends over
+//! this one structure — the paper's "same layout, swap only the hot spot"
+//! applied to the post-paper designs. Everything that is *MultiQueue* lives
+//! here exactly once: the slot, the published top, the pair draw, the sticky
+//! choice cache and the three episodes an operation is made of —
+//!
+//! * [`HeapArray::push`]: try-lock a drawn (or sticky) slot, redrawing on
+//!   contention, and run a closure on its heap;
+//! * [`HeapArray::pop`]: read two tops, try-lock the smaller, run a closure
+//!   on its heap; a heap that comes up empty under a stale top is repaired
+//!   and the pair redrawn;
+//! * [`HeapArray::sweep`]: blocking-lock every slot of a range in order —
+//!   the definitive fallback when a sampled pair looks empty.
+//!
+//! Each takes the slot range to draw from (the whole array, or one NUMA
+//! node's partition), the caller's RNG and an optional [`Sticky`] cache, and
+//! reports `LockAcquire` / `CasRetry` through one `note` hook. What a front
+//! end adds is which range, what the closure does to the locked heap, and —
+//! for `NumaPq` — where a winning slot's episode is *routed*
+//! ([`HeapArray::pop_routed`]).
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+
+use funnelpq_sync::TtasMutex;
+use funnelpq_util::{AtomicRng, CachePadded};
+
+use crate::heap::BinaryHeap;
+use crate::obs::CounterEvent;
+
+/// Published top of an empty heap. Compares greater than any real priority,
+/// so the two-choice `min` needs no special casing.
+pub(crate) const EMPTY_TOP: usize = usize::MAX;
+
+/// Operations a thread re-uses one queue choice for before redrawing
+/// (Williams, Sanders & Dementiev's stickiness). A constant, not a knob:
+/// nothing in the workspace ever ran another value, and 8 against a fresh
+/// draw every operation was 62 against 113 ns per insert/delete pair.
+const STICKINESS: u32 = 8;
+
+/// One sequential heap plus its published minimum. Padded by the array so
+/// two threads working distinct slots never share a line — the entire point
+/// of the algorithm.
+#[derive(Debug)]
+struct Slot<T> {
+    /// Smallest priority in `heap`, or [`EMPTY_TOP`]; written only while
+    /// holding the lock, read locklessly by the sampler.
+    top: AtomicUsize,
+    heap: TtasMutex<BinaryHeap<T>>,
+}
+
+impl<T> Slot<T> {
+    /// Publishes `heap`'s minimum for the lockless sampler. `heap` is this
+    /// slot's, borrowed out of its guard — so the lock is held.
+    fn publish_top(&self, heap: &BinaryHeap<T>) {
+        // ORDERING: Release, pairs with the samplers' Acquire loads: a
+        // sampler that sees this top sees a value some holder really left
+        // behind. Nothing *depends* on it — the heap is read under the lock
+        // only, and a stale top costs one redraw (see `pop_routed`).
+        self.top
+            .store(heap.peek_priority().unwrap_or(EMPTY_TOP), Ordering::Release);
+    }
+}
+
+/// A thread's cached queue choice: one slot for inserts, a pair for
+/// deletes. Owned by one thread (the queues' thread-id contract) but stored
+/// in a shared padded array, hence single-owner `Relaxed` atomics — the same
+/// pattern as the funnel collision records.
+#[derive(Debug, Default)]
+pub(crate) struct Sticky {
+    a: AtomicUsize,
+    b: AtomicUsize,
+    /// Operations the cached choice is still good for.
+    left: AtomicU32,
+}
+
+impl Sticky {
+    /// The cached choice, while it has operations left.
+    fn cached(&self) -> Option<(usize, usize)> {
+        // ORDERING: owner-only words; Relaxed, nobody else reads them.
+        (self.left.load(Ordering::Relaxed) > 0).then(|| {
+            (
+                self.a.load(Ordering::Relaxed),
+                self.b.load(Ordering::Relaxed),
+            )
+        })
+    }
+
+    /// Books one successful episode: a cached choice has one use fewer
+    /// left, a fresh `choice` is kept for the next `STICKINESS - 1`.
+    fn book(&self, was_cached: bool, choice: (usize, usize)) {
+        // ORDERING: owner-only words; Relaxed, nobody else reads them.
+        if was_cached {
+            self.left
+                .store(self.left.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+        } else {
+            self.a.store(choice.0, Ordering::Relaxed);
+            self.b.store(choice.1, Ordering::Relaxed);
+            self.left.store(STICKINESS - 1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops the cached choice: its slot was contended or came up empty.
+    fn forget(&self) {
+        // ORDERING: owner-only word; Relaxed, nobody else reads it.
+        self.left.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Where [`HeapArray::pop_routed`] takes the episode once two-choice has
+/// named a winning slot.
+pub(crate) enum Route<R> {
+    /// Try-lock the winner here and now.
+    Lock,
+    /// The caller got its result another way (a delegated pop).
+    Served(R),
+    /// The winner's partition turned out empty; draw a new pair.
+    Redraw,
+}
+
+/// The slot array. See the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct HeapArray<T> {
+    slots: Box<[CachePadded<Slot<T>>]>,
+}
+
+impl<T> HeapArray<T> {
+    /// `n` empty heaps.
+    pub(crate) fn new(n: usize) -> Self {
+        let slots = (0..n)
+            .map(|_| {
+                CachePadded::new(Slot {
+                    top: AtomicUsize::new(EMPTY_TOP),
+                    heap: TtasMutex::new(BinaryHeap::new()),
+                })
+            })
+            .collect();
+        HeapArray { slots }
+    }
+
+    /// Number of heaps.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Every slot: the range a queue that does not partition draws over.
+    pub(crate) fn all(&self) -> Range<usize> {
+        0..self.slots.len()
+    }
+
+    /// Whether every published top reads empty: racy, exact at quiescence.
+    pub(crate) fn is_empty(&self) -> bool {
+        // ORDERING: Acquire, pairs with `publish_top`.
+        self.slots
+            .iter()
+            .all(|s| s.top.load(Ordering::Acquire) == EMPTY_TOP)
+    }
+
+    /// Two distinct slot indices in `range` (the same index twice when the
+    /// range holds a single slot, which costs no draw).
+    fn draw_pair(range: &Range<usize>, rng: &AtomicRng) -> (usize, usize) {
+        let n = range.len() as u64;
+        if n < 2 {
+            return (range.start, range.start);
+        }
+        let a = rng.below(n) as usize;
+        let mut b = rng.below(n - 1) as usize;
+        if b >= a {
+            b += 1;
+        }
+        (range.start + a, range.start + b)
+    }
+
+    /// Runs `f` on the heap of one slot of `range` under its try-lock: the
+    /// sticky slot while `sticky` has one cached, else a fresh draw; a
+    /// contended slot drops the cached choice and is redrawn. Returns the
+    /// slot that took it. One successful call is one operation against the
+    /// stickiness budget, however much `f` files.
+    #[inline]
+    pub(crate) fn push(
+        &self,
+        range: Range<usize>,
+        rng: &AtomicRng,
+        sticky: Option<&Sticky>,
+        note: &impl Fn(CounterEvent),
+        f: impl FnOnce(&mut BinaryHeap<T>),
+    ) -> usize {
+        let (q, was_cached, mut heap) = loop {
+            let cached = sticky.and_then(Sticky::cached);
+            let q = match cached {
+                Some((q, _)) => q,
+                None => range.start + rng.below(range.len() as u64) as usize,
+            };
+            match self.slots[q].heap.try_lock() {
+                Some(heap) => break (q, cached.is_some(), heap),
+                None => {
+                    if let Some(s) = sticky {
+                        s.forget();
+                    }
+                    note(CounterEvent::CasRetry);
+                }
+            }
+        };
+        f(&mut heap);
+        self.slots[q].publish_top(&heap);
+        if let Some(s) = sticky {
+            s.book(was_cached, (q, q));
+        }
+        note(CounterEvent::LockAcquire);
+        q
+    }
+
+    /// [`HeapArray::pop_routed`] with every winner locked on the spot.
+    #[inline]
+    pub(crate) fn pop<R>(
+        &self,
+        range: Range<usize>,
+        rng: &AtomicRng,
+        sticky: Option<&Sticky>,
+        note: &impl Fn(CounterEvent),
+        f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+    ) -> Option<R> {
+        self.pop_routed(range, rng, sticky, note, |_| Route::Lock, f)
+    }
+
+    /// The two-choice episode: read the published tops of two slots of
+    /// `range` (the sticky pair while `sticky` has one cached, else a fresh
+    /// draw), pick the smaller, ask `route` what to do with it and — unless
+    /// routed elsewhere — try-lock it and run `f(slot, heap)`. The new top
+    /// is published once, after `f`.
+    ///
+    /// `f` returns what it took, or `None` if the heap gave nothing: a
+    /// stale top over an empty heap, repaired by the publication above and
+    /// answered with a redraw, like a contended lock. Either drops the
+    /// sticky pair; a heap that did hold something keeps (or caches) it.
+    ///
+    /// Returns `None` only when a sampled pair *looked* empty — the caller
+    /// follows with the [`HeapArray::sweep`] that makes the answer
+    /// definitive.
+    #[inline]
+    pub(crate) fn pop_routed<R>(
+        &self,
+        range: Range<usize>,
+        rng: &AtomicRng,
+        sticky: Option<&Sticky>,
+        note: &impl Fn(CounterEvent),
+        mut route: impl FnMut(usize) -> Route<R>,
+        mut f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+    ) -> Option<R> {
+        loop {
+            let cached = sticky.and_then(Sticky::cached);
+            let (a, b) = cached.unwrap_or_else(|| Self::draw_pair(&range, rng));
+            // ORDERING: Acquire, pairs with `publish_top`. The two loads
+            // are not a snapshot and need not be: the winner is re-examined
+            // under its lock.
+            let top_a = self.slots[a].top.load(Ordering::Acquire);
+            let top_b = self.slots[b].top.load(Ordering::Acquire);
+            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
+                if let Some(s) = sticky {
+                    s.forget();
+                }
+                return None;
+            }
+            let q = if top_b < top_a { b } else { a };
+            match route(q) {
+                Route::Lock => {}
+                Route::Served(out) => return Some(out),
+                Route::Redraw => continue,
+            }
+            let slot = &*self.slots[q];
+            let Some(mut heap) = slot.heap.try_lock() else {
+                if let Some(s) = sticky {
+                    s.forget();
+                }
+                note(CounterEvent::CasRetry);
+                continue;
+            };
+            note(CounterEvent::LockAcquire);
+            let stale = heap.is_empty();
+            let out = f(q, &mut heap);
+            slot.publish_top(&heap);
+            if let Some(s) = sticky {
+                if stale {
+                    s.forget();
+                } else {
+                    s.book(cached.is_some(), (a, b));
+                }
+            }
+            if out.is_some() {
+                return out;
+            }
+        }
+    }
+
+    /// Slow path: blocking-lock every slot of `range` in order, run
+    /// `f(slot, heap)` and republish the top, stopping at the first `Some`.
+    /// Reached only after a sampled pair looked empty, so it is rare under
+    /// load; its job is the quiescent-emptiness guarantee — with `f` a pop,
+    /// `None` from here means every heap of the range was seen empty.
+    #[inline]
+    pub(crate) fn sweep<R>(
+        &self,
+        range: Range<usize>,
+        note: &impl Fn(CounterEvent),
+        mut f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+    ) -> Option<R> {
+        for q in range {
+            let slot = &*self.slots[q];
+            let mut heap = slot.heap.lock();
+            note(CounterEvent::LockAcquire);
+            let out = f(q, &mut heap);
+            slot.publish_top(&heap);
+            if out.is_some() {
+                return out;
+            }
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quiet(_: CounterEvent) {}
+
+    #[test]
+    fn two_choice_prefers_the_smaller_top() {
+        // With exactly two slots and a fresh draw every operation, a
+        // sequential pop always sees both tops and must return the true
+        // minimum every time.
+        let heaps: HeapArray<usize> = HeapArray::new(2);
+        let rng = AtomicRng::new(7);
+        for i in 0..64usize {
+            heaps.push(0..2, &rng, None, &quiet, |h| h.push((i * 37) % 128, i));
+        }
+        assert!(!heaps.is_empty());
+        let mut pris = Vec::new();
+        while let Some((pri, _)) = heaps.pop(0..2, &rng, None, &quiet, |_, h| h.pop()) {
+            pris.push(pri);
+        }
+        assert_eq!(pris.len(), 64);
+        let mut sorted = pris.clone();
+        sorted.sort_unstable();
+        assert_eq!(pris, sorted, "two slots sampled exhaustively = strict");
+        assert!(heaps.is_empty());
+    }
+
+    #[test]
+    fn a_sticky_choice_lasts_eight_operations_and_dies_on_a_miss() {
+        let s = Sticky::default();
+        assert_eq!(s.cached(), None);
+        s.book(false, (3, 5));
+        for _ in 1..STICKINESS {
+            assert_eq!(s.cached(), Some((3, 5)));
+            s.book(true, (3, 5));
+        }
+        assert_eq!(s.cached(), None, "the budget is spent");
+        s.book(false, (1, 2));
+        assert_eq!(s.cached(), Some((1, 2)));
+        s.forget();
+        assert_eq!(s.cached(), None);
+
+        // Through the array: eight pushes land in one slot, the ninth
+        // redraws.
+        let heaps: HeapArray<u8> = HeapArray::new(64);
+        let rng = AtomicRng::new(11);
+        let slots: Vec<usize> = (0..9)
+            .map(|_| heaps.push(0..64, &rng, Some(&s), &quiet, |h| h.push(0, 0)))
+            .collect();
+        assert!(slots[..8].iter().all(|&q| q == slots[0]), "{slots:?}");
+        assert_ne!(slots[8], slots[0], "{slots:?}");
+    }
+
+    #[test]
+    fn a_range_confines_draws_and_the_sweep_is_definitive() {
+        let heaps: HeapArray<char> = HeapArray::new(6);
+        let rng = AtomicRng::new(3);
+        let q = heaps.push(4..6, &rng, None, &quiet, |h| h.push(9, 'x'));
+        assert!((4..6).contains(&q));
+        // Another partition's pair looks empty, and its sweep agrees.
+        assert_eq!(heaps.pop(0..4, &rng, None, &quiet, |_, h| h.pop()), None);
+        assert_eq!(heaps.sweep(0..4, &quiet, |_, h| h.pop()), None);
+        // The whole-array sweep finds it, reports its slot, repairs the top.
+        let locks = std::cell::Cell::new(0);
+        let count = |e: CounterEvent| {
+            assert!(matches!(e, CounterEvent::LockAcquire));
+            locks.set(locks.get() + 1);
+        };
+        let got = heaps.sweep(0..6, &count, |slot, h| h.pop().map(|e| (slot, e)));
+        assert_eq!(got, Some((q, (9, 'x'))));
+        assert_eq!(locks.get(), q + 1, "one blocking lock per slot visited");
+        assert!(heaps.is_empty());
+    }
+
+    #[test]
+    fn a_routed_winner_is_never_locked_here() {
+        let heaps: HeapArray<u8> = HeapArray::new(2);
+        let rng = AtomicRng::new(5);
+        heaps.push(0..2, &rng, None, &quiet, |h| h.push(4, 40));
+        let served = heaps.pop_routed(
+            0..2,
+            &rng,
+            None,
+            &|_| panic!("a routed episode takes no lock"),
+            |_| Route::Served((0, 0)),
+            |_, _| unreachable!("served elsewhere"),
+        );
+        assert_eq!(served, Some((0, 0)));
+        // Redraw until the route relents; the item is still there.
+        let mut redraws = 3;
+        let got = heaps.pop_routed(
+            0..2,
+            &rng,
+            None,
+            &quiet,
+            |_| {
+                if redraws == 0 {
+                    return Route::Lock;
+                }
+                redraws -= 1;
+                Route::Redraw
+            },
+            |_, h| h.pop(),
+        );
+        assert_eq!(got, Some((4, 40)));
+    }
+}

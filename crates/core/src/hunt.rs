@@ -16,7 +16,9 @@ use funnelpq_sync::{McsMutex, TtasMutex};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{
+    batch_reject, check_batch, check_insert, reject, BoundedPq, PqBatchError, PqError,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
@@ -154,20 +156,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.num_priorities {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.num_priorities, item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             // Reserve a position under the size lock; lock the target node
             // before releasing it so a racing delete of the same position
@@ -205,31 +194,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     // lock-free of the size lock afterwards. Deadlock-free because the size
     // lock is always acquired before node locks and never the other way
     // around, and node locks are taken in increasing-index pairs.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
+        let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         // Ascending order: each bubble stops as soon as it meets an
         // earlier (smaller) item from the same batch.
         batch.sort_unstable_by_key(|&(pri, _)| pri);
@@ -329,12 +298,8 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     // sift, and — unlike delete+insert — no size-lock traffic at all.
     fn replace_min(&self, tid: usize, pri: usize, item: T) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
-        if pri >= self.num_priorities {
-            reject(&PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item: (),
-            });
+        if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
+            reject(&e);
         }
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
             let mut root = self.nodes[1].lock();

@@ -71,6 +71,7 @@ mod counter_tree;
 mod error;
 mod funnel_tree;
 pub mod heap;
+mod heap_array;
 mod hunt;
 mod linear_funnels;
 mod multiqueue;
@@ -95,7 +96,7 @@ pub use error::Error;
 pub use funnel_tree::{FunnelTreePq, DEFAULT_FUNNEL_LEVELS};
 pub use hunt::HuntPq;
 pub use linear_funnels::LinearFunnelsPq;
-pub use multiqueue::{MultiQueuePq, DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED, DEFAULT_MQ_STICKINESS};
+pub use multiqueue::{MultiQueuePq, DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED};
 pub use numa::NumaPq;
 pub use simple_linear::SimpleLinearPq;
 pub use simple_tree::SimpleTreePq;

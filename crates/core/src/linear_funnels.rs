@@ -7,7 +7,7 @@ use funnelpq_sync::{FunnelConfig, FunnelStack};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{BoundedPq, PqError};
+use crate::traits::{check_insert, BoundedPq, PqError};
 
 /// One combining-funnel stack per priority; `delete_min` scans stacks
 /// smallest-first, popping from the first non-empty one.
@@ -89,20 +89,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for LinearFunnelsPq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.stacks.len() {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.stacks.len(),
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.stacks.len(), item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             self.stacks[pri].push(tid, item)
         });

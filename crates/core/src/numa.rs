@@ -44,24 +44,23 @@
 //! assert_eq!(q.delete_min(0), None);
 //! ```
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use funnelpq_sync::TtasMutex;
 use funnelpq_util::{AtomicRng, CachePadded};
 
 use crate::adaptive::{AdaptiveCtl, AdaptiveStats, NumaMode};
 use crate::algorithm::Algorithm;
 use crate::config::NumaConfig;
 use crate::heap::BinaryHeap;
+use crate::heap_array::{HeapArray, Route, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::topology::Topology;
-use crate::traits::{batch_reject, reject, BoundedPq, Consistency, PqBatchError, PqError};
-
-/// Cached top priority of an empty internal heap (same sentinel as the
-/// plain MultiQueue).
-const EMPTY_TOP: usize = usize::MAX;
+use crate::traits::{
+    check_batch, check_insert, reject, BoundedPq, Consistency, PqBatchError, PqError,
+};
 
 /// Request-slot state: no request outstanding.
 const IDLE: usize = 0;
@@ -85,23 +84,12 @@ const SERVE_EVERY: u32 = 32;
 /// host with fewer cores than threads the server needs the CPU.
 const YIELD_EVERY: u32 = 64;
 
-/// One internal sequential heap plus its published minimum, identical to
-/// the MultiQueue slot; the NUMA structure is in how slots are *homed*, not
-/// in the slots themselves.
-#[derive(Debug)]
-struct Slot<T> {
-    /// Smallest priority in `heap`, or [`EMPTY_TOP`]; written only while
-    /// holding the lock, read locklessly by the two-choice sampler.
-    top: AtomicUsize,
-    heap: TtasMutex<BinaryHeap<T>>,
-}
-
 /// The response cell of a delegation request slot. Ownership is handed by
 /// the `state` machine: the server writes between CLAIMED and DONE, the
 /// requester reads after acquiring DONE — never both at once.
 struct RespCell<T>(UnsafeCell<Option<(usize, T)>>);
 
-// Safety: access is serialized by the request-slot state machine (see
+// SAFETY: access is serialized by the request-slot state machine (see
 // `RespCell` docs); the cell only ever moves `T: Send` values across
 // threads, never shares a `&T`.
 unsafe impl<T: Send> Sync for RespCell<T> {}
@@ -127,12 +115,14 @@ struct ThreadCtx<T> {
     resp: RespCell<T>,
 }
 
-/// The ninth algorithm: node-partitioned MultiQueue with a delegation layer
-/// and an adaptive mode switch. See the [module docs](self) for the
-/// protocol and `docs/ALGORITHMS.md` §9 for the design discussion.
+/// The ninth algorithm: the MultiQueue's heap array partitioned over NUMA
+/// nodes, with a delegation layer and an adaptive mode switch. See the
+/// [module docs](self) for the protocol and `docs/ALGORITHMS.md` §9 for the
+/// design discussion. Unlike [`crate::MultiQueuePq`] it draws fresh every
+/// operation — no sticky choice cache.
 #[derive(Debug)]
 pub struct NumaPq<T, R: Recorder = NoopRecorder> {
-    slots: Box<[CachePadded<Slot<T>>]>,
+    heaps: HeapArray<T>,
     threads: Box<[CachePadded<ThreadCtx<T>>]>,
     /// Outstanding-request hint per node: bumped on publish, dropped by
     /// whoever wins the claim/cancel race. Purely an optimization — servers
@@ -182,15 +172,6 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         assert!(cfg.nodes > 0, "need at least one node");
         assert!(cfg.factor > 0, "need a positive queue factor");
         let nodes = cfg.nodes.min(max_threads);
-        let nqueues = (cfg.factor * max_threads).max(2 * nodes).max(2);
-        let slots = (0..nqueues)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    top: AtomicUsize::new(EMPTY_TOP),
-                    heap: TtasMutex::new(BinaryHeap::new()),
-                })
-            })
-            .collect();
         let threads = (0..max_threads)
             .map(|tid| {
                 CachePadded::new(ThreadCtx {
@@ -205,7 +186,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             .map(|_| CachePadded::new(AtomicUsize::new(0)))
             .collect();
         NumaPq {
-            slots,
+            heaps: HeapArray::new((cfg.factor * max_threads).max(2 * nodes).max(2)),
             threads,
             pending,
             topo: Topology::new(nodes, max_threads, cfg.remote_ns),
@@ -218,7 +199,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
 
     /// Number of internal heaps.
     pub fn num_queues(&self) -> usize {
-        self.slots.len()
+        self.heaps.len()
     }
 
     /// The queue's topology model — benches and chaos harnesses use
@@ -237,10 +218,51 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// them into the adaptive stats.
     #[inline]
     fn charge(&self, transfers: u64) {
+        // ORDERING: Relaxed — a statistic, read by `stats()` only.
         self.ctl
             .remote_transfers
             .fetch_add(transfers, Ordering::Relaxed);
         self.topo.charge(transfers);
+    }
+
+    /// The heap array's event hook: failed try-locks also feed the
+    /// controller's contention signal.
+    #[inline]
+    fn note(&self) -> impl Fn(CounterEvent) + '_ {
+        move |e| {
+            if matches!(e, CounterEvent::CasRetry) {
+                self.ctl.note_cas_retry();
+            }
+            if R::ENABLED {
+                self.recorder.record_event(e);
+            }
+        }
+    }
+
+    /// The slots homed on `node`.
+    fn partition(&self, node: usize) -> Range<usize> {
+        let (lo, hi) = self.topo.slot_range(node, self.heaps.len());
+        lo..hi
+    }
+
+    /// Whether slot `q` is homed away from `node`.
+    fn is_remote(&self, q: usize, node: usize) -> bool {
+        self.topo.node_of_slot(q, self.heaps.len()) != node
+    }
+
+    /// Pops `heap`; a pop (not a mere probe) of a remote slot is charged one
+    /// three-transfer episode. `remote` is asked only about a real pop.
+    #[inline]
+    fn pop_charged(
+        &self,
+        heap: &mut BinaryHeap<T>,
+        remote: impl FnOnce() -> bool,
+    ) -> Option<(usize, T)> {
+        let out = heap.pop();
+        if out.is_some() && remote() {
+            self.charge(3);
+        }
+        out
     }
 
     /// Closes the bookkeeping for one completed operation (possibly closing
@@ -254,105 +276,20 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         self.serve_pending(tid, self.topo.node_of_tid(tid));
     }
 
-    /// Publishes `heap`'s new minimum for the lockless sampler. Must be
-    /// called with the slot's lock held.
-    fn publish_top(slot: &Slot<T>, heap: &BinaryHeap<T>) {
-        slot.top
-            .store(heap.peek_priority().unwrap_or(EMPTY_TOP), Ordering::Release);
-    }
-
-    /// Two distinct slot indices in `lo..hi` from this thread's RNG
-    /// (`(lo, lo)` when the range has a single slot).
-    fn draw_pair_in(&self, t: &ThreadCtx<T>, lo: usize, hi: usize) -> (usize, usize) {
-        let n = (hi - lo) as u64;
-        if n < 2 {
-            return (lo, lo);
-        }
-        let a = t.rng.below(n) as usize;
-        let mut b = t.rng.below(n - 1) as usize;
-        if b >= a {
-            b += 1;
-        }
-        (lo + a, lo + b)
-    }
-
-    /// Pushes `item` into the slot `q`, retrying the try-lock against a
-    /// fresh draw from `lo..hi` on contention. Returns the slot that
-    /// finally took it.
-    fn push_into_range(&self, tid: usize, pri: usize, item: T, lo: usize, hi: usize) -> usize {
-        let t = &*self.threads[tid];
-        let mut item = Some(item);
-        loop {
-            let q = lo + t.rng.below((hi - lo) as u64) as usize;
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    g.push(pri, item.take().expect("item filed once"));
-                    Self::publish_top(slot, &g);
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    return q;
-                }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
-            }
-        }
-    }
-
     /// Pops the best item reachable inside node `node`'s partition: local
     /// two-choice with a definitive blocking sweep of the partition as the
     /// empty fallback. `None` means every slot of the partition was seen
     /// empty. Never charges — the caller is responsible for any remote
     /// accounting.
     fn pop_from_node(&self, tid: usize, node: usize) -> Option<(usize, T)> {
-        let (lo, hi) = self.topo.slot_range(node, self.slots.len());
-        let t = &*self.threads[tid];
-        loop {
-            let (a, b) = self.draw_pair_in(t, lo, hi);
-            let top_a = self.slots[a].top.load(Ordering::Acquire);
-            let top_b = self.slots[b].top.load(Ordering::Acquire);
-            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
-                // Definitive partition sweep.
-                for slot in self.slots[lo..hi].iter() {
-                    let mut g = slot.heap.lock();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    if let Some(out) = g.pop() {
-                        Self::publish_top(slot, &g);
-                        return Some(out);
-                    }
-                    Self::publish_top(slot, &g);
-                }
-                return None;
-            }
-            let q = if top_b < top_a { b } else { a };
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    let out = g.pop();
-                    Self::publish_top(slot, &g);
-                    if let Some(out) = out {
-                        return Some(out);
-                    }
-                    // Raced empty under a stale top: repaired above, retry.
-                }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
-            }
-        }
+        let rng = &self.threads[tid].rng;
+        let note = self.note();
+        self.heaps
+            .pop(self.partition(node), rng, None, &note, |_, h| h.pop())
+            .or_else(|| {
+                self.heaps
+                    .sweep(self.partition(node), &note, |_, h| h.pop())
+            })
     }
 
     /// Serves every delegation request currently pending on `node` (the
@@ -360,15 +297,26 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// hands the response back for two charged transfers — the saving over
     /// the requester's three-transfer direct episode.
     fn serve_pending(&self, tid: usize, node: usize) {
+        // ORDERING: Acquire, pairs with the requester's Release bump in
+        // `delegate_pop`: a server that sees the count sees the REQ behind
+        // it. Only a hint — a missed bump is picked up at the next
+        // operation boundary, or self-served by the requester.
         if self.pending[node].load(Ordering::Acquire) == 0 {
             return;
         }
         for ctx in self.threads.iter() {
             let ctx = &**ctx;
+            // ORDERING: Acquire on `state`, pairs with the requester's
+            // Release store of REQ, which orders its Relaxed `node` store
+            // before it; the Relaxed `node` load is a screen only and is
+            // re-read under the claim below.
             if ctx.state.load(Ordering::Acquire) != REQ || ctx.node.load(Ordering::Relaxed) != node
             {
                 continue;
             }
+            // ORDERING: Acquire on success, pairs with the Release store of
+            // REQ — the claim is what entitles us to `node` and, later, to
+            // the response cell. Failure publishes nothing: Relaxed.
             if ctx
                 .state
                 .compare_exchange(REQ, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
@@ -380,17 +328,26 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             // screen above and the CAS, the requester may have cancelled
             // and re-published toward a *different* home. Serving whatever
             // was actually claimed keeps the pending counters balanced.
+            // ORDERING: Relaxed — ordered after the requester's store by
+            // the claiming CAS's Acquire.
             let home = ctx.node.load(Ordering::Relaxed);
+            // ORDERING: Release, as every write of the hint; nothing is
+            // published by it.
             self.pending[home].fetch_sub(1, Ordering::Release);
             let out = self.pop_from_node(tid, home);
             // Request read + response write: two remote transfers, paid by
             // this server (plus a full remote episode in the rare re-publish
             // race where the claimed home is not the server's own node).
             self.charge(if home == node { 2 } else { 5 });
-            // Safety: CLAIMED state grants this server exclusive access to
-            // the cell until it stores DONE.
+            // SAFETY: CLAIMED grants this server exclusive access to the
+            // cell until it stores DONE: the requester touches it only
+            // after acquiring DONE, and no second server can claim a slot
+            // that is not in REQ.
             unsafe { *ctx.resp.0.get() = out };
+            // ORDERING: Release, pairs with the requester's Acquire load of
+            // DONE: publishes the response cell.
             ctx.state.store(DONE, Ordering::Release);
+            // ORDERING: Relaxed — a statistic.
             self.ctl.delegated.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -400,11 +357,19 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// is the caller's home (served periodically while spinning).
     fn delegate_pop(&self, tid: usize, home: usize, my_node: usize) -> Option<(usize, T)> {
         let t = &*self.threads[tid];
+        // ORDERING: Relaxed, then Release on `state`: a server that
+        // acquires REQ sees this `node`. The slot is ours (IDLE) until
+        // then.
         t.node.store(home, Ordering::Relaxed);
         t.state.store(REQ, Ordering::Release);
+        // ORDERING: Release, pairs with the Acquire load opening
+        // `serve_pending`; bumped after REQ so a non-zero count always has
+        // a request behind it.
         self.pending[home].fetch_add(1, Ordering::Release);
         let mut spins = 0u32;
         loop {
+            // ORDERING: Acquire, pairs with the server's Release store of
+            // DONE: the response cell is ours to read.
             if t.state.load(Ordering::Acquire) == DONE {
                 break;
             }
@@ -412,11 +377,15 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             if spins >= SPIN_BUDGET {
                 // Cancel: the CAS races the server's claim; whoever wins
                 // owns the pending decrement.
+                // ORDERING: Acquire/Relaxed as the server's claim; taking
+                // our own request back publishes nothing.
                 if t.state
                     .compare_exchange(REQ, IDLE, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
+                    // ORDERING: Release, as every write of the hint.
                     self.pending[home].fetch_sub(1, Ordering::Release);
+                    // ORDERING: Relaxed — a statistic.
                     self.ctl.self_served.fetch_add(1, Ordering::Relaxed);
                     let out = self.pop_from_node(tid, home);
                     self.charge(3);
@@ -435,32 +404,32 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
                 std::hint::spin_loop();
             }
         }
-        // Safety: DONE grants the requester exclusive access until it
-        // stores IDLE.
+        // SAFETY: DONE grants the requester exclusive access until it
+        // stores IDLE: the server is finished with the cell, and no other
+        // server can claim a slot that is not in REQ.
         let out = unsafe { (*t.resp.0.get()).take() };
+        // ORDERING: Release — keeps the cell read above before the slot
+        // reads IDLE; the next reader of `state` is our own next request.
         t.state.store(IDLE, Ordering::Release);
         out
     }
 
-    /// One insert episode under the current mode. Returns whether the
-    /// filing slot was remote (always `false` in delegation mode, whose
-    /// inserts are node-local by construction).
-    fn insert_inner(&self, tid: usize, pri: usize, item: T) -> bool {
+    /// One insert episode under the current mode: `file` runs on a heap
+    /// drawn from the caller's own partition in delegation mode (zero
+    /// remote traffic), from anywhere — with a remote episode charged — in
+    /// oblivious mode.
+    fn push_with(&self, tid: usize, file: impl FnOnce(&mut BinaryHeap<T>)) {
         let my_node = self.topo.node_of_tid(tid);
-        match self.ctl.mode() {
-            NumaMode::Delegation => {
-                let (lo, hi) = self.topo.slot_range(my_node, self.slots.len());
-                self.push_into_range(tid, pri, item, lo, hi);
-                false
-            }
-            NumaMode::Oblivious => {
-                let q = self.push_into_range(tid, pri, item, 0, self.slots.len());
-                let remote = self.topo.node_of_slot(q, self.slots.len()) != my_node;
-                if remote {
-                    self.charge(3);
-                }
-                remote
-            }
+        let oblivious = self.ctl.mode() == NumaMode::Oblivious;
+        let range = if oblivious {
+            self.heaps.all()
+        } else {
+            self.partition(my_node)
+        };
+        let rng = &self.threads[tid].rng;
+        let q = self.heaps.push(range, rng, None, &self.note(), file);
+        if oblivious && self.is_remote(q, my_node) {
+            self.charge(3);
         }
     }
 
@@ -469,87 +438,42 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// — the mode-independent contention signal the controller feeds on.
     fn delete_min_inner(&self, tid: usize) -> (Option<(usize, T)>, Option<bool>) {
         let my_node = self.topo.node_of_tid(tid);
-        let t = &*self.threads[tid];
+        let rng = &self.threads[tid].rng;
+        let note = self.note();
         let mut first_draw_remote = None;
-        loop {
-            // Global two-choice draw in both modes, so the remote-win rate
-            // reads the same either way.
-            let (a, b) = self.draw_pair_in(t, 0, self.slots.len());
-            let top_a = self.slots[a].top.load(Ordering::Acquire);
-            let top_b = self.slots[b].top.load(Ordering::Acquire);
-            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
-                return (self.sweep(tid, my_node), first_draw_remote);
-            }
-            let q = if top_b < top_a { b } else { a };
-            let home = self.topo.node_of_slot(q, self.slots.len());
+        // Global two-choice draw in both modes, so the remote-win rate
+        // reads the same either way; in delegation mode a remote winner is
+        // routed through its home node instead of being locked from here.
+        let winner_remote = Cell::new(false);
+        let route = |q: usize| {
+            let home = self.topo.node_of_slot(q, self.heaps.len());
             let remote = home != my_node;
+            winner_remote.set(remote);
             first_draw_remote.get_or_insert(remote);
-            if remote && self.ctl.mode() == NumaMode::Delegation {
-                if !self.topo.has_server(tid, home) {
-                    // Nobody could ever serve: direct three-transfer pop.
-                    self.ctl.self_served.fetch_add(1, Ordering::Relaxed);
-                    let out = self.pop_from_node(tid, home);
-                    self.charge(3);
-                    if out.is_some() {
-                        return (out, first_draw_remote);
-                    }
-                    continue; // Partition drained: redraw globally.
-                }
-                match self.delegate_pop(tid, home, my_node) {
-                    Some(out) => return (Some(out), first_draw_remote),
-                    // Partition was empty by service time; its tops are
-                    // repaired, redraw globally.
-                    None => continue,
-                }
+            if !remote || self.ctl.mode() != NumaMode::Delegation {
+                return Route::Lock;
             }
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    let out = g.pop();
-                    Self::publish_top(slot, &g);
-                    match out {
-                        Some(out) => {
-                            if remote {
-                                self.charge(3);
-                            }
-                            return (Some(out), first_draw_remote);
-                        }
-                        None => continue, // Stale top repaired above.
-                    }
-                }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Slow path: blocking-lock every heap in order and pop the first
-    /// non-empty one. `None` from here means every heap was seen empty —
-    /// the quiescent-emptiness guarantee. Remote pops (not mere probes) are
-    /// charged.
-    fn sweep(&self, _tid: usize, my_node: usize) -> Option<(usize, T)> {
-        for (q, slot) in self.slots.iter().enumerate() {
-            let mut g = slot.heap.lock();
-            if R::ENABLED {
-                self.recorder.record_event(CounterEvent::LockAcquire);
-            }
-            if let Some(out) = g.pop() {
-                Self::publish_top(slot, &g);
-                if self.topo.node_of_slot(q, self.slots.len()) != my_node {
-                    self.charge(3);
-                }
-                return Some(out);
-            }
-            Self::publish_top(slot, &g);
-        }
-        None
+            let out = if self.topo.has_server(tid, home) {
+                self.delegate_pop(tid, home, my_node)
+            } else {
+                // Nobody could ever serve: direct three-transfer pop.
+                // ORDERING: Relaxed — a statistic.
+                self.ctl.self_served.fetch_add(1, Ordering::Relaxed);
+                let out = self.pop_from_node(tid, home);
+                self.charge(3);
+                out
+            };
+            // `None`: the partition was empty by service time and its tops
+            // are repaired; redraw globally.
+            out.map_or(Route::Redraw, Route::Served)
+        };
+        let take = |_, h: &mut BinaryHeap<T>| self.pop_charged(h, || winner_remote.get());
+        let swept = |q, h: &mut BinaryHeap<T>| self.pop_charged(h, || self.is_remote(q, my_node));
+        let out = self
+            .heaps
+            .pop_routed(self.heaps.all(), rng, None, &note, route, take)
+            .or_else(|| self.heaps.sweep(self.heaps.all(), &note, swept));
+        (out, first_draw_remote)
     }
 }
 
@@ -568,22 +492,9 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
 
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.num_priorities {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.num_priorities, item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
-            self.insert_inner(tid, pri, item)
+            self.push_with(tid, |h| h.push(pri, item))
         });
         self.finish_op(tid, None);
         Ok(())
@@ -604,66 +515,19 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     // The whole batch lands in one slot under one lock episode: node-local
     // in delegation mode, anywhere (with the remote episode charged) in
     // oblivious mode.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
+        let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            let my_node = self.topo.node_of_tid(tid);
-            let (lo, hi) = match self.ctl.mode() {
-                NumaMode::Delegation => self.topo.slot_range(my_node, self.slots.len()),
-                NumaMode::Oblivious => (0, self.slots.len()),
-            };
-            let t = &*self.threads[tid];
-            let mut batch = Some(batch);
-            loop {
-                let q = lo + t.rng.below((hi - lo) as u64) as usize;
-                let slot = &*self.slots[q];
-                match slot.heap.try_lock() {
-                    Some(mut g) => {
-                        for (pri, item) in batch.take().expect("batch consumed once") {
-                            g.push(pri, item);
-                        }
-                        Self::publish_top(slot, &g);
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::LockAcquire);
-                        }
-                        if self.topo.node_of_slot(q, self.slots.len()) != my_node {
-                            self.charge(3);
-                        }
-                        return;
-                    }
-                    None => {
-                        self.ctl.note_cas_retry();
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::CasRetry);
-                        }
-                    }
+            self.push_with(tid, |h| {
+                for (pri, item) in batch {
+                    h.push(pri, item);
                 }
-            }
+            })
         });
         self.finish_op(tid, None);
         obs::record_batch_op(&*self.recorder, n);
@@ -707,18 +571,14 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     // operation against the adaptive epoch.
     fn replace_min(&self, tid: usize, pri: usize, item: T) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
-        if pri >= self.num_priorities {
-            reject(&PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item: (),
-            });
+        if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
+            reject(&e);
         }
         let mut remote_win = None;
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
             let (removed, win) = self.delete_min_inner(tid);
             remote_win = win;
-            self.insert_inner(tid, pri, item);
+            self.push_with(tid, |h| h.push(pri, item));
             removed
         });
         self.finish_op(tid, remote_win);
@@ -737,9 +597,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     }
 
     fn is_empty(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.top.load(Ordering::Acquire) == EMPTY_TOP)
+        self.heaps.is_empty()
     }
 
     fn consistency(&self) -> Consistency {
@@ -781,8 +639,10 @@ mod tests {
 
     #[test]
     fn conserves_elements_in_pinned_delegation_mode() {
-        // With one thread per node, every remote winner lacks a server and
-        // self-serves — the delegation plumbing's degenerate path.
+        // Two threads on two nodes, all deletes from thread 0: node 1 does
+        // have a would-be server (thread 1), so every remote winner walks
+        // the whole mailbox — publish, spin out the budget with nobody
+        // scheduled to claim, cancel by CAS, self-serve.
         let q = NumaPq::new(
             32,
             2,
@@ -792,18 +652,44 @@ mod tests {
             },
         );
         assert_eq!(q.mode(), NumaMode::Delegation);
+        assert!(q.topo.has_server(0, 1));
+        // Delegation-mode inserts are node-local: odd items sit in node 1's
+        // partition, remote to the thread that drains them.
         for i in 0..100usize {
             q.insert(i % 2, (i * 7) % 32, i);
         }
+        let self_served = || q.adaptive_stats().unwrap().self_served;
         let mut got = BTreeSet::new();
-        while let Some((_, item)) = q.delete_min(0) {
+        let (mut via_mailbox, mut via_sweep) = (0, 0);
+        loop {
+            let before = self_served();
+            let Some((_, item)) = q.delete_min(0) else {
+                break;
+            };
             assert!(got.insert(item), "item {item} returned twice");
+            match (item % 2 == 1, self_served() - before) {
+                (true, 1) => via_mailbox += 1,
+                // The empty-pair sweep locks directly, remote slots too.
+                (true, 0) => via_sweep += 1,
+                (false, 0) => {}
+                (remote, n) => panic!("{n} cancels for one pop (remote: {remote})"),
+            }
         }
         assert_eq!(got.len(), 100);
         assert!(q.is_empty());
         let s = q.adaptive_stats().unwrap();
         assert_eq!(s.mode, NumaMode::Delegation);
         assert_eq!(s.switches, 0);
+        assert_eq!(via_mailbox + via_sweep, 50, "every remote item came back");
+        assert!(via_mailbox >= 45, "remote pops bypassed the mailbox: {s:?}");
+        assert_eq!(s.self_served, via_mailbox, "one cancel per mailbox pop");
+        assert_eq!(s.delegated, 0, "nobody ran to claim a request");
+        for node in q.pending.iter() {
+            assert_eq!(node.load(Ordering::Relaxed), 0, "pending hint leaked");
+        }
+        for t in q.threads.iter() {
+            assert_eq!(t.state.load(Ordering::Relaxed), IDLE, "mailbox not reset");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use funnelpq_sync::{BinOrder, LockBin};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{BoundedPq, PqError};
+use crate::traits::{check_insert, BoundedPq, PqError};
 
 /// One MCS-locked bin per priority; `delete_min` scans bins smallest-first,
 /// attempting removal from each non-empty bin it meets.
@@ -102,20 +102,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SimpleLinearPq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.bins.len() {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.bins.len(),
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.bins.len(), item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             self.bins[pri].insert(item)
         });

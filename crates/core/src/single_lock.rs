@@ -8,7 +8,7 @@ use funnelpq_sync::McsMutex;
 use crate::algorithm::Algorithm;
 use crate::heap::BinaryHeap;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, PqError};
 
 /// Binary heap protected by a single MCS queue lock.
 ///
@@ -83,20 +83,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.num_priorities {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.num_priorities, item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             self.heap.run(|heap| heap.push(pri, item))
         });
@@ -117,31 +104,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     // One MCS acquisition amortized over the whole batch. The batch is
     // sorted ascending first so each push lands above everything already
     // appended from the same batch and its sift-up is one comparison long.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
+        let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
@@ -187,12 +154,8 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     // Fused swap at the root: one lock hold, one sift, no sift-up.
     fn replace_min(&self, tid: usize, pri: usize, item: T) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
-        if pri >= self.num_priorities {
-            reject(&PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.num_priorities,
-                item: (),
-            });
+        if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
+            reject(&e);
         }
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
             self.heap.run(|heap| heap.replace_min(pri, item))

@@ -22,7 +22,7 @@ use funnelpq_util::XorShift64Star;
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{check_batch, check_insert, BoundedPq, PqBatchError, PqError};
 
 const NONE: usize = usize::MAX;
 const HEAD: usize = usize::MAX - 1;
@@ -280,20 +280,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
     // call or by-stack `Result` on the hot path).
     #[inline]
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        if tid >= self.max_threads {
-            return Err(PqError::TidOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-                item,
-            });
-        }
-        if pri >= self.nodes.len() {
-            return Err(PqError::PriorityOutOfRange {
-                pri,
-                num_priorities: self.nodes.len(),
-                item,
-            });
-        }
+        let item = check_insert(tid, pri, self.max_threads, self.nodes.len(), item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
             // Bin first (paper order): once the item is in the bin, either
             // the node is/becomes threaded or a delete-bin drain can reach
@@ -319,28 +306,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
 
     // Sorting groups equal priorities into runs, so each run pays one
     // threaded-state check (and at most one splice) instead of one per item.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch.iter().position(|&(pri, _)| pri >= self.nodes.len()) {
-            let num_priorities = self.nodes.len();
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
+        let mut batch = check_batch(tid, batch, self.max_threads, self.nodes.len())?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {

@@ -145,6 +145,65 @@ pub(crate) fn batch_reject<T>(
     }
 }
 
+/// The argument check every `try_insert` opens with: hands `item` back for
+/// filing, or returns it inside the [`PqError`] naming the bound `tid` or
+/// `pri` broke. `replace_min` overrides run it on `()` and [`reject`].
+#[inline]
+pub(crate) fn check_insert<T>(
+    tid: usize,
+    pri: usize,
+    max_threads: usize,
+    num_priorities: usize,
+    item: T,
+) -> Result<T, PqError<T>> {
+    if tid >= max_threads {
+        return Err(PqError::TidOutOfRange {
+            tid,
+            max_threads,
+            item,
+        });
+    }
+    if pri >= num_priorities {
+        return Err(PqError::PriorityOutOfRange {
+            pri,
+            num_priorities,
+            item,
+        });
+    }
+    Ok(item)
+}
+
+/// The argument check every `insert_batch` override opens with, run before
+/// anything is filed: hands a non-empty `batch` back untouched, or rejects
+/// it whole — a bad `tid` blames entry 0, a bad priority the first entry
+/// carrying one. Inlined for the scan; the rejection itself stays in the
+/// cold [`batch_reject`].
+#[inline]
+pub(crate) fn check_batch<T>(
+    tid: usize,
+    batch: Vec<(usize, T)>,
+    max_threads: usize,
+    num_priorities: usize,
+) -> Result<Vec<(usize, T)>, PqBatchError<T>> {
+    if tid >= max_threads {
+        return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
+            tid,
+            max_threads,
+            item,
+        }));
+    }
+    if let Some(bad) = batch.iter().position(|&(pri, _)| pri >= num_priorities) {
+        return Err(batch_reject(batch, bad, |pri, item| {
+            PqError::PriorityOutOfRange {
+                pri,
+                num_priorities,
+                item,
+            }
+        }));
+    }
+    Ok(batch)
+}
+
 /// A concurrent priority queue over the fixed priority range
 /// `0..num_priorities()`, where **smaller is more urgent**.
 ///

@@ -41,10 +41,13 @@ USAGE:
     pqsim [OPTIONS]
 
 OPTIONS:
-    --algo <LIST>        comma-separated algorithms, or 'all' / 'scalable'
+    --algo <LIST>        comma-separated algorithms, or 'all' (the paper's
+                         seven) / 'scalable' (its Figure 7-9 four)
                          (SingleLock, HuntEtAl, SkipList, SimpleLinear,
                           SimpleTree, LinearFunnels, FunnelTree, HardwareTree,
-                          MultiQueue — the relaxed post-paper design)
+                          MultiQueue, NumaPq — the last three are not the
+                          paper's: a fetch-and-add ablation and the two
+                          relaxed post-paper designs)
                          [default: scalable]
     --procs <LIST>       comma-separated processor counts   [default: 16,64,256]
     --priorities <LIST>  comma-separated priority ranges    [default: 16]
@@ -65,12 +68,8 @@ fn parse_algo(name: &str) -> Result<Vec<Algorithm>, String> {
     match name {
         "all" => Ok(Algorithm::ALL.to_vec()),
         "scalable" => Ok(Algorithm::SCALABLE.to_vec()),
-        other => Algorithm::ALL
-            .into_iter()
-            .chain([Algorithm::HardwareTree, Algorithm::MultiQueue])
-            .find(|a| a.name().eq_ignore_ascii_case(other))
-            .map(|a| vec![a])
-            .ok_or_else(|| format!("unknown algorithm '{other}'")),
+        // `FromStr` walks `Algorithm::EVERY`: every name the workspace knows.
+        other => other.parse().map(|a| vec![a]),
     }
 }
 
@@ -221,4 +220,21 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_algorithm_name_round_trips_through_parse_algo() {
+        for a in Algorithm::EVERY {
+            assert_eq!(parse_algo(a.name()), Ok(vec![a]));
+            assert_eq!(parse_algo(&a.name().to_lowercase()), Ok(vec![a]));
+            assert!(USAGE.contains(a.name()), "--help omits {a}");
+        }
+        assert_eq!(parse_algo("all"), Ok(Algorithm::ALL.to_vec()));
+        assert_eq!(parse_algo("scalable"), Ok(Algorithm::SCALABLE.to_vec()));
+        assert!(parse_algo("nope").is_err());
+    }
 }

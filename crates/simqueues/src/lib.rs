@@ -35,6 +35,7 @@ pub mod counter;
 pub mod error;
 pub mod funnel;
 pub mod funnel_stack;
+mod heap;
 pub mod mcs;
 pub mod queues;
 pub mod workload;

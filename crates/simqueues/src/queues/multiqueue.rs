@@ -11,26 +11,19 @@
 //! there is no shared hot spot at all — each operation touches one or two
 //! queues chosen at random, so coherence traffic stays flat as `P` grows.
 //!
-//! Each queue's words live in their own allocation (allocations are
-//! line-aligned, so distinct queues never share a cache line): a lock word,
-//! a published `top` priority (the root of the heap, or [`EMPTY`] —
-//! readable without taking the lock, which is what makes the two-choice
-//! probe cheap), a size word, and the `[pri, item]` heap entries.
+//! The queues themselves — lock word, published top, size word and heap
+//! entries per queue — are a [`SimHeapArray`], shared with
+//! [`super::SimNumaPq`]; what is written here is only which queue an
+//! operation goes to.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use funnelpq_sim::{Addr, Machine, ProcCtx};
+use funnelpq_sim::{Machine, ProcCtx};
 
 use crate::costs;
 use crate::error::SimPqError;
-
-/// Published-top sentinel for an empty queue; orders after every real
-/// priority.
-const EMPTY: u64 = u64::MAX;
-
-/// Per-queue header words before the heap entries: lock, top, size.
-const HDR: usize = 3;
+use crate::heap::{SimHeapArray, EMPTY};
 
 /// Random try-lock attempts before an insert falls back to a deterministic
 /// probe of every queue with blocking locks.
@@ -50,10 +43,7 @@ struct Sticky {
 /// The simulated relaxed MultiQueue. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SimMultiQueue {
-    /// Base address of each queue's region (`HDR + 2 * cap_q` words).
-    queues: Vec<Addr>,
-    /// Per-queue heap capacity; total capacity is `queues.len() * cap_q`.
-    cap_q: usize,
+    heaps: SimHeapArray,
     /// Operations an owner keeps reusing its queue choice for.
     stickiness: u64,
     /// Host-side per-processor stickiness state, grown on demand.
@@ -71,40 +61,16 @@ impl SimMultiQueue {
         stickiness: u64,
     ) -> Self {
         let nqueues = (factor.max(1) * procs.max(1)).max(2);
-        let cap_q = capacity.max(1).div_ceil(nqueues);
-        let words = HDR + 2 * cap_q;
-        let queues: Vec<Addr> = (0..nqueues)
-            .map(|qi| {
-                let base = m.alloc(words);
-                m.label(base, words, format!("multiqueue heap {qi}"));
-                // Fresh memory is zeroed; an all-zero top would read as "a
-                // priority-0 item is present".
-                m.poke(base + 1, EMPTY);
-                base
-            })
-            .collect();
+        let heaps = SimHeapArray::build(m, nqueues, capacity, |m, qi, words| {
+            let base = m.alloc(words);
+            m.label(base, words, format!("multiqueue heap {qi}"));
+            base
+        });
         SimMultiQueue {
-            queues,
-            cap_q,
+            heaps,
             stickiness: stickiness.max(1),
             sticky: Rc::new(RefCell::new(Vec::new())),
         }
-    }
-
-    fn lock_addr(&self, q: usize) -> Addr {
-        self.queues[q]
-    }
-    fn top_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 1
-    }
-    fn size_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 2
-    }
-    fn pri_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize
-    }
-    fn item_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize + 1
     }
 
     /// Runs `f` on this processor's sticky slot (growing the table for
@@ -117,111 +83,49 @@ impl SimMultiQueue {
         f(&mut all[pid])
     }
 
-    /// One CAS on the lock word; true iff we now hold the lock.
-    async fn try_lock(&self, ctx: &ProcCtx, q: usize) -> bool {
-        ctx.cas(self.lock_addr(q), 0, ctx.pid() as u64 + 1).await == 0
-    }
-
-    /// Spins (test-and-set with backoff work) until the lock is ours. Only
-    /// the fallback paths use this; the fast paths never wait.
-    async fn lock_blocking(&self, ctx: &ProcCtx, q: usize) {
-        while !self.try_lock(ctx, q).await {
-            ctx.work(costs::FUNNEL_SPIN_STEP).await;
-        }
-    }
-
-    async fn unlock(&self, ctx: &ProcCtx, q: usize) {
-        ctx.write(self.lock_addr(q), 0).await;
-    }
-
-    /// Pushes into queue `q`'s heap. Caller holds the lock. False if the
-    /// queue is full (heap unchanged).
-    async fn push_locked(&self, ctx: &ProcCtx, q: usize, pri: u64, item: u64) -> bool {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n as usize >= self.cap_q {
-            return false;
-        }
-        ctx.write(self.pri_addr(q, n), pri).await;
-        ctx.write(self.item_addr(q, n), item).await;
-        ctx.write(self.size_addr(q), n + 1).await;
-        {
-            let _bubble = ctx.span("heap-bubble");
-            let mut i = n;
-            while i > 0 {
-                ctx.work(costs::SIFT_STEP).await;
-                let parent = (i - 1) / 2;
-                let ppri = ctx.read(self.pri_addr(q, parent)).await;
-                if pri < ppri {
-                    let pitem = ctx.read(self.item_addr(q, parent)).await;
-                    ctx.write(self.pri_addr(q, i), ppri).await;
-                    ctx.write(self.item_addr(q, i), pitem).await;
-                    ctx.write(self.pri_addr(q, parent), pri).await;
-                    ctx.write(self.item_addr(q, parent), item).await;
-                    i = parent;
-                } else {
-                    break;
-                }
+    /// The queue this processor inserts into — its sticky one (spending one
+    /// use) or a fresh draw — and whether it was the sticky one.
+    async fn pick_queue(&self, ctx: &ProcCtx) -> (usize, bool) {
+        let sticky = self.with_sticky(ctx.pid(), |s| {
+            (s.ins_left > 0).then(|| {
+                s.ins_left -= 1;
+                s.ins_q
+            })
+        });
+        match sticky {
+            Some(q) => (q, true),
+            None => {
+                ctx.work(costs::RNG_DRAW).await;
+                let q = ctx.random_below(self.heaps.len() as u64);
+                (q as usize, false)
             }
         }
-        let root = ctx.read(self.pri_addr(q, 0)).await;
-        ctx.write(self.top_addr(q), root).await;
-        true
     }
 
-    /// Pops queue `q`'s minimum. Caller holds the lock. `None` repairs a
-    /// stale published top so later probes skip this queue.
-    async fn pop_locked(&self, ctx: &ProcCtx, q: usize) -> Option<(u64, u64)> {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n == 0 {
-            ctx.write(self.top_addr(q), EMPTY).await;
-            return None;
-        }
-        let min_pri = ctx.read(self.pri_addr(q, 0)).await;
-        let min_item = ctx.read(self.item_addr(q, 0)).await;
-        let last = n - 1;
-        ctx.write(self.size_addr(q), last).await;
-        if last > 0 {
-            let _bubble = ctx.span("heap-bubble");
-            let pri = ctx.read(self.pri_addr(q, last)).await;
-            let item = ctx.read(self.item_addr(q, last)).await;
-            ctx.write(self.pri_addr(q, 0), pri).await;
-            ctx.write(self.item_addr(q, 0), item).await;
-            let mut i = 0u64;
-            loop {
-                ctx.work(costs::SIFT_STEP).await;
-                let l = 2 * i + 1;
-                let r = 2 * i + 2;
-                if l >= last {
-                    break;
+    /// The two distinct queues this processor's delete compares — its
+    /// sticky pair (spending one use) or a fresh draw — and whether they
+    /// were the sticky pair.
+    async fn pick_pair(&self, ctx: &ProcCtx) -> (usize, usize, bool) {
+        let sticky = self.with_sticky(ctx.pid(), |s| {
+            (s.del_left > 0).then(|| {
+                s.del_left -= 1;
+                (s.del_a, s.del_b)
+            })
+        });
+        match sticky {
+            Some((a, b)) => (a, b, true),
+            None => {
+                let nq = self.heaps.len() as u64;
+                ctx.work(costs::RNG_DRAW).await;
+                let a = ctx.random_below(nq);
+                ctx.work(costs::RNG_DRAW).await;
+                let mut b = ctx.random_below(nq - 1);
+                if b >= a {
+                    b += 1;
                 }
-                let lpri = ctx.read(self.pri_addr(q, l)).await;
-                let (c, cpri) = if r < last {
-                    let rpri = ctx.read(self.pri_addr(q, r)).await;
-                    if rpri < lpri {
-                        (r, rpri)
-                    } else {
-                        (l, lpri)
-                    }
-                } else {
-                    (l, lpri)
-                };
-                if cpri < pri {
-                    let citem = ctx.read(self.item_addr(q, c)).await;
-                    ctx.write(self.pri_addr(q, i), cpri).await;
-                    ctx.write(self.item_addr(q, i), citem).await;
-                    ctx.write(self.pri_addr(q, c), pri).await;
-                    ctx.write(self.item_addr(q, c), item).await;
-                    i = c;
-                } else {
-                    break;
-                }
+                (a as usize, b as usize, false)
             }
-            let root = ctx.read(self.pri_addr(q, 0)).await;
-            ctx.write(self.top_addr(q), root).await;
-        } else {
-            ctx.write(self.top_addr(q), EMPTY).await;
         }
-        Some((min_pri, min_item))
     }
 
     /// Inserts `(pri, item)`.
@@ -243,32 +147,17 @@ impl SimMultiQueue {
     pub async fn try_insert(&self, ctx: &ProcCtx, pri: u64, item: u64) -> Result<(), SimPqError> {
         ctx.work(costs::OP_SETUP).await;
         let pid = ctx.pid();
-        let nq = self.queues.len();
         for _ in 0..INSERT_TRIES {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.ins_left > 0 {
-                    s.ins_left -= 1;
-                    Some(s.ins_q)
-                } else {
-                    None
-                }
-            });
-            let (q, was_sticky) = match sticky {
-                Some(q) => (q, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    (ctx.random_below(nq as u64) as usize, false)
-                }
-            };
-            if !self.try_lock(ctx, q).await {
+            let (q, was_sticky) = self.pick_queue(ctx).await;
+            if !self.heaps.try_lock(ctx, q).await {
                 self.with_sticky(pid, |s| s.ins_left = 0);
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
+            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if ok {
                 if !was_sticky {
                     let left = self.stickiness - 1;
@@ -284,21 +173,22 @@ impl SimMultiQueue {
         }
         // Random placement keeps failing (locked or full queues): probe
         // every queue in order, waiting for each lock.
+        let nq = self.heaps.len();
         for step in 0..nq {
             let q = (pid + step) % nq;
             ctx.work(costs::LOOP_ITER).await;
-            self.lock_blocking(ctx, q).await;
+            self.heaps.lock_blocking(ctx, q).await;
             let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
+            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if ok {
                 return Ok(());
             }
         }
         Err(SimPqError::CapacityExhausted {
             what: "SimMultiQueue",
-            capacity: self.cap_q * nq,
+            capacity: self.heaps.capacity(),
             proc: ctx.pid(),
             time: ctx.now(),
         })
@@ -312,45 +202,24 @@ impl SimMultiQueue {
     pub async fn delete_min(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
         ctx.work(costs::OP_SETUP).await;
         let pid = ctx.pid();
-        let nq = self.queues.len() as u64;
         loop {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.del_left > 0 {
-                    s.del_left -= 1;
-                    Some((s.del_a, s.del_b))
-                } else {
-                    None
-                }
-            });
-            let (a, b, was_sticky) = match sticky {
-                Some((a, b)) => (a, b, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    let a = ctx.random_below(nq);
-                    ctx.work(costs::RNG_DRAW).await;
-                    let mut b = ctx.random_below(nq - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    (a as usize, b as usize, false)
-                }
-            };
-            let top_a = ctx.read(self.top_addr(a)).await;
-            let top_b = ctx.read(self.top_addr(b)).await;
+            let (a, b, was_sticky) = self.pick_pair(ctx).await;
+            let top_a = self.heaps.read_top(ctx, a).await;
+            let top_b = self.heaps.read_top(ctx, b).await;
             if top_a == EMPTY && top_b == EMPTY {
                 self.with_sticky(pid, |s| s.del_left = 0);
-                return self.sweep(ctx).await;
+                return self.heaps.sweep(ctx, 0).await;
             }
             let q = if top_b < top_a { b } else { a };
-            if !self.try_lock(ctx, q).await {
+            if !self.heaps.try_lock(ctx, q).await {
                 self.with_sticky(pid, |s| s.del_left = 0);
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
+            let got = self.heaps.heap(q).pop(ctx).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             match got {
                 Some(x) => {
                     if !was_sticky {
@@ -392,25 +261,10 @@ impl SimMultiQueue {
         sorted.sort_unstable_by_key(|&(pri, _)| pri);
         ctx.work(costs::OP_SETUP).await;
         let pid = ctx.pid();
-        let nq = self.queues.len();
         let mut next = 0usize;
         for _ in 0..INSERT_TRIES {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.ins_left > 0 {
-                    s.ins_left -= 1;
-                    Some(s.ins_q)
-                } else {
-                    None
-                }
-            });
-            let (q, was_sticky) = match sticky {
-                Some(q) => (q, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    (ctx.random_below(nq as u64) as usize, false)
-                }
-            };
-            if !self.try_lock(ctx, q).await {
+            let (q, was_sticky) = self.pick_queue(ctx).await;
+            if !self.heaps.try_lock(ctx, q).await {
                 self.with_sticky(pid, |s| s.ins_left = 0);
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
@@ -418,13 +272,13 @@ impl SimMultiQueue {
             let hold = ctx.span("lock-hold");
             while next < sorted.len() {
                 let (pri, item) = sorted[next];
-                if !self.push_locked(ctx, q, pri, item).await {
+                if !self.heaps.heap(q).push(ctx, pri, item).await {
                     break;
                 }
                 next += 1;
             }
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if next == sorted.len() {
                 if !was_sticky {
                     let left = self.stickiness - 1;
@@ -460,36 +314,15 @@ impl SimMultiQueue {
     ) -> usize {
         ctx.work(costs::OP_SETUP).await;
         let pid = ctx.pid();
-        let nq = self.queues.len() as u64;
         let mut taken = 0;
         while taken < k {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.del_left > 0 {
-                    s.del_left -= 1;
-                    Some((s.del_a, s.del_b))
-                } else {
-                    None
-                }
-            });
-            let (a, b, was_sticky) = match sticky {
-                Some((a, b)) => (a, b, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    let a = ctx.random_below(nq);
-                    ctx.work(costs::RNG_DRAW).await;
-                    let mut b = ctx.random_below(nq - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    (a as usize, b as usize, false)
-                }
-            };
-            let top_a = ctx.read(self.top_addr(a)).await;
-            let top_b = ctx.read(self.top_addr(b)).await;
+            let (a, b, was_sticky) = self.pick_pair(ctx).await;
+            let top_a = self.heaps.read_top(ctx, a).await;
+            let top_b = self.heaps.read_top(ctx, b).await;
             if top_a == EMPTY && top_b == EMPTY {
                 self.with_sticky(pid, |s| s.del_left = 0);
                 while taken < k {
-                    match self.sweep(ctx).await {
+                    match self.heaps.sweep(ctx, 0).await {
                         Some(e) => {
                             out.push(e);
                             taken += 1;
@@ -500,7 +333,7 @@ impl SimMultiQueue {
                 return taken;
             }
             let q = if top_b < top_a { b } else { a };
-            if !self.try_lock(ctx, q).await {
+            if !self.heaps.try_lock(ctx, q).await {
                 self.with_sticky(pid, |s| s.del_left = 0);
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
@@ -508,7 +341,7 @@ impl SimMultiQueue {
             let hold = ctx.span("lock-hold");
             let before = taken;
             while taken < k {
-                match self.pop_locked(ctx, q).await {
+                match self.heaps.heap(q).pop(ctx).await {
                     Some(e) => {
                         out.push(e);
                         taken += 1;
@@ -517,7 +350,7 @@ impl SimMultiQueue {
                 }
             }
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if taken == before {
                 // Stale published top; it is repaired now.
                 self.with_sticky(pid, |s| s.del_left = 0);
@@ -534,84 +367,17 @@ impl SimMultiQueue {
         taken
     }
 
-    /// Slow path when a sampled pair looks empty: scan every published top
-    /// lock-free and pop from the first queue showing an item. Tops are
-    /// published under the queue lock, so during the sequential drain they
-    /// are exact and a full-EMPTY scan is a true emptiness proof; during
-    /// the concurrent phase a racing operation can make the scan miss —
-    /// a spurious empty, which relaxed semantics permits. Locking every
-    /// queue here instead would turn each near-empty delete into `O(P)`
-    /// CAS traffic and convoy concurrent sweepers behind each other.
-    async fn sweep(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
-        for q in 0..self.queues.len() {
-            ctx.work(costs::LOOP_ITER).await;
-            if ctx.read(self.top_addr(q)).await == EMPTY {
-                continue;
-            }
-            if !self.try_lock(ctx, q).await {
-                // Whoever holds the lock is mid-operation; move on.
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
-            hold.end();
-            self.unlock(ctx, q).await;
-            if got.is_some() {
-                return got;
-            }
-        }
-        None
-    }
-
     /// Host-side item count (no simulated cost; meaningful at quiescence).
     pub fn peek_len(&self, m: &Machine) -> u64 {
-        (0..self.queues.len())
-            .map(|q| m.peek(self.size_addr(q)))
-            .sum()
+        self.heaps.peek_len(m)
     }
 
     /// Structural validation at quiescence: every lock free, every size
     /// within the per-queue capacity, the heap property inside each queue,
-    /// and each published top equal to its heap's root (or [`EMPTY`]).
+    /// and each published top equal to its heap's root (or empty).
     /// Returns the total item count.
     pub fn validate(&self, m: &Machine) -> Result<u64, String> {
-        let mut total = 0u64;
-        for q in 0..self.queues.len() {
-            if m.peek(self.lock_addr(q)) != 0 {
-                return Err(format!("SimMultiQueue: queue {q} lock held at quiescence"));
-            }
-            let n = m.peek(self.size_addr(q));
-            if n as usize > self.cap_q {
-                return Err(format!(
-                    "SimMultiQueue: queue {q} size {n} exceeds per-queue capacity {}",
-                    self.cap_q
-                ));
-            }
-            for i in 1..n {
-                let parent = (i - 1) / 2;
-                let ppri = m.peek(self.pri_addr(q, parent));
-                let cpri = m.peek(self.pri_addr(q, i));
-                if ppri > cpri {
-                    return Err(format!(
-                        "SimMultiQueue: queue {q} heap violation at entry {i}: \
-                         parent pri {ppri} > child pri {cpri}"
-                    ));
-                }
-            }
-            let top = m.peek(self.top_addr(q));
-            let want = if n == 0 {
-                EMPTY
-            } else {
-                m.peek(self.pri_addr(q, 0))
-            };
-            if top != want {
-                return Err(format!(
-                    "SimMultiQueue: queue {q} published top {top} disagrees with heap root {want}"
-                ));
-            }
-            total += n;
-        }
-        Ok(total)
+        self.heaps.validate(m, "SimMultiQueue")
     }
 }
 
@@ -752,7 +518,7 @@ mod tests {
     fn capacity_exhaustion_only_when_every_queue_is_full() {
         let mut m = Machine::new(MachineConfig::test_tiny(), 5);
         let q = SimMultiQueue::build(&mut m, 1, 8, 2, 4);
-        let total = q.cap_q * q.queues.len();
+        let total = q.heaps.capacity();
         let ctx = m.ctx();
         let q2 = q.clone();
         m.spawn(async move {

@@ -37,13 +37,7 @@ use funnelpq_sim::{Addr, Machine, ProcCtx};
 
 use crate::costs;
 use crate::error::SimPqError;
-
-/// Published-top sentinel for an empty queue; orders after every real
-/// priority.
-const EMPTY: u64 = u64::MAX;
-
-/// Per-queue header words before the heap entries: lock, top, size.
-const HDR: usize = 3;
+use crate::heap::{SimHeapArray, EMPTY};
 
 /// Random try-lock attempts before an insert falls back to a deterministic
 /// probe of every reachable queue with blocking locks.
@@ -119,11 +113,8 @@ impl Ctl {
 /// The simulated NUMA-adaptive relaxed priority queue. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SimNumaPq {
-    /// Base address of each queue's region (`HDR + 2 * cap_q` words);
-    /// queue `qi` is homed on node `qi * nodes / nqueues`.
-    queues: Vec<Addr>,
-    /// Per-queue heap capacity.
-    cap_q: usize,
+    /// Queue `qi` is homed on node `qi * nodes / nqueues`.
+    heaps: SimHeapArray,
     /// Number of NUMA nodes the partitions span (clamped to the machine's).
     nodes: usize,
     /// Mode word in simulated memory: 0 oblivious, 1 delegation.
@@ -151,17 +142,12 @@ impl SimNumaPq {
     ) -> Self {
         let nodes = nodes.max(1).min(m.nodes().max(1));
         let nqueues = (factor.max(1) * procs.max(1)).max(2 * nodes).max(2);
-        let cap_q = capacity.max(1).div_ceil(nqueues);
-        let words = HDR + 2 * cap_q;
-        let queues: Vec<Addr> = (0..nqueues)
-            .map(|qi| {
-                let node = qi * nodes / nqueues;
-                let base = m.alloc_on_node(words, node);
-                m.label(base, words, format!("numapq heap {qi} (node {node})"));
-                m.poke(base + 1, EMPTY);
-                base
-            })
-            .collect();
+        let heaps = SimHeapArray::build(m, nqueues, capacity, |m, qi, words| {
+            let node = qi * nodes / nqueues;
+            let base = m.alloc_on_node(words, node);
+            m.label(base, words, format!("numapq heap {qi} (node {node})"));
+            base
+        });
         let mode_addr = m.alloc_on_node(1, 0);
         m.label(mode_addr, 1, "numapq mode word");
         let switches_addr = m.alloc_on_node(1, 0);
@@ -174,8 +160,7 @@ impl SimNumaPq {
         let cfg = m.config();
         let local_ns = cfg.uncontended_access();
         SimNumaPq {
-            queues,
-            cap_q,
+            heaps,
             nodes,
             mode_addr,
             switches_addr,
@@ -199,25 +184,9 @@ impl SimNumaPq {
         }
     }
 
-    fn lock_addr(&self, q: usize) -> Addr {
-        self.queues[q]
-    }
-    fn top_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 1
-    }
-    fn size_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 2
-    }
-    fn pri_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize
-    }
-    fn item_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize + 1
-    }
-
     /// Home node of queue `q` (mirrors the native `Topology::node_of_slot`).
     fn node_of_queue(&self, q: usize) -> usize {
-        q * self.nodes / self.queues.len()
+        q * self.nodes / self.heaps.len()
     }
 
     /// Node of the calling processor (mirrors the machine's `pid % nodes`).
@@ -227,26 +196,10 @@ impl SimNumaPq {
 
     /// Queue index range `[lo, hi)` homed on `node`.
     fn local_range(&self, node: usize) -> (usize, usize) {
-        let nq = self.queues.len();
+        let nq = self.heaps.len();
         let lo = (node * nq).div_ceil(self.nodes);
         let hi = ((node + 1) * nq).div_ceil(self.nodes);
         (lo, hi)
-    }
-
-    /// One CAS on the lock word; true iff we now hold the lock.
-    async fn try_lock(&self, ctx: &ProcCtx, q: usize) -> bool {
-        ctx.cas(self.lock_addr(q), 0, ctx.pid() as u64 + 1).await == 0
-    }
-
-    /// Spins until the lock is ours; only fallback paths use this.
-    async fn lock_blocking(&self, ctx: &ProcCtx, q: usize) {
-        while !self.try_lock(ctx, q).await {
-            ctx.work(costs::FUNNEL_SPIN_STEP).await;
-        }
-    }
-
-    async fn unlock(&self, ctx: &ProcCtx, q: usize) {
-        ctx.write(self.lock_addr(q), 0).await;
     }
 
     /// Reads the mode word (one simulated transaction per operation).
@@ -278,7 +231,7 @@ impl SimNumaPq {
     /// Reads one top word, returning `(top, measured cycles)`.
     async fn timed_top(&self, ctx: &ProcCtx, q: usize) -> (u64, u64) {
         let t0 = ctx.now();
-        let top = ctx.read(self.top_addr(q)).await;
+        let top = self.heaps.read_top(ctx, q).await;
         (top, ctx.now() - t0)
     }
 
@@ -316,95 +269,6 @@ impl SimNumaPq {
         self.note_pressure(per_op * stands_for);
     }
 
-    /// Pushes into queue `q`'s heap. Caller holds the lock. False if full.
-    async fn push_locked(&self, ctx: &ProcCtx, q: usize, pri: u64, item: u64) -> bool {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n as usize >= self.cap_q {
-            return false;
-        }
-        ctx.write(self.pri_addr(q, n), pri).await;
-        ctx.write(self.item_addr(q, n), item).await;
-        ctx.write(self.size_addr(q), n + 1).await;
-        {
-            let _bubble = ctx.span("heap-bubble");
-            let mut i = n;
-            while i > 0 {
-                ctx.work(costs::SIFT_STEP).await;
-                let parent = (i - 1) / 2;
-                let ppri = ctx.read(self.pri_addr(q, parent)).await;
-                if pri < ppri {
-                    let pitem = ctx.read(self.item_addr(q, parent)).await;
-                    ctx.write(self.pri_addr(q, i), ppri).await;
-                    ctx.write(self.item_addr(q, i), pitem).await;
-                    ctx.write(self.pri_addr(q, parent), pri).await;
-                    ctx.write(self.item_addr(q, parent), item).await;
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-        }
-        let root = ctx.read(self.pri_addr(q, 0)).await;
-        ctx.write(self.top_addr(q), root).await;
-        true
-    }
-
-    /// Pops queue `q`'s minimum. Caller holds the lock. `None` repairs a
-    /// stale published top so later probes skip this queue.
-    async fn pop_locked(&self, ctx: &ProcCtx, q: usize) -> Option<(u64, u64)> {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n == 0 {
-            ctx.write(self.top_addr(q), EMPTY).await;
-            return None;
-        }
-        let min_pri = ctx.read(self.pri_addr(q, 0)).await;
-        let min_item = ctx.read(self.item_addr(q, 0)).await;
-        let last = n - 1;
-        ctx.write(self.size_addr(q), last).await;
-        if last > 0 {
-            let _bubble = ctx.span("heap-bubble");
-            let pri = ctx.read(self.pri_addr(q, last)).await;
-            let item = ctx.read(self.item_addr(q, last)).await;
-            ctx.write(self.pri_addr(q, 0), pri).await;
-            ctx.write(self.item_addr(q, 0), item).await;
-            let mut i = 0u64;
-            loop {
-                ctx.work(costs::SIFT_STEP).await;
-                let l = 2 * i + 1;
-                let r = 2 * i + 2;
-                if l >= last {
-                    break;
-                }
-                let lpri = ctx.read(self.pri_addr(q, l)).await;
-                let (c, cpri) = if r < last {
-                    let rpri = ctx.read(self.pri_addr(q, r)).await;
-                    if rpri < lpri {
-                        (r, rpri)
-                    } else {
-                        (l, lpri)
-                    }
-                } else {
-                    (l, lpri)
-                };
-                if cpri < pri {
-                    let citem = ctx.read(self.item_addr(q, c)).await;
-                    ctx.write(self.pri_addr(q, i), cpri).await;
-                    ctx.write(self.item_addr(q, i), citem).await;
-                    ctx.write(self.pri_addr(q, c), pri).await;
-                    ctx.write(self.item_addr(q, c), item).await;
-                    i = c;
-                } else {
-                    break;
-                }
-            }
-            let root = ctx.read(self.pri_addr(q, 0)).await;
-            ctx.write(self.top_addr(q), root).await;
-        } else {
-            ctx.write(self.top_addr(q), EMPTY).await;
-        }
-        Some((min_pri, min_item))
-    }
-
     /// Inserts `(pri, item)`.
     ///
     /// # Panics
@@ -424,7 +288,7 @@ impl SimNumaPq {
     pub async fn try_insert(&self, ctx: &ProcCtx, pri: u64, item: u64) -> Result<(), SimPqError> {
         ctx.work(costs::OP_SETUP).await;
         let pid = ctx.pid();
-        let nq = self.queues.len();
+        let nq = self.heaps.len();
         let mode = self.read_mode(ctx).await;
         let (lo, hi) = match mode {
             NumaMode::Oblivious => (0, nq),
@@ -434,14 +298,14 @@ impl SimNumaPq {
         for _ in 0..INSERT_TRIES {
             ctx.work(costs::RNG_DRAW).await;
             let q = lo + ctx.random_below(span as u64) as usize;
-            if !self.try_lock(ctx, q).await {
+            if !self.heaps.try_lock(ctx, q).await {
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
+            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if ok {
                 self.finish_op(ctx).await;
                 return Ok(());
@@ -455,11 +319,11 @@ impl SimNumaPq {
         for step in 0..nq {
             let q = (pid + step) % nq;
             ctx.work(costs::LOOP_ITER).await;
-            self.lock_blocking(ctx, q).await;
+            self.heaps.lock_blocking(ctx, q).await;
             let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
+            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             if ok {
                 self.finish_op(ctx).await;
                 return Ok(());
@@ -467,7 +331,7 @@ impl SimNumaPq {
         }
         Err(SimPqError::CapacityExhausted {
             what: "SimNumaPq",
-            capacity: self.cap_q * nq,
+            capacity: self.heaps.capacity(),
             proc: ctx.pid(),
             time: ctx.now(),
         })
@@ -490,7 +354,7 @@ impl SimNumaPq {
             self.maybe_probe(ctx, my_node).await;
         }
         let (lo, hi) = match mode {
-            NumaMode::Oblivious => (0, self.queues.len()),
+            NumaMode::Oblivious => (0, self.heaps.len()),
             NumaMode::Delegation => self.local_range(my_node),
         };
         loop {
@@ -514,7 +378,9 @@ impl SimNumaPq {
                 self.timed_top(ctx, b).await
             };
             if top_a == EMPTY && top_b == EMPTY {
-                let got = self.sweep(ctx).await;
+                // Scan every published top, local partition first.
+                let (local, _) = self.local_range(my_node);
+                let got = self.heaps.sweep(ctx, local).await;
                 self.finish_op(ctx).await;
                 return got;
             }
@@ -529,14 +395,14 @@ impl SimNumaPq {
                 // read stands in for one of them.
                 self.note_pressure(3 * cyc.saturating_sub(self.local_ns));
             }
-            if !self.try_lock(ctx, q).await {
+            if !self.heaps.try_lock(ctx, q).await {
                 ctx.work(costs::LOOP_ITER).await;
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
+            let got = self.heaps.heap(q).pop(ctx).await;
             hold.end();
-            self.unlock(ctx, q).await;
+            self.heaps.unlock(ctx, q).await;
             match got {
                 Some(x) => {
                     self.finish_op(ctx).await;
@@ -546,32 +412,6 @@ impl SimNumaPq {
                 None => ctx.work(costs::LOOP_ITER).await,
             }
         }
-    }
-
-    /// Slow path when the sampled pair looks empty: scan every published
-    /// top (local partition first, then the rest) and pop from the first
-    /// queue showing an item.
-    async fn sweep(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
-        let nq = self.queues.len();
-        let (lo, _) = self.local_range(self.node_of_proc(ctx.pid()));
-        for step in 0..nq {
-            let q = (lo + step) % nq;
-            ctx.work(costs::LOOP_ITER).await;
-            if ctx.read(self.top_addr(q)).await == EMPTY {
-                continue;
-            }
-            if !self.try_lock(ctx, q).await {
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
-            hold.end();
-            self.unlock(ctx, q).await;
-            if got.is_some() {
-                return got;
-            }
-        }
-        None
     }
 
     /// Current mode, read host-side (meaningful at any time; free).
@@ -595,9 +435,7 @@ impl SimNumaPq {
 
     /// Host-side item count (no simulated cost; meaningful at quiescence).
     pub fn peek_len(&self, m: &Machine) -> u64 {
-        (0..self.queues.len())
-            .map(|q| m.peek(self.size_addr(q)))
-            .sum()
+        self.heaps.peek_len(m)
     }
 
     /// Structural validation at quiescence: every lock free, sizes within
@@ -605,42 +443,7 @@ impl SimNumaPq {
     /// and the in-memory mode word consistent with the controller's.
     /// Returns the total item count.
     pub fn validate(&self, m: &Machine) -> Result<u64, String> {
-        let mut total = 0u64;
-        for q in 0..self.queues.len() {
-            if m.peek(self.lock_addr(q)) != 0 {
-                return Err(format!("SimNumaPq: queue {q} lock held at quiescence"));
-            }
-            let n = m.peek(self.size_addr(q));
-            if n as usize > self.cap_q {
-                return Err(format!(
-                    "SimNumaPq: queue {q} size {n} exceeds per-queue capacity {}",
-                    self.cap_q
-                ));
-            }
-            for i in 1..n {
-                let parent = (i - 1) / 2;
-                let ppri = m.peek(self.pri_addr(q, parent));
-                let cpri = m.peek(self.pri_addr(q, i));
-                if ppri > cpri {
-                    return Err(format!(
-                        "SimNumaPq: queue {q} heap violation at entry {i}: \
-                         parent pri {ppri} > child pri {cpri}"
-                    ));
-                }
-            }
-            let top = m.peek(self.top_addr(q));
-            let want = if n == 0 {
-                EMPTY
-            } else {
-                m.peek(self.pri_addr(q, 0))
-            };
-            if top != want {
-                return Err(format!(
-                    "SimNumaPq: queue {q} published top {top} disagrees with heap root {want}"
-                ));
-            }
-            total += n;
-        }
+        let total = self.heaps.validate(m, "SimNumaPq")?;
         if self.peek_mode(m) != self.ctl.borrow().mode {
             return Err("SimNumaPq: mode word disagrees with controller state".into());
         }

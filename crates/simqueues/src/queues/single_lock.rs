@@ -1,9 +1,10 @@
 //! Simulated `SingleLock`: a sequential heap under one MCS lock.
 
-use funnelpq_sim::{Addr, Machine, ProcCtx};
+use funnelpq_sim::{Machine, ProcCtx};
 
 use crate::costs;
 use crate::error::SimPqError;
+use crate::heap::SimHeap;
 use crate::mcs::SimMcsLock;
 
 /// Heap entries live in simulated memory ([pri, item] pairs), so the time
@@ -11,32 +12,17 @@ use crate::mcs::SimMcsLock;
 #[derive(Debug, Clone, Copy)]
 pub struct SimSingleLock {
     lock: SimMcsLock,
-    size: Addr,
-    entries: Addr,
-    capacity: usize,
+    heap: SimHeap,
 }
 
 impl SimSingleLock {
     /// Allocates a heap of at most `capacity` items for `procs` processors.
     pub fn build(m: &mut Machine, procs: usize, capacity: usize) -> Self {
         let lock = SimMcsLock::build(m, procs);
-        let size = m.alloc(1);
-        let entries = m.alloc(2 * capacity.max(1));
-        m.label(size, 1, "heap size word");
-        m.label(entries, 2 * capacity.max(1), "heap entries");
         SimSingleLock {
             lock,
-            size,
-            entries,
-            capacity,
+            heap: SimHeap::build(m, capacity),
         }
-    }
-
-    fn pri_addr(&self, i: u64) -> Addr {
-        self.entries + 2 * i as usize
-    }
-    fn item_addr(&self, i: u64) -> Addr {
-        self.entries + 2 * i as usize + 1
     }
 
     /// Inserts under the global lock, sifting up in simulated memory.
@@ -51,90 +37,13 @@ impl SimSingleLock {
         }
     }
 
-    /// Pushes one entry; caller holds the lock. False if the heap is full
-    /// (unchanged). The simulated instruction sequence is exactly the old
-    /// inline `try_insert` body, so single-op runs stay bit-identical.
-    async fn push_locked(&self, ctx: &ProcCtx, pri: u64, item: u64) -> bool {
-        let n = ctx.read(self.size).await;
-        if n as usize >= self.capacity {
-            return false;
+    fn full(&self, ctx: &ProcCtx) -> SimPqError {
+        SimPqError::CapacityExhausted {
+            what: "SimSingleLock",
+            capacity: self.heap.capacity(),
+            proc: ctx.pid(),
+            time: ctx.now(),
         }
-        ctx.write(self.pri_addr(n), pri).await;
-        ctx.write(self.item_addr(n), item).await;
-        ctx.write(self.size, n + 1).await;
-        {
-            let _bubble = ctx.span("heap-bubble");
-            let mut i = n;
-            while i > 0 {
-                ctx.work(costs::SIFT_STEP).await;
-                let parent = (i - 1) / 2;
-                let ppri = ctx.read(self.pri_addr(parent)).await;
-                if pri < ppri {
-                    // Swap child and parent entries.
-                    let pitem = ctx.read(self.item_addr(parent)).await;
-                    ctx.write(self.pri_addr(i), ppri).await;
-                    ctx.write(self.item_addr(i), pitem).await;
-                    ctx.write(self.pri_addr(parent), pri).await;
-                    ctx.write(self.item_addr(parent), item).await;
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-        }
-        true
-    }
-
-    /// Pops the minimum; caller holds the lock. Same instruction sequence
-    /// as the old inline `delete_min` body.
-    async fn pop_locked(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
-        let n = ctx.read(self.size).await;
-        if n == 0 {
-            return None;
-        }
-        let min_pri = ctx.read(self.pri_addr(0)).await;
-        let min_item = ctx.read(self.item_addr(0)).await;
-        let last = n - 1;
-        ctx.write(self.size, last).await;
-        if last > 0 {
-            let _bubble = ctx.span("heap-bubble");
-            let pri = ctx.read(self.pri_addr(last)).await;
-            let item = ctx.read(self.item_addr(last)).await;
-            ctx.write(self.pri_addr(0), pri).await;
-            ctx.write(self.item_addr(0), item).await;
-            let mut i = 0u64;
-            loop {
-                ctx.work(costs::SIFT_STEP).await;
-                let l = 2 * i + 1;
-                let r = 2 * i + 2;
-                if l >= last {
-                    break;
-                }
-                let lpri = ctx.read(self.pri_addr(l)).await;
-                let (c, cpri) = if r < last {
-                    let rpri = ctx.read(self.pri_addr(r)).await;
-                    if rpri < lpri {
-                        (r, rpri)
-                    } else {
-                        (l, lpri)
-                    }
-                } else {
-                    (l, lpri)
-                };
-                if cpri < pri {
-                    let citem = ctx.read(self.item_addr(c)).await;
-                    ctx.write(self.pri_addr(i), cpri).await;
-                    ctx.write(self.item_addr(i), citem).await;
-                    ctx.write(self.pri_addr(c), pri).await;
-                    ctx.write(self.item_addr(c), item).await;
-                    // Our entry's values are unchanged; its position is now c.
-                    i = c;
-                } else {
-                    break;
-                }
-            }
-        }
-        Some((min_pri, min_item))
     }
 
     /// Inserts under the global lock, reporting capacity exhaustion (with
@@ -144,18 +53,13 @@ impl SimSingleLock {
         ctx.work(costs::OP_SETUP).await;
         self.lock.acquire(ctx).await;
         let hold = ctx.span("lock-hold");
-        let ok = self.push_locked(ctx, pri, item).await;
+        let ok = self.heap.push(ctx, pri, item).await;
         hold.end();
         self.lock.release(ctx).await;
         if ok {
             Ok(())
         } else {
-            Err(SimPqError::CapacityExhausted {
-                what: "SimSingleLock",
-                capacity: self.capacity,
-                proc: ctx.pid(),
-                time: ctx.now(),
-            })
+            Err(self.full(ctx))
         }
     }
 
@@ -164,7 +68,7 @@ impl SimSingleLock {
         ctx.work(costs::OP_SETUP).await;
         self.lock.acquire(ctx).await;
         let hold = ctx.span("lock-hold");
-        let got = self.pop_locked(ctx).await;
+        let got = self.heap.pop(ctx).await;
         hold.end();
         self.lock.release(ctx).await;
         got
@@ -191,7 +95,7 @@ impl SimSingleLock {
         let hold = ctx.span("lock-hold");
         let mut full = false;
         for &(pri, item) in &sorted {
-            if !self.push_locked(ctx, pri, item).await {
+            if !self.heap.push(ctx, pri, item).await {
                 full = true;
                 break;
             }
@@ -199,12 +103,7 @@ impl SimSingleLock {
         hold.end();
         self.lock.release(ctx).await;
         if full {
-            return Err(SimPqError::CapacityExhausted {
-                what: "SimSingleLock",
-                capacity: self.capacity,
-                proc: ctx.pid(),
-                time: ctx.now(),
-            });
+            return Err(self.full(ctx));
         }
         Ok(())
     }
@@ -222,7 +121,7 @@ impl SimSingleLock {
         let hold = ctx.span("lock-hold");
         let mut taken = 0;
         while taken < k {
-            match self.pop_locked(ctx).await {
+            match self.heap.pop(ctx).await {
                 Some(e) => {
                     out.push(e);
                     taken += 1;
@@ -237,7 +136,7 @@ impl SimSingleLock {
 
     /// Host-side item count (no simulated cost; meaningful at quiescence).
     pub fn peek_len(&self, m: &Machine) -> u64 {
-        m.peek(self.size)
+        self.heap.peek_len(m)
     }
 
     /// Structural validation at quiescence: lock free, size within
@@ -247,24 +146,9 @@ impl SimSingleLock {
         if !self.lock.peek_free(m) {
             return Err("SimSingleLock: lock held at quiescence".into());
         }
-        let n = m.peek(self.size);
-        if n as usize > self.capacity {
-            return Err(format!(
-                "SimSingleLock: size {n} exceeds capacity {}",
-                self.capacity
-            ));
-        }
-        for i in 1..n {
-            let parent = (i - 1) / 2;
-            let ppri = m.peek(self.pri_addr(parent));
-            let cpri = m.peek(self.pri_addr(i));
-            if ppri > cpri {
-                return Err(format!(
-                    "SimSingleLock: heap violation at entry {i}: parent pri {ppri} > child pri {cpri}"
-                ));
-            }
-        }
-        Ok(n)
+        self.heap
+            .validate(m)
+            .map_err(|e| format!("SimSingleLock: {e}"))
     }
 }
 
@@ -291,6 +175,18 @@ mod tests {
             assert_eq!(got, vec![1, 1, 5, 7, 9]);
         });
         assert!(m.run().is_quiescent());
+    }
+
+    /// `SimPq`'s size is the size of a host allocation every run makes, and
+    /// the malloc bin it falls in shifts the whole run's heap layout (see
+    /// `SimHeap::top`): the heap's words must not make this twin the
+    /// largest variant.
+    #[test]
+    fn does_not_set_the_size_of_simpq() {
+        use crate::queues::{SimNumaPq, SimPq};
+        use std::mem::size_of;
+        assert_eq!(size_of::<SimPq>(), size_of::<SimNumaPq>());
+        assert!(size_of::<SimSingleLock>() < size_of::<SimNumaPq>());
     }
 
     #[test]

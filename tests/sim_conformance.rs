@@ -210,3 +210,60 @@ fn workload_results_are_reproducible_across_algorithms() {
         );
     }
 }
+
+/// Golden cycle counts for the three heap-backed twins (`SingleLock`,
+/// `MultiQueue`, `NumaPq`). Recorded from the code *before* ISSUE 23 moved
+/// their word-heap into `simqueues::heap`; a refactor of that module must
+/// leave every simulated access — and so every number here — untouched.
+/// Do not edit the constants: a mismatch means the access sequence moved.
+#[test]
+fn heap_backed_twins_match_their_golden_cycle_counts() {
+    use funnelpq::{NumaMode, NumaPolicy};
+    let adaptive = NumaPolicy::Adaptive;
+    let pinned = NumaPolicy::Pinned(NumaMode::Delegation);
+    // (algorithm, NumaPq policy, procs, total_cycles, mem_accesses); seed 7,
+    // 16 priorities, 64 ops per processor — `pqsim --seed 7` prints the
+    // SingleLock / MultiQueue rows. NumaPq runs on a 2-node machine with a
+    // 4x remote ratio so both disciplines cross nodes.
+    let golden = [
+        (Algorithm::SingleLock, adaptive, 16, 553_760u64, 27_842u64),
+        (Algorithm::SingleLock, adaptive, 64, 2_443_124, 120_715),
+        (Algorithm::MultiQueue, adaptive, 16, 36_942, 19_336),
+        (Algorithm::MultiQueue, adaptive, 64, 110_992, 174_637),
+        (Algorithm::NumaPq, adaptive, 16, 58_747, 16_188),
+        (Algorithm::NumaPq, adaptive, 64, 96_761, 116_341),
+        (Algorithm::NumaPq, pinned, 16, 42_583, 15_602),
+        (Algorithm::NumaPq, pinned, 64, 104_020, 129_976),
+    ];
+    for (algo, policy, procs, cycles, accesses) in golden {
+        let mut wl = Workload::standard(procs, 16);
+        wl.seed = 7;
+        if algo == Algorithm::NumaPq {
+            wl.machine = wl.machine.with_topology(2, 4);
+        }
+        let mut params = BuildParams::new(procs, 16);
+        params.capacity = procs * wl.ops_per_proc + 8;
+        params.numa_policy = policy;
+        let r = funnelpq_simqueues::workload::run_queue_workload_with(algo, &wl, &params);
+        assert_eq!(
+            (r.total_cycles, r.stats.mem_accesses),
+            (cycles, accesses),
+            "{algo} ({policy:?}) at P={procs}: simulated access sequence changed"
+        );
+    }
+    // The batched paths share the same heap: one churn point each.
+    let batched = [
+        (Algorithm::SingleLock, 1_272_954u64, 52_770u64),
+        (Algorithm::MultiQueue, 64_315, 33_804),
+    ];
+    for (algo, cycles, accesses) in batched {
+        let mut wl = Workload::standard(16, 16);
+        wl.seed = 7;
+        let r = funnelpq_simqueues::workload::run_batched_churn(algo, &wl, 8);
+        assert_eq!(
+            (r.total_cycles, r.stats.mem_accesses),
+            (cycles, accesses),
+            "{algo} batched k=8 at P=16: simulated access sequence changed"
+        );
+    }
+}
