@@ -9,16 +9,30 @@
 //! right. Inserts add to the leaf bin first and then ascend, incrementing
 //! the counter at every node they reach from the left — the bottom-up order
 //! is what makes a claimed item always reachable.
+//!
+//! A batch is the same two walks made once by a caller that arrives as the
+//! root of an already combined tree: `insert_batch` files every item, then
+//! adds each touched counter's total in one `fetch_add`, deeper counters
+//! before shallower; `delete_min_batch` descends once carrying `c` claims
+//! and splits them at every counter.
 
 use std::marker::PhantomData;
 
 use funnelpq_sync::SharedCounter;
+
+use crate::traits::for_each_run;
 
 /// The bin interface the tree needs at its leaves (crate-internal).
 pub(crate) trait TreeBin<T>: Send + Sync {
     fn bin_insert(&self, tid: usize, item: T);
     fn bin_delete(&self, tid: usize) -> Option<T>;
     fn bin_is_empty(&self) -> bool;
+    /// Files `items` in one bin episode.
+    fn bin_insert_many(&self, tid: usize, items: impl Iterator<Item = T>);
+    /// Removes up to `k` items in one bin episode; returns how many.
+    fn bin_delete_many(&self, tid: usize, k: usize, take: impl FnMut(T)) -> usize;
+    /// Items held, exact at quiescence (for `CounterTree::validate`).
+    fn bin_len(&self) -> usize;
 }
 
 impl<T: Send> TreeBin<T> for funnelpq_sync::LockBin<T> {
@@ -31,6 +45,15 @@ impl<T: Send> TreeBin<T> for funnelpq_sync::LockBin<T> {
     fn bin_is_empty(&self) -> bool {
         self.is_empty()
     }
+    fn bin_insert_many(&self, _tid: usize, items: impl Iterator<Item = T>) {
+        self.insert_many(items);
+    }
+    fn bin_delete_many(&self, _tid: usize, k: usize, take: impl FnMut(T)) -> usize {
+        self.delete_many(k, take)
+    }
+    fn bin_len(&self) -> usize {
+        self.len()
+    }
 }
 
 impl<T: Send> TreeBin<T> for funnelpq_sync::FunnelStack<T> {
@@ -42,6 +65,15 @@ impl<T: Send> TreeBin<T> for funnelpq_sync::FunnelStack<T> {
     }
     fn bin_is_empty(&self) -> bool {
         self.is_empty()
+    }
+    fn bin_insert_many(&self, tid: usize, items: impl Iterator<Item = T>) {
+        self.push_many(tid, items);
+    }
+    fn bin_delete_many(&self, tid: usize, k: usize, take: impl FnMut(T)) -> usize {
+        self.pop_many(tid, k, take)
+    }
+    fn bin_len(&self) -> usize {
+        self.len()
     }
 }
 
@@ -136,8 +168,114 @@ impl<T: Send, B: TreeBin<T>> CounterTree<T, B> {
         self.bins[pri].bin_delete(tid).map(|item| (pri, item))
     }
 
+    /// Files a checked, non-empty batch. Every run goes into its bin
+    /// first; only then do the counters move, each by its whole share of
+    /// the batch in one `fetch_add`, a level at a time from the leaves up —
+    /// no counter before every counter below it. That is the order T1/T2
+    /// need: whoever is granted a claim at a node finds, at every counter
+    /// on the way down, the items that claim was granted for. Top-down, a
+    /// claim granted at the root could reach a lower counter this batch
+    /// has not raised yet, be sent right and miss its item.
+    pub(crate) fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) {
+        // (node, batch items filed below it) for the nodes of one level
+        // that the batch reaches, in descending heap index; leaves to
+        // begin with.
+        let mut level: Vec<(usize, i64)> = Vec::with_capacity(batch.len());
+        for_each_run(batch, |pri, run| {
+            level.push((self.n_leaves + pri, run.len() as i64));
+            self.bins[pri].bin_insert_many(tid, run.map(|(_, item)| item));
+        });
+        while level[0].0 > 1 {
+            let mut kept = 0;
+            for at in 0..level.len() {
+                let (k, n) = level[at];
+                let parent = k / 2;
+                if k.is_multiple_of(2) {
+                    // `n` more items in the left subtree of `parent`.
+                    self.counters[parent].fetch_add(tid, n);
+                }
+                if kept > 0 && level[kept - 1].0 == parent {
+                    level[kept - 1].1 += n;
+                } else {
+                    level[kept] = (parent, n);
+                    kept += 1;
+                }
+            }
+            level.truncate(kept);
+        }
+    }
+
+    /// One descent carrying up to `k` claims, for a checked `tid`; appends
+    /// what they redeem to `out`, smaller priorities first, and returns how
+    /// many items that was.
+    pub(crate) fn delete_min_batch(
+        &self,
+        tid: usize,
+        k: usize,
+        out: &mut Vec<(usize, T)>,
+    ) -> usize {
+        // Claims travel as counter deltas. Callers drain with
+        // `k = usize::MAX`, and `-(usize::MAX as i64)` is `+1`: clamp
+        // before negating — the bins cannot grant more than this anyway.
+        let want = i64::try_from(k).unwrap_or(i64::MAX);
+        let before = out.len();
+        self.descend(tid, 1, want, out);
+        out.len() - before
+    }
+
+    /// Takes `claims` (at most the caller's `k`, so it fits a `usize`)
+    /// into the subtree of `k`. At a counter, `fetch_add(-claims)` grants
+    /// `min(prev, claims)` of them an item on the left (T2, for each); the
+    /// others look right, as a single does on reading zero. Left before
+    /// right, so `out` fills in priority order.
+    fn descend(&self, tid: usize, k: usize, claims: i64, out: &mut Vec<(usize, T)>) {
+        if k >= self.n_leaves {
+            let pri = k - self.n_leaves;
+            // A padding leaf holds nothing: the claims that fell off the
+            // occupied range found the queue empty.
+            if pri < self.num_priorities {
+                self.bins[pri].bin_delete_many(tid, claims as usize, |item| out.push((pri, item)));
+            }
+            return;
+        }
+        let left = self.counters[k].fetch_add(tid, -claims).min(claims);
+        if left > 0 {
+            self.descend(tid, 2 * k, left, out);
+        }
+        if claims > left {
+            self.descend(tid, 2 * k + 1, claims - left, out);
+        }
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.bins.iter().all(|b| b.bin_is_empty())
+    }
+
+    /// Checks, at quiescence, that every counter equals the number of items
+    /// in the bins of its left subtree.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first counter that does not.
+    pub(crate) fn validate(&self) {
+        for k in 1..self.n_leaves {
+            // The leaves under the left child `2k`, as priorities.
+            let (mut lo, mut hi) = (2 * k, 2 * k + 1);
+            while lo < self.n_leaves {
+                lo *= 2;
+                hi *= 2;
+            }
+            let held: usize = (lo..hi)
+                .map(|leaf| leaf - self.n_leaves)
+                .filter(|&pri| pri < self.num_priorities)
+                .map(|pri| self.bins[pri].bin_len())
+                .sum();
+            assert_eq!(
+                self.counters[k].value(),
+                held as i64,
+                "counter {k} disagrees with the bins of its left subtree"
+            );
+        }
     }
 }
 

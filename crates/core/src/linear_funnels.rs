@@ -7,7 +7,7 @@ use funnelpq_sync::{FunnelConfig, FunnelStack};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{check_insert, BoundedPq, PqError};
+use crate::traits::{check_batch, check_insert, for_each_run, BoundedPq, PqBatchError, PqError};
 
 /// One combining-funnel stack per priority; `delete_min` scans stacks
 /// smallest-first, popping from the first non-empty one.
@@ -112,6 +112,47 @@ impl<T: Send, R: Recorder> BoundedPq<T> for LinearFunnelsPq<T, R> {
             self.recorder.record_event(CounterEvent::EmptyDeleteMin);
         }
         out
+    }
+
+    // A run of equal priority reaches its stack as one pre-linked chain:
+    // the push tree a funnel would have combined, arriving combined.
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let batch = check_batch(tid, batch, self.max_threads, self.stacks.len())?;
+        let n = batch.len() as u64;
+        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+            for_each_run(batch, |pri, run| {
+                self.stacks[pri].push_many(tid, run.map(|(_, item)| item))
+            })
+        });
+        obs::record_batch_op(&*self.recorder, n);
+        Ok(())
+    }
+
+    // One scan, detaching from each non-empty stack everything the batch
+    // still wants in one central section.
+    fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
+        assert!(tid < self.max_threads, "tid {tid} out of range");
+        if k == 0 {
+            return 0;
+        }
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+            let mut taken = 0;
+            for (pri, stack) in self.stacks.iter().enumerate() {
+                taken += stack.pop_many(tid, k - taken, |item| out.push((pri, item)));
+                if taken == k {
+                    break;
+                }
+            }
+            taken
+        });
+        obs::record_batch_op(&*self.recorder, taken as u64);
+        if R::ENABLED && taken == 0 {
+            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+        }
+        taken
     }
 
     fn is_empty(&self) -> bool {

@@ -7,7 +7,7 @@ use funnelpq_sync::{BinOrder, LockBin};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{check_insert, BoundedPq, PqError};
+use crate::traits::{check_batch, check_insert, for_each_run, BoundedPq, PqBatchError, PqError};
 
 /// One MCS-locked bin per priority; `delete_min` scans bins smallest-first,
 /// attempting removal from each non-empty bin it meets.
@@ -125,6 +125,47 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SimpleLinearPq<T, R> {
             self.recorder.record_event(CounterEvent::EmptyDeleteMin);
         }
         out
+    }
+
+    // One bin episode per run of equal priority instead of one per item.
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let batch = check_batch(tid, batch, self.max_threads, self.bins.len())?;
+        let n = batch.len() as u64;
+        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+            for_each_run(batch, |pri, run| {
+                self.bins[pri].insert_many(run.map(|(_, item)| item))
+            })
+        });
+        obs::record_batch_op(&*self.recorder, n);
+        Ok(())
+    }
+
+    // One scan, taking from each non-empty bin everything the batch still
+    // wants in one episode. An insert that lands behind the scan is not
+    // seen, as it is not by a single already past that bin.
+    fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
+        assert!(tid < self.max_threads, "tid {tid} out of range");
+        if k == 0 {
+            return 0;
+        }
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+            let mut taken = 0;
+            for (pri, bin) in self.bins.iter().enumerate() {
+                taken += bin.delete_many(k - taken, |item| out.push((pri, item)));
+                if taken == k {
+                    break;
+                }
+            }
+            taken
+        });
+        obs::record_batch_op(&*self.recorder, taken as u64);
+        if R::ENABLED && taken == 0 {
+            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+        }
+        taken
     }
 
     fn is_empty(&self) -> bool {

@@ -8,7 +8,7 @@ use funnelpq_sync::{BinOrder, Bounds, LockBin, LockedCounter};
 use crate::algorithm::Algorithm;
 use crate::counter_tree::CounterTree;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{check_insert, BoundedPq, PqError};
+use crate::traits::{check_batch, check_insert, BoundedPq, PqBatchError, PqError};
 
 /// Binary tree of counters (each an MCS-locked integer) over lock-based
 /// bins: `delete_min` costs `O(log N)` counter operations, `insert` half
@@ -86,6 +86,17 @@ impl<T: Send, R: Recorder> SimpleTreePq<T, R> {
             recorder,
         }
     }
+
+    /// Checks, at quiescence, that every counter of the tree equals the
+    /// number of items in its left subtree's bins. For tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first counter that does not.
+    #[doc(hidden)]
+    pub fn validate(&self) {
+        self.tree.validate();
+    }
 }
 
 impl<T: Send, R: Recorder> BoundedPq<T> for SimpleTreePq<T, R> {
@@ -128,6 +139,42 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SimpleTreePq<T, R> {
             self.recorder.record_event(CounterEvent::EmptyDeleteMin);
         }
         out
+    }
+
+    // The batch enters the tree as one pre-combined operation: each bin
+    // and each counter on its paths is touched once (`CounterTree`).
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let batch = check_batch(
+            tid,
+            batch,
+            self.tree.max_threads(),
+            self.tree.num_priorities(),
+        )?;
+        let n = batch.len() as u64;
+        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+            self.tree.insert_batch(tid, batch)
+        });
+        obs::record_batch_op(&*self.recorder, n);
+        Ok(())
+    }
+
+    // One descent carrying `k` claims.
+    fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
+        assert!(tid < self.tree.max_threads(), "tid {tid} out of range");
+        if k == 0 {
+            return 0;
+        }
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+            self.tree.delete_min_batch(tid, k, out)
+        });
+        obs::record_batch_op(&*self.recorder, taken as u64);
+        if R::ENABLED && taken == 0 {
+            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+        }
+        taken
     }
 
     fn is_empty(&self) -> bool {

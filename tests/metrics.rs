@@ -326,16 +326,21 @@ fn concurrent_writers_aggregate_exactly_across_shards() {
 /// Queue-level batch APIs report exactly one [`CounterEvent::BatchOp`] per
 /// call (never per item) even when batch calls from several threads race:
 /// the counts are per-call deterministic although which items each drain
-/// returns is not.
+/// returns is not. All nine queues override both batch entry points; the
+/// four heap-backed ones also fuse `replace_min`, which then counts as a
+/// batched call of one item (elsewhere it is a delete-min and an insert).
 #[test]
 fn batch_ops_through_queues_count_once_per_call_under_contention() {
     const CALLS: usize = 40;
     const K: usize = 8;
-    for a in [
-        Algorithm::SingleLock,
-        Algorithm::MultiQueue,
-        Algorithm::NumaPq,
-    ] {
+    for a in Algorithm::EVERY {
+        if a == Algorithm::HardwareTree {
+            continue;
+        }
+        let fused = usize::from(matches!(
+            a,
+            Algorithm::SingleLock | Algorithm::HuntEtAl | Algorithm::MultiQueue | Algorithm::NumaPq
+        ));
         let rec = Arc::new(AtomicRecorder::new());
         let q: Arc<dyn BoundedPq<u64>> = Arc::from(
             PqBuilder::new(a, 64, THREADS)
@@ -364,8 +369,8 @@ fn batch_ops_through_queues_count_once_per_call_under_contention() {
             h.join().unwrap();
         }
 
-        // 3 batched calls per iteration per thread, each counted once.
-        let calls = (THREADS * CALLS * 3) as u64;
+        // Every batched call of an iteration counted once.
+        let calls = (THREADS * CALLS * (2 + fused)) as u64;
         let snap = rec.snapshot();
         assert_eq!(snap.event(CounterEvent::BatchOp), calls, "{a}");
         assert_eq!(snap.batch.count, calls, "{a}");
@@ -374,17 +379,40 @@ fn batch_ops_through_queues_count_once_per_call_under_contention() {
             calls,
             "{a}: size-histogram mass"
         );
-        // Item totals: every insert_batch files exactly K, every
+        // Item totals: every insert_batch files exactly K, every fused
         // replace_min exactly 1; each drain takes 0..=K (racy), so the
         // aggregate is exactly bracketed.
-        let floor = (THREADS * CALLS * (K + 1)) as u64;
-        let ceil = (THREADS * CALLS * (2 * K + 1)) as u64;
+        let floor = (THREADS * CALLS * (K + fused)) as u64;
+        let ceil = (THREADS * CALLS * (2 * K + fused)) as u64;
         assert!(
             (floor..=ceil).contains(&snap.batch.total_items),
             "{a}: total_items {} outside [{floor}, {ceil}]",
             snap.batch.total_items
         );
     }
+}
+
+/// A batched delete that finds everything it wants in one bin is one bin
+/// episode: one lock acquisition for eight items, and one `BatchOp`.
+#[test]
+fn a_batched_delete_from_one_bin_is_one_lock_acquisition() {
+    let rec = Arc::new(AtomicRecorder::new());
+    let q = PqBuilder::new(Algorithm::SimpleLinear, 8, 1)
+        .recorder(Arc::clone(&rec))
+        .build::<u64>();
+    for i in 0..8 {
+        q.insert(0, 3, i);
+    }
+    q.insert(0, 5, 8);
+    let before = rec.snapshot();
+    let mut out = Vec::new();
+    assert_eq!(q.delete_min_batch(0, 8, &mut out), 8);
+    assert!(out.iter().all(|&(pri, _)| pri == 3));
+    let after = rec.snapshot();
+    let delta = |e| after.event(e) - before.event(e);
+    assert_eq!(delta(CounterEvent::LockAcquire), 1);
+    assert_eq!(delta(CounterEvent::BatchOp), 1);
+    assert_eq!(after.batch.total_items - before.batch.total_items, 8);
 }
 
 /// The NUMA-adaptive queue reports every controller switch-over both as a

@@ -204,6 +204,157 @@ fn quiescent_k_smallest() {
     }
 }
 
+/// The four bounded-range queues, whose batched entry points reach each
+/// bin and counter once per batch instead of once per item.
+fn bounded_range_queues(num_pris: usize) -> Vec<(&'static str, Arc<dyn BoundedPq<u64>>)> {
+    all_queues(num_pris)
+        .into_iter()
+        .filter(|(_, q)| Algorithm::SCALABLE.contains(&q.algorithm()))
+        .collect()
+}
+
+/// [`quiescent_k_smallest`] with the deleters taking their share of `k` in
+/// batches of up to eight: a batch's claims split at every counter (or
+/// spill from bin to bin), and together they must still land on exactly the
+/// `k` smallest — every call returning all it asked for.
+#[test]
+fn quiescent_k_smallest_batched() {
+    const PER_THREAD: usize = 50;
+    const K: usize = 200;
+    for (name, q) in bounded_range_queues(32) {
+        let watchdog = StressWatchdog::arm("quiescent_k_smallest_batched", THREADS, STRESS_LIMIT);
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let budget = Arc::new(AtomicUsize::new(K));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|tid| {
+                let q = Arc::clone(&q);
+                let barrier = Arc::clone(&barrier);
+                let budget = Arc::clone(&budget);
+                let progress = watchdog.progress();
+                thread::spawn(move || {
+                    let mine: Vec<(usize, u64)> = (0..PER_THREAD)
+                        .map(|i| ((tid * 13 + i * 7) % 32, (tid * PER_THREAD + i) as u64))
+                        .collect();
+                    for chunk in mine.chunks(10) {
+                        q.insert_batch(tid, chunk.to_vec()).unwrap();
+                        progress[tid].fetch_add(1, Ordering::Relaxed);
+                    }
+                    // Quiescent point: all inserts complete before any
+                    // delete begins.
+                    barrier.wait();
+                    let mut got = Vec::new();
+                    loop {
+                        // Claim up to `tid % 8 + 1` units of the budget.
+                        let ask = tid % 8 + 1;
+                        let claimed = budget
+                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
+                                Some(b - b.min(ask))
+                            })
+                            .unwrap()
+                            .min(ask);
+                        if claimed == 0 {
+                            break;
+                        }
+                        let n = q.delete_min_batch(tid, claimed, &mut got);
+                        assert_eq!(n, claimed, "{name}: a batch came back short");
+                        progress[tid].fetch_add(1, Ordering::Relaxed);
+                    }
+                    (mine, got)
+                })
+            })
+            .collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (mine, taken) = h.join().unwrap();
+            want.extend(mine.into_iter().map(|(pri, _)| pri));
+            got.extend(taken.into_iter().map(|(pri, _)| pri));
+        }
+        want.sort_unstable();
+        want.truncate(K);
+        got.sort_unstable();
+        assert_eq!(got, want, "{name}: deleted set must be the k smallest");
+    }
+}
+
+/// Half the threads file batches while the other half delete, singles and
+/// batches alternating by thread; deleted plus drained must be exactly what
+/// was filed, by count and by id checksum, and the queue must end empty —
+/// the trees with every counter back at zero.
+#[test]
+fn batch_inserters_against_single_and_batched_deleters_conserve_items() {
+    use funnelpq::{FunnelTreePq, LinearFunnelsPq, SimpleLinearPq, SimpleTreePq};
+    const BATCHES: usize = 150;
+    const BATCH: usize = 8;
+    fn run<Q: BoundedPq<u64> + 'static>(q: Q) -> Arc<Q> {
+        let (name, q) = (q.algorithm_name(), Arc::new(q));
+        let watchdog = StressWatchdog::arm("batch_inserters_vs_deleters", THREADS, STRESS_LIMIT);
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|tid| {
+                let q = Arc::clone(&q);
+                let barrier = Arc::clone(&barrier);
+                let progress = watchdog.progress();
+                // Returns what this thread filed and what it removed.
+                thread::spawn(move || {
+                    let (mut filed, mut out) = (Vec::new(), Vec::new());
+                    barrier.wait();
+                    for i in 0..BATCHES {
+                        match tid % 4 {
+                            0 | 1 => {
+                                let batch: Vec<(usize, u64)> = (0..BATCH)
+                                    .map(|j| {
+                                        let id = (tid * BATCHES + i) * BATCH + j;
+                                        ((id * 7 + i) % 16, id as u64)
+                                    })
+                                    .collect();
+                                filed.extend(batch.iter().map(|&(_, id)| id));
+                                q.insert_batch(tid, batch).unwrap();
+                            }
+                            2 => out.extend(q.delete_min(tid)),
+                            _ => {
+                                q.delete_min_batch(tid, BATCH, &mut out);
+                            }
+                        }
+                        progress[tid].fetch_add(1, Ordering::Relaxed);
+                    }
+                    (filed, out)
+                })
+            })
+            .collect();
+        let (mut filed, mut taken) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (f, t) = h.join().unwrap();
+            filed.extend(f);
+            taken.extend(t);
+        }
+        let mut rest = Vec::new();
+        q.delete_min_batch(0, usize::MAX, &mut rest);
+        taken.extend_from_slice(&rest);
+        // Ids are distinct, so count and wrapping sum of squares tell a
+        // loss, a duplicate and a swap apart from a clean run.
+        let checksum = |ids: &mut dyn Iterator<Item = u64>| {
+            ids.fold((0u64, 0u64), |(n, sum), id| {
+                (n + 1, sum.wrapping_add(id * id))
+            })
+        };
+        assert_eq!(
+            checksum(&mut taken.iter().map(|&(_, id)| id)),
+            checksum(&mut filed.into_iter()),
+            "{name}: (count, id checksum) filed and removed differ"
+        );
+        assert!(
+            rest.windows(2).all(|w| w[0].0 <= w[1].0),
+            "{name}: quiescent drain out of order"
+        );
+        assert!(q.is_empty(), "{name}: queue should be empty after drain");
+        q
+    }
+    run(SimpleLinearPq::new(16, THREADS));
+    run(LinearFunnelsPq::new(16, THREADS));
+    run(SimpleTreePq::new(16, THREADS)).validate();
+    run(FunnelTreePq::new(16, THREADS)).validate();
+}
+
 /// Many threads hammer a single priority: items behave like a pool and the
 /// queue never fabricates items.
 #[test]
