@@ -2,11 +2,11 @@
 
 use std::sync::Arc;
 
-use funnelpq_sync::FunnelConfig;
+use funnelpq_sync::{BinOrder, FunnelConfig};
 
 use crate::algorithm::Algorithm;
 use crate::config::PqConfig;
-use crate::funnel_tree::FunnelTreePq;
+use crate::funnel_tree::{FunnelTreePq, DEFAULT_FUNNEL_LEVELS};
 use crate::hunt::HuntPq;
 use crate::linear_funnels::LinearFunnelsPq;
 use crate::multiqueue::MultiQueuePq;
@@ -88,10 +88,10 @@ impl std::error::Error for BuildError {}
 /// ```
 /// use std::sync::Arc;
 /// use funnelpq::obs::AtomicRecorder;
-/// use funnelpq::{BinPqConfig, PqBuilder, PqConfig};
+/// use funnelpq::{PqBuilder, PqConfig};
 ///
 /// let rec = Arc::new(AtomicRecorder::new());
-/// let q = PqBuilder::from_config(PqConfig::SimpleTree(BinPqConfig::default()), 16, 4)
+/// let q = PqBuilder::from_config(PqConfig::SimpleTree, 16, 4)
 ///     .recorder(Arc::clone(&rec))
 ///     .build::<&str>();
 /// q.insert(0, 3, "x");
@@ -188,19 +188,21 @@ impl<R: Recorder> PqBuilder<R> {
             PqConfig::SingleLock => Box::new(SingleLockPq::with_recorder(n, t, rec)),
             PqConfig::HuntEtAl(c) => Box::new(HuntPq::with_recorder(n, t, c.capacity, rec)),
             PqConfig::SkipList(c) => Box::new(SkipListPq::with_recorder(n, t, c.seed, rec)),
-            PqConfig::SimpleLinear(c) => {
-                Box::new(SimpleLinearPq::with_recorder(n, t, c.order, rec))
+            PqConfig::SimpleLinear => {
+                Box::new(SimpleLinearPq::with_recorder(n, t, BinOrder::Lifo, rec))
             }
-            PqConfig::SimpleTree(c) => Box::new(SimpleTreePq::with_recorder(n, t, c.order, rec)),
+            PqConfig::SimpleTree => {
+                Box::new(SimpleTreePq::with_recorder(n, t, BinOrder::Lifo, rec))
+            }
             PqConfig::LinearFunnels => Box::new(LinearFunnelsPq::with_recorder(
                 n,
                 FunnelConfig::for_threads(t),
                 rec,
             )),
-            PqConfig::FunnelTree(c) => Box::new(FunnelTreePq::with_recorder(
+            PqConfig::FunnelTree => Box::new(FunnelTreePq::with_recorder(
                 n,
                 FunnelConfig::for_threads(t),
-                c.funnel_levels,
+                DEFAULT_FUNNEL_LEVELS,
                 rec,
             )),
             PqConfig::MultiQueue(c) => {

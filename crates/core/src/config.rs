@@ -26,12 +26,9 @@
 //! assert_eq!(q.delete_min(1), Some((3, 30)));
 //! ```
 
-use funnelpq_sync::BinOrder;
-
 use crate::adaptive::NumaPolicy;
 use crate::algorithm::Algorithm;
 use crate::builder::BuildError;
-use crate::funnel_tree::DEFAULT_FUNNEL_LEVELS;
 use crate::multiqueue::{DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED};
 
 /// Config for [`Algorithm::HuntEtAl`]: its heap is pre-allocated, so the
@@ -58,31 +55,6 @@ pub struct SkipListConfig {
 impl Default for SkipListConfig {
     fn default() -> Self {
         SkipListConfig { seed: 0x5EED_CAFE }
-    }
-}
-
-/// Config for the locked-bin queues [`Algorithm::SimpleLinear`] and
-/// [`Algorithm::SimpleTree`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BinPqConfig {
-    /// Removal order among equal-priority items. Default LIFO, the paper's
-    /// choice.
-    pub order: BinOrder,
-}
-
-/// Config for [`Algorithm::FunnelTree`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunnelTreeConfig {
-    /// Number of counter-tree levels served by funnel counters (the rest
-    /// use plain MCS-locked counters). Must be at least 1.
-    pub funnel_levels: usize,
-}
-
-impl Default for FunnelTreeConfig {
-    fn default() -> Self {
-        FunnelTreeConfig {
-            funnel_levels: DEFAULT_FUNNEL_LEVELS,
-        }
     }
 }
 
@@ -158,14 +130,18 @@ pub enum PqConfig {
     HuntEtAl(HuntConfig),
     /// Bounded-range skip list of bins.
     SkipList(SkipListConfig),
-    /// Array of MCS-locked bins.
-    SimpleLinear(BinPqConfig),
-    /// Tree of MCS-locked counters over locked bins.
-    SimpleTree(BinPqConfig),
+    /// Array of MCS-locked bins (LIFO; FIFO through
+    /// [`crate::SimpleLinearPq::with_order`]).
+    SimpleLinear,
+    /// Tree of MCS-locked counters over locked bins (LIFO; FIFO through
+    /// [`crate::SimpleTreePq::with_order`]).
+    SimpleTree,
     /// Array of combining-funnel stacks.
     LinearFunnels,
-    /// Tree with funnel counters at the top and funnel-stack bins.
-    FunnelTree(FunnelTreeConfig),
+    /// Tree with funnel counters at the top
+    /// [`crate::DEFAULT_FUNNEL_LEVELS`] levels and funnel-stack bins (other
+    /// cutoffs through [`crate::FunnelTreePq::with_config`]).
+    FunnelTree,
     /// Relaxed MultiQueue.
     MultiQueue(MultiQueueConfig),
     /// NUMA-adaptive partitioned MultiQueue with a delegation layer.
@@ -181,10 +157,10 @@ impl PqConfig {
             Algorithm::SingleLock => PqConfig::SingleLock,
             Algorithm::HuntEtAl => PqConfig::HuntEtAl(HuntConfig::default()),
             Algorithm::SkipList => PqConfig::SkipList(SkipListConfig::default()),
-            Algorithm::SimpleLinear => PqConfig::SimpleLinear(BinPqConfig::default()),
-            Algorithm::SimpleTree => PqConfig::SimpleTree(BinPqConfig::default()),
+            Algorithm::SimpleLinear => PqConfig::SimpleLinear,
+            Algorithm::SimpleTree => PqConfig::SimpleTree,
             Algorithm::LinearFunnels => PqConfig::LinearFunnels,
-            Algorithm::FunnelTree => PqConfig::FunnelTree(FunnelTreeConfig::default()),
+            Algorithm::FunnelTree => PqConfig::FunnelTree,
             Algorithm::MultiQueue => PqConfig::MultiQueue(MultiQueueConfig::default()),
             Algorithm::NumaPq => PqConfig::NumaPq(NumaConfig::default()),
             Algorithm::HardwareTree => return None,
@@ -197,10 +173,10 @@ impl PqConfig {
             PqConfig::SingleLock => Algorithm::SingleLock,
             PqConfig::HuntEtAl(_) => Algorithm::HuntEtAl,
             PqConfig::SkipList(_) => Algorithm::SkipList,
-            PqConfig::SimpleLinear(_) => Algorithm::SimpleLinear,
-            PqConfig::SimpleTree(_) => Algorithm::SimpleTree,
+            PqConfig::SimpleLinear => Algorithm::SimpleLinear,
+            PqConfig::SimpleTree => Algorithm::SimpleTree,
             PqConfig::LinearFunnels => Algorithm::LinearFunnels,
-            PqConfig::FunnelTree(_) => Algorithm::FunnelTree,
+            PqConfig::FunnelTree => Algorithm::FunnelTree,
             PqConfig::MultiQueue(_) => Algorithm::MultiQueue,
             PqConfig::NumaPq(_) => Algorithm::NumaPq,
         }
@@ -218,9 +194,6 @@ impl PqConfig {
         };
         match self {
             PqConfig::HuntEtAl(c) if c.capacity == 0 => invalid("capacity must be at least 1"),
-            PqConfig::FunnelTree(c) if c.funnel_levels == 0 => {
-                invalid("funnel_levels must be at least 1")
-            }
             PqConfig::MultiQueue(c) if c.factor == 0 => invalid("factor must be at least 1"),
             PqConfig::NumaPq(c) if c.nodes == 0 => invalid("nodes must be at least 1"),
             PqConfig::NumaPq(c) if c.factor == 0 => invalid("factor must be at least 1"),
@@ -238,11 +211,6 @@ mod tests {
     fn defaults_match_the_old_flat_knob_defaults() {
         assert_eq!(HuntConfig::default().capacity, 1 << 16);
         assert_eq!(SkipListConfig::default().seed, 0x5EED_CAFE);
-        assert_eq!(BinPqConfig::default().order, BinOrder::Lifo);
-        assert_eq!(
-            FunnelTreeConfig::default().funnel_levels,
-            DEFAULT_FUNNEL_LEVELS
-        );
         let mq = MultiQueueConfig::default();
         assert_eq!(mq.factor, DEFAULT_MQ_FACTOR);
         assert_eq!(mq.seed, DEFAULT_MQ_SEED);
@@ -275,8 +243,6 @@ mod tests {
             })
         );
         let bad = PqConfig::HuntEtAl(HuntConfig { capacity: 0 });
-        assert!(bad.validate().is_err());
-        let bad = PqConfig::FunnelTree(FunnelTreeConfig { funnel_levels: 0 });
         assert!(bad.validate().is_err());
     }
 }

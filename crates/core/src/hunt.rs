@@ -158,24 +158,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
         let item = check_insert(tid, pri, self.max_threads, self.num_priorities, item)?;
         obs::timed(&*self.recorder, OpKind::Insert, || {
-            // Reserve a position under the size lock; lock the target node
-            // before releasing it so a racing delete of the same position
-            // blocks until our item is in place.
-            let i;
-            {
-                let mut size = self.size.lock();
-                if *size >= self.capacity {
-                    return Err(PqError::CapacityExhausted { item });
-                }
-                *size += 1;
-                i = bit_reversed_position(*size);
-                let mut node = self.nodes[i].lock();
-                drop(size);
-                node.entry = Some((pri, item));
-                node.tag = Tag::Owned(tid);
-            }
-            self.bubble_up(tid, i);
-            Ok(())
+            self.file(tid, pri, item)
         })
     }
 
@@ -190,10 +173,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         out
     }
 
-    // One size-lock hold reserves and fills every position; the bubbles run
-    // lock-free of the size lock afterwards. Deadlock-free because the size
-    // lock is always acquired before node locks and never the other way
-    // around, and node locks are taken in increasing-index pairs.
+    // Filed one item at a time, each bubbled before the next is placed: a
+    // bubble waits for a parent another inserter has pending, so an
+    // inserter must never leave a second item pending while it bubbles
+    // one — with several pending each, two batch inserters can wait on
+    // each other for ever.
     fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
@@ -204,25 +188,13 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let submitted = batch.len();
         let leftover = obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            let mut positions = Vec::with_capacity(submitted);
             let mut it = batch.into_iter();
-            {
-                let mut size = self.size.lock();
-                let room = self.capacity - *size;
-                for (pri, item) in (&mut it).take(room) {
-                    *size += 1;
-                    let i = bit_reversed_position(*size);
-                    let mut node = self.nodes[i].lock();
-                    node.entry = Some((pri, item));
-                    node.tag = Tag::Owned(tid);
-                    drop(node);
-                    positions.push(i);
+            while let Some((pri, item)) = it.next() {
+                if let Err(e) = self.file(tid, pri, item) {
+                    return std::iter::once((pri, e.into_item())).chain(it).collect();
                 }
             }
-            for &i in &positions {
-                self.bubble_up(tid, i);
-            }
-            it.collect::<Vec<(usize, T)>>()
+            Vec::new()
         });
         obs::record_batch_op(&*self.recorder, (submitted - leftover.len()) as u64);
         if leftover.is_empty() {
@@ -333,6 +305,30 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
 }
 
 impl<T: Send, R: Recorder> HuntPq<T, R> {
+    /// Files `(pri, item)` for a checked `tid`; a full heap hands the item
+    /// back in the error.
+    #[inline]
+    fn file(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
+        // Reserve a position under the size lock; lock the target node
+        // before releasing it so a racing delete of the same position
+        // blocks until our item is in place.
+        let i;
+        {
+            let mut size = self.size.lock();
+            if *size >= self.capacity {
+                return Err(PqError::CapacityExhausted { item });
+            }
+            *size += 1;
+            i = bit_reversed_position(*size);
+            let mut node = self.nodes[i].lock();
+            drop(size);
+            node.entry = Some((pri, item));
+            node.tag = Tag::Owned(tid);
+        }
+        self.bubble_up(tid, i);
+        Ok(())
+    }
+
     /// Bubbles the item a thread just placed (tagged `Owned(tid)`) at
     /// position `i` up to its resting place, with hand-over-hand
     /// (parent, child) locking.
@@ -361,9 +357,8 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
             } else {
                 // The parent is mid-insertion by another thread: release
                 // both locks and retry at the same position. Back off
-                // before retrying — a batched inserter can leave many
-                // positions pending at once, and a tight relock loop
-                // starves it of the CPU it needs to clear them.
+                // before retrying — on an oversubscribed host a tight
+                // relock loop starves the owner of the CPU it needs.
                 drop(ig);
                 drop(pg);
                 backoff.snooze();

@@ -20,6 +20,11 @@
 //! | [`LinearFunnelsPq`] | LinearFunnels | array of funnel stacks | quiescent |
 //! | [`FunnelTreePq`] | FunnelTree | tree of funnel counters + funnel stacks | quiescent |
 //!
+//! The last four are two layouts (an array of bins, a tree of counters)
+//! over two bins (`LockBin`, `FunnelStack`), so their names are type
+//! aliases of one generic queue, [`BinPq`]: one front end, four
+//! monomorphised instantiations, each with its own constructors.
+//!
 //! Beyond the paper, [`MultiQueuePq`] implements the modern *relaxed*
 //! answer to the same contention problem — `c·T` heaps behind try-locks
 //! with two-choice delete-min — trading strict ordering
@@ -65,6 +70,7 @@
 
 mod adaptive;
 mod algorithm;
+mod bin_pq;
 mod builder;
 mod config;
 mod counter_tree;
@@ -87,11 +93,9 @@ mod traits;
 
 pub use adaptive::{AdaptiveStats, NumaMode, NumaPolicy};
 pub use algorithm::Algorithm;
+pub use bin_pq::BinPq;
 pub use builder::{BuildError, PqBuilder};
-pub use config::{
-    BinPqConfig, FunnelTreeConfig, HuntConfig, MultiQueueConfig, NumaConfig, PqConfig,
-    SkipListConfig,
-};
+pub use config::{HuntConfig, MultiQueueConfig, NumaConfig, PqConfig, SkipListConfig};
 pub use error::Error;
 pub use funnel_tree::{FunnelTreePq, DEFAULT_FUNNEL_LEVELS};
 pub use hunt::HuntPq;

@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 use funnelpq_sync::{FunnelConfig, FunnelStack};
 
-use crate::algorithm::Algorithm;
-use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{check_batch, check_insert, for_each_run, BoundedPq, PqBatchError, PqError};
+use crate::bin_pq::{BinPq, Linear};
+use crate::obs::{NoopRecorder, Recorder};
 
 /// One combining-funnel stack per priority; `delete_min` scans stacks
 /// smallest-first, popping from the first non-empty one.
@@ -18,6 +17,9 @@ use crate::traits::{check_batch, check_insert, for_each_run, BoundedPq, PqBatchE
 /// consistent. The paper's method of choice at 256 processors when the
 /// priority range is very small (≤4).
 ///
+/// The linear layout of [`crate::SimpleLinearPq`] over `FunnelStack`s
+/// instead of `LockBin`s, behind the same front end.
+///
 /// # Examples
 ///
 /// ```
@@ -26,12 +28,7 @@ use crate::traits::{check_batch, check_insert, for_each_run, BoundedPq, PqBatchE
 /// q.insert(0, 2, 'x');
 /// assert_eq!(q.delete_min(1), Some((2, 'x')));
 /// ```
-#[derive(Debug)]
-pub struct LinearFunnelsPq<T, R: Recorder = NoopRecorder> {
-    stacks: Vec<FunnelStack<T>>,
-    max_threads: usize,
-    recorder: Arc<R>,
-}
+pub type LinearFunnelsPq<T, R = NoopRecorder> = BinPq<T, Linear<FunnelStack<T>>, R>;
 
 impl<T: Send> LinearFunnelsPq<T> {
     /// Creates a queue with default funnel parameters for `max_threads`.
@@ -58,111 +55,19 @@ impl<T: Send, R: Recorder> LinearFunnelsPq<T, R> {
     ///
     /// Panics if `num_priorities` is zero or the config is invalid.
     pub fn with_recorder(num_priorities: usize, cfg: FunnelConfig, recorder: Arc<R>) -> Self {
-        assert!(num_priorities > 0, "need at least one priority");
         let max_threads = cfg.max_threads;
         let sink = recorder.sink();
-        LinearFunnelsPq {
-            stacks: (0..num_priorities)
-                .map(|_| FunnelStack::with_sink(cfg.clone(), sink.clone()))
-                .collect(),
-            max_threads,
-            recorder,
-        }
-    }
-}
-
-impl<T: Send, R: Recorder> BoundedPq<T> for LinearFunnelsPq<T, R> {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::LinearFunnels
-    }
-
-    fn num_priorities(&self) -> usize {
-        self.stacks.len()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.max_threads
-    }
-
-    // `#[inline]` lets the panicking `insert` wrapper's monomorphization
-    // absorb this body, keeping the old direct-insert code shape (no extra
-    // call or by-stack `Result` on the hot path).
-    #[inline]
-    fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        let item = check_insert(tid, pri, self.max_threads, self.stacks.len(), item)?;
-        obs::timed(&*self.recorder, OpKind::Insert, || {
-            self.stacks[pri].push(tid, item)
+        let stacks = Linear::new(num_priorities, || {
+            FunnelStack::with_sink(cfg.clone(), sink.clone())
         });
-        Ok(())
-    }
-
-    fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
-        assert!(tid < self.max_threads, "tid {tid} out of range");
-        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            for (pri, stack) in self.stacks.iter().enumerate() {
-                if !stack.is_empty() {
-                    if let Some(item) = stack.pop(tid) {
-                        return Some((pri, item));
-                    }
-                }
-            }
-            None
-        });
-        if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
-        }
-        out
-    }
-
-    // A run of equal priority reaches its stack as one pre-linked chain:
-    // the push tree a funnel would have combined, arriving combined.
-    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let batch = check_batch(tid, batch, self.max_threads, self.stacks.len())?;
-        let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            for_each_run(batch, |pri, run| {
-                self.stacks[pri].push_many(tid, run.map(|(_, item)| item))
-            })
-        });
-        obs::record_batch_op(&*self.recorder, n);
-        Ok(())
-    }
-
-    // One scan, detaching from each non-empty stack everything the batch
-    // still wants in one central section.
-    fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
-        assert!(tid < self.max_threads, "tid {tid} out of range");
-        if k == 0 {
-            return 0;
-        }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
-            let mut taken = 0;
-            for (pri, stack) in self.stacks.iter().enumerate() {
-                taken += stack.pop_many(tid, k - taken, |item| out.push((pri, item)));
-                if taken == k {
-                    break;
-                }
-            }
-            taken
-        });
-        obs::record_batch_op(&*self.recorder, taken as u64);
-        if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
-        }
-        taken
-    }
-
-    fn is_empty(&self) -> bool {
-        self.stacks.iter().all(|s| s.is_empty())
+        BinPq::from_layout(stacks, max_threads, recorder)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::BoundedPq;
     use std::thread;
 
     #[test]

@@ -117,9 +117,10 @@ struct ThreadCtx<T> {
 
 /// The ninth algorithm: the MultiQueue's heap array partitioned over NUMA
 /// nodes, with a delegation layer and an adaptive mode switch. See the
-/// [module docs](self) for the protocol and `docs/ALGORITHMS.md` §9 for the
-/// design discussion. Unlike [`crate::MultiQueuePq`] it draws fresh every
-/// operation — no sticky choice cache.
+/// module docs of `crates/core/src/numa.rs` for the protocol and
+/// `docs/ALGORITHMS.md` §9 for the design discussion. Unlike
+/// [`crate::MultiQueuePq`] it draws fresh every operation — no sticky
+/// choice cache.
 #[derive(Debug)]
 pub struct NumaPq<T, R: Recorder = NoopRecorder> {
     heaps: HeapArray<T>,

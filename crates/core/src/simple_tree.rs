@@ -5,10 +5,9 @@ use std::sync::Arc;
 
 use funnelpq_sync::{BinOrder, Bounds, LockBin, LockedCounter};
 
-use crate::algorithm::Algorithm;
+use crate::bin_pq::BinPq;
 use crate::counter_tree::CounterTree;
-use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{check_batch, check_insert, BoundedPq, PqBatchError, PqError};
+use crate::obs::{NoopRecorder, Recorder};
 
 /// Binary tree of counters (each an MCS-locked integer) over lock-based
 /// bins: `delete_min` costs `O(log N)` counter operations, `insert` half
@@ -17,6 +16,9 @@ use crate::traits::{check_batch, check_insert, BoundedPq, PqBatchError, PqError}
 /// Every operation passes through the root counter, which becomes the
 /// serial bottleneck at high concurrency — the behaviour `FunnelTree`
 /// removes by swapping the hot counters for combining funnels.
+///
+/// The tree layout over `LockBin`s behind the bounded-range front end
+/// every one of the paper's four queues shares.
 ///
 /// # Examples
 ///
@@ -28,11 +30,7 @@ use crate::traits::{check_batch, check_insert, BoundedPq, PqBatchError, PqError}
 /// assert_eq!(q.delete_min(2), Some((4, "d")));
 /// assert_eq!(q.delete_min(3), Some((9, "i")));
 /// ```
-#[derive(Debug)]
-pub struct SimpleTreePq<T, R: Recorder = NoopRecorder> {
-    tree: CounterTree<T, LockBin<T>>,
-    recorder: Arc<R>,
-}
+pub type SimpleTreePq<T, R = NoopRecorder> = BinPq<T, CounterTree<T, LockBin<T>>, R>;
 
 impl<T: Send> SimpleTreePq<T> {
     /// Creates a queue for priorities `0..num_priorities`.
@@ -70,121 +68,25 @@ impl<T: Send, R: Recorder> SimpleTreePq<T, R> {
         recorder: Arc<R>,
     ) -> Self {
         let sink = recorder.sink();
-        SimpleTreePq {
-            tree: CounterTree::new(
-                num_priorities,
-                max_threads,
-                |_depth| {
-                    Box::new(LockedCounter::with_sink(
-                        0,
-                        Bounds::non_negative(),
-                        sink.clone(),
-                    ))
-                },
-                || LockBin::with_order_and_sink(order, sink.clone()),
-            ),
-            recorder,
-        }
-    }
-
-    /// Checks, at quiescence, that every counter of the tree equals the
-    /// number of items in its left subtree's bins. For tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics naming the first counter that does not.
-    #[doc(hidden)]
-    pub fn validate(&self) {
-        self.tree.validate();
-    }
-}
-
-impl<T: Send, R: Recorder> BoundedPq<T> for SimpleTreePq<T, R> {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::SimpleTree
-    }
-
-    fn num_priorities(&self) -> usize {
-        self.tree.num_priorities()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.tree.max_threads()
-    }
-
-    // `#[inline]` lets the panicking `insert` wrapper's monomorphization
-    // absorb this body, keeping the old direct-insert code shape (no extra
-    // call or by-stack `Result` on the hot path).
-    #[inline]
-    fn try_insert(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
-        let item = check_insert(
-            tid,
-            pri,
-            self.tree.max_threads(),
-            self.tree.num_priorities(),
-            item,
-        )?;
-        obs::timed(&*self.recorder, OpKind::Insert, || {
-            self.tree.insert(tid, pri, item)
-        });
-        Ok(())
-    }
-
-    fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
-        assert!(tid < self.tree.max_threads(), "tid {tid} out of range");
-        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.tree.delete_min(tid)
-        });
-        if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
-        }
-        out
-    }
-
-    // The batch enters the tree as one pre-combined operation: each bin
-    // and each counter on its paths is touched once (`CounterTree`).
-    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let batch = check_batch(
-            tid,
-            batch,
-            self.tree.max_threads(),
-            self.tree.num_priorities(),
-        )?;
-        let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            self.tree.insert_batch(tid, batch)
-        });
-        obs::record_batch_op(&*self.recorder, n);
-        Ok(())
-    }
-
-    // One descent carrying `k` claims.
-    fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
-        assert!(tid < self.tree.max_threads(), "tid {tid} out of range");
-        if k == 0 {
-            return 0;
-        }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
-            self.tree.delete_min_batch(tid, k, out)
-        });
-        obs::record_batch_op(&*self.recorder, taken as u64);
-        if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
-        }
-        taken
-    }
-
-    fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        let tree = CounterTree::new(
+            num_priorities,
+            |_depth| {
+                Box::new(LockedCounter::with_sink(
+                    0,
+                    Bounds::non_negative(),
+                    sink.clone(),
+                ))
+            },
+            || LockBin::with_order_and_sink(order, sink.clone()),
+        );
+        BinPq::from_layout(tree, max_threads, recorder)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::BoundedPq;
 
     #[test]
     fn sequential_priority_order() {

@@ -21,7 +21,7 @@
 //! constant [`Recorder::ENABLED`].
 //!
 //! Record encoding (`[u64; 4]`): `w0` is a tag — `0..=4` are
-//! [`OpKind::index`] op spans, [`TAG_LOCK`] a lock interval, [`TAG_CAS`]
+//! [`OpKind::index`] op spans, `TAG_LOCK` a lock interval, `TAG_CAS`
 //! a CAS-retry burst — and `w1..w3` are tag-specific timestamps/counts on
 //! the [`mono_ns`] timeline. Lock intervals arrive via the substrate
 //! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release for a

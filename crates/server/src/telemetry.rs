@@ -3,7 +3,7 @@
 //! online rank-error estimator — all aggregated on demand into a
 //! versioned [`TelemetrySnapshot`] (see `docs/OBSERVABILITY.md`).
 //!
-//! Each shard owns one [`ShardTelemetry`] behind a `Mutex`. Its only
+//! Each shard owns one `ShardTelemetry` behind a `Mutex`. Its only
 //! writer is that shard's dispatcher thread, which takes the (therefore
 //! uncontended) lock once per drained batch and lets go of it before it
 //! waits for anything; [`Scheduler::telemetry`] readers take it rarely,

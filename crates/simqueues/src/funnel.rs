@@ -46,7 +46,7 @@ impl SimFunnelConfig {
     /// Checks the configuration for internal consistency, reporting what
     /// is wrong instead of panicking. Used by fallible builders
     /// ([`crate::queues::SimPq::try_build`]); the panicking
-    /// [`validate`](Self::validate) delegates here.
+    /// `validate` delegates here.
     pub fn check(&self) -> Result<(), SimPqError> {
         if self.widths.len() != self.spin_checks.len() {
             return Err(SimPqError::BadConfig {

@@ -3,26 +3,26 @@
 
 mod counter_tree;
 mod hunt;
-mod linear_funnels;
+mod linear;
 mod multiqueue;
 mod numa;
-mod simple_linear;
 mod single_lock;
 mod skiplist;
 
 pub use counter_tree::{SimCounterTree, SimTreeBin, TreeFlavor};
 pub use hunt::SimHunt;
-pub use linear_funnels::SimLinearFunnels;
+pub use linear::{LinearBin, SimLinear};
 pub use multiqueue::SimMultiQueue;
 pub use numa::SimNumaPq;
-pub use simple_linear::SimSimpleLinear;
 pub use single_lock::SimSingleLock;
 pub use skiplist::SimSkipList;
 
 use funnelpq_sim::{Machine, ProcCtx};
 
+use crate::bin::SimBin;
 use crate::error::SimPqError;
 use crate::funnel::SimFunnelConfig;
+use crate::funnel_stack::SimFunnelStack;
 
 // One shared name list for native and simulated queues: the enum lives in
 // the core crate (which also documents each algorithm's consistency) and is
@@ -133,12 +133,12 @@ pub enum SimPq {
     HuntEtAl(SimHunt),
     /// See [`SimSkipList`].
     SkipList(SimSkipList),
-    /// See [`SimSimpleLinear`].
-    SimpleLinear(SimSimpleLinear),
+    /// See [`SimLinear`] over MCS-locked bins.
+    SimpleLinear(SimLinear<SimBin>),
     /// See [`SimCounterTree`] with [`TreeFlavor::Simple`].
     SimpleTree(SimCounterTree),
-    /// See [`SimLinearFunnels`].
-    LinearFunnels(SimLinearFunnels),
+    /// See [`SimLinear`] over funnel stacks.
+    LinearFunnels(SimLinear<SimFunnelStack>),
     /// See [`SimCounterTree`] with [`TreeFlavor::Funnel`].
     FunnelTree(SimCounterTree),
     /// See [`SimCounterTree`] with [`TreeFlavor::Hardware`].
@@ -172,12 +172,11 @@ impl SimPq {
             Algorithm::SkipList => {
                 SimPq::SkipList(SimSkipList::build(m, p.procs, p.num_priorities, p.capacity))
             }
-            Algorithm::SimpleLinear => SimPq::SimpleLinear(SimSimpleLinear::build(
-                m,
-                p.procs,
-                p.num_priorities,
-                p.capacity,
-            )),
+            Algorithm::SimpleLinear => {
+                SimPq::SimpleLinear(SimLinear::build(m, p.num_priorities, |m| {
+                    SimBin::build(m, p.procs, p.capacity)
+                }))
+            }
             Algorithm::SimpleTree => SimPq::SimpleTree(SimCounterTree::build(
                 m,
                 p.procs,
@@ -185,13 +184,15 @@ impl SimPq {
                 p.capacity,
                 TreeFlavor::Simple,
             )),
-            Algorithm::LinearFunnels => SimPq::LinearFunnels(SimLinearFunnels::build(
-                m,
-                p.procs,
-                p.num_priorities,
-                p.capacity,
-                p.funnel.clone(),
-            )),
+            Algorithm::LinearFunnels => {
+                // The closure owns one config clone and hands each bin its
+                // own: this host allocation sequence sets the heap layout
+                // of every later run, so keep it.
+                let cfg = p.funnel.clone();
+                SimPq::LinearFunnels(SimLinear::build(m, p.num_priorities, move |m| {
+                    SimFunnelStack::build(m, p.procs, p.capacity, cfg.clone())
+                }))
+            }
             Algorithm::FunnelTree => SimPq::FunnelTree(SimCounterTree::build(
                 m,
                 p.procs,
@@ -344,7 +345,7 @@ impl SimPq {
             SimPq::SingleLock(q) => Ok(q.peek_len(m)),
             SimPq::HuntEtAl(q) => Ok(q.peek_len(m)),
             SimPq::SkipList(q) => Ok(q.peek_len(m)),
-            SimPq::SimpleLinear(q) => Ok(q.peek_len(m)),
+            SimPq::SimpleLinear(q) => q.peek_len(m),
             SimPq::SimpleTree(q) => q.peek_len(m),
             SimPq::LinearFunnels(q) => q.peek_len(m),
             SimPq::FunnelTree(q) => q.peek_len(m),

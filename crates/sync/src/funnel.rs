@@ -411,7 +411,7 @@ impl SharedCounter for FunnelCounter {
         self.operate(tid, -1)
     }
 
-    /// The direct path of [`FunnelCounter::operate`] carrying `sum = delta`:
+    /// The direct path of `FunnelCounter::operate` carrying `sum = delta`:
     /// the caller is the root of a tree that arrived combined, so there is
     /// nothing for the layers to add. `location` is never published — it
     /// stays frozen, nobody can capture this thread, and no layer ever

@@ -353,18 +353,17 @@ fn hunt_capacity_boundary_under_concurrent_fill() {
 /// `[lock_acquire, cas_retry, empty_delete_min, mode_switch]` totals.
 type TapeTrace = (u64, [u64; 4]);
 
+/// Thread ids the tape rotates over, and its priority range.
+const TAPE_TIDS: usize = 4;
+const TAPE_PRIS: usize = 32;
+
 /// Replays a fixed mixed tape — singles, batches and `replace_min`, the
-/// calling tid rotating over four ids — against a relaxed queue built from
-/// `cfg`. One OS thread, so the queue's own RNG draws are the only source
-/// of choice and the trace is a pure function of the code.
-fn replay_tape(cfg: PqConfig) -> TapeTrace {
-    use funnelpq::obs::{AtomicRecorder, CounterEvent};
-    const TIDS: usize = 4;
-    const PRIS: usize = 32;
-    let rec = Arc::new(AtomicRecorder::new());
-    let q = PqBuilder::from_config(cfg, PRIS, TIDS)
-        .recorder(Arc::clone(&rec))
-        .build::<u64>();
+/// calling tid rotating over four ids — against `q`, whose metrics (if it
+/// has a recorder attached) flow into `rec`. One OS thread, so a queue's
+/// own RNG draws are the only source of choice and the trace is a pure
+/// function of the code.
+fn replay_tape(q: &dyn BoundedPq<u64>, rec: &funnelpq::obs::AtomicRecorder) -> TapeTrace {
+    use funnelpq::obs::CounterEvent;
     let mut rng = XorShift64Star::new(0x7A9E_0023);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |word: u64| {
@@ -382,8 +381,8 @@ fn replay_tape(cfg: PqConfig) -> TapeTrace {
     let mut next_item = 0u64;
     let mut out = Vec::new();
     for step in 0..3_000usize {
-        let tid = step % TIDS;
-        let pri = rng.below(PRIS as u64) as usize;
+        let tid = step % TAPE_TIDS;
+        let pri = rng.below(TAPE_PRIS as u64) as usize;
         // Alternating fill and drain phases, so the empty-pair sweep and
         // the stale-free redraw paths are walked as well as the fast path.
         let draining = (step / 500) % 2 == 1;
@@ -404,7 +403,7 @@ fn replay_tape(cfg: PqConfig) -> TapeTrace {
             2 => {
                 let len = 1 + rng.below(8);
                 let batch = (0..len)
-                    .map(|i| (rng.below(PRIS as u64) as usize, next_item + i))
+                    .map(|i| (rng.below(TAPE_PRIS as u64) as usize, next_item + i))
                     .collect();
                 next_item += len;
                 q.insert_batch(tid, batch).expect("in-range batch");
@@ -439,19 +438,34 @@ fn replay_tape(cfg: PqConfig) -> TapeTrace {
     )
 }
 
-/// The two relaxed queues share one heap array (`core::heap_array`); these
-/// traces were recorded from the code *before* ISSUE 23 introduced it. A
-/// refactor there must keep the per-episode RNG draw order, the sticky
-/// bookkeeping and the event counts exactly — do not edit the constants.
+/// [`replay_tape`] on the queue `PqBuilder` builds from `cfg`, with an
+/// `AtomicRecorder` attached.
+fn replay_built(cfg: PqConfig) -> TapeTrace {
+    let rec = Arc::new(funnelpq::obs::AtomicRecorder::new());
+    let q = PqBuilder::from_config(cfg, TAPE_PRIS, TAPE_TIDS)
+        .recorder(Arc::clone(&rec))
+        .build::<u64>();
+    replay_tape(&*q, &rec)
+}
+
+/// Traces recorded from the code *before* the refactor each names: the two
+/// relaxed queues before ISSUE 23 gave them one heap array
+/// (`core::heap_array`), the paper's four bounded-range queues before
+/// ISSUE 25 put them behind one front end (`core::bin_pq`). A refactor
+/// there must keep every returned item, every RNG draw and every event
+/// count exactly — do not edit the constants.
 #[test]
-fn relaxed_queues_replay_a_seeded_tape_exactly() {
-    use funnelpq::{MultiQueueConfig, NumaConfig, NumaMode, NumaPolicy};
+fn seeded_tapes_replay_exactly() {
+    use funnelpq::obs::AtomicRecorder;
+    use funnelpq::{
+        BinOrder, MultiQueueConfig, NumaConfig, NumaMode, NumaPolicy, SimpleLinearPq, SimpleTreePq,
+    };
     let numa = NumaConfig {
         epoch_ops: 16,
         remote_ns: 2_000,
         ..NumaConfig::default()
     };
-    let cases: [(&str, PqConfig, TapeTrace); 4] = [
+    let built: [(&str, PqConfig, TapeTrace); 8] = [
         (
             "MultiQueue",
             PqConfig::MultiQueue(MultiQueueConfig::default()),
@@ -478,8 +492,76 @@ fn relaxed_queues_replay_a_seeded_tape_exactly() {
             }),
             (379_136_422_475_452_456, [10_282, 0, 577, 0]),
         ),
+        (
+            "SimpleLinear",
+            PqConfig::for_algorithm(Algorithm::SimpleLinear).unwrap(),
+            (3_793_526_794_876_077_372, [3_835, 0, 577, 0]),
+        ),
+        (
+            "LinearFunnels",
+            PqConfig::for_algorithm(Algorithm::LinearFunnels).unwrap(),
+            (3_793_526_794_876_077_372, [3_835, 0, 577, 0]),
+        ),
+        (
+            "SimpleTree",
+            PqConfig::for_algorithm(Algorithm::SimpleTree).unwrap(),
+            (3_793_526_794_876_077_372, [19_316, 0, 577, 0]),
+        ),
+        (
+            "FunnelTree",
+            PqConfig::for_algorithm(Algorithm::FunnelTree).unwrap(),
+            (3_793_526_794_876_077_372, [7_596, 0, 577, 0]),
+        ),
     ];
-    for (name, cfg, want) in cases {
-        assert_eq!(replay_tape(cfg), want, "{name}: tape trace changed");
+    for (name, cfg, want) in built {
+        assert_eq!(replay_built(cfg), want, "{name}: tape trace changed");
+    }
+    // The direct constructors, both bin orders; no recorder attached, so
+    // only the digest moves (LIFO must match the builder's rows above).
+    let unattached = AtomicRecorder::new();
+    let direct: [(&str, Box<dyn BoundedPq<u64>>, u64); 4] = [
+        (
+            "SimpleLinear LIFO",
+            Box::new(SimpleLinearPq::with_order(
+                TAPE_PRIS,
+                TAPE_TIDS,
+                BinOrder::Lifo,
+            )),
+            3_793_526_794_876_077_372,
+        ),
+        (
+            "SimpleLinear FIFO",
+            Box::new(SimpleLinearPq::with_order(
+                TAPE_PRIS,
+                TAPE_TIDS,
+                BinOrder::Fifo,
+            )),
+            6_178_459_840_227_949_080,
+        ),
+        (
+            "SimpleTree LIFO",
+            Box::new(SimpleTreePq::with_order(
+                TAPE_PRIS,
+                TAPE_TIDS,
+                BinOrder::Lifo,
+            )),
+            3_793_526_794_876_077_372,
+        ),
+        (
+            "SimpleTree FIFO",
+            Box::new(SimpleTreePq::with_order(
+                TAPE_PRIS,
+                TAPE_TIDS,
+                BinOrder::Fifo,
+            )),
+            6_178_459_840_227_949_080,
+        ),
+    ];
+    for (name, q, want) in direct {
+        assert_eq!(
+            replay_tape(&*q, &unattached),
+            (want, [0; 4]),
+            "{name}: tape trace changed"
+        );
     }
 }

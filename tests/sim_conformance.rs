@@ -212,18 +212,21 @@ fn workload_results_are_reproducible_across_algorithms() {
 }
 
 /// Golden cycle counts for the three heap-backed twins (`SingleLock`,
-/// `MultiQueue`, `NumaPq`). Recorded from the code *before* ISSUE 23 moved
-/// their word-heap into `simqueues::heap`; a refactor of that module must
-/// leave every simulated access — and so every number here — untouched.
-/// Do not edit the constants: a mismatch means the access sequence moved.
+/// `MultiQueue`, `NumaPq`), recorded from the code *before* ISSUE 23 moved
+/// their word-heap into `simqueues::heap`, and for the bin-per-priority
+/// twins (`SimpleLinear`, `LinearFunnels` and the three trees), recorded
+/// before ISSUE 25 merged the two linear twins into `SimLinear`. A
+/// refactor of either must leave every simulated access — and so every
+/// number here — untouched. Do not edit the constants: a mismatch means
+/// the access sequence moved.
 #[test]
 fn heap_backed_twins_match_their_golden_cycle_counts() {
     use funnelpq::{NumaMode, NumaPolicy};
     let adaptive = NumaPolicy::Adaptive;
     let pinned = NumaPolicy::Pinned(NumaMode::Delegation);
     // (algorithm, NumaPq policy, procs, total_cycles, mem_accesses); seed 7,
-    // 16 priorities, 64 ops per processor — `pqsim --seed 7` prints the
-    // SingleLock / MultiQueue rows. NumaPq runs on a 2-node machine with a
+    // 16 priorities, 64 ops per processor — `pqsim --seed 7` prints every
+    // row but NumaPq's. NumaPq runs on a 2-node machine with a
     // 4x remote ratio so both disciplines cross nodes.
     let golden = [
         (Algorithm::SingleLock, adaptive, 16, 553_760u64, 27_842u64),
@@ -234,6 +237,16 @@ fn heap_backed_twins_match_their_golden_cycle_counts() {
         (Algorithm::NumaPq, adaptive, 64, 96_761, 116_341),
         (Algorithm::NumaPq, pinned, 16, 42_583, 15_602),
         (Algorithm::NumaPq, pinned, 64, 104_020, 129_976),
+        (Algorithm::SimpleLinear, adaptive, 16, 56_204, 19_723),
+        (Algorithm::SimpleLinear, adaptive, 64, 132_358, 94_453),
+        (Algorithm::LinearFunnels, adaptive, 16, 120_352, 45_287),
+        (Algorithm::LinearFunnels, adaptive, 64, 206_466, 256_816),
+        (Algorithm::SimpleTree, adaptive, 16, 90_118, 33_354),
+        (Algorithm::SimpleTree, adaptive, 64, 347_066, 132_428),
+        (Algorithm::FunnelTree, adaptive, 16, 111_536, 53_948),
+        (Algorithm::FunnelTree, adaptive, 64, 152_546, 261_973),
+        (Algorithm::HardwareTree, adaptive, 16, 30_156, 14_542),
+        (Algorithm::HardwareTree, adaptive, 64, 122_004, 81_119),
     ];
     for (algo, policy, procs, cycles, accesses) in golden {
         let mut wl = Workload::standard(procs, 16);
@@ -251,10 +264,12 @@ fn heap_backed_twins_match_their_golden_cycle_counts() {
             "{algo} ({policy:?}) at P={procs}: simulated access sequence changed"
         );
     }
-    // The batched paths share the same heap: one churn point each.
+    // The batched paths share the same heap: one churn point each; and one
+    // for a linear twin, whose batches loop singles.
     let batched = [
         (Algorithm::SingleLock, 1_272_954u64, 52_770u64),
         (Algorithm::MultiQueue, 64_315, 33_804),
+        (Algorithm::LinearFunnels, 118_252, 51_331),
     ];
     for (algo, cycles, accesses) in batched {
         let mut wl = Workload::standard(16, 16);
