@@ -21,7 +21,8 @@
 //! final snapshot JSON (stdout, or `--out`). `--watch` additionally
 //! prints a one-line summary every `--interval-ms` while the load runs,
 //! ending in the dispatchers' wait accounting: `parks` (times blocked),
-//! `polls=hits/windows` and `batch` (mean jobs per drain).
+//! `polls=hits/windows`, `coalesced` (windows spent waiting for a batch
+//! to fill) and `batch` (mean jobs per drain).
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -215,7 +216,7 @@ fn main() -> ExitCode {
             let w = t.waits();
             eprintln!(
                 "[{:>6.0}ms] dispatched={} misses={} depth={} rank_err={:.3} windows={} \
-                 parks={} polls={}/{} batch={:.1}{numa}",
+                 parks={} polls={}/{} coalesced={} batch={:.1}{numa}",
                 t.at_ns as f64 / 1e6,
                 t.dispatched(),
                 t.misses(),
@@ -225,6 +226,7 @@ fn main() -> ExitCode {
                 w.parks,
                 w.poll_hits,
                 w.poll_hits + w.poll_misses,
+                w.coalesced,
                 w.mean_batch(),
             );
         }

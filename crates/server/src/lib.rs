@@ -10,7 +10,9 @@
 //! in-flight capacity, refusing with typed [`ServerError`]s that carry the
 //! job back; each shard runs one event-driven dispatcher thread (it polls
 //! a lock-free depth gauge for a self-tuned window, coalesces small
-//! backlogs, and parks when idle, woken by the submit that needs it)
+//! backlogs only while the arrival gap it learns from drained jobs says
+//! another job is due, and parks when idle, woken by the submit that
+//! needs it)
 //! draining its queue with `delete_min_batch` and re-arming periodic jobs
 //! through the fused `replace_min` — every shard can be backed by any
 //! [`funnelpq::PqConfig`] backend, strict (`SingleLock`, `FunnelTree`, …)

@@ -32,8 +32,51 @@ const POLL_START_NS: u64 = 10_000;
 const POLL_MAX_NS: u64 = 50_000;
 
 /// How long the dispatcher lets a backlog smaller than `drain_batch` grow
-/// before draining it anyway.
+/// before draining it anyway, and the arrival gap below which it waits at
+/// all (see [`ArrivalGap`]).
 const COALESCE_NS: u64 = 2_000;
+
+/// The dispatcher's estimate of how far apart jobs land on its shard,
+/// learnt from the [`Job::enqueued_ns`] stamps of the batches it drains:
+/// the newest stamp's advance over the previous batch's, per job drained,
+/// smoothed over about four batches. It answers one question — is another
+/// job due within [`COALESCE_NS`]? — and so whether a backlog smaller than
+/// a batch is worth waiting on. Arrivals, not service: [`RateWindow`]
+/// measures the other side.
+#[derive(Default)]
+struct ArrivalGap {
+    /// The newest stamp filed so far.
+    newest_ns: Option<u64>,
+    /// Smoothed nanoseconds between arrivals; `None` until two batches.
+    gap_ns: Option<u64>,
+}
+
+impl ArrivalGap {
+    /// Files one drained batch of `jobs` jobs whose newest stamp is
+    /// `newest_ns`. A stamp no newer than the last one filed (a batch of
+    /// old jobs from deep in the queue, a failover requeue) says nothing
+    /// about arrivals and is skipped.
+    fn observe(&mut self, newest_ns: u64, jobs: u64) {
+        if let Some(prev) = self.newest_ns {
+            if newest_ns <= prev {
+                return;
+            }
+            // Capped at twice the bound: a longer gap says "not due" just
+            // as well, and an idle spell filed at full length would keep
+            // the burst that ends it from coalescing for dozens of batches.
+            let sample = ((newest_ns - prev) / jobs.max(1)).min(2 * COALESCE_NS);
+            self.gap_ns = Some(self.gap_ns.map_or(sample, |g| (3 * g + sample) / 4));
+        }
+        self.newest_ns = Some(newest_ns);
+    }
+
+    /// Whether another job is expected within [`COALESCE_NS`]. True until
+    /// a gap has been measured, so a fresh or restarted dispatcher
+    /// coalesces.
+    fn another_due(&self) -> bool {
+        self.gap_ns.is_none_or(|g| g < COALESCE_NS)
+    }
+}
 
 /// The dispatcher's busy-time accumulator behind [`Shard::rate_ns`]: mean
 /// nanoseconds per dispatch over at least [`RATE_WINDOW`] dispatches,
@@ -359,6 +402,7 @@ impl<R: Recorder> Scheduler<R> {
     pub fn shard_healthy(&self, shard: usize) -> bool {
         self.shards
             .get(shard)
+            // ORDERING: Acquire, as in `healthy_from`.
             .is_some_and(|s| s.healthy.load(Ordering::Acquire))
     }
 
@@ -403,6 +447,8 @@ impl<R: Recorder> Scheduler<R> {
         // Route, then fail over past dark shards: a tenant whose home
         // shard gave up is served by the next healthy shard clockwise.
         let routed = self.router.route(spec.tenant);
+        // ORDERING: Relaxed; an id need only be unique, which the counter's
+        // modification order gives every RMW.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let enqueued_ns = self.now_ns();
         // A relative deadline resolves against the enqueue stamp itself,
@@ -428,12 +474,19 @@ impl<R: Recorder> Scheduler<R> {
                 return Err(ServerError::NoHealthyShard { job: stamp(0) });
             }
         };
+        // ORDERING: Acquire; partner is the AcqRel `fetch_add` in `dispatch`.
+        // Only the value is used — a reading of the virtual service clock,
+        // monotone by coherence alone — so this is stronger than it needs.
         let job = stamp(shard.dispatched.load(Ordering::Acquire));
+        // ORDERING: Acquire; partner is the Release store in `stop`. A submit
+        // that misses the flag races the stop and is counted in
+        // `in_flight_at_stop` (callers quiesce clients first).
         if self.stopping.load(Ordering::Acquire) {
             return Err(ServerError::Stopped { job });
         }
         if self.cfg.overload.shed {
             if let Some(after_ns) = self.shed_check(shard, &job) {
+                // ORDERING: Relaxed, a statistic.
                 shard.shed.fetch_add(1, Ordering::Relaxed);
                 if R::ENABLED {
                     self.recorder.record_event(CounterEvent::JobShed);
@@ -455,6 +508,11 @@ impl<R: Recorder> Scheduler<R> {
         let n = self.shards.len();
         (0..n)
             .map(|k| (start + k) % n)
+            // ORDERING: Acquire; partner is the Release store in `give_up`.
+            // The flag guards no data, and routing on it is advisory: no
+            // ordering closes the window in which a submit that read it up
+            // just before it went down inserts after the give-up's last
+            // drain, into a queue nobody drains any more.
             .find(|&si| self.shards[si].healthy.load(Ordering::Acquire))
     }
 
@@ -466,6 +524,8 @@ impl<R: Recorder> Scheduler<R> {
     /// configured pacing floor.
     fn shed_check(&self, shard: &Shard, job: &Job) -> Option<u64> {
         let depth = shard.depth();
+        // ORDERING: Relaxed; partner is the Relaxed store in `run_episodes`.
+        // An estimate: any recently published value will do.
         let published = shard.rate_ns.load(Ordering::Relaxed);
         let rate_ns = if published == 0 {
             self.cfg.service_ns
@@ -496,6 +556,7 @@ impl<R: Recorder> Scheduler<R> {
                 (
                     s.telemetry_cell().clone(),
                     s.depth(),
+                    // ORDERING: Relaxed, a statistic.
                     s.shed.load(Ordering::Relaxed),
                     s.queue.adaptive_stats(),
                 )
@@ -556,6 +617,10 @@ impl<R: Recorder> Scheduler<R> {
     /// stop); anything still queued is counted in
     /// [`ServerReport::in_flight_at_stop`].
     pub fn stop(&self) -> ServerReport {
+        // ORDERING: Release; partners are the Acquire loads in `submit_inner`
+        // and the dispatch loop. The flag publishes no data; a parked
+        // dispatcher sees it because the unpark below synchronizes with the
+        // return from its park.
         self.stopping.store(true, Ordering::Release);
         // Unconditionally: a dispatcher that read the flag down and is
         // about to park keeps the token and returns from that park at once.
@@ -570,6 +635,8 @@ impl<R: Recorder> Scheduler<R> {
             .take()
             .map_or(0, |t| t.elapsed().as_nanos() as u64);
         let mut report = ServerReport {
+            // ORDERING: Relaxed, a statistic; exact once the caller has
+            // quiesced (joined) its clients.
             submitted: self.next_id.load(Ordering::Relaxed),
             admitted: self.admission.admitted(),
             rejected_quota: self.admission.rejected_quota(),
@@ -625,6 +692,7 @@ impl<R: Recorder> Scheduler<R> {
         report.shed = self
             .shards
             .iter()
+            // ORDERING: Relaxed, a statistic (as `submitted` above).
             .map(|s| s.shed.load(Ordering::Relaxed))
             .sum();
         report.in_flight_at_stop = self.admission.in_flight() as u64;
@@ -754,6 +822,8 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// reported lost.
     fn give_up(&self, report: &mut ShardReport, survivors: Vec<(usize, Job)>) {
         report.gave_up = true;
+        // ORDERING: Release; partners are the Acquire loads in `healthy_from`
+        // and the failover search below. It publishes no data.
         self.shard.healthy.store(false, Ordering::Release);
         let mut pending = survivors;
         let mut drained: Vec<(usize, Job)> = Vec::with_capacity(self.drain.max(1));
@@ -766,6 +836,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             if got == 0 {
                 break;
             }
+            // ORDERING: Relaxed, as in `run_episodes`.
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             pending.append(&mut drained);
         }
@@ -779,6 +850,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             let n = self.shards.len();
             let target = (0..n)
                 .map(|k| (start + k) % n)
+                // ORDERING: Acquire, as in `healthy_from`.
                 .find(|&si| si != self.index && self.shards[si].healthy.load(Ordering::Acquire));
             let placed = target.is_some_and(|si| {
                 self.shards[si]
@@ -801,14 +873,16 @@ impl<R: Recorder> DispatcherCtx<R> {
     }
 
     /// The dispatcher loop proper: wait for work (poll → coalesce → park,
-    /// see [`Self::idle_wait`] and [`Self::coalesce`]), drain a batch,
-    /// account each job, re-arm periodic ones via the fused `replace_min`,
-    /// pace at `service_ns` per job, and settle — sample depth, free the
-    /// finished jobs' admission slots — once per `drain` dispatches, under
-    /// one telemetry guard that is let go before anything that can block.
-    /// Once the stop flag is up it stops waiting and returns on the first
-    /// empty drain. Runs inside the supervisor's `catch_unwind`; all loop
-    /// state that must survive a panic lives in `state`.
+    /// see [`Self::idle_wait`] and [`Self::coalesce`]; it coalesces only
+    /// while the [`ArrivalGap`] learnt from drained stamps says another job
+    /// is due), drain a batch, account each job, re-arm periodic ones via
+    /// the fused `replace_min`, pace at `service_ns` per job, and settle —
+    /// sample depth, free the finished jobs' admission slots — once per
+    /// `drain` dispatches, under one telemetry guard that is let go before
+    /// anything that can block. Once the stop flag is up it stops waiting
+    /// and returns on the first empty drain. Runs inside the supervisor's
+    /// `catch_unwind`; all loop state that must survive a panic lives in
+    /// `state` (the arrival estimate does not: a restart starts afresh).
     fn run_episodes(&self, report: &mut ShardReport, state: &mut EpisodeState) {
         self.shard.attach_dispatcher();
         // Rank-error sampling only makes sense when a drain batch is an
@@ -819,8 +893,13 @@ impl<R: Recorder> DispatcherCtx<R> {
         // service_ns and the virtual clock tracks wall time.
         let mut next_ready = self.now_ns();
         let mut rate = RateWindow::default();
+        let mut arrivals = ArrivalGap::default();
+        // Coalesce windows not yet filed: filed with the next drain, under
+        // its telemetry guard.
+        let mut coalesced = 0u64;
         let mut poll_ns = 0;
         loop {
+            // ORDERING: Acquire; partner is the Release store in `stop`.
             let stopping = self.stopping.load(Ordering::Acquire);
             if !stopping {
                 let depth = self.shard.depth();
@@ -829,8 +908,9 @@ impl<R: Recorder> DispatcherCtx<R> {
                     next_ready = self.now_ns();
                     continue;
                 }
-                if depth < self.drain as u64 {
+                if depth < self.drain as u64 && arrivals.another_due() {
                     self.coalesce();
+                    coalesced += 1;
                 }
             }
             state.out.clear();
@@ -851,14 +931,20 @@ impl<R: Recorder> DispatcherCtx<R> {
                 std::thread::yield_now();
                 continue;
             }
+            // ORDERING: Relaxed, as every decrement of the gauge: it guards no
+            // data; the park handshake orders itself (`Shard::enqueue`).
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             state.episode += 1;
+            if let Some(newest) = state.out[..got].iter().map(|(_, j)| j.enqueued_ns).max() {
+                arrivals.observe(newest, got as u64);
+            }
             // The telemetry guard: uncontended except against an occasional
             // snapshot reader, and `None` while the dispatcher may block.
             let mut held = None;
             let t = held.get_or_insert_with(|| self.shard.telemetry_cell());
             t.waits.drains += 1;
             t.waits.drained += got as u64;
+            t.waits.coalesced += std::mem::take(&mut coalesced);
             if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {
                 // Score the batch before the index-walk below:
                 // replace_min re-arms append to `out`, and those
@@ -874,6 +960,8 @@ impl<R: Recorder> DispatcherCtx<R> {
                 if let Some(faults) = &self.fault {
                     // Fires before any accounting: an injected panic loses
                     // nothing, an injected stall freezes the whole loop.
+                    // ORDERING: Acquire, though this thread is the counter's
+                    // only writer and reads its own last store either way.
                     if let Some(stall_ns) = faults
                         .at_dispatch(self.index, self.shard.dispatched.load(Ordering::Acquire))
                     {
@@ -899,6 +987,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             }
             if let Some(per) = rate.add(busy.elapsed(), state.cursor as u64) {
                 let per = per.clamp(self.service_ns, self.service_ns.saturating_mul(1024));
+                // ORDERING: Relaxed; partner is the load in `shed_check`.
                 self.shard.rate_ns.store(per, Ordering::Relaxed);
             }
         }
@@ -920,6 +1009,7 @@ impl<R: Recorder> DispatcherCtx<R> {
         if *poll_ns > 0 {
             let window = Duration::from_nanos(*poll_ns);
             let hit = loop {
+                // ORDERING: Acquire; partner is the Release store in `stop`.
                 if self.shard.depth() > 0 || self.stopping.load(Ordering::Acquire) {
                     break true;
                 }
@@ -943,15 +1033,19 @@ impl<R: Recorder> DispatcherCtx<R> {
         }
     }
 
-    /// The queue holds less than one drain batch. Wait — at most
-    /// [`COALESCE_NS`] — for it to fill, so a producer running flat out is
-    /// drained a batch per lock hold instead of a job per lock hold and
-    /// the two stop colliding on the queue lock. The bound is what a job
-    /// arriving alone pays for that, so it stays a few microseconds.
+    /// The queue holds less than one drain batch and [`ArrivalGap`] says
+    /// another job is due. Wait — at most [`COALESCE_NS`] — for the batch
+    /// to fill, so a producer running flat out is drained a batch per lock
+    /// hold instead of a job per lock hold and the two stop colliding on
+    /// the queue lock. A job that arrives alone on a sparse stream does not
+    /// come here: it is drained at once. The bound is what a job pays when
+    /// the estimate says company is coming and it does not come (a burst
+    /// that just ended, a fresh dispatcher that has measured nothing yet).
     fn coalesce(&self) {
         let began = Instant::now();
         while self.shard.depth() < self.drain as u64
             && began.elapsed() < Duration::from_nanos(COALESCE_NS)
+            // ORDERING: Acquire; partner is the Release store in `stop`.
             && !self.stopping.load(Ordering::Acquire)
         {
             std::hint::spin_loop();
@@ -966,6 +1060,9 @@ impl<R: Recorder> DispatcherCtx<R> {
         state: &mut EpisodeState,
         t: &mut ShardTelemetry,
     ) -> u64 {
+        // ORDERING: AcqRel; partners are the Acquire loads that stamp
+        // `enqueued_slot`. The clock publishes no data: only its value is
+        // read, so this is stronger than it needs.
         let pre = self.shard.dispatched.fetch_add(1, Ordering::AcqRel);
         report.dispatched += 1;
         let now = self.now_ns();
@@ -996,6 +1093,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             });
         }
         t.record_dispatch(&job, now, latency, missed);
+        // ORDERING: Acquire; partner is the Release store in `stop`.
         let rearm =
             job.period_ns > 0 && job.repeats_left > 0 && !self.stopping.load(Ordering::Acquire);
         if rearm {
@@ -1008,6 +1106,8 @@ impl<R: Recorder> DispatcherCtx<R> {
                 deadline_ns: job.deadline_ns.max(now).saturating_add(job.period_ns),
                 repeats_left: job.repeats_left - 1,
                 enqueued_ns: now,
+                // ORDERING: Acquire, as the submit-side stamp; this thread is
+                // the only writer, so it reads its own `fetch_add` above.
                 enqueued_slot: self.shard.dispatched.load(Ordering::Acquire),
                 ..job
             };
@@ -1015,10 +1115,14 @@ impl<R: Recorder> DispatcherCtx<R> {
             // one synchronization episode; whatever it popped joins the
             // in-progress batch.
             let band = self.band_of(next.deadline_ns);
+            // ORDERING: Relaxed, unlike the SeqCst bump in `Shard::enqueue`:
+            // that one is half of the park handshake, and the only thread
+            // this insert could owe a wake-up is this one.
             self.shard.enqueued.fetch_add(1, Ordering::Relaxed);
             if let Some(popped) = self.shard.queue.replace_min(self.tid, band, next) {
                 // The popped job left the queue and joins this episode's
                 // batch, so the re-arm was depth-neutral.
+                // ORDERING: Relaxed, as every decrement of the gauge.
                 self.shard.enqueued.fetch_sub(1, Ordering::Relaxed);
                 state.out.push(popped);
             }
@@ -1306,6 +1410,66 @@ mod tests {
         // The window closes on the episode that fills it, over all of it.
         assert_eq!(w.add(Duration::from_nanos(32_000), 24), Some(1_200));
         assert_eq!(w.add(Duration::from_nanos(1), 1), None, "and starts afresh");
+    }
+
+    /// Files one single-job batch per stamp.
+    fn gap_after(stamps: impl IntoIterator<Item = u64>) -> ArrivalGap {
+        let mut g = ArrivalGap::default();
+        for s in stamps {
+            g.observe(s, 1);
+        }
+        g
+    }
+
+    #[test]
+    fn arrival_gap_of_a_steady_4_us_stream_does_not_coalesce() {
+        let g = gap_after((1..=16).map(|i| i * 4_000));
+        assert_eq!(g.gap_ns, Some(4_000));
+        assert!(!g.another_due());
+        // Two jobs per batch, one batch per 8 µs: the same stream.
+        let mut g = ArrivalGap::default();
+        for i in 1..=16 {
+            g.observe(i * 8_000, 2);
+        }
+        assert!(!g.another_due());
+    }
+
+    #[test]
+    fn arrival_gap_of_stamps_300_ns_apart_coalesces() {
+        let g = gap_after((1..=16).map(|i| i * 300));
+        assert_eq!(g.gap_ns, Some(300));
+        assert!(g.another_due());
+        // A sparse past is forgotten within a few batches of a burst.
+        let mut g = gap_after((1..=16).map(|i| i * 1_000_000));
+        assert!(!g.another_due());
+        for i in 1..=4 {
+            g.observe(16_000_000 + i * 300, 1);
+        }
+        assert!(g.another_due());
+    }
+
+    #[test]
+    fn arrival_gap_ignores_stale_and_equal_stamps() {
+        let mut g = gap_after((1..=16).map(|i| i * 4_000));
+        // Requeued or long-queued jobs carry old stamps; a batch of them,
+        // or of the newest stamp again, must not read as a burst.
+        for _ in 0..100 {
+            g.observe(64_000, 1);
+            g.observe(1_000, 16);
+        }
+        assert_eq!(g.gap_ns, Some(4_000));
+        assert_eq!(g.newest_ns, Some(64_000));
+        assert!(!g.another_due());
+    }
+
+    #[test]
+    fn arrival_gap_coalesces_until_it_has_measured_a_gap() {
+        let mut g = ArrivalGap::default();
+        assert!(g.another_due(), "fresh");
+        g.observe(1_000_000, 1);
+        assert!(g.another_due(), "one stamp is no gap");
+        g.observe(2_000_000, 1);
+        assert!(!g.another_due());
     }
 
     #[test]

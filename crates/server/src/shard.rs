@@ -72,6 +72,8 @@ impl Shard {
 
     /// Jobs queued (or one step from it) right now.
     pub(crate) fn depth(&self) -> u64 {
+        // ORDERING: Relaxed, a gauge guarding no data; the one read that
+        // decides a park is the SeqCst re-check in `park_while_empty`.
         self.enqueued.load(Ordering::Relaxed)
     }
 
@@ -86,6 +88,7 @@ impl Shard {
         // load in `park_while_empty` (docs/SERVER.md, "The dispatcher": Park).
         self.enqueued.fetch_add(1, Ordering::SeqCst);
         if let Err(e) = self.queue.try_insert(tid, band, job) {
+            // ORDERING: Relaxed, the rollback of a bump that landed nothing.
             self.enqueued.fetch_sub(1, Ordering::Relaxed);
             return Err(e);
         }

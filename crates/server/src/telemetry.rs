@@ -103,7 +103,7 @@ pub struct ShardStats {
 
 /// The dispatcher's wait accounting (see `docs/SERVER.md`, "The
 /// dispatcher"): how often it found work by polling, gave up polling,
-/// blocked, and how much each drain then took.
+/// blocked, waited for a batch to fill, and how much each drain then took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
     /// Times the dispatcher went to `thread::park` on an empty queue
@@ -115,6 +115,12 @@ pub struct WaitStats {
     /// Poll windows that expired empty (each collapses the window to zero
     /// and is followed by a park).
     pub poll_misses: u64,
+    /// Windows the dispatcher waited (at most 2 µs each) for a backlog
+    /// smaller than `drain_batch` to fill, because the arrival gap it had
+    /// measured said another job was due. Filed with the drain that
+    /// follows. A sparse stream reads near zero, a saturating producer up
+    /// to one per drain.
+    pub coalesced: u64,
     /// Non-empty `delete_min_batch` episodes.
     pub drains: u64,
     /// Jobs those episodes took off the queue.
@@ -135,6 +141,7 @@ impl WaitStats {
         self.parks += other.parks;
         self.poll_hits += other.poll_hits;
         self.poll_misses += other.poll_misses;
+        self.coalesced += other.coalesced;
         self.drains += other.drains;
         self.drained += other.drained;
     }
@@ -400,6 +407,18 @@ impl TelemetrySnapshot {
         w.end();
     }
 
+    fn waits_json(w: &mut JsonWriter, waits: &WaitStats) {
+        w.key("waits");
+        w.begin_obj(false);
+        w.field_u64("parks", waits.parks);
+        w.field_u64("poll_hits", waits.poll_hits);
+        w.field_u64("poll_misses", waits.poll_misses);
+        w.field_u64("coalesced", waits.coalesced);
+        w.field_u64("drains", waits.drains);
+        w.field_u64("drained", waits.drained);
+        w.end();
+    }
+
     /// Renders the snapshot as a versioned JSON document (no trailing
     /// newline).
     pub fn to_json(&self) -> String {
@@ -423,6 +442,7 @@ impl TelemetrySnapshot {
             w.field_str("numa_mode", mode);
             w.field_u64("mode_switches", self.mode_switches());
         }
+        Self::waits_json(&mut w, &self.waits());
         w.end();
         w.key("shards");
         w.begin_arr(true);
@@ -438,6 +458,7 @@ impl TelemetrySnapshot {
             w.field_u64("restarts", s.restarts);
             w.field_u64("requeued", s.requeued);
             w.field_u64("shed", s.shed);
+            Self::waits_json(&mut w, &s.waits);
             if let Some(a) = s.adaptive {
                 w.key("numa");
                 w.begin_obj(false);
@@ -626,6 +647,14 @@ mod tests {
         b.record_rank_sample(&[(3, job(2, 0, 0)), (1, job(2, 0, 0))]);
         a.restarts = 1;
         a.requeued = 4;
+        a.waits = WaitStats {
+            parks: 1,
+            coalesced: 2,
+            drains: 3,
+            drained: 5,
+            ..WaitStats::default()
+        };
+        b.waits.coalesced = 1;
         let snap = TelemetrySnapshot::assemble(
             1_000,
             "multiqueue",
@@ -655,5 +684,16 @@ mod tests {
         assert!(j.contains("\"tenant\": 1"));
         assert!(j.contains("\"rank_samples\": 1"));
         assert!(j.contains("\"windows\": ["));
+        // The wait accounting: summed in the totals, per shard below.
+        assert_eq!(snap.waits().coalesced, 3);
+        let waits = |parks, coalesced, drains, drained| {
+            format!(
+                "\"waits\": {{\"parks\": {parks}, \"poll_hits\": 0, \"poll_misses\": 0, \
+                 \"coalesced\": {coalesced}, \"drains\": {drains}, \"drained\": {drained}}}"
+            )
+        };
+        assert_eq!(j.matches(&waits(1, 3, 3, 5)).count(), 1, "totals: {j}");
+        assert_eq!(j.matches(&waits(1, 2, 3, 5)).count(), 1, "shard 0: {j}");
+        assert_eq!(j.matches(&waits(0, 1, 0, 0)).count(), 1, "shard 1: {j}");
     }
 }

@@ -805,3 +805,77 @@ fn sparse_arrivals_cost_one_wake_up_each() {
         "millisecond parks must keep the poll window collapsed"
     );
 }
+
+/// A stream of one job per ~20 µs — inside the poll window, ten times the
+/// coalescing bound apart — is drained job by job the moment each lands:
+/// the dispatcher waits for a batch to fill only while it has not yet
+/// measured a gap (its first two drains), never once it knows no company
+/// is due. Gaps are counted from the previous submit, so a client that
+/// loses its CPU makes them longer, never shorter.
+#[test]
+fn a_sparse_stream_is_drained_without_coalescing() {
+    const JOBS: u64 = 400;
+    let mut c = cfg(PqConfig::SingleLock);
+    c.shards = 1;
+    c.record_dispatches = false;
+    let s = Arc::new(Scheduler::new(c).unwrap());
+    s.start();
+    for k in 0..JOBS {
+        let tenant = TenantId((k % TENANTS as u64) as u32);
+        s.submit(0, JobSpec::once(tenant, Deadline::In(1_000_000), k))
+            .unwrap();
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < Duration::from_micros(20) {
+            std::thread::yield_now();
+        }
+    }
+    drain(&s);
+    let waits = s.telemetry().waits();
+    let report = stop_within(&s, Duration::from_secs(30));
+    assert_eq!(report.completed, JOBS);
+    assert_eq!(waits.drained, JOBS);
+    assert!(
+        waits.coalesced <= 2,
+        "{} coalesce windows over {} drains of a sparse stream",
+        waits.coalesced,
+        waits.drains
+    );
+}
+
+/// A producer submitting flat out keeps the dispatcher coalescing: jobs
+/// land far closer together than the bound, so a backlog smaller than a
+/// batch is worth the wait, and batches come out larger than one job.
+#[test]
+fn a_flat_out_producer_still_coalesces() {
+    const JOBS: u64 = 20_000;
+    let mut c = cfg(PqConfig::SingleLock);
+    c.shards = 1;
+    c.record_dispatches = false;
+    let s = Arc::new(Scheduler::new(c).unwrap());
+    s.start();
+    let mut admitted = 0;
+    while admitted < JOBS {
+        let tenant = TenantId((admitted % TENANTS as u64) as u32);
+        match s.submit(0, JobSpec::once(tenant, Deadline::In(1_000_000), admitted)) {
+            Ok(_) => admitted += 1,
+            Err(ServerError::Admit(_)) => std::thread::yield_now(),
+            Err(other) => panic!("unexpected submit error: {other}"),
+        }
+    }
+    drain(&s);
+    let waits = s.telemetry().waits();
+    let report = stop_within(&s, Duration::from_secs(30));
+    assert_eq!(report.completed, JOBS);
+    assert!(
+        waits.coalesced > 0,
+        "no coalesce window in {} drains",
+        waits.drains
+    );
+    assert!(
+        waits.mean_batch() > 1.0,
+        "mean batch {:.2} over {} drains ({} coalesced)",
+        waits.mean_batch(),
+        waits.drains,
+        waits.coalesced
+    );
+}
