@@ -9,7 +9,6 @@ use funnelpq_simqueues::queues::Algorithm;
 use funnelpq_simqueues::workload::{
     run_counter_workload_traced, run_queue_workload_traced, TracedRun, Workload,
 };
-use funnelpq_util::json::{JsonWriter, SCHEMA_VERSION};
 
 /// Parses the value of a positive-integer environment knob: `None` (unset)
 /// gives `default`; anything that is not an integer ≥ 1 is an error naming
@@ -68,53 +67,6 @@ pub fn max_procs() -> usize {
     env_knob("FUNNELPQ_MAX_P", 256)
 }
 
-/// One measurement row of a machine-readable benchmark report: a name plus
-/// `(key, value)` fields, serialized by [`write_bench_json`].
-pub struct BenchRecord {
-    /// Measurement identifier, e.g. `"wheel_p256"`.
-    pub name: String,
-    /// Numeric fields, emitted in order.
-    pub fields: Vec<(&'static str, f64)>,
-}
-
-/// Writes a minimal JSON benchmark report via the workspace's shared
-/// [`JsonWriter`] (no external serializer: the container builds fully
-/// offline). Layout:
-///
-/// ```json
-/// {"schema_version": 1, "benchmark": "...", "scale_percent": 100,
-///  "results": [{"name": "...", "field": 1.0, ...}, ...]}
-/// ```
-///
-/// `schema_version` is [`funnelpq_util::json::SCHEMA_VERSION`]; the CI
-/// validator asserts it so emitter and reader cannot silently drift.
-pub fn write_bench_json(
-    path: &str,
-    benchmark: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<()> {
-    let mut w = JsonWriter::spaced();
-    w.begin_obj(true);
-    w.field_u64("schema_version", u64::from(SCHEMA_VERSION));
-    w.field_str("benchmark", benchmark);
-    w.field_u64("scale_percent", scale_percent() as u64);
-    w.key("results");
-    w.begin_arr(true);
-    for r in records {
-        w.begin_obj(false);
-        w.field_str("name", &r.name);
-        for (k, v) in &r.fields {
-            w.field_f64(k, *v);
-        }
-        w.end();
-    }
-    w.end();
-    w.end();
-    let mut out = w.finish();
-    out.push('\n');
-    std::fs::write(path, out)
-}
-
 /// Prints a Markdown-ish table: header row, then one row per entry.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!();
@@ -165,7 +117,7 @@ pub fn trace_enabled() -> bool {
 }
 
 /// Directory trace artifacts are written to: `FUNNELPQ_TRACE_DIR`, or the
-/// workspace root (next to `BENCH_sim.json`).
+/// workspace root.
 pub fn trace_dir() -> String {
     std::env::var("FUNNELPQ_TRACE_DIR")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into())
@@ -254,39 +206,6 @@ mod tests {
                 "error must name the variable and the value: {err}"
             );
         }
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let path = std::env::temp_dir().join("funnelpq_bench_json_test.json");
-        let path = path.to_str().unwrap();
-        write_bench_json(
-            path,
-            "t",
-            &[
-                BenchRecord {
-                    name: "a".into(),
-                    fields: vec![("x", 1.5), ("bad", f64::NAN)],
-                },
-                BenchRecord {
-                    name: "b".into(),
-                    fields: vec![("x", 2.0)],
-                },
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.starts_with("{\n  \"schema_version\": 3,"));
-        assert!(text.contains("\"benchmark\": \"t\""));
-        assert!(text.contains("\"x\": 1.5"));
-        assert!(text.contains("\"bad\": null"));
-        // Braces and brackets balance.
-        let bal = |open: char, close: char| {
-            text.chars().filter(|&c| c == open).count()
-                == text.chars().filter(|&c| c == close).count()
-        };
-        assert!(bal('{', '}') && bal('[', ']'));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -42,6 +42,7 @@ mod config;
 mod ctx;
 pub mod fault;
 mod machine;
+mod paged;
 mod stats;
 pub mod trace;
 mod wheel;

@@ -7,18 +7,27 @@
 //!
 //! * the scheduler is an indexed timer wheel ([`crate::wheel`]) — O(1)
 //!   push/pop for the short wake deltas that dominate a run;
-//! * per-cache-line state (`line_free`, per-line stats) lives in `Vec`s
-//!   indexed by line number, grown once at allocation time;
+//! * memory words, the waiter lists' heads and tails, and one record per
+//!   cache line (`{free, accesses, delay}`) live in [`Paged`] arrays:
+//!   a read is two loads with no test for whether the page exists, and a
+//!   page of host memory is created only when a run first writes into it. A structure reserves
+//!   for its worst case and a run touches a few percent of that, so a
+//!   machine costs what its run touches, and `alloc` only extends page
+//!   tables;
 //! * tasks blocked on a word live in per-address intrusive FIFO lists
 //!   ([`WaiterTable`]) backed by one node slab — the per-transaction check
-//!   "does this address have waiters?" is a single array load;
+//!   "does this address have waiters?" is one paged read;
 //! * task futures live in a slab ([`TaskSlab`]) that boxes each future once
 //!   at spawn and never moves it again.
+//!
+//! Reports ([`Machine::stats`], [`Machine::hotspots`], the deadlock and
+//! livelock diagnostics) walk only the pages that exist.
 //!
 //! The schedule is a pure function of event `(time, seq)` order, so the
 //! optimized machine is checked bit-for-bit against a naive reference
 //! ([`Machine::new_reference`]) by the differential tests in
-//! `tests/memory_props.rs`.
+//! `tests/memory_props.rs`, which also hold the paged memory to a dense
+//! model.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -30,6 +39,7 @@ use std::task::{Context, Waker};
 use crate::config::MachineConfig;
 use crate::ctx::ProcCtx;
 use crate::fault::{FaultGate, FaultPlan, FaultPlanError, FaultState, FaultSummary, SpanPoint};
+use crate::paged::Paged;
 use crate::stats::Stats;
 use crate::trace::{RegionMap, TraceEvent, Tracer, TxnKind};
 use crate::wheel::{EventQueue, EventWheel, LinearEventList};
@@ -49,8 +59,8 @@ const NO_NODE: u32 = u32::MAX;
 /// waiters never touches a search structure.
 struct WaiterTable {
     /// First/last slab node per address, or [`NO_NODE`].
-    head: Vec<u32>,
-    tail: Vec<u32>,
+    head: Paged<u32>,
+    tail: Paged<u32>,
     /// `(task, next)` nodes; freed nodes are chained through `next`.
     nodes: Vec<(u32, u32)>,
     free: u32,
@@ -60,8 +70,8 @@ struct WaiterTable {
 impl WaiterTable {
     fn new() -> Self {
         WaiterTable {
-            head: Vec::new(),
-            tail: Vec::new(),
+            head: Paged::new(NO_NODE),
+            tail: Paged::new(NO_NODE),
             nodes: Vec::new(),
             free: NO_NODE,
             waiting: 0,
@@ -69,8 +79,8 @@ impl WaiterTable {
     }
 
     fn grow(&mut self, words: usize) {
-        self.head.resize(words, NO_NODE);
-        self.tail.resize(words, NO_NODE);
+        self.head.grow(words);
+        self.tail.grow(words);
     }
 
     fn register(&mut self, addr: Addr, task: ProcId) {
@@ -126,16 +136,29 @@ impl WaiterTable {
     /// livelock diagnostic.
     fn blocked_with_addrs(&self) -> Vec<(ProcId, Addr)> {
         let mut out = Vec::with_capacity(self.waiting);
-        for (addr, &h) in self.head.iter().enumerate() {
-            let mut n = h;
-            while n != NO_NODE {
-                let (task, next) = self.nodes[n as usize];
-                out.push((task as ProcId, addr));
-                n = next;
+        for (first, heads) in self.head.pages() {
+            for (i, &h) in heads.iter().enumerate() {
+                let mut n = h;
+                while n != NO_NODE {
+                    let (task, next) = self.nodes[n as usize];
+                    out.push((task as ProcId, first + i));
+                    n = next;
+                }
             }
         }
         out
     }
+}
+
+/// What the machine keeps per cache line.
+#[derive(Clone, Copy, Default)]
+struct Line {
+    /// Time at which the line becomes free.
+    free: u64,
+    /// Transactions the line served.
+    accesses: u64,
+    /// Cycles those transactions queued behind busy lines.
+    delay: u64,
 }
 
 pub(crate) struct SimState {
@@ -143,13 +166,13 @@ pub(crate) struct SimState {
     pub(crate) now: u64,
     seq: u64,
     events: EventQueue,
-    /// Flat shared memory.
-    pub(crate) mem: Vec<Word>,
-    /// Per-line time at which the line becomes free.
-    line_free: Vec<u64>,
-    /// Per-line home node, grown alongside `line_free`. On a 1-node
-    /// machine every entry is 0 and the remote branch in `transact` is
-    /// never taken.
+    /// Shared memory, paged: words no run has written read as 0.
+    pub(crate) mem: Paged<Word>,
+    /// Per-line service state and contention counts, paged like `mem`.
+    lines: Paged<Line>,
+    /// Per-line home node, grown alongside `lines` on a multi-node
+    /// machine. A 1-node machine keeps it empty: every line is homed on
+    /// node 0 and the remote branch in `transact` is never taken.
     line_home: Vec<u32>,
     /// Home node to assign to lines allocated next (see
     /// [`Machine::alloc_on_node`]); `None` stripes lines across nodes.
@@ -286,42 +309,32 @@ impl SimState {
             self.cfg.net_latency
         };
         let arrival = self.now + net + extra_net;
-        let free = self.line_free[line].max(arrival);
+        let state = &mut self.lines[line];
+        let free = state.free.max(arrival);
         let effect = free + self.cfg.service + extra_service;
-        self.line_free[line] = effect;
+        state.free = effect;
+        state.accesses += 1;
+        state.delay += free - arrival;
         let completion = effect + net + extra_net;
 
         self.stats.mem_accesses += 1;
         self.stats.remote_accesses += u64::from(remote);
         self.stats.queue_delay_cycles += free - arrival;
-        let line_entry = &mut self.stats.per_line[line];
-        line_entry.0 += 1;
-        line_entry.1 += free - arrival;
 
         let old = self.mem[addr];
-        let mutated = match op {
-            MemOpKind::Read => false,
-            MemOpKind::Write(v) => {
-                self.mem[addr] = v;
-                v != old
-            }
-            MemOpKind::Swap(v) => {
-                self.mem[addr] = v;
-                v != old
-            }
-            MemOpKind::Cas { expected, new } => {
-                if old == expected {
-                    self.mem[addr] = new;
-                    new != old
-                } else {
-                    false
-                }
-            }
-            MemOpKind::Faa(delta) => {
-                self.mem[addr] = old.wrapping_add_signed(delta);
-                delta != 0
-            }
+        let new = match op {
+            MemOpKind::Read => old,
+            MemOpKind::Write(v) | MemOpKind::Swap(v) => v,
+            MemOpKind::Cas { expected, new } if old == expected => new,
+            MemOpKind::Cas { .. } => old,
+            MemOpKind::Faa(delta) => old.wrapping_add_signed(delta),
         };
+        // Storing the value a word already holds is no write at all, so it
+        // creates no page either.
+        let mutated = new != old;
+        if mutated {
+            self.mem[addr] = new;
+        }
         if self.tracing() {
             self.emit(TraceEvent::Txn {
                 proc: task,
@@ -617,8 +630,8 @@ impl Machine {
             now: 0,
             seq: 0,
             events,
-            mem: Vec::new(),
-            line_free: Vec::new(),
+            mem: Paged::new(0),
+            lines: Paged::new(Line::default()),
             line_home: Vec::new(),
             alloc_node: None,
             waiters: WaiterTable::new(),
@@ -656,7 +669,8 @@ impl Machine {
 
     /// Allocates `words` words of zeroed shared memory, rounded up so the
     /// allocation starts on a fresh cache line (avoids accidental false
-    /// sharing between independently allocated objects).
+    /// sharing between independently allocated objects). Host memory is
+    /// spent only on the pages a run goes on to write.
     ///
     /// On a multi-node machine the new lines are striped across nodes
     /// (`line % nodes`), so structures built without node awareness spread
@@ -667,17 +681,18 @@ impl Machine {
         let line_words = st.cfg.line_words;
         let start = st.mem.len().next_multiple_of(line_words);
         let end = start + words.max(1);
-        st.mem.resize(end, 0);
-        let lines = end.div_ceil(line_words);
-        st.line_free.resize(lines, 0);
-        st.stats.per_line.resize(lines, (0, 0));
-        let nodes = st.cfg.nodes as u32;
-        let forced = st.alloc_node;
-        while st.line_home.len() < lines {
-            let home = forced.unwrap_or(st.line_home.len() as u32 % nodes);
-            st.line_home.push(home);
-        }
+        st.mem.grow(end);
         st.waiters.grow(end);
+        let lines = end.div_ceil(line_words);
+        st.lines.grow(lines);
+        if st.cfg.nodes > 1 {
+            let nodes = st.cfg.nodes as u32;
+            let forced = st.alloc_node;
+            while st.line_home.len() < lines {
+                let home = forced.unwrap_or(st.line_home.len() as u32 % nodes);
+                st.line_home.push(home);
+            }
+        }
         start
     }
 
@@ -717,6 +732,9 @@ impl Machine {
     /// Home node of the cache line containing `addr`.
     pub fn node_of_addr(&self, addr: Addr) -> usize {
         let st = self.st.borrow();
+        if st.cfg.nodes == 1 {
+            return 0;
+        }
         st.line_home[addr >> st.cfg.line_shift()] as usize
     }
 
@@ -729,6 +747,13 @@ impl Machine {
         let st = self.st.borrow();
         let line_words = st.cfg.line_words;
         let mem_words = st.mem.len();
+        if st.cfg.nodes == 1 {
+            return if node == 0 && mem_words > 0 {
+                vec![(0, mem_words)]
+            } else {
+                Vec::new()
+            };
+        }
         let mut out: Vec<(Addr, usize)> = Vec::new();
         for (line, &home) in st.line_home.iter().enumerate() {
             if home as usize != node {
@@ -902,12 +927,17 @@ impl Machine {
 
     /// Snapshot of the statistics gathered so far.
     pub fn stats(&self) -> Stats {
-        self.st.borrow().stats.clone()
+        let st = self.st.borrow();
+        let mut stats = st.stats.clone();
+        stats.per_line = touched_lines(&st.lines)
+            .map(|(line, l)| (line, l.accesses, l.delay))
+            .collect();
+        stats
     }
 
     /// Snapshot of simulated memory (for differential testing).
     pub fn memory_snapshot(&self) -> Vec<Word> {
-        self.st.borrow().mem.clone()
+        self.st.borrow().mem.to_vec()
     }
 
     /// Number of spawned tasks that have not yet completed.
@@ -1031,42 +1061,51 @@ impl Machine {
         let index = cache.get_or_insert_with(|| self.build_label_index());
         let st = self.st.borrow();
         let shift = st.cfg.line_shift();
-        let n_lines = st.line_free.len();
+        let line_words = st.cfg.line_words;
+        let n_lines = st.lines.len();
         let mut names: Vec<String> = Vec::new();
         // Region index per label, resolved on first sighting so identical
         // display names merge into one region.
         let mut region_of_label: Vec<Option<u32>> = vec![None; self.labels.len()];
-        let mut line_region: Vec<u32> = Vec::with_capacity(n_lines);
-        for line in 0..n_lines {
-            let addr = line << shift;
-            let region = match self.label_of(index, addr) {
-                Some(li) => match region_of_label[li] {
-                    Some(r) => r,
+        // A line belongs to the label over its first word, so a labelled
+        // segment `[s, e)` owns lines `ceil(s / lw)..ceil(e / lw)`. Runs
+        // are `(end line, region)`; gaps are unlabelled (`u32::MAX` until
+        // that region's index is known).
+        let mut runs: Vec<(usize, u32)> = Vec::new();
+        let mut covered = 0;
+        for &(s, e, li) in index.iter() {
+            let first = s.div_ceil(line_words);
+            let end = e.div_ceil(line_words).min(n_lines);
+            if li == usize::MAX || first >= end {
+                continue;
+            }
+            let region = *region_of_label[li].get_or_insert_with(|| {
+                let name = self.labels[li].2.as_str();
+                match names.iter().position(|n| n == name) {
+                    Some(pos) => pos as u32,
                     None => {
-                        let name = self.labels[li].2.as_str();
-                        let r = match names.iter().position(|n| n == name) {
-                            Some(pos) => pos as u32,
-                            None => {
-                                names.push(name.to_string());
-                                (names.len() - 1) as u32
-                            }
-                        };
-                        region_of_label[li] = Some(r);
-                        r
+                        names.push(name.to_string());
+                        (names.len() - 1) as u32
                     }
-                },
-                None => u32::MAX,
-            };
-            line_region.push(region);
+                }
+            });
+            if first > covered {
+                runs.push((first, u32::MAX));
+            }
+            runs.push((end, region));
+            covered = end;
+        }
+        if covered < n_lines {
+            runs.push((n_lines, u32::MAX));
         }
         let unlabelled = names.len() as u32;
         names.push("<unlabelled>".to_string());
-        for r in &mut line_region {
-            if *r == u32::MAX {
-                *r = unlabelled;
+        for r in &mut runs {
+            if r.1 == u32::MAX {
+                r.1 = unlabelled;
             }
         }
-        RegionMap::new(names, line_region, st.line_home.clone(), shift)
+        RegionMap::new(names, runs, st.line_home.clone(), shift)
     }
 
     /// Attaches a human-readable label to the address range
@@ -1124,14 +1163,11 @@ impl Machine {
         let shift = st.cfg.line_shift();
         // Accumulator per label, plus one slot for "<unlabelled>".
         let mut by_label: Vec<(u64, u64)> = vec![(0, 0); self.labels.len() + 1];
-        for (line, &(accesses, delay)) in st.stats.per_line.iter().enumerate() {
-            if accesses == 0 {
-                continue;
-            }
+        for (line, l) in touched_lines(&st.lines) {
             let addr = line << shift;
             let slot = self.label_of(index, addr).unwrap_or(self.labels.len());
-            by_label[slot].0 += accesses;
-            by_label[slot].1 += delay;
+            by_label[slot].0 += l.accesses;
+            by_label[slot].1 += l.delay;
         }
         // Distinct labelled regions may share a display name (one label per
         // bin, per lock, per tree level); merge those for the report.
@@ -1163,6 +1199,16 @@ impl Machine {
     }
 }
 
+/// Every line a transaction touched, in line order, with its record.
+fn touched_lines(lines: &Paged<Line>) -> impl Iterator<Item = (usize, &Line)> + '_ {
+    lines.pages().flat_map(|(first, page)| {
+        page.iter()
+            .enumerate()
+            .filter(|(_, l)| l.accesses > 0)
+            .map(move |(i, l)| (first + i, l))
+    })
+}
+
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.st.borrow();
@@ -1171,5 +1217,54 @@ impl fmt::Debug for Machine {
             .field("mem_words", &st.mem.len())
             .field("live_tasks", &st.live_tasks)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Host pages behind the machine's memory, line and waiter tables.
+    fn pages(m: &Machine) -> usize {
+        let st = m.st.borrow();
+        st.mem.page_count()
+            + st.lines.page_count()
+            + st.waiters.head.page_count()
+            + st.waiters.tail.page_count()
+    }
+
+    #[test]
+    fn a_large_allocation_creates_no_page_and_reads_zero() {
+        let mut m = Machine::new(MachineConfig::alewife_like(), 1);
+        let a = m.alloc(1 << 24);
+        assert_eq!(pages(&m), 0);
+        assert_eq!(m.peek(a), 0);
+        assert_eq!(m.peek(a + (1 << 24) - 1), 0);
+        assert_eq!(m.stats().per_line().count(), 0);
+        assert_eq!(m.hotspots(4), Vec::new());
+
+        // One transaction writes one memory page and one line page.
+        let ctx = m.ctx();
+        m.spawn(async move {
+            ctx.write(a + 5_000_000, 3).await;
+        });
+        assert!(m.run().is_quiescent());
+        assert_eq!(pages(&m), 2);
+        assert_eq!(m.peek(a + 5_000_000), 3);
+        let line = (a + 5_000_000) / m.line_words();
+        assert_eq!(m.stats().per_line().collect::<Vec<_>>(), vec![(line, 1, 0)]);
+    }
+
+    #[test]
+    fn a_one_node_machine_has_one_region_covering_all_memory() {
+        let mut m = Machine::new(MachineConfig::alewife_like(), 1);
+        assert_eq!(m.node_regions(0), Vec::new());
+        m.alloc(3);
+        let b = m.alloc(5000);
+        let words = b + 5000;
+        assert_eq!(m.node_regions(0), vec![(0, words)]);
+        assert_eq!(m.node_regions(1), Vec::new());
+        assert_eq!(m.node_of_addr(b + 4999), 0);
+        assert!(m.st.borrow().line_home.is_empty());
     }
 }

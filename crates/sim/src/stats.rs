@@ -24,10 +24,10 @@ pub struct Stats {
     pub remote_accesses: u64,
     /// Total cycles transactions spent queued behind busy lines.
     pub queue_delay_cycles: u64,
-    /// Per-line `(accesses, queue-delay cycles)`, indexed by line number
-    /// and grown alongside the machine's line table — the transaction fast
-    /// path updates one flat slot instead of a map entry.
-    pub(crate) per_line: Vec<(u64, u64)>,
+    /// `(line, accesses, queue-delay cycles)` of every touched line, in
+    /// line order. The machine keeps these counts in its paged line table
+    /// and copies the touched ones out when it takes a snapshot.
+    pub(crate) per_line: Vec<(usize, u64, u64)>,
 }
 
 /// Aggregate contention attributed to one labelled memory region (see
@@ -72,11 +72,7 @@ impl Stats {
     /// that was touched, in line order. For contention reports and the
     /// differential tests that compare machines line by line.
     pub fn per_line(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        self.per_line
-            .iter()
-            .enumerate()
-            .filter(|(_, &(accesses, _))| accesses > 0)
-            .map(|(line, &(accesses, delay))| (line, accesses, delay))
+        self.per_line.iter().copied()
     }
 
     /// Mean queueing delay per memory access, a contention indicator.

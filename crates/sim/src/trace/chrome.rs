@@ -216,7 +216,7 @@ mod tests {
     fn renders_processor_and_line_rows() {
         let regions = RegionMap::new(
             vec!["lock".into(), "<unlabelled>".into()],
-            vec![0],
+            vec![(1, 0)],
             vec![0],
             0,
         );

@@ -271,9 +271,10 @@ impl Tracer for TraceLog {
 pub struct RegionMap {
     /// Region display names; the last entry is always `"<unlabelled>"`.
     names: Vec<String>,
-    /// Region index per cache line.
-    line_region: Vec<u32>,
-    /// NUMA home node per cache line (all zeros on a 1-node machine).
+    /// Runs of cache lines as `(end line, region)`, in line order: a run
+    /// covers the lines from the previous run's end up to its own.
+    runs: Vec<(usize, u32)>,
+    /// NUMA home node per cache line (empty on a 1-node machine).
     line_home: Vec<u32>,
     /// `addr >> line_shift` is the cache line of a word address.
     line_shift: u32,
@@ -282,14 +283,15 @@ pub struct RegionMap {
 impl RegionMap {
     pub(crate) fn new(
         names: Vec<String>,
-        line_region: Vec<u32>,
+        runs: Vec<(usize, u32)>,
         line_home: Vec<u32>,
         line_shift: u32,
     ) -> Self {
         debug_assert_eq!(names.last().map(String::as_str), Some("<unlabelled>"));
+        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
         RegionMap {
             names,
-            line_region,
+            runs,
             line_home,
             line_shift,
         }
@@ -318,9 +320,10 @@ impl RegionMap {
     /// Region index of a cache line (unlabelled for lines past the mapped
     /// range, e.g. memory allocated after the map was built).
     pub fn region_of_line(&self, line: usize) -> usize {
-        self.line_region
-            .get(line)
-            .map(|&r| r as usize)
+        let i = self.runs.partition_point(|&(end, _)| end <= line);
+        self.runs
+            .get(i)
+            .map(|&(_, r)| r as usize)
             .unwrap_or_else(|| self.unlabelled())
     }
 

@@ -293,7 +293,7 @@ mod tests {
         // Lines 0..2 -> region 0 ("hot"), everything else unlabelled.
         RegionMap::new(
             vec!["hot".into(), "<unlabelled>".into()],
-            vec![0, 0],
+            vec![(2, 0)],
             vec![0, 0],
             0,
         )

@@ -249,3 +249,19 @@ fn region_map_resolves_lines_and_merges_shared_names() {
     assert_eq!(regions.find("bins"), Some(regions.region_of_line(a)));
     assert_eq!(regions.find("nope"), None);
 }
+
+#[test]
+fn region_map_gives_a_line_the_label_over_its_first_word() {
+    let mut m = Machine::new(MachineConfig::alewife_like(), 0); // two-word lines
+    let a = m.alloc(8); // lines 0..4
+    m.label(a + 1, 2, "mid"); // words 1..3: covers the first word of line 1 only
+    m.label(a + 4, 4, "tail"); // lines 2 and 3
+    m.label(a + 5, 1, "inner"); // inside line 2, not its first word: owns no line
+    let r = m.region_map();
+    assert_eq!(r.names(), ["mid", "tail", "<unlabelled>"]);
+    assert_eq!(r.region_of_line(0), r.unlabelled());
+    assert_eq!(r.name_of_line(1), "mid");
+    assert_eq!(r.name_of_line(2), "tail");
+    assert_eq!(r.name_of_line(3), "tail");
+    assert_eq!(r.region_of_line(4), r.unlabelled());
+}

@@ -29,7 +29,8 @@ pub struct Workload {
     pub machine: MachineConfig,
     /// Run on the naive linear-scan event queue instead of the indexed
     /// event wheel. Results are bit-identical; only wall-clock speed
-    /// differs. For differential testing and the `sim_throughput` bench.
+    /// differs. For differential testing (`pqsim --naive-events`) and
+    /// pqbench's `sim.naive_over_wheel_ratio` ledger row.
     pub naive_events: bool,
 }
 

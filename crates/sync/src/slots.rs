@@ -30,6 +30,8 @@ impl SlotArray {
 
     #[inline]
     pub(crate) fn swap(&self, slot: usize, val: usize, order: Ordering) -> usize {
+        // ORDERING: the caller's; each call site justifies its own (AcqRel
+        // in the funnels' collision step).
         self.0[slot].swap(val, order)
     }
 }
@@ -42,6 +44,8 @@ mod tests {
     fn swap_and_size() {
         let a = SlotArray::new(4);
         assert_eq!(a.len(), 4);
+        // ORDERING: AcqRel on all three swaps, as at the funnels' call
+        // sites; one thread, so any ordering gives these values.
         assert_eq!(a.swap(2, 7, Ordering::AcqRel), 0);
         assert_eq!(a.swap(2, 9, Ordering::AcqRel), 7);
         assert_eq!(a.swap(3, 1, Ordering::AcqRel), 0);

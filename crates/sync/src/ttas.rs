@@ -37,9 +37,14 @@ impl<T> TtasMutex<T> {
         let backoff = Backoff::new();
         loop {
             // Test before test-and-set: spin on a cached read.
+            // ORDERING: Relaxed; only a hint that the CAS below may succeed.
+            // Acquisition is ordered by the CAS, not by this load.
             while self.flag.load(Ordering::Relaxed) {
                 backoff.snooze();
             }
+            // ORDERING: Acquire on success; partner is the Release store in
+            // `TtasGuard::drop`, so the previous holder's writes to `data`
+            // happen before ours. Relaxed on failure: nothing is acquired.
             if self
                 .flag
                 .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -52,6 +57,7 @@ impl<T> TtasMutex<T> {
 
     /// Single acquisition attempt.
     pub fn try_lock(&self) -> Option<TtasGuard<'_, T>> {
+        // ORDERING: as in `lock`.
         if self
             .flag
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -65,6 +71,7 @@ impl<T> TtasMutex<T> {
 
     /// Whether the lock is currently held (racy; heuristics only).
     pub fn is_locked(&self) -> bool {
+        // ORDERING: Relaxed; a racy hint that guards no data.
         self.flag.load(Ordering::Relaxed)
     }
 
@@ -98,6 +105,8 @@ pub struct TtasGuard<'a, T> {
 
 impl<T> Drop for TtasGuard<'_, T> {
     fn drop(&mut self) {
+        // ORDERING: Release; partner is the acquiring CAS in `lock` /
+        // `try_lock`: our writes to `data` happen before the next holder's.
         self.lock.flag.store(false, Ordering::Release);
     }
 }

@@ -20,9 +20,9 @@
 //! hundreds of numeric samples per row).
 
 /// Version stamp written into every machine-read JSON artifact
-/// (`MetricsSnapshot`, `BENCH_sim.json`, `CHAOS_server.json`,
-/// `TelemetrySnapshot`). CI validators assert it so a parser and an emitter cannot silently
-/// drift apart. Bump on any breaking layout change.
+/// (`MetricsSnapshot`, `CHAOS_server.json`, `TelemetrySnapshot`). CI
+/// validators assert it so a parser and an emitter cannot silently drift
+/// apart. Bump on any breaking layout change.
 ///
 /// History: 2 added the server resilience fields (`restarts`, `requeued`,
 /// `shed` in `TelemetrySnapshot`) and the supervision counter events.

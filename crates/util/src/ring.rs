@@ -70,12 +70,14 @@ impl<const N: usize> SeqRing<N> {
 
     /// Total records ever claimed (including later-overwritten ones).
     pub fn pushed(&self) -> u64 {
+        // ORDERING: Relaxed, a statistic.
         self.head.load(Ordering::Relaxed)
     }
 
     /// Records dropped at the claim CAS (a previous-lap writer stalled
     /// inside the slot). Zero in any single-writer-per-ring deployment.
     pub fn dropped(&self) -> u64 {
+        // ORDERING: Relaxed, a statistic.
         self.dropped.load(Ordering::Relaxed)
     }
 
@@ -83,6 +85,9 @@ impl<const N: usize> SeqRing<N> {
     /// positions back; drops this record only if that old slot is still
     /// owned by a stalled writer.
     pub fn push(&self, record: [u64; N]) {
+        // ORDERING: Relaxed; a position need only be unique, which the
+        // cursor's modification order gives every RMW. The record itself is
+        // published by the slot's sequence word, not by the cursor.
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(pos & self.mask) as usize];
         let claim = 2 * pos + 1;
@@ -90,21 +95,36 @@ impl<const N: usize> SeqRing<N> {
         // record: an odd value is a writer mid-record, a newer even value
         // is a lapping writer that already published past this position.
         // Either way the colliding record is dropped, never raced.
+        // ORDERING: Relaxed; a pre-check only. The CAS below re-validates
+        // `cur` atomically, and nothing is read on the strength of it.
         let cur = slot.seq.load(Ordering::Relaxed);
         if cur % 2 == 1
             || cur > claim
+            // ORDERING: Relaxed on both arms. The odd claim value publishes
+            // nothing; the Release fence below orders it before the record
+            // words, and a lost CAS only drops the record.
             || slot
                 .seq
                 .compare_exchange(cur, claim, Ordering::Relaxed, Ordering::Relaxed)
                 .is_err()
         {
+            // ORDERING: Relaxed, a statistic.
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // ORDERING: Release; partner is the Acquire fence in `drain`. A
+        // reader whose word load sees any store below then sees this claim
+        // (or a later one) in its second sequence load, so a torn read is
+        // always rejected.
         fence(Ordering::Release);
         for (w, &v) in slot.words.iter().zip(record.iter()) {
+            // ORDERING: Relaxed; after the claim by the fence above, before
+            // the publish by the Release store below.
             w.store(v, Ordering::Relaxed);
         }
+        // ORDERING: Release; partner is the first (Acquire) sequence load in
+        // `drain`: a reader that sees `2·pos+2` sees every word of this
+        // record.
         slot.seq.store(2 * pos + 2, Ordering::Release);
     }
 
@@ -112,6 +132,9 @@ impl<const N: usize> SeqRing<N> {
     /// mid-write or overwritten during the scan are skipped; the result
     /// is a consistent sample, not an exact log.
     pub fn drain(&self) -> Vec<[u64; N]> {
+        // ORDERING: Acquire, though it pairs with nothing: the cursor is
+        // bumped by a Relaxed RMW and publishes no record (each slot is
+        // validated by its own sequence word). Stronger than it needs.
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let start = head.saturating_sub(cap);
@@ -119,14 +142,23 @@ impl<const N: usize> SeqRing<N> {
         for pos in start..head {
             let slot = &self.slots[(pos & self.mask) as usize];
             let want = 2 * pos + 2;
+            // ORDERING: Acquire; partner is the publishing Release store in
+            // `push`: seeing `want` makes the record's words visible below.
             if slot.seq.load(Ordering::Acquire) != want {
                 continue;
             }
             let mut rec = [0u64; N];
             for (v, w) in rec.iter_mut().zip(slot.words.iter()) {
+                // ORDERING: Relaxed; made visible by the Acquire load above.
+                // An overwrite racing this loop is caught by the re-check.
                 *v = w.load(Ordering::Relaxed);
             }
+            // ORDERING: Acquire; partner is the Release fence in `push`. If
+            // a load above read a later writer's word, that writer's claim
+            // is visible to the re-check below.
             fence(Ordering::Acquire);
+            // ORDERING: Relaxed; kept after the word loads by the fence
+            // above. `want` again means no later claim touched the words.
             if slot.seq.load(Ordering::Relaxed) == want {
                 out.push(rec);
             }
@@ -174,6 +206,8 @@ mod tests {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut seen = 0u64;
+                // ORDERING: Acquire; partner is the Release store below. It
+                // publishes no data: records are checked through the ring.
                 while !stop.load(Ordering::Acquire) {
                     for rec in ring.drain() {
                         assert_eq!(rec[0], rec[1], "torn record {rec:?}");
@@ -197,6 +231,7 @@ mod tests {
         for h in writers {
             h.join().unwrap();
         }
+        // ORDERING: Release; partner is the Acquire load in the reader.
         stop.store(true, Ordering::Release);
         let seen = reader.join().unwrap();
         assert_eq!(ring.pushed(), WRITERS * PER);
