@@ -5,8 +5,8 @@
 
 use funnelpq_sim::{Addr, Machine, ProcCtx, Word};
 
-use crate::costs;
 use crate::error::SimPqError;
+use crate::walk::{FunnelObject, SimFunnel};
 
 /// Tuning parameters for simulated combining funnels (counters and stacks).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,8 +15,9 @@ pub struct SimFunnelConfig {
     pub widths: Vec<usize>,
     /// Collision attempts per layer before trying the central object.
     pub attempts: u32,
-    /// Number of capture-checks (spaced [`costs::FUNNEL_SPIN_STEP`] cycles
-    /// apart) spent waiting after each attempt, per layer.
+    /// Number of capture-checks (spaced
+    /// [`crate::costs::FUNNEL_SPIN_STEP`] cycles apart) spent waiting after
+    /// each attempt, per layer.
     pub spin_checks: Vec<u32>,
     /// Whether processors adapt the fraction of the layer width they use to
     /// the collision rate they observe.
@@ -124,8 +125,6 @@ impl CounterMode {
     }
 }
 
-const LOC_FROZEN: Word = u64::MAX;
-const RES_NONE: Word = 0;
 const TAG_COUNT: Word = 1;
 const TAG_ELIM: Word = 2;
 
@@ -137,263 +136,43 @@ fn unpack(x: Word) -> (Word, i64) {
     (x & 0b11, (x as i64) >> 2)
 }
 
-/// A combining-funnel shared counter in simulated memory.
+/// A combining-funnel shared counter in simulated memory: the crate's one
+/// funnel walk over trees that carry nothing but their size.
 ///
 /// Layout: one central word, one slot word per layer position, and one
 /// record (location, sum, result) per processor, records line-padded.
 #[derive(Debug, Clone)]
 pub struct SimFunnelCounter {
-    cfg: std::rc::Rc<SimFunnelConfig>,
     mode: CounterMode,
     central: Addr,
-    layers: std::rc::Rc<Vec<(Addr, usize)>>,
-    records: Addr,
-    rec_stride: usize,
-    /// Per-processor adaption factor in 1/256ths (processor-local state:
-    /// the paper keeps `Adaption_factor` in the processor's own record, so
-    /// it costs no shared-memory traffic).
-    frac: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
-    /// Per-processor depth preference: how many combining layers to
-    /// traverse before applying to the central value (the paper's "decide
-    /// locally how many combining layers to traverse" adaption; 0 = go
-    /// straight to the central compare-and-swap).
-    depth: std::rc::Rc<std::cell::RefCell<Vec<usize>>>,
+    funnel: SimFunnel<0>,
 }
 
 impl SimFunnelCounter {
     /// Allocates a funnel counter (initial value zero) for `procs`
     /// processors.
     pub fn build(m: &mut Machine, procs: usize, mode: CounterMode, cfg: SimFunnelConfig) -> Self {
-        cfg.validate();
         let central = m.alloc(1);
-        let layers: Vec<(Addr, usize)> = cfg.widths.iter().map(|&w| (m.alloc(w), w)).collect();
-        let rec_stride = m.line_words().max(4);
-        let records = m.alloc(procs * rec_stride);
-        let levels = cfg.widths.len();
+        let stride = m.line_words().max(4);
+        let funnel = SimFunnel::build(m, procs, cfg, stride);
         m.label(central, 1, "funnel counter central");
-        for &(base, w) in &layers {
-            m.label(base, w, "funnel layers");
-        }
-        m.label(records, procs * rec_stride, "funnel records");
+        funnel.label(m);
         SimFunnelCounter {
-            cfg: std::rc::Rc::new(cfg),
             mode,
             central,
-            layers: std::rc::Rc::new(layers),
-            records,
-            rec_stride,
-            frac: std::rc::Rc::new(std::cell::RefCell::new(vec![256; procs])),
-            depth: std::rc::Rc::new(std::cell::RefCell::new(vec![levels; procs])),
+            funnel,
         }
-    }
-
-    fn loc_of(&self, pid: usize) -> Addr {
-        assert!(
-            pid < self.frac.borrow().len(),
-            "processor {pid} used a funnel built for fewer processors"
-        );
-        self.records + pid * self.rec_stride
-    }
-    fn sum_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 1
-    }
-    fn res_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 2
     }
 
     /// Fetch-and-increment through the funnel.
     pub async fn fetch_inc(&self, ctx: &ProcCtx) -> i64 {
-        self.operate(ctx, 1).await
+        self.funnel.operate(self, ctx, 1, []).await
     }
 
     /// Fetch-and-decrement through the funnel (bounded below by zero in
     /// the bounded modes).
     pub async fn fetch_dec(&self, ctx: &ProcCtx) -> i64 {
-        self.operate(ctx, -1).await
-    }
-
-    fn clamp_ret(&self, v: i64) -> i64 {
-        self.mode.clamp(v)
-    }
-
-    async fn operate(&self, ctx: &ProcCtx, delta: i64) -> i64 {
-        let _span = ctx.span("funnel-traverse");
-        ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let mut sum = delta;
-        let mut children: Vec<(usize, i64)> = Vec::new();
-        let mut d: usize = 0;
-        let levels = self.layers.len();
-        let width_frac: u64 = self.frac.borrow()[pid];
-        let mut max_d: usize = self.depth.borrow()[pid].min(levels);
-        let mut attempts_made = 0u32;
-        let mut collisions_won = 0u32;
-        let mut central_fails = 0u32;
-        let mut was_captured = false;
-
-        ctx.write(self.sum_of(pid), sum as u64).await;
-        ctx.write(self.res_of(pid), RES_NONE).await;
-        ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-
-        let (tag, base) = 'mainloop: loop {
-            let mut n = 0;
-            'attempts: while n < self.cfg.attempts && d < max_d {
-                n += 1;
-                attempts_made += 1;
-                let (layer_base, layer_w) = self.layers[d];
-                let wid = if self.cfg.adaption {
-                    (((layer_w as u64) * width_frac / 256).max(1) as usize).min(layer_w)
-                } else {
-                    layer_w
-                };
-                ctx.work(costs::RNG_DRAW).await;
-                let slot = layer_base + ctx.random_below(wid as u64) as usize;
-                let q = ctx.swap(slot, (pid + 1) as u64).await;
-                if q != 0 && (q - 1) as usize != pid {
-                    let q = (q - 1) as usize;
-                    // Freeze ourselves.
-                    let old = ctx.cas(self.loc_of(pid), (d + 1) as u64, LOC_FROZEN).await;
-                    if old != (d + 1) as u64 {
-                        {
-                            was_captured = true;
-                            break 'mainloop self.await_result(ctx, pid).await;
-                        }
-                    }
-                    // Try to capture q at our layer.
-                    let qold = ctx.cas(self.loc_of(q), (d + 1) as u64, LOC_FROZEN).await;
-                    if qold == (d + 1) as u64 {
-                        collisions_won += 1;
-                        // Marker for tracers and fault plans: this
-                        // processor just won a collision and now combines
-                        // (or eliminates) on behalf of the captured peer.
-                        ctx.span("funnel-combine").end();
-                        let qsum = ctx.read(self.sum_of(q)).await as i64;
-                        let reversing = self.mode != CounterMode::FetchAdd && qsum == -sum;
-                        if reversing {
-                            // Elimination: short-cut read of the central
-                            // value, no update.
-                            let val = ctx.read(self.central).await as i64;
-                            let mut dv = val;
-                            if let CounterMode::Bounded { lo, hi } = self.mode {
-                                if lo == Some(dv) {
-                                    dv += 1; // the paper's BOT adjustment
-                                }
-                                if let Some(hi) = hi {
-                                    dv = dv.min(hi);
-                                }
-                            }
-                            let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
-                            ctx.write(self.res_of(q), pack(TAG_ELIM, q_v)).await;
-                            break 'mainloop (TAG_ELIM, my_v);
-                        }
-                        let compatible = match self.mode {
-                            CounterMode::FetchAdd => true,
-                            CounterMode::Bounded { .. } => qsum.signum() == sum.signum(),
-                        };
-                        debug_assert!(
-                            compatible,
-                            "layer discipline should make same-layer trees compatible"
-                        );
-                        // Combine: q's tree becomes our child.
-                        sum += qsum;
-                        ctx.write(self.sum_of(pid), sum as u64).await;
-                        children.push((q, qsum));
-                        d += 1;
-                        ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-                        n = 0;
-                        continue 'attempts;
-                    }
-                    // Capture failed: republish ourselves at this layer.
-                    ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-                }
-                // Delay, periodically checking whether we were captured.
-                // Delay times adapt to load like widths do: a funnel whose
-                // collisions are succeeding (width_frac high) is worth
-                // waiting in; a quiet one is not.
-                let checks = if self.cfg.adaption {
-                    ((self.cfg.spin_checks[d] as usize * max_d) / levels).max(1) as u32
-                } else {
-                    self.cfg.spin_checks[d]
-                };
-                for _ in 0..checks {
-                    ctx.work(costs::FUNNEL_SPIN_STEP).await;
-                    let v = ctx.read(self.loc_of(pid)).await;
-                    if v != (d + 1) as u64 {
-                        {
-                            was_captured = true;
-                            break 'mainloop self.await_result(ctx, pid).await;
-                        }
-                    }
-                }
-            }
-            // Exit the funnel: apply the whole tree to the central counter.
-            let old = ctx.cas(self.loc_of(pid), (d + 1) as u64, LOC_FROZEN).await;
-            if old != (d + 1) as u64 {
-                {
-                    was_captured = true;
-                    break 'mainloop self.await_result(ctx, pid).await;
-                }
-            }
-            let val = ctx.read(self.central).await as i64;
-            let new = self.mode.clamp(val + sum);
-            let got = ctx.cas(self.central, val as u64, new as u64).await;
-            if got == val as u64 {
-                break 'mainloop (TAG_COUNT, val);
-            }
-            // Central contention: allow deeper combining on the retry.
-            central_fails += 1;
-            max_d = (max_d + 1).min(levels);
-            ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-        };
-
-        // Local adaption: grow the slice of the layer we use when collisions
-        // are frequent, shrink it when they are rare.
-        if self.cfg.adaption {
-            if attempts_made > 0 {
-                let mut frac = self.frac.borrow_mut();
-                if collisions_won * 2 >= attempts_made {
-                    frac[pid] = (frac[pid] * 2).min(256);
-                } else if collisions_won == 0 {
-                    frac[pid] = (frac[pid] / 2).max(16);
-                }
-            }
-            // Depth adaption: combining success, being combined with, or a
-            // contended central value all argue for traversing layers; a
-            // clean solo pass argues for going straight to the central CAS.
-            let mut depth = self.depth.borrow_mut();
-            let engaged = collisions_won > 0 || was_captured || central_fails > 0;
-            if engaged {
-                depth[pid] = (depth[pid] + 1).min(levels);
-            } else {
-                depth[pid] = depth[pid].saturating_sub(1);
-            }
-        }
-
-        // Distribute results to captured subtrees.
-        let ret = match tag {
-            TAG_ELIM => {
-                for &(child, _) in &children {
-                    ctx.write(self.res_of(child), pack(TAG_ELIM, base)).await;
-                }
-                self.clamp_ret(base)
-            }
-            TAG_COUNT => {
-                let mut total = delta;
-                for &(child, csum) in &children {
-                    ctx.write(self.res_of(child), pack(TAG_COUNT, base + total))
-                        .await;
-                    total += csum;
-                }
-                self.clamp_ret(base)
-            }
-            _ => unreachable!("funnel result tag"),
-        };
-        ret
-    }
-
-    async fn await_result(&self, ctx: &ProcCtx, pid: usize) -> (Word, i64) {
-        let r = ctx.wait_until(self.res_of(pid), |v| v != RES_NONE).await;
-        unpack(r)
+        self.funnel.operate(self, ctx, -1, []).await
     }
 
     /// Central value (test/assertion helper; zero simulated cost).
@@ -410,12 +189,76 @@ impl SimFunnelCounter {
     /// Current traversal-depth preference of processor `pid` (diagnostic
     /// view of the adaption state; zero simulated cost).
     pub fn depth_preference(&self, pid: usize) -> usize {
-        self.depth.borrow()[pid]
+        self.funnel.depth.borrow()[pid]
     }
 
     /// Re-labels this counter's central word for hot-spot reports.
     pub fn label(&self, m: &mut Machine, name: &str) {
         m.label(self.central, 1, name);
+    }
+}
+
+impl FunnelObject<0> for SimFunnelCounter {
+    type Output = i64;
+    const SPAN: &'static str = "funnel-traverse";
+
+    async fn meet(
+        &self,
+        ctx: &ProcCtx,
+        _: usize,
+        _: usize,
+        sum: i64,
+        qsum: i64,
+        _: &mut [Word; 0],
+    ) -> Option<(Word, Word)> {
+        if self.mode == CounterMode::FetchAdd || qsum != -sum {
+            debug_assert!(
+                self.mode == CounterMode::FetchAdd || qsum.signum() == sum.signum(),
+                "layer discipline should make same-layer trees compatible"
+            );
+            return None;
+        }
+        // Elimination: short-cut read of the central value, no update.
+        let val = ctx.read(self.central).await as i64;
+        let mut dv = val;
+        if let CounterMode::Bounded { lo, hi } = self.mode {
+            if lo == Some(dv) {
+                dv += 1; // the paper's BOT adjustment
+            }
+            if let Some(hi) = hi {
+                dv = dv.min(hi);
+            }
+        }
+        let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
+        Some((pack(TAG_ELIM, my_v), pack(TAG_ELIM, q_v)))
+    }
+
+    async fn central(&self, ctx: &ProcCtx, sum: i64, _: &[Word; 0]) -> (Option<Word>, bool) {
+        let val = ctx.read(self.central).await as i64;
+        let new = self.mode.clamp(val + sum);
+        let got = ctx.cas(self.central, val as u64, new as u64).await;
+        if got == val as u64 {
+            (Some(pack(TAG_COUNT, val)), false)
+        } else {
+            (None, true)
+        }
+    }
+
+    async fn distribute(
+        &self,
+        ctx: &ProcCtx,
+        result: Word,
+        delta: i64,
+        children: &[(usize, i64)],
+    ) -> i64 {
+        let (tag, base) = unpack(result);
+        let mut total = delta;
+        for &(child, csum) in children {
+            let v = if tag == TAG_ELIM { base } else { base + total };
+            ctx.write(self.funnel.res_of(child), pack(tag, v)).await;
+            total += csum;
+        }
+        self.mode.clamp(base)
     }
 }
 

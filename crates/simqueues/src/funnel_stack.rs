@@ -13,13 +13,11 @@ use std::rc::Rc;
 
 use funnelpq_sim::{Addr, Machine, ProcCtx, Word};
 
-use crate::costs;
 use crate::error::SimPqError;
 use crate::funnel::SimFunnelConfig;
 use crate::mcs::SimMcsLock;
+use crate::walk::{FunnelObject, SimFunnel};
 
-const LOC_FROZEN: Word = u64::MAX;
-const RES_NONE: Word = 0;
 const TAG_DONE: Word = 1;
 const TAG_CHAIN: Word = 2;
 
@@ -31,27 +29,23 @@ fn unpack(x: Word) -> (Word, Word) {
     (x & 0b11, x >> 2)
 }
 
-/// A simulated combining-funnel stack of `u64` items.
+/// A simulated combining-funnel stack of `u64` items: the crate's one
+/// funnel walk over trees that carry a chain's head and tail.
 ///
 /// Nodes come from a pre-allocated pool (`max_items`); the pool free list
-/// is processor-local bookkeeping and costs no simulated traffic.
+/// is processor-local bookkeeping and costs no simulated traffic. Each
+/// processor's record is location, sum, chain head, chain tail and result,
+/// padded to whole lines.
 #[derive(Debug, Clone)]
 pub struct SimFunnelStack {
-    cfg: Rc<SimFunnelConfig>,
     /// Encoded head node (addr+1; 0 = empty).
     head: Addr,
     central_lock: SimMcsLock,
-    layers: Rc<Vec<(Addr, usize)>>,
-    records: Addr,
-    rec_stride: usize,
     pool: Rc<RefCell<Vec<Addr>>>,
     /// Pool size: the most items the stack can ever hold, which also
     /// bounds any well-formed head chain walk.
     max_items: usize,
-    frac: Rc<RefCell<Vec<u64>>>,
-    /// Per-processor depth preference (see the counter's `depth` field):
-    /// how many combining layers to traverse before going central.
-    depth: Rc<RefCell<Vec<usize>>>,
+    funnel: SimFunnel<2>,
 }
 
 /// Central-lock wait (cycles) above which a stack operation treats the
@@ -62,56 +56,24 @@ impl SimFunnelStack {
     /// Allocates a stack for `procs` processors holding at most
     /// `max_items` simultaneous items.
     pub fn build(m: &mut Machine, procs: usize, max_items: usize, cfg: SimFunnelConfig) -> Self {
-        cfg.validate();
         let head = m.alloc(1);
         let central_lock = SimMcsLock::build(m, procs);
-        let layers: Vec<(Addr, usize)> = cfg.widths.iter().map(|&w| (m.alloc(w), w)).collect();
-        let lw = m.line_words();
-        let rec_stride = 5usize.next_multiple_of(lw).max(lw);
-        let records = m.alloc(procs * rec_stride);
+        let stride = 5usize.next_multiple_of(m.line_words());
+        let funnel = SimFunnel::build(m, procs, cfg, stride);
         // Node pool: each node is [item, next], one allocation so nodes sit
         // densely (2 words apiece).
         let pool_base = m.alloc(2 * max_items.max(1));
         let pool = (0..max_items.max(1)).map(|i| pool_base + 2 * i).collect();
-        let levels = cfg.widths.len();
         m.label(head, 1, "funnel stack head");
-        for &(base, w) in &layers {
-            m.label(base, w, "funnel layers");
-        }
-        m.label(records, procs * rec_stride, "funnel records");
+        funnel.label(m);
         m.label(pool_base, 2 * max_items.max(1), "stack nodes");
         SimFunnelStack {
-            cfg: Rc::new(cfg),
             head,
             central_lock,
-            layers: Rc::new(layers),
-            records,
-            rec_stride,
             pool: Rc::new(RefCell::new(pool)),
             max_items: max_items.max(1),
-            frac: Rc::new(RefCell::new(vec![256; procs])),
-            depth: Rc::new(RefCell::new(vec![levels; procs])),
+            funnel,
         }
-    }
-
-    fn loc_of(&self, pid: usize) -> Addr {
-        assert!(
-            pid < self.frac.borrow().len(),
-            "processor {pid} used a funnel built for fewer processors"
-        );
-        self.records + pid * self.rec_stride
-    }
-    fn sum_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 1
-    }
-    fn chead_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 2
-    }
-    fn ctail_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 3
-    }
-    fn res_of(&self, pid: usize) -> Addr {
-        self.records + pid * self.rec_stride + 4
     }
 
     /// One-read emptiness test.
@@ -122,7 +84,7 @@ impl SimFunnelStack {
     /// Current traversal-depth preference of processor `pid` (diagnostic
     /// view of the adaption state; zero simulated cost).
     pub fn depth_preference(&self, pid: usize) -> usize {
-        self.depth.borrow()[pid]
+        self.funnel.depth.borrow()[pid]
     }
 
     /// Host-side item count: walks the head chain without simulated cost.
@@ -199,7 +161,8 @@ impl SimFunnelStack {
         ctx.write(node, item).await; // node.item
         ctx.write(node + 1, 0).await; // node.next
         let outcome = self
-            .operate(ctx, 1, (node + 1) as Word, (node + 1) as Word)
+            .funnel
+            .operate(self, ctx, 1, [(node + 1) as Word; 2])
             .await;
         debug_assert_eq!(outcome, None, "push must not yield a chain");
         Ok(())
@@ -207,7 +170,7 @@ impl SimFunnelStack {
 
     /// Pops an item, or `None` when the stack appears empty.
     pub async fn pop(&self, ctx: &ProcCtx) -> Option<u64> {
-        let chain = self.operate(ctx, -1, 0, 0).await;
+        let chain = self.funnel.operate(self, ctx, -1, [0; 2]).await;
         match chain {
             Some(0) | None => None,
             Some(enc) => {
@@ -218,220 +181,125 @@ impl SimFunnelStack {
             }
         }
     }
+}
 
-    /// Funnel traversal. Returns `None` for completed pushes and
-    /// `Some(encoded chain head)` for pops (0 = empty).
-    async fn operate(&self, ctx: &ProcCtx, delta: i64, chead: Word, ctail: Word) -> Option<Word> {
-        let _span = ctx.span("funnel-stack-traverse");
-        ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let mut sum = delta;
-        let mut ctail = ctail;
-        let mut children: Vec<(usize, i64)> = Vec::new();
-        let mut d: usize = 0;
-        let levels = self.layers.len();
-        let width_frac: u64 = self.frac.borrow()[pid];
-        let max_d: usize = self.depth.borrow()[pid].min(levels);
-        let mut attempts_made = 0u32;
-        let mut collisions_won = 0u32;
-        let mut central_contended = false;
-        let mut was_captured = false;
+/// Hooks for the walk: the carry is `[chain head, chain tail]` (encoded
+/// nodes, 0 for a pop tree). An operation returns `None` for a completed
+/// push and `Some(encoded chain head)` for a pop (0 = empty).
+impl FunnelObject<2> for SimFunnelStack {
+    type Output = Option<Word>;
+    const SPAN: &'static str = "funnel-stack-traverse";
 
-        ctx.write(self.sum_of(pid), sum as u64).await;
-        ctx.write(self.chead_of(pid), chead).await;
-        ctx.write(self.ctail_of(pid), ctail).await;
-        ctx.write(self.res_of(pid), RES_NONE).await;
-        ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-
-        // Run-once labelled block: the stack's central section is
-        // lock-based and always succeeds, so no path loops back (unlike
-        // the counter, whose central CAS can fail).
-        let (tag, my_chain) = 'mainloop: {
-            let mut n = 0;
-            'attempts: while n < self.cfg.attempts && d < max_d {
-                n += 1;
-                attempts_made += 1;
-                let (layer_base, layer_w) = self.layers[d];
-                let wid = (((layer_w as u64) * width_frac / 256).max(1) as usize).min(layer_w);
-                ctx.work(costs::RNG_DRAW).await;
-                let slot = layer_base + ctx.random_below(wid as u64) as usize;
-                let q = ctx.swap(slot, (pid + 1) as u64).await;
-                if q != 0 && (q - 1) as usize != pid {
-                    let q = (q - 1) as usize;
-                    let old = ctx.cas(self.loc_of(pid), (d + 1) as u64, LOC_FROZEN).await;
-                    if old != (d + 1) as u64 {
-                        {
-                            was_captured = true;
-                            break 'mainloop self.await_result(ctx, pid).await;
-                        }
-                    }
-                    let qold = ctx.cas(self.loc_of(q), (d + 1) as u64, LOC_FROZEN).await;
-                    if qold == (d + 1) as u64 {
-                        collisions_won += 1;
-                        // Marker for tracers and fault plans: this
-                        // processor just won a collision and now combines
-                        // (or eliminates) on behalf of the captured peer.
-                        ctx.span("funnel-combine").end();
-                        let qsum = ctx.read(self.sum_of(q)).await as i64;
-                        debug_assert_eq!(qsum.abs(), sum.abs());
-                        if qsum == -sum {
-                            // Elimination: pushers' chain goes to poppers.
-                            if sum > 0 {
-                                let myh = ctx.read(self.chead_of(pid)).await;
-                                ctx.write(self.res_of(q), pack(TAG_CHAIN, myh)).await;
-                                break 'mainloop (TAG_DONE, 0);
-                            } else {
-                                let qh = ctx.read(self.chead_of(q)).await;
-                                ctx.write(self.res_of(q), pack(TAG_DONE, 0)).await;
-                                break 'mainloop (TAG_CHAIN, qh);
-                            }
-                        }
-                        // Same kind: merge. Pushes splice chains.
-                        if sum > 0 {
-                            let qh = ctx.read(self.chead_of(q)).await;
-                            let qt = ctx.read(self.ctail_of(q)).await;
-                            // our tail.next = q's head
-                            ctx.write((ctail - 1) as Addr + 1, qh).await;
-                            ctail = qt;
-                            ctx.write(self.ctail_of(pid), ctail).await;
-                        }
-                        sum += qsum;
-                        ctx.write(self.sum_of(pid), sum as u64).await;
-                        children.push((q, qsum));
-                        d += 1;
-                        ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-                        n = 0;
-                        continue 'attempts;
-                    }
-                    ctx.write(self.loc_of(pid), (d + 1) as u64).await;
-                }
-                // Delay times adapt to load like widths do (see the
-                // counter's spin loop).
-                let checks = if self.cfg.adaption {
-                    ((self.cfg.spin_checks[d] as usize * max_d) / levels).max(1) as u32
-                } else {
-                    self.cfg.spin_checks[d]
-                };
-                for _ in 0..checks {
-                    ctx.work(costs::FUNNEL_SPIN_STEP).await;
-                    let v = ctx.read(self.loc_of(pid)).await;
-                    if v != (d + 1) as u64 {
-                        {
-                            was_captured = true;
-                            break 'mainloop self.await_result(ctx, pid).await;
-                        }
-                    }
-                }
-            }
-            // Apply the tree to the central stack.
-            let old = ctx.cas(self.loc_of(pid), (d + 1) as u64, LOC_FROZEN).await;
-            if old != (d + 1) as u64 {
-                {
-                    was_captured = true;
-                    break 'mainloop self.await_result(ctx, pid).await;
-                }
-            }
-            if sum > 0 {
-                let t0 = ctx.now();
-                self.central_lock.acquire(ctx).await;
-                central_contended |= ctx.now() - t0 > CENTRAL_CONTENTION_CYCLES;
-                let oldh = ctx.read(self.head).await;
-                ctx.write((ctail - 1) as Addr + 1, oldh).await;
-                ctx.write(self.head, chead).await;
-                self.central_lock.release(ctx).await;
-                break 'mainloop (TAG_DONE, 0);
+    async fn meet(
+        &self,
+        ctx: &ProcCtx,
+        pid: usize,
+        q: usize,
+        sum: i64,
+        qsum: i64,
+        carry: &mut [Word; 2],
+    ) -> Option<(Word, Word)> {
+        debug_assert_eq!(qsum.abs(), sum.abs());
+        if qsum == -sum {
+            // Elimination: pushers' chain goes to poppers.
+            return Some(if sum > 0 {
+                let myh = ctx.read(self.funnel.carry_of(pid)).await;
+                (pack(TAG_DONE, 0), pack(TAG_CHAIN, myh))
             } else {
-                let want = (-sum) as u64;
-                let t0 = ctx.now();
-                self.central_lock.acquire(ctx).await;
-                central_contended |= ctx.now() - t0 > CENTRAL_CONTENTION_CYCLES;
-                let first = ctx.read(self.head).await;
-                if first == 0 {
-                    self.central_lock.release(ctx).await;
-                    break 'mainloop (TAG_CHAIN, 0);
-                }
-                let mut last = first;
-                let mut got = 1;
-                while got < want {
+                let qh = ctx.read(self.funnel.carry_of(q)).await;
+                (pack(TAG_CHAIN, qh), pack(TAG_DONE, 0))
+            });
+        }
+        // Same kind: merge. Pushes splice chains.
+        if sum > 0 {
+            let qh = ctx.read(self.funnel.carry_of(q)).await;
+            let qt = ctx.read(self.funnel.carry_of(q) + 1).await;
+            // our tail.next = q's head
+            ctx.write((carry[1] - 1) as Addr + 1, qh).await;
+            carry[1] = qt;
+            ctx.write(self.funnel.carry_of(pid) + 1, qt).await;
+        }
+        None
+    }
+
+    async fn central(&self, ctx: &ProcCtx, sum: i64, carry: &[Word; 2]) -> (Option<Word>, bool) {
+        let t0 = ctx.now();
+        self.central_lock.acquire(ctx).await;
+        let contended = ctx.now() - t0 > CENTRAL_CONTENTION_CYCLES;
+        if sum > 0 {
+            let [chead, ctail] = *carry;
+            let oldh = ctx.read(self.head).await;
+            ctx.write((ctail - 1) as Addr + 1, oldh).await;
+            ctx.write(self.head, chead).await;
+            self.central_lock.release(ctx).await;
+            return (Some(pack(TAG_DONE, 0)), contended);
+        }
+        let want = (-sum) as u64;
+        let first = ctx.read(self.head).await;
+        if first == 0 {
+            self.central_lock.release(ctx).await;
+            return (Some(pack(TAG_CHAIN, 0)), contended);
+        }
+        let mut last = first;
+        let mut got = 1;
+        while got < want {
+            let nxt = ctx.read((last - 1) as Addr + 1).await;
+            if nxt == 0 {
+                break;
+            }
+            last = nxt;
+            got += 1;
+        }
+        let rest = ctx.read((last - 1) as Addr + 1).await;
+        ctx.write(self.head, rest).await;
+        ctx.write((last - 1) as Addr + 1, 0).await;
+        self.central_lock.release(ctx).await;
+        (Some(pack(TAG_CHAIN, first)), contended)
+    }
+
+    async fn distribute(
+        &self,
+        ctx: &ProcCtx,
+        result: Word,
+        _: i64,
+        children: &[(usize, i64)],
+    ) -> Option<Word> {
+        let (tag, my_chain) = unpack(result);
+        if tag == TAG_DONE {
+            for &(child, _) in children {
+                ctx.write(self.funnel.res_of(child), pack(TAG_DONE, 0))
+                    .await;
+            }
+            return None;
+        }
+        // Keep the first node; cut one subchain per child.
+        let mut rest = my_chain;
+        let shares = children
+            .iter()
+            .map(|&(c, csum)| (Some(c), csum.unsigned_abs()));
+        for (child, need) in [(None, 1)].into_iter().chain(shares) {
+            let chead = rest;
+            if rest != 0 {
+                let mut last = rest;
+                let mut taken = 1;
+                while taken < need {
                     let nxt = ctx.read((last - 1) as Addr + 1).await;
                     if nxt == 0 {
                         break;
                     }
                     last = nxt;
-                    got += 1;
+                    taken += 1;
                 }
-                let rest = ctx.read((last - 1) as Addr + 1).await;
-                ctx.write(self.head, rest).await;
+                rest = ctx.read((last - 1) as Addr + 1).await;
                 ctx.write((last - 1) as Addr + 1, 0).await;
-                self.central_lock.release(ctx).await;
-                break 'mainloop (TAG_CHAIN, first);
             }
-        };
-
-        if self.cfg.adaption {
-            if attempts_made > 0 {
-                let mut frac = self.frac.borrow_mut();
-                if collisions_won * 2 >= attempts_made {
-                    frac[pid] = (frac[pid] * 2).min(256);
-                } else if collisions_won == 0 {
-                    frac[pid] = (frac[pid] / 2).max(16);
-                }
-            }
-            let mut depth = self.depth.borrow_mut();
-            let engaged = collisions_won > 0 || was_captured || central_contended;
-            if engaged {
-                depth[pid] = (depth[pid] + 1).min(levels);
-            } else {
-                depth[pid] = depth[pid].saturating_sub(1);
+            if let Some(child) = child {
+                let res = pack(TAG_CHAIN, chead);
+                ctx.write(self.funnel.res_of(child), res).await;
             }
         }
-
-        match tag {
-            TAG_DONE => {
-                for &(child, _) in &children {
-                    ctx.write(self.res_of(child), pack(TAG_DONE, 0)).await;
-                }
-                None
-            }
-            TAG_CHAIN => {
-                // Keep the first node; cut one subchain per child.
-                let mine = my_chain;
-                let mut rest = if mine == 0 {
-                    0
-                } else {
-                    let r = ctx.read((mine - 1) as Addr + 1).await;
-                    ctx.write((mine - 1) as Addr + 1, 0).await;
-                    r
-                };
-                for &(child, csum) in &children {
-                    let need = csum.unsigned_abs();
-                    let chead = rest;
-                    if rest != 0 {
-                        let mut last = rest;
-                        let mut taken = 1;
-                        while taken < need {
-                            let nxt = ctx.read((last - 1) as Addr + 1).await;
-                            if nxt == 0 {
-                                break;
-                            }
-                            last = nxt;
-                            taken += 1;
-                        }
-                        rest = ctx.read((last - 1) as Addr + 1).await;
-                        ctx.write((last - 1) as Addr + 1, 0).await;
-                    }
-                    ctx.write(self.res_of(child), pack(TAG_CHAIN, chead)).await;
-                }
-                debug_assert_eq!(rest, 0, "chain longer than tree");
-                Some(mine)
-            }
-            _ => unreachable!("funnel stack tag"),
-        }
-    }
-
-    async fn await_result(&self, ctx: &ProcCtx, pid: usize) -> (Word, Word) {
-        let r = ctx.wait_until(self.res_of(pid), |v| v != RES_NONE).await;
-        unpack(r)
+        debug_assert_eq!(rest, 0, "chain longer than tree");
+        Some(my_chain)
     }
 }
 

@@ -38,6 +38,7 @@ pub mod funnel_stack;
 mod heap;
 pub mod mcs;
 pub mod queues;
+mod walk;
 pub mod workload;
 
 pub use bin::SimBin;

@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn fetch_add_contract_holds_for_all_three_counters() {
-        use crate::funnel::{FunnelConfig, FunnelCounter};
+        use crate::{FunnelConfig, FunnelCounter};
         fetch_add_contract(&|v, b| Box::new(CasCounter::new(v, b)));
         fetch_add_contract(&|v, b| Box::new(LockedCounter::new(v, b)));
         fetch_add_contract(&|v, b| {

@@ -1,95 +1,25 @@
-//! Combining-funnel shared counter (Shavit & Zemach, PODC 1998/1999).
+//! Combining-funnel shared counter (Shavit & Zemach, PODC 1998/1999): the
+//! paper's bounded counter, one use of the combining-funnel walk
+//! ([`crate::walk`]).
 //!
-//! A funnel is a stack of *combining layers* — arrays of slots through which
-//! concurrent operations locate one another. A processor entering a layer
-//! swaps its id into a random slot, reads out whoever was there, and tries
-//! to *collide*: it freezes itself and the partner with compare-and-swap on
-//! per-thread `location` words. Colliding operations of the same kind
-//! combine into a tree whose root carries the summed delta forward;
-//! colliding operations of opposite kinds *eliminate* and complete without
-//! ever touching the central value. Roots that exit the funnel apply their
-//! whole tree to the central counter with a single compare-and-swap and then
-//! distribute results back down the tree.
-//!
-//! Layer discipline keeps trees homogeneous, which §3.3 of the paper shows
-//! is required for *bounded* operations (bounded ops do not commute): a tree
-//! at layer `d` always has size `2^d` and contains a single operation kind,
-//! because advancement to layer `d+1` happens only after combining with an
-//! equal-size, same-kind tree at layer `d`.
-//!
-//! How wide, how deep and how long a thread lingers in the layers is its
-//! own local decision ([`crate::adaption`]). A thread that has met no
-//! contention lately skips them: its `location` stays frozen, so nobody can
-//! capture it, and the operation is one compare-and-swap on the central
-//! value.
+//! A counter's tree carries nothing but its signed size: `+k` for `k`
+//! increments, `-k` for `k` decrements. Reversing trees of equal size
+//! eliminate against a plausible value near the central one and never touch
+//! it; a tree that leaves the layers applies its whole size to the central
+//! value with a single compare-and-swap, clamped to the bounds, and hands
+//! consecutive prefixes back down the tree.
 //!
 //! This implementation is quiescently consistent, like the paper's.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
-use funnelpq_util::{Backoff, CachePadded};
+use funnelpq_util::CachePadded;
 
-use crate::adaption::{self, Adaption, Signals, MAX_LAYERS};
 use crate::counter::{Bounds, SharedCounter};
 use crate::probe::{CounterEvent, SinkRef};
-use crate::slots::SlotArray;
+use crate::walk::{Funnel, FunnelConfig, FunnelObject};
 
-/// Tuning parameters for a combining funnel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunnelConfig {
-    /// Width of each combining layer, outermost first. The number of layers
-    /// is `widths.len()`; a tree exiting layer `d` has `2^d` operations.
-    pub widths: Vec<usize>,
-    /// Collision attempts per layer before trying the central value.
-    pub attempts: u32,
-    /// Maximum number of registered threads (dense thread ids `0..max`).
-    pub max_threads: usize,
-}
-
-impl FunnelConfig {
-    /// A reasonable default for up to `max_threads` threads: two layers
-    /// sized to the thread count.
-    pub fn for_threads(max_threads: usize) -> Self {
-        let w0 = (max_threads / 2).max(1);
-        let w1 = (max_threads / 4).max(1);
-        FunnelConfig {
-            widths: vec![w0, w1],
-            attempts: 3,
-            max_threads,
-        }
-    }
-
-    pub(crate) fn validate(&self) {
-        assert!(self.max_threads > 0, "max_threads must be positive");
-        assert!(
-            self.widths.len() <= MAX_LAYERS,
-            "at most {MAX_LAYERS} combining layers"
-        );
-        assert!(
-            self.widths.iter().all(|&w| w > 0),
-            "layer widths must be positive"
-        );
-        assert!(self.attempts > 0, "attempts must be positive");
-    }
-}
-
-/// `location` states beyond layer indices.
-pub(crate) const LOC_FROZEN: u64 = u64::MAX - 1;
-
-/// Freezes a `location` that still says layer `d`. Every way out of a
-/// published layer is this CAS on the one word — the owner's, when it
-/// collides or goes central, and a partner's capture — so exactly one wins.
-pub(crate) fn freeze(location: &AtomicU64, d: usize) -> bool {
-    // ORDERING: SeqCst RMW, the last leg of the Dekker-style trio (owner's
-    // `location` store → slot swap → this CAS). A partner's success
-    // acquires the owner's publish (its `sum`, its chain); the owner's
-    // failure sends it to `await_result`.
-    location
-        .compare_exchange(d as u64, LOC_FROZEN, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-}
-/// Result word states/tags.
-const RES_NONE: u64 = 0;
+/// Result word tags.
 const TAG_COUNT: u64 = 1;
 const TAG_ELIM: u64 = 2;
 
@@ -100,35 +30,6 @@ fn pack_result(tag: u64, v: i64) -> u64 {
 
 fn unpack_result(x: u64) -> (u64, i64) {
     (x & 0b11, (x as i64) >> 2)
-}
-
-/// Per-thread collision record. The children list lives in the operation's
-/// stack frame.
-struct Record {
-    /// Layer index this thread is combinable at, or [`LOC_FROZEN`] — which
-    /// it is between operations and throughout one that never enters the
-    /// layers.
-    location: CachePadded<AtomicU64>,
-    /// Signed size of the tree rooted here (+k for k increments, -k for k
-    /// decrements). Written before `location` is published, stable while
-    /// frozen.
-    sum: AtomicI64,
-    /// Packed result delivered by whoever captured us; [`RES_NONE`] between
-    /// operations (the captured thread swaps it back).
-    result: AtomicU64,
-    /// Owner-only width / depth / wait adaption.
-    adapt: Adaption,
-}
-
-impl Record {
-    fn new(tid: usize) -> Self {
-        Record {
-            location: CachePadded::new(AtomicU64::new(LOC_FROZEN)),
-            sum: AtomicI64::new(0),
-            result: AtomicU64::new(RES_NONE),
-            adapt: Adaption::new(tid),
-        }
-    }
 }
 
 /// A combining-funnel counter with optional bounds.
@@ -153,13 +54,9 @@ impl Record {
 /// assert_eq!(c.value(), 0);
 /// ```
 pub struct FunnelCounter {
-    cfg: FunnelConfig,
     bounds: Bounds,
     central: CachePadded<AtomicI64>,
-    records: Box<[Record]>,
-    /// `layers[d]` slot `i` holds `tid + 1`, or 0 for nobody.
-    layers: Vec<SlotArray>,
-    sink: Option<SinkRef>,
+    funnel: Funnel<()>,
 }
 
 impl FunnelCounter {
@@ -186,21 +83,16 @@ impl FunnelCounter {
         cfg: FunnelConfig,
         sink: Option<SinkRef>,
     ) -> Self {
-        cfg.validate();
+        let funnel = Funnel::new(cfg, sink);
         assert_eq!(
             bounds.clamp(initial),
             initial,
             "initial value out of bounds"
         );
-        let records = (0..cfg.max_threads).map(Record::new).collect();
-        let layers = cfg.widths.iter().map(|&w| SlotArray::new(w)).collect();
         FunnelCounter {
-            cfg,
             bounds,
             central: CachePadded::new(AtomicI64::new(initial)),
-            records,
-            layers,
-            sink,
+            funnel,
         }
     }
 
@@ -211,220 +103,91 @@ impl FunnelCounter {
 
     /// Maximum number of thread ids this counter accepts.
     pub fn max_threads(&self) -> usize {
-        self.cfg.max_threads
+        self.funnel.cfg.max_threads
+    }
+}
+
+impl FunnelObject for FunnelCounter {
+    type Carry = ();
+    type Output = i64;
+    const LOCKED: bool = false;
+
+    fn meet(&self, sum: i64, qsum: i64, _: &mut (), _: &()) -> Option<(u64, u64)> {
+        if qsum != -sum {
+            return None;
+        }
+        // Reversing operations: eliminate both trees.
+        // ORDERING: SeqCst like every access to `central`; any recent value
+        // would do.
+        let val = self.central.load(Ordering::SeqCst);
+        // Pick a plausible adjacent (inc, dec) pairing that stays within
+        // bounds: dec observes `dv`, inc observes `dv - 1`.
+        let mut dv = val;
+        if self.bounds.lo == Some(dv) {
+            dv += 1;
+        }
+        if let Some(hi) = self.bounds.hi {
+            dv = dv.min(hi);
+        }
+        let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
+        Some((pack_result(TAG_ELIM, my_v), pack_result(TAG_ELIM, q_v)))
     }
 
-    /// The funnel traversal shared by both operation kinds.
-    /// `delta` is +1 (increment) or -1 (decrement).
-    fn operate(&self, tid: usize, delta: i64) -> i64 {
-        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
-        let me = &self.records[tid];
-        let levels = self.layers.len();
-        let mut sum = delta;
-        // Layers advanced through so far, each by capturing one child:
-        // `children[k]` is the tid captured at layer `k`, whose tree — like
-        // ours at the time — held `2^k` operations of our kind.
-        let mut d = 0usize;
-        let mut children = [0usize; MAX_LAYERS];
-        let mut max_d = me.adapt.depth(levels);
-        let mut sig = Signals::default();
-        // Operations eliminated by this op acting as the colliding root
-        // (covers both trees; members never report themselves).
-        let mut elim_count = 0u64;
+    fn central(&self, sum: i64, _: (), _: bool) -> Option<u64> {
+        // ORDERING: SeqCst, with the CAS below.
+        let val = self.central.load(Ordering::SeqCst);
+        let new = self.bounds.clamp(val + sum);
+        // ORDERING: SeqCst CAS on the one word every root serialises on.
+        // What callers need is the release/acquire edge between an
+        // increment and the decrement that claims it (`CounterTree`: bin
+        // insert → inc, dec → bin delete); kept SeqCst because on x86 it is
+        // the same instruction.
+        self.central
+            .compare_exchange(val, new, Ordering::SeqCst, Ordering::SeqCst)
+            .ok()
+            .map(|_| pack_result(TAG_COUNT, val))
+    }
 
-        let (tag, base) = 'mainloop: loop {
-            // The layers, when the adaption wants them and the wait budget
-            // is worth a collision attempt. Otherwise `location` stays
-            // frozen and the central CAS below is the whole operation.
-            if d < max_d && me.adapt.wait(d) > 0 {
-                // ORDERING: Relaxed; published by the `location` store
-                // below, which a capturer's successful CAS acquires.
-                me.sum.store(sum, Ordering::Relaxed);
-                // ORDERING: SeqCst publish, the first leg of the Dekker-style
-                // trio (my `location` store → slot swap → partner's CAS on my
-                // `location`): whoever reads my id out of a slot must find me
-                // at `d`; the store also releases `sum` to that CAS.
-                me.location.store(d as u64, Ordering::SeqCst);
-                let mut n = 0;
-                while n < self.cfg.attempts && d < max_d {
-                    n += 1;
-                    sig.attempts += 1;
-                    let layer = &self.layers[d];
-                    // ORDERING: AcqRel; the release half orders my publish
-                    // before my id becomes readable, the acquire half pairs
-                    // with the release half of the swap that wrote `q`.
-                    let q = layer.swap(me.adapt.slot(layer.len()), tid + 1, Ordering::AcqRel);
-                    if q != 0 && q - 1 != tid {
-                        let qr = &self.records[q - 1];
-                        // Freeze myself so nobody captures me mid-collision.
-                        if !freeze(&me.location, d) {
-                            sig.captured = true;
-                            break 'mainloop self.await_result(tid);
-                        }
-                        if freeze(&qr.location, d) {
-                            sig.collisions_won += 1;
-                            // q is frozen at our layer, so its tree has our
-                            // size.
-                            // ORDERING: Relaxed; acquired by `freeze` and
-                            // stable while q is frozen.
-                            let qsum = qr.sum.load(Ordering::Relaxed);
-                            debug_assert_eq!(qsum.abs(), sum.abs());
-                            if qsum == -sum {
-                                // Reversing operations: eliminate both trees.
-                                // ORDERING: SeqCst like every access to
-                                // `central`; any recent value would do.
-                                let val = self.central.load(Ordering::SeqCst);
-                                // Pick a plausible adjacent (inc, dec) pairing
-                                // that stays within bounds: dec observes `dv`,
-                                // inc observes `dv - 1`.
-                                let mut dv = val;
-                                if self.bounds.lo == Some(dv) {
-                                    dv += 1;
-                                }
-                                if let Some(hi) = self.bounds.hi {
-                                    dv = dv.min(hi);
-                                }
-                                let (my_v, q_v) = if sum < 0 { (dv, dv - 1) } else { (dv - 1, dv) };
-                                elim_count = sum.unsigned_abs() * 2;
-                                self.deliver(q - 1, pack_result(TAG_ELIM, q_v));
-                                break 'mainloop (TAG_ELIM, my_v);
-                            }
-                            // Same kind: combine; q's tree becomes our child.
-                            sum += qsum;
-                            children[d] = q - 1;
-                            d += 1;
-                            n = 0;
-                        }
-                        // Captured q or not, (re)publish at the layer we are
-                        // now at; having advanced, collide there before
-                        // waiting.
-                        // ORDERING: Relaxed, released by the store below.
-                        me.sum.store(sum, Ordering::Relaxed);
-                        // ORDERING: SeqCst publish, as on entry.
-                        me.location.store(d as u64, Ordering::SeqCst);
-                        if n == 0 {
-                            continue;
-                        }
-                    }
-                    // Delay, watching for someone to capture us.
-                    for _ in 0..me.adapt.wait(d) {
-                        // ORDERING: SeqCst read of the word partners CAS;
-                        // a change only sends me to `await_result`, whose
-                        // swap does the synchronising.
-                        if me.location.load(Ordering::SeqCst) != d as u64 {
-                            sig.captured = true;
-                            break 'mainloop self.await_result(tid);
-                        }
-                        std::hint::spin_loop();
-                    }
-                    sig.waits_expired += 1;
-                }
-                // Leave the layers, unless a partner got there first.
-                if !freeze(&me.location, d) {
-                    sig.captured = true;
-                    break 'mainloop self.await_result(tid);
-                }
-            }
-            // Frozen: apply the whole tree to the central value.
-            // ORDERING: SeqCst, with the CAS below.
-            let val = self.central.load(Ordering::SeqCst);
-            let new = self.bounds.clamp(val + sum);
-            // ORDERING: SeqCst CAS on the one word every root serialises
-            // on. What callers need is the release/acquire edge between an
-            // increment and the decrement that claims it (`CounterTree`:
-            // bin insert → inc, dec → bin delete); kept SeqCst because on
-            // x86 it is the same instruction.
-            if self
-                .central
-                .compare_exchange(val, new, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break 'mainloop (TAG_COUNT, val);
-            }
-            // Central contention: allow deeper combining on retry.
-            sig.central_fails += 1;
-            max_d = (max_d + 1).min(levels);
-        };
-
-        let (grows, shrinks) = me.adapt.update(levels, &sig);
-        // One batched report per operation. Eliminated / centrally-applied
-        // operation totals are reported by the tree root only, so sinks see
-        // each operation exactly once.
-        if let Some(sink) = &self.sink {
-            let applied = !sig.captured && tag == TAG_COUNT && d > 0;
-            adaption::report(
-                sink,
-                [
-                    (CounterEvent::FunnelCollision, sig.collisions_won.into()),
-                    (CounterEvent::CasRetry, sig.central_fails.into()),
-                    (CounterEvent::ElimHit, elim_count),
-                    (
-                        CounterEvent::ElimMiss,
-                        if applied { sum.unsigned_abs() } else { 0 },
-                    ),
-                    (CounterEvent::AdaptGrow, grows),
-                    (CounterEvent::AdaptShrink, shrinks),
-                ],
-            );
-        }
-
-        // Distribute results to the trees we captured. Everyone in an
-        // eliminated tree reports the same plausible value (the paper's
-        // interleaved inc/dec ordering); a counted tree's members get
-        // consecutive prefixes.
-        for (k, &child) in children[..d].iter().enumerate() {
-            let before = delta << k;
-            let v = if tag == TAG_ELIM { base } else { base + before };
-            self.deliver(child, pack_result(tag, v));
+    /// Everyone in an eliminated tree reports the same plausible value (the
+    /// paper's interleaved inc/dec ordering); a counted tree's members get
+    /// consecutive prefixes.
+    fn distribute(&self, result: u64, delta: i64, children: impl Iterator<Item = usize>) -> i64 {
+        let (tag, base) = unpack_result(result);
+        for (k, child) in children.enumerate() {
+            let v = if tag == TAG_ELIM {
+                base
+            } else {
+                base + (delta << k)
+            };
+            self.funnel.deliver(child, pack_result(tag, v));
         }
         self.bounds.clamp(base)
-    }
-
-    /// Hands a captured (frozen, waiting) thread its result.
-    fn deliver(&self, child: usize, packed: u64) {
-        // ORDERING: Release; pairs with the Acquire swap in `await_result`.
-        self.records[child].result.store(packed, Ordering::Release);
-    }
-
-    /// Wait (frozen) until our capturer hands us a result.
-    fn await_result(&self, tid: usize) -> (u64, i64) {
-        let me = &self.records[tid];
-        let backoff = Backoff::new();
-        loop {
-            // ORDERING: Acquire swap; pairs with `deliver`'s Release store
-            // and leaves the word `RES_NONE` for the next operation.
-            let r = me.result.swap(RES_NONE, Ordering::Acquire);
-            if r != RES_NONE {
-                return unpack_result(r);
-            }
-            backoff.snooze();
-        }
     }
 }
 
 impl SharedCounter for FunnelCounter {
     fn fetch_inc(&self, tid: usize) -> i64 {
-        self.operate(tid, 1)
+        self.funnel.operate(self, tid, 1, ())
     }
 
     fn fetch_dec(&self, tid: usize) -> i64 {
-        self.operate(tid, -1)
+        self.funnel.operate(self, tid, -1, ())
     }
 
-    /// The direct path of `FunnelCounter::operate` carrying `sum = delta`:
-    /// the caller is the root of a tree that arrived combined, so there is
-    /// nothing for the layers to add. `location` is never published — it
-    /// stays frozen, nobody can capture this thread, and no layer ever
-    /// holds a tree of a size F1 does not allow.
+    /// The funnel walk's direct path carrying `sum = delta`: the caller is
+    /// the root of a tree that arrived combined, so there is nothing for
+    /// the layers to add. `location` is never published — it stays frozen,
+    /// nobody can capture this thread, and no layer ever holds a tree of a
+    /// size F1 does not allow.
     fn fetch_add(&self, tid: usize, delta: i64) -> i64 {
-        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+        self.funnel.check_tid(tid);
         let mut retries = 0u64;
         // ORDERING: SeqCst like every access to `central`.
         let mut val = self.central.load(Ordering::SeqCst);
         loop {
             let new = self.bounds.clamp(val.saturating_add(delta));
             // ORDERING: SeqCst CAS on the word every root serialises on, as
-            // in `operate`: the increment that follows a bin insert releases
+            // in `central`: the increment that follows a bin insert releases
             // it to the decrement that claims it. A CAS that changes nothing
             // (saturated, or `delta` = 0) still validates the read.
             match self
@@ -439,7 +202,7 @@ impl SharedCounter for FunnelCounter {
             }
         }
         if retries > 0 {
-            if let Some(sink) = &self.sink {
+            if let Some(sink) = &self.funnel.sink {
                 sink.event_n(CounterEvent::CasRetry, retries);
             }
         }
@@ -457,8 +220,8 @@ impl std::fmt::Debug for FunnelCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FunnelCounter")
             .field("value", &self.value())
-            .field("layers", &self.layers.len())
-            .field("max_threads", &self.cfg.max_threads)
+            .field("layers", &self.funnel.layers.len())
+            .field("max_threads", &self.max_threads())
             .finish()
     }
 }
@@ -502,7 +265,7 @@ mod tests {
                 thread::spawn(move || {
                     start.wait();
                     for i in 0..n {
-                        c.records[t].adapt.pin(c.layers.len(), busy(t, i));
+                        c.funnel.adapt(t).pin(c.funnel.layers.len(), busy(t, i));
                         if (i / 2 + t) % 2 == 0 {
                             c.fetch_inc(t);
                         } else {

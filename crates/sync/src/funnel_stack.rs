@@ -1,8 +1,8 @@
-//! Combining-funnel stack: the paper's funnel-based "bin".
+//! Combining-funnel stack: the paper's funnel-based "bin", the second use
+//! of the combining-funnel walk ([`crate::walk`]).
 //!
-//! Same collision machinery as [`crate::FunnelCounter`], but operations are
-//! `push` / `pop` and what flows through the combining trees are *chains of
-//! stack nodes* rather than integer deltas:
+//! What flows through the combining trees are *chains of stack nodes*
+//! rather than integer deltas:
 //!
 //! * two colliding pushes splice their chains — a push tree of size `k`
 //!   reaches the central stack as one pre-linked chain installed with a
@@ -19,53 +19,46 @@
 //! the stack is quiescently consistent.
 
 use std::ptr;
-use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
-use funnelpq_util::{Backoff, CachePadded};
+use funnelpq_util::CachePadded;
 
-use crate::adaption::{self, Adaption, Signals, MAX_LAYERS};
-use crate::funnel::{freeze, FunnelConfig, LOC_FROZEN};
 use crate::probe::{CounterEvent, SinkRef};
-use crate::slots::SlotArray;
 use crate::ttas::TtasMutex;
+use crate::walk::{Carry, Funnel, FunnelConfig, FunnelObject};
 
-struct Node<T> {
+pub(crate) struct Node<T> {
     item: Option<T>,
     next: *mut Node<T>,
 }
 
-/// Result word: 0 = none yet; low 3 bits tag, rest pointer.
-const RES_NONE: u64 = 0;
+/// Result word: low 3 bits tag, rest pointer.
 const TAG_DONE: u64 = 1; // push completed
 const TAG_CHAIN: u64 = 2; // pop completed; high bits = chain head (may be null)
 
-struct Record<T> {
-    /// Layer index this thread is combinable at, or [`LOC_FROZEN`] (see the
-    /// counter's record).
-    location: CachePadded<AtomicU64>,
-    /// +k for a push tree of k items, -k for a pop tree of k requests.
-    sum: AtomicI64,
-    /// Head/tail of the pre-linked chain carried by a push tree root.
-    /// Written, like `sum`, before `location` is published.
-    chain_head: AtomicPtr<Node<T>>,
-    chain_tail: AtomicPtr<Node<T>>,
-    /// Tagged result delivered by whoever captured us; [`RES_NONE`] between
-    /// operations.
-    result: AtomicU64,
-    /// Owner-only width / depth / wait adaption.
-    adapt: Adaption,
+/// Head and tail of the pre-linked chain a push tree carries (null for a
+/// pop tree), kept in the tree root's record.
+pub(crate) struct Chain<T> {
+    head: AtomicPtr<Node<T>>,
+    tail: AtomicPtr<Node<T>>,
 }
 
-impl<T> Record<T> {
-    fn new(tid: usize) -> Self {
-        Record {
-            location: CachePadded::new(AtomicU64::new(LOC_FROZEN)),
-            sum: AtomicI64::new(0),
-            chain_head: AtomicPtr::new(ptr::null_mut()),
-            chain_tail: AtomicPtr::new(ptr::null_mut()),
-            result: AtomicU64::new(RES_NONE),
-            adapt: Adaption::new(tid),
+impl<T> Default for Chain<T> {
+    fn default() -> Self {
+        Chain {
+            head: AtomicPtr::new(ptr::null_mut()),
+            tail: AtomicPtr::new(ptr::null_mut()),
         }
+    }
+}
+
+impl<T> Carry for Chain<T> {
+    type Tree = (*mut Node<T>, *mut Node<T>);
+
+    fn store(&self, (head, tail): Self::Tree) {
+        // ORDERING: Relaxed (both); released by the `location` publish.
+        self.head.store(head, Ordering::Relaxed);
+        self.tail.store(tail, Ordering::Relaxed);
     }
 }
 
@@ -85,14 +78,11 @@ impl<T> Record<T> {
 /// assert_eq!(s.pop(0), None);
 /// ```
 pub struct FunnelStack<T> {
-    cfg: FunnelConfig,
     /// Head of the central chain; read without the lock for emptiness.
     head: CachePadded<AtomicPtr<Node<T>>>,
     /// Serializes structural mutation of the central chain.
     central_lock: TtasMutex<()>,
-    records: Box<[Record<T>]>,
-    layers: Vec<SlotArray>,
-    sink: Option<SinkRef>,
+    funnel: Funnel<Chain<T>>,
 }
 
 // SAFETY: nodes carrying `T` move between threads through the funnel
@@ -119,16 +109,10 @@ impl<T: Send> FunnelStack<T> {
     ///
     /// Panics if the configuration is invalid.
     pub fn with_sink(cfg: FunnelConfig, sink: Option<SinkRef>) -> Self {
-        cfg.validate();
-        let records = (0..cfg.max_threads).map(Record::new).collect();
-        let layers = cfg.widths.iter().map(|&w| SlotArray::new(w)).collect();
         FunnelStack {
-            cfg,
             head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             central_lock: TtasMutex::new(()),
-            records,
-            layers,
-            sink,
+            funnel: Funnel::new(cfg, sink),
         }
     }
 
@@ -164,18 +148,20 @@ impl<T: Send> FunnelStack<T> {
             item: Some(item),
             next: ptr::null_mut(),
         }));
-        let chain = self.operate(tid, 1, node);
+        let chain = self.funnel.operate(self, tid, 1, (node, node));
         debug_assert!(chain.is_null(), "push produced a pop result");
     }
 
     /// Pops an item, or returns `None` when the pool appears empty.
     pub fn pop(&self, tid: usize) -> Option<T> {
-        let chain = self.operate(tid, -1, ptr::null_mut());
+        let chain = self
+            .funnel
+            .operate(self, tid, -1, (ptr::null_mut(), ptr::null_mut()));
         if chain.is_null() {
             return None;
         }
         // SAFETY: the protocol hands each popped node to exactly one op,
-        // and `operate` cut ours off the rest of its tree's chain.
+        // and `distribute` cut ours off the rest of its tree's chain.
         let mut node = unsafe { Box::from_raw(chain) };
         node.item.take()
     }
@@ -184,10 +170,10 @@ impl<T: Send> FunnelStack<T> {
     /// that arrives already combined: the nodes are linked privately into
     /// the chain single pushes in that order would have built (last item on
     /// top) and installed in one central section. The layers are not
-    /// entered and `location` stays frozen, as on the direct path of
-    /// `operate`.
+    /// entered and `location` stays frozen, as on the funnel walk's direct
+    /// path.
     pub fn push_many(&self, tid: usize, items: impl IntoIterator<Item = T>) {
-        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+        self.funnel.check_tid(tid);
         let mut chead: *mut Node<T> = ptr::null_mut();
         let mut ctail = chead;
         for item in items {
@@ -199,354 +185,197 @@ impl<T: Send> FunnelStack<T> {
                 ctail = chead;
             }
         }
-        if chead.is_null() {
-            return;
+        if !chead.is_null() {
+            self.central_direct(1, (chead, ctail));
         }
-        {
-            let _g = self.central_lock.lock();
-            // ORDERING: Relaxed under the lock, which orders it after the
-            // previous holder's store.
-            let first = self.head.load(Ordering::Relaxed);
-            // SAFETY: `ctail` is the last node of a chain nobody else has
-            // seen; linking it to the current head is the push.
-            unsafe { (*ctail).next = first };
-            // ORDERING: Release, so the lock-free `is_empty` reader that
-            // sees a node sees it linked.
-            self.head.store(chead, Ordering::Release);
-        }
-        self.note_central_lock();
     }
 
     /// Pops up to `k` items in one central section — a pop tree of size `k`
     /// arriving combined — handing each to `take` in the order `k` single
     /// pops would have returned them; returns how many there were. A stack
     /// that reads empty is left alone, lock included.
-    pub fn pop_many(&self, tid: usize, k: usize, mut take: impl FnMut(T)) -> usize {
-        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
+    pub fn pop_many(&self, tid: usize, k: usize, take: impl FnMut(T)) -> usize {
+        self.funnel.check_tid(tid);
         if k == 0 || self.is_empty() {
             return 0;
         }
-        let first = {
-            let _g = self.central_lock.lock();
-            // ORDERING: Relaxed under the lock, as in `push_many`.
-            let first = self.head.load(Ordering::Relaxed);
-            if !first.is_null() {
-                let mut last = first;
-                // SAFETY: the lock gives exclusive structural access, and
-                // pushers publish fully linked chains before updating head.
-                unsafe {
-                    for _ in 1..k {
-                        if (*last).next.is_null() {
-                            break;
-                        }
-                        last = (*last).next;
-                    }
-                    // ORDERING: Release, as the push's store.
-                    self.head.store((*last).next, Ordering::Release);
-                    (*last).next = ptr::null_mut();
-                }
-            }
-            first
-        };
-        self.note_central_lock();
-        let mut n = 0;
-        let mut p = first;
-        while !p.is_null() {
-            // SAFETY: the chain was detached under the lock, so every node
-            // of it is ours alone; each is freed here exactly once.
-            let mut node = unsafe { Box::from_raw(p) };
-            p = node.next;
-            take(node.item.take().expect("a stacked node holds its item"));
-            n += 1;
-        }
-        n
+        let size = i64::try_from(k).unwrap_or(i64::MAX);
+        let chain = self.central_direct(-size, (ptr::null_mut(), ptr::null_mut()));
+        let first = (chain & !0b111) as *mut Node<T>;
+        // SAFETY: the chain was detached under the lock, so every node of
+        // it is ours alone.
+        unsafe { consume(first, take) }
     }
 
-    /// One central-lock acquisition outside `operate`, which reports its own.
-    fn note_central_lock(&self) {
-        if let Some(sink) = &self.sink {
+    /// The central section, queued on, for a tree that arrived combined;
+    /// reports its lock acquisition, as the walk does for its own.
+    fn central_direct(&self, sum: i64, tree: (*mut Node<T>, *mut Node<T>)) -> u64 {
+        let result = self
+            .central(sum, tree, true)
+            .expect("a queued section runs");
+        if let Some(sink) = &self.funnel.sink {
             sink.event(CounterEvent::LockAcquire);
         }
-    }
-
-    /// Core funnel traversal. A push (`delta` = 1) brings its one-node
-    /// chain `chead` and returns null; a pop (`delta` = -1) brings null and
-    /// returns its node, or null when the pool was empty.
-    fn operate(&self, tid: usize, delta: i64, chead: *mut Node<T>) -> *mut Node<T> {
-        assert!(tid < self.cfg.max_threads, "tid {tid} out of range");
-        let me = &self.records[tid];
-        let levels = self.layers.len();
-        let mut sum = delta;
-        let mut ctail = chead;
-        // Layers advanced through so far, each by capturing one child:
-        // `children[k]` is the tid captured at layer `k`, whose tree — like
-        // ours at the time — held `2^k` operations of our kind.
-        let mut d = 0usize;
-        let mut children = [0usize; MAX_LAYERS];
-        let mut max_d = me.adapt.depth(levels);
-        let mut sig = Signals::default();
-        // Operations eliminated by this op acting as the colliding root
-        // (covers both trees), and central-lock acquisitions (0 or 1).
-        let mut elim_count = 0u64;
-        let mut central_locks = 0u64;
-
-        // Tag + chain pointer describing our tree's outcome.
-        let (tag, my_chain) = 'mainloop: loop {
-            // The layers, when the adaption wants them and the wait budget
-            // is worth a collision attempt. Otherwise `location` stays
-            // frozen and the central section below is the whole operation.
-            if d < max_d && me.adapt.wait(d) > 0 {
-                self.publish(me, d, sum, chead, ctail);
-                let mut n = 0;
-                while n < self.cfg.attempts && d < max_d {
-                    n += 1;
-                    sig.attempts += 1;
-                    let layer = &self.layers[d];
-                    // ORDERING: AcqRel; the release half orders my publish
-                    // before my id becomes readable, the acquire half pairs
-                    // with the release half of the swap that wrote `q`.
-                    let q = layer.swap(me.adapt.slot(layer.len()), tid + 1, Ordering::AcqRel);
-                    if q != 0 && q - 1 != tid {
-                        let qr = &self.records[q - 1];
-                        if !freeze(&me.location, d) {
-                            sig.captured = true;
-                            break 'mainloop self.await_result(tid);
-                        }
-                        if freeze(&qr.location, d) {
-                            sig.collisions_won += 1;
-                            // ORDERING: Relaxed; acquired by `freeze` and
-                            // stable while q is frozen.
-                            let qsum = qr.sum.load(Ordering::Relaxed);
-                            debug_assert_eq!(qsum.abs(), sum.abs());
-                            if qsum == -sum {
-                                // Elimination: the push tree's chain goes to
-                                // the pop tree; the push tree is done.
-                                elim_count = sum.unsigned_abs() * 2;
-                                if sum > 0 {
-                                    self.deliver(q - 1, chead as u64 | TAG_CHAIN);
-                                    break 'mainloop (TAG_DONE, ptr::null_mut());
-                                }
-                                // ORDERING: Relaxed, as `qsum`.
-                                let qc = qr.chain_head.load(Ordering::Relaxed);
-                                self.deliver(q - 1, TAG_DONE);
-                                break 'mainloop (TAG_CHAIN, qc);
-                            }
-                            // Same kind: merge trees.
-                            if sum > 0 {
-                                // Splice q's chain after ours.
-                                // ORDERING: Relaxed, as `qsum` (both loads).
-                                let qh = qr.chain_head.load(Ordering::Relaxed);
-                                let qt = qr.chain_tail.load(Ordering::Relaxed);
-                                debug_assert!(!qh.is_null() && !qt.is_null());
-                                // SAFETY: our tail is exclusively ours until
-                                // the chain is handed off; q's chain is
-                                // frozen.
-                                unsafe { (*ctail).next = qh };
-                                ctail = qt;
-                            }
-                            sum += qsum;
-                            children[d] = q - 1;
-                            d += 1;
-                            n = 0;
-                        }
-                        // Captured q or not, (re)publish at the layer we are
-                        // now at; having advanced, collide there before
-                        // waiting.
-                        self.publish(me, d, sum, chead, ctail);
-                        if n == 0 {
-                            continue;
-                        }
-                    }
-                    // Delay, watching for someone to capture us.
-                    for _ in 0..me.adapt.wait(d) {
-                        // ORDERING: SeqCst read of the word partners CAS; a
-                        // change only sends me to `await_result`, whose swap
-                        // does the synchronising.
-                        if me.location.load(Ordering::SeqCst) != d as u64 {
-                            sig.captured = true;
-                            break 'mainloop self.await_result(tid);
-                        }
-                        std::hint::spin_loop();
-                    }
-                    sig.waits_expired += 1;
-                }
-                // Leave the layers, unless a partner got there first.
-                if !freeze(&me.location, d) {
-                    sig.captured = true;
-                    break 'mainloop self.await_result(tid);
-                }
-            }
-            // Frozen: apply the tree to the central stack.
-            let _g = match self.central_lock.try_lock() {
-                Some(g) => g,
-                None => {
-                    // Central contention: an operation that came straight
-                    // here gives the layers one pass before it queues.
-                    sig.central_fails = 1;
-                    max_d = (max_d + 1).min(levels);
-                    if sig.attempts == 0 && d < max_d && me.adapt.wait(d) > 0 {
-                        continue;
-                    }
-                    self.central_lock.lock()
-                }
-            };
-            central_locks = 1;
-            // ORDERING: Relaxed under the lock, which orders it after the
-            // previous holder's store.
-            let first = self.head.load(Ordering::Relaxed);
-            if sum > 0 {
-                // SAFETY: `ctail` is the last node of our private chain;
-                // linking it to the current head is the push.
-                unsafe { (*ctail).next = first };
-                // ORDERING: Release, so the lock-free `is_empty` reader
-                // that sees a node sees it linked.
-                self.head.store(chead, Ordering::Release);
-                break 'mainloop (TAG_DONE, ptr::null_mut());
-            }
-            if !first.is_null() {
-                // Detach up to |sum| nodes.
-                let mut last = first;
-                // SAFETY: the lock gives exclusive structural access;
-                // pushers publish fully linked chains before updating head.
-                unsafe {
-                    for _ in 1..-sum {
-                        if (*last).next.is_null() {
-                            break;
-                        }
-                        last = (*last).next;
-                    }
-                    // ORDERING: Release, as the push's store.
-                    self.head.store((*last).next, Ordering::Release);
-                    (*last).next = ptr::null_mut();
-                }
-            }
-            break 'mainloop (TAG_CHAIN, first);
-        };
-
-        let (grows, shrinks) = me.adapt.update(levels, &sig);
-        // One batched report per operation (roots report tree-wide totals,
-        // so each operation is seen exactly once; see the counter funnel).
-        if let Some(sink) = &self.sink {
-            let applied = !sig.captured && central_locks > 0 && d > 0;
-            adaption::report(
-                sink,
-                [
-                    (CounterEvent::FunnelCollision, sig.collisions_won.into()),
-                    (CounterEvent::LockAcquire, central_locks),
-                    (CounterEvent::ElimHit, elim_count),
-                    (
-                        CounterEvent::ElimMiss,
-                        if applied { sum.unsigned_abs() } else { 0 },
-                    ),
-                    (CounterEvent::AdaptGrow, grows),
-                    (CounterEvent::AdaptShrink, shrinks),
-                ],
-            );
-        }
-
-        // Distribute results down the tree.
-        if tag == TAG_DONE {
-            for &child in &children[..d] {
-                self.deliver(child, TAG_DONE);
-            }
-            return ptr::null_mut();
-        }
-        // Keep the first node for ourselves, then cut one subchain per child
-        // (`2^k` nodes for the child captured at layer `k`), in capture order.
-        let mut rest = my_chain;
-        let mut cut = |need: u64| {
-            let head = rest;
-            if !rest.is_null() {
-                // SAFETY: we exclusively own the detached chain.
-                unsafe {
-                    let mut last = rest;
-                    for _ in 1..need {
-                        if (*last).next.is_null() {
-                            break;
-                        }
-                        last = (*last).next;
-                    }
-                    rest = (*last).next;
-                    (*last).next = ptr::null_mut();
-                }
-            }
-            head
-        };
-        let mine = cut(1);
-        for (k, &child) in children[..d].iter().enumerate() {
-            self.deliver(child, cut(1 << k) as u64 | TAG_CHAIN);
-        }
-        debug_assert!(rest.is_null(), "chain longer than tree");
-        mine
-    }
-
-    /// Makes `me` capturable at layer `d` with the given tree.
-    fn publish(
-        &self,
-        me: &Record<T>,
-        d: usize,
-        sum: i64,
-        chead: *mut Node<T>,
-        ctail: *mut Node<T>,
-    ) {
-        // ORDERING: Relaxed (all three); published by the `location` store
-        // below, which a capturer's successful CAS acquires.
-        me.sum.store(sum, Ordering::Relaxed);
-        me.chain_head.store(chead, Ordering::Relaxed);
-        me.chain_tail.store(ctail, Ordering::Relaxed);
-        // ORDERING: SeqCst publish, the first leg of the Dekker-style trio
-        // (my `location` store → slot swap → partner's CAS on my `location`):
-        // whoever reads my id out of a slot must find me at `d`, and the
-        // store releases the tree above (and the nodes' links) to that CAS.
-        me.location.store(d as u64, Ordering::SeqCst);
-    }
-
-    /// Hands a captured (frozen, waiting) thread its result.
-    fn deliver(&self, child: usize, tagged: u64) {
-        // ORDERING: Release (the chain's links go with it); pairs with the
-        // Acquire swap in `await_result`.
-        self.records[child].result.store(tagged, Ordering::Release);
-    }
-
-    fn await_result(&self, tid: usize) -> (u64, *mut Node<T>) {
-        let me = &self.records[tid];
-        let backoff = Backoff::new();
-        loop {
-            // ORDERING: Acquire swap; pairs with `deliver`'s Release store
-            // and leaves the word `RES_NONE` for the next operation.
-            let r = me.result.swap(RES_NONE, Ordering::Acquire);
-            if r != RES_NONE {
-                return (r & 0b111, (r & !0b111) as *mut Node<T>);
-            }
-            backoff.snooze();
-        }
+        result
     }
 
     /// Pops every remaining item (single-threaded teardown helper).
     pub fn drain(&mut self) -> Vec<T> {
         let mut out = Vec::new();
-        let mut p = std::mem::replace(self.head.get_mut(), ptr::null_mut());
-        while !p.is_null() {
-            // SAFETY: `&mut self` excludes concurrent access.
-            let mut node = unsafe { Box::from_raw(p) };
-            if let Some(item) = node.item.take() {
-                out.push(item);
-            }
-            p = node.next;
-        }
+        let first = std::mem::replace(self.head.get_mut(), ptr::null_mut());
+        // SAFETY: `&mut self` excludes concurrent access.
+        unsafe { consume(first, |item| out.push(item)) };
         out
     }
 }
 
+impl<T: Send> FunnelObject for FunnelStack<T> {
+    type Carry = Chain<T>;
+    type Output = *mut Node<T>;
+    const LOCKED: bool = true;
+
+    fn meet(
+        &self,
+        sum: i64,
+        qsum: i64,
+        (chead, ctail): &mut (*mut Node<T>, *mut Node<T>),
+        theirs: &Chain<T>,
+    ) -> Option<(u64, u64)> {
+        if qsum == -sum {
+            // Elimination: the push tree's chain goes to the pop tree; the
+            // push tree is done.
+            if sum > 0 {
+                return Some((TAG_DONE, *chead as u64 | TAG_CHAIN));
+            }
+            // ORDERING: Relaxed; acquired by the walk's `freeze` of the
+            // partner and stable while it is frozen.
+            let qc = theirs.head.load(Ordering::Relaxed);
+            return Some((qc as u64 | TAG_CHAIN, TAG_DONE));
+        }
+        // Same kind: merge trees; pushes splice the partner's chain after
+        // ours.
+        if sum > 0 {
+            // ORDERING: Relaxed (both loads), as the head above.
+            let qh = theirs.head.load(Ordering::Relaxed);
+            let qt = theirs.tail.load(Ordering::Relaxed);
+            debug_assert!(!qh.is_null() && !qt.is_null());
+            // SAFETY: our tail is exclusively ours until the chain is handed
+            // off; the partner's chain is frozen.
+            unsafe { (**ctail).next = qh };
+            *ctail = qt;
+        }
+        None
+    }
+
+    fn central(
+        &self,
+        sum: i64,
+        (chead, ctail): (*mut Node<T>, *mut Node<T>),
+        queue: bool,
+    ) -> Option<u64> {
+        let _g = if queue {
+            self.central_lock.lock()
+        } else {
+            self.central_lock.try_lock()?
+        };
+        // ORDERING: Relaxed under the lock, which orders it after the
+        // previous holder's store.
+        let first = self.head.load(Ordering::Relaxed);
+        if sum > 0 {
+            // SAFETY: `ctail` is the last node of our private chain; linking
+            // it to the current head is the push.
+            unsafe { (*ctail).next = first };
+            // ORDERING: Release, so the lock-free `is_empty` reader that
+            // sees a node sees it linked.
+            self.head.store(chead, Ordering::Release);
+            return Some(TAG_DONE);
+        }
+        if !first.is_null() {
+            // Detach up to |sum| nodes.
+            // SAFETY: the lock gives exclusive structural access; pushers
+            // publish fully linked chains before updating head.
+            let rest = unsafe { cut(first, sum.unsigned_abs()) };
+            // ORDERING: Release, as the push's store.
+            self.head.store(rest, Ordering::Release);
+        }
+        Some(first as u64 | TAG_CHAIN)
+    }
+
+    /// A push tree's members are done. A pop tree's root keeps the chain's
+    /// first node and cuts one subchain per child (`2^k` nodes for the
+    /// child captured at layer `k`), in capture order. Inlined into the
+    /// walk: out of line, its call cost a direct push or pop about 1 ns.
+    #[inline]
+    fn distribute(
+        &self,
+        result: u64,
+        _: i64,
+        children: impl Iterator<Item = usize>,
+    ) -> *mut Node<T> {
+        if result & 0b111 == TAG_DONE {
+            for child in children {
+                self.funnel.deliver(child, TAG_DONE);
+            }
+            return ptr::null_mut();
+        }
+        let mut rest = (result & !0b111) as *mut Node<T>;
+        let mut take = |n: u64| {
+            let head = rest;
+            if !head.is_null() {
+                // SAFETY: we exclusively own the detached chain.
+                rest = unsafe { cut(head, n) };
+            }
+            head
+        };
+        let mine = take(1);
+        for (k, child) in children.enumerate() {
+            self.funnel.deliver(child, take(1 << k) as u64 | TAG_CHAIN);
+        }
+        debug_assert!(rest.is_null(), "chain longer than tree");
+        mine
+    }
+}
+
+/// Ends the chain at `first` after at most `n` nodes; returns the rest
+/// (null when the chain was no longer).
+///
+/// # Safety
+///
+/// `first` is a live node, and the caller owns the chain's links: it holds
+/// the central lock, or the chain is detached and its own.
+unsafe fn cut<T>(first: *mut Node<T>, n: u64) -> *mut Node<T> {
+    let mut last = first;
+    for _ in 1..n {
+        if (*last).next.is_null() {
+            break;
+        }
+        last = (*last).next;
+    }
+    std::mem::replace(&mut (*last).next, ptr::null_mut())
+}
+
+/// Frees every node of the chain at `p`, handing each item to `take`;
+/// returns how many there were.
+///
+/// # Safety
+///
+/// The chain is the caller's alone, and no node of it is used again.
+unsafe fn consume<T>(mut p: *mut Node<T>, mut take: impl FnMut(T)) -> usize {
+    let mut n = 0;
+    while !p.is_null() {
+        let mut node = Box::from_raw(p);
+        p = node.next;
+        take(node.item.take().expect("a stacked node holds its item"));
+        n += 1;
+    }
+    n
+}
+
 impl<T> Drop for FunnelStack<T> {
     fn drop(&mut self) {
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // SAFETY: drop has exclusive access; every node in the central
-            // chain is owned by the stack.
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next;
-        }
+        // SAFETY: drop has exclusive access; every node in the central
+        // chain is owned by the stack.
+        unsafe { consume(*self.head.get_mut(), drop) };
     }
 }
 
@@ -555,7 +384,7 @@ impl<T> std::fmt::Debug for FunnelStack<T> {
         f.debug_struct("FunnelStack")
             // ORDERING: Relaxed; a racy diagnostic snapshot.
             .field("empty", &self.head.load(Ordering::Relaxed).is_null())
-            .field("max_threads", &self.cfg.max_threads)
+            .field("max_threads", &self.funnel.cfg.max_threads)
             .finish()
     }
 }
@@ -702,7 +531,7 @@ mod tests {
             .map(|t| {
                 let (s, start, popped) = (Arc::clone(&s), Arc::clone(&start), Arc::clone(&popped));
                 thread::spawn(move || {
-                    let pin = || s.records[t].adapt.pin(s.layers.len(), true);
+                    let pin = || s.funnel.adapt(t).pin(s.funnel.layers.len(), true);
                     let mut got = Vec::new();
                     start.wait();
                     for i in 0..N {
@@ -723,6 +552,60 @@ mod tests {
         assert_eq!(all, (0..2 * N).collect::<Vec<_>>());
         assert!(sink.get(CounterEvent::FunnelCollision) > 0);
         assert!(sink.get(CounterEvent::ElimHit) > 0);
+    }
+
+    #[test]
+    fn a_direct_push_that_finds_the_lock_held_passes_the_layers_once_then_queues() {
+        // One layer of one slot, one attempt per pass: each pass through
+        // the layers is exactly one swap into slot 0. Pinned busy at depth
+        // 0, the push starts on the direct path with its wait budget open.
+        let one_slot = FunnelConfig {
+            widths: vec![1],
+            attempts: 1,
+            max_threads: 2,
+        };
+        let sink = Arc::new(TestSink::default());
+        let s = Arc::new(FunnelStack::with_sink(one_slot, Some(sink.clone())));
+        s.funnel.adapt(1).pin(0, true);
+        let held = s.central_lock.lock();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let pusher = {
+            let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+            thread::spawn(move || {
+                s.push(1, 7u32);
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        // Count the passes by emptying the slot each time the push swaps
+        // its id in; a zero read back is no partner, so this changes
+        // nothing the push decides.
+        let passes = |within: Duration| {
+            let start = std::time::Instant::now();
+            let mut n = 0;
+            while start.elapsed() < within {
+                n += usize::from(s.funnel.layers[0].swap(0, 0, Ordering::AcqRel) == 2);
+                std::hint::spin_loop();
+            }
+            n
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let mut seen = 0;
+        while seen == 0 && std::time::Instant::now() < deadline {
+            seen = passes(Duration::from_millis(1));
+        }
+        assert_eq!(seen, 1, "the direct push gives the layers a pass");
+        assert_eq!(passes(Duration::from_millis(50)), 0, "and only one");
+        assert!(!done.load(Ordering::SeqCst) && s.is_empty(), "queued");
+        drop(held);
+        join_within(vec![pusher], Duration::from_secs(30));
+        assert_eq!(s.len(), 1);
+        assert_eq!(sink.get(CounterEvent::LockAcquire), 1);
+        assert_eq!(sink.get(CounterEvent::FunnelCollision), 0);
+        // Company (the held lock) answered as often as the one wait went
+        // unanswered: the wait budget holds, depth grows, width shrinks.
+        assert_eq!(sink.get(CounterEvent::AdaptGrow), 1);
+        assert_eq!(sink.get(CounterEvent::AdaptShrink), 1);
+        assert_eq!(s.funnel.adapt(1).depth(1), 1);
     }
 
     #[test]

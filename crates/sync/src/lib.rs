@@ -65,11 +65,13 @@ mod mcs;
 pub mod probe;
 mod slots;
 mod ttas;
+mod walk;
 
 pub use bin::{BinOrder, LockBin};
 pub use counter::{Bounds, CasCounter, LockedCounter, SharedCounter};
-pub use funnel::{FunnelConfig, FunnelCounter};
+pub use funnel::FunnelCounter;
 pub use funnel_stack::FunnelStack;
 pub use mcs::{McsGuard, McsLock, McsMutex, McsMutexGuard};
 pub use probe::{CounterEvent, EventSink, SinkRef};
 pub use ttas::{TtasGuard, TtasMutex};
+pub use walk::FunnelConfig;

@@ -282,3 +282,63 @@ fn heap_backed_twins_match_their_golden_cycle_counts() {
         );
     }
 }
+
+/// Golden counts for the two combining funnels on their own, recorded
+/// before ISSUE 30 merged each side's counter and stack walks into one:
+/// the Figure-5 counter workload in both counter modes (FetchAdd mode has
+/// no other pin), and a bare push/pop churn on one stack. The queue-level
+/// pins above only see the funnels as the trees combine them. Do not edit
+/// the constants: a mismatch means the access sequence moved.
+#[test]
+fn funnels_match_their_golden_cycle_counts() {
+    use funnelpq_simqueues::funnel::{CounterMode, SimFunnelConfig};
+    use funnelpq_simqueues::workload::run_counter_workload;
+    use funnelpq_simqueues::SimFunnelStack;
+    const P: usize = 64;
+    let wl = Workload::standard(P, 16);
+    // (mode, total_cycles, mem_accesses, sum of access latencies)
+    let golden = [
+        (CounterMode::FetchAdd, 115_164u64, 186_677u64, 6_474_584u64),
+        (CounterMode::BOUNDED_AT_ZERO, 108_724, 181_657, 6_068_148),
+    ];
+    for (mode, cycles, accesses, latency) in golden {
+        let r = run_counter_workload(mode, 50, SimFunnelConfig::for_procs(P), &wl);
+        assert_eq!(
+            (r.total_cycles, r.stats.mem_accesses, r.all.sum()),
+            (cycles, accesses, latency),
+            "{mode:?} counter at P={P}: simulated access sequence changed"
+        );
+    }
+
+    // Every processor alternates local work with a fair-coin push or pop.
+    let mut m = Machine::new(wl.machine, wl.seed);
+    let s = SimFunnelStack::build(
+        &mut m,
+        P,
+        P * wl.ops_per_proc,
+        SimFunnelConfig::for_procs(P),
+    );
+    for p in 0..P {
+        let (ctx, s) = (m.ctx(), s.clone());
+        let ops = wl.ops_per_proc;
+        m.spawn(async move {
+            for i in 0..ops {
+                ctx.work(wl.local_work).await;
+                let t0 = ctx.now();
+                if ctx.random_bool(0.5) {
+                    s.push(&ctx, (p * ops + i) as u64).await;
+                } else {
+                    s.pop(&ctx).await;
+                }
+                ctx.record("all", ctx.now() - t0);
+            }
+        });
+    }
+    assert!(m.run().is_quiescent());
+    let stats = m.stats();
+    assert_eq!(
+        (m.now(), stats.mem_accesses, stats.acc("all").sum()),
+        (141_780, 90_528, 7_798_448),
+        "stack churn at P={P}: simulated access sequence changed"
+    );
+}
