@@ -110,6 +110,20 @@ impl Sticky {
     }
 }
 
+/// Pops up to `k` items off `heap` into `out`, smallest first: a batched
+/// delete's take from a locked winner. `None` when the heap gave nothing —
+/// a stale top, which [`HeapArray::pop_routed`] answers with a redraw.
+pub(crate) fn pop_many<T>(
+    heap: &mut BinaryHeap<T>,
+    k: usize,
+    out: &mut Vec<(usize, T)>,
+) -> Option<usize> {
+    let before = out.len();
+    out.extend(std::iter::from_fn(|| heap.pop()).take(k));
+    let n = out.len() - before;
+    (n > 0).then_some(n)
+}
+
 /// Where [`HeapArray::pop_routed`] takes the episode once two-choice has
 /// named a winning slot.
 pub(crate) enum Route<R> {

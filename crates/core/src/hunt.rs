@@ -465,6 +465,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_node_is_its_entry_and_a_lock_byte() {
+        // 48 bytes per node for a `u64` item, 3 MB for the default 2¹⁶
+        // nodes: the lock flag does not pad a node to a line of its own.
+        assert_eq!(std::mem::size_of::<TtasMutex<Node<u64>>>(), 48);
+    }
+
+    #[test]
     fn bit_reversed_positions_first_levels() {
         // Level 0: position 1. Level 1: 2, 3. Level 2: 4, 6, 5, 7.
         let got: Vec<usize> = (1..=7).map(bit_reversed_position).collect();

@@ -17,7 +17,7 @@ use funnelpq_util::{AtomicRng, CachePadded};
 
 use crate::algorithm::Algorithm;
 use crate::heap::BinaryHeap;
-use crate::heap_array::{HeapArray, Sticky, EMPTY_TOP};
+use crate::heap_array::{pop_many, HeapArray, Sticky, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::traits::{
     check_batch, check_insert, reject, BoundedPq, Consistency, PqBatchError, PqError,
@@ -257,12 +257,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
             let mut taken = 0;
             while taken < k {
-                let drained = self.pop_sampled(tid, |h| {
-                    let before = out.len();
-                    out.extend(std::iter::from_fn(|| h.pop()).take(k - taken));
-                    let n = out.len() - before;
-                    (n > 0).then_some(n)
-                });
+                let drained = self.pop_sampled(tid, |h| pop_many(h, k - taken, out));
                 let swept = || {
                     self.sweep().map(|e| {
                         out.push(e);

@@ -7,11 +7,12 @@
 //! node's threads are co-located with them. Two serving disciplines share
 //! that structure:
 //!
-//! * **Oblivious** ([`NumaMode::Oblivious`]): exactly the plain MultiQueue.
-//!   Every thread inserts into and deletes from any slot directly; an
-//!   episode that locks a remote slot is charged three remote cache-line
-//!   transfers (lock word, published top, heap data) against
-//!   [`Topology::charge`]. Cheapest when remote transfers are cheap.
+//! * **Oblivious** ([`NumaMode::Oblivious`]): the plain MultiQueue, less
+//!   its sticky choice. Every thread inserts into and deletes from any
+//!   slot directly; an episode that locks a remote slot is charged three
+//!   remote cache-line transfers (lock word, published top, heap data)
+//!   against [`Topology::charge`], once however many items it moves.
+//!   Cheapest when remote transfers are cheap.
 //! * **Delegation** ([`NumaMode::Delegation`]): inserts stay in the
 //!   caller's own node partition (zero remote traffic), and a delete-min
 //!   whose two-choice winner is homed remotely is *delegated*: the caller
@@ -51,11 +52,11 @@ use std::sync::Arc;
 
 use funnelpq_util::{AtomicRng, CachePadded};
 
-use crate::adaptive::{AdaptiveCtl, AdaptiveStats, NumaMode};
+use crate::adaptive::{AdaptiveCtl, AdaptiveStats, NumaMode, Tally};
 use crate::algorithm::Algorithm;
 use crate::config::NumaConfig;
 use crate::heap::BinaryHeap;
-use crate::heap_array::{HeapArray, Route, EMPTY_TOP};
+use crate::heap_array::{pop_many, HeapArray, Route, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::topology::Topology;
 use crate::traits::{
@@ -100,11 +101,14 @@ impl<T> std::fmt::Debug for RespCell<T> {
     }
 }
 
-/// Per-thread state: the choice RNG plus this thread's delegation request
-/// slot. Padded so a spinning requester and its server never false-share.
+/// Per-thread state: the choice RNG, the controller tally and this thread's
+/// delegation request slot. Padded so a spinning requester and its server
+/// never false-share, and no two threads' tallies share a line.
 #[derive(Debug)]
 struct ThreadCtx<T> {
     rng: AtomicRng,
+    /// This thread's controller counts since its last flush.
+    tally: Tally,
     /// IDLE → REQ (requester) → CLAIMED (server) → DONE (server) → IDLE
     /// (requester); cancellation is a requester CAS of REQ → IDLE racing
     /// the server's claim.
@@ -177,6 +181,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             .map(|tid| {
                 CachePadded::new(ThreadCtx {
                     rng: AtomicRng::new(cfg.seed.wrapping_add(tid as u64)),
+                    tally: Tally::default(),
                     state: AtomicUsize::new(IDLE),
                     node: AtomicUsize::new(0),
                     resp: RespCell(UnsafeCell::new(None)),
@@ -191,7 +196,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             threads,
             pending,
             topo: Topology::new(nodes, max_threads, cfg.remote_ns),
-            ctl: AdaptiveCtl::new(cfg.policy, cfg.epoch_ops),
+            ctl: AdaptiveCtl::new(cfg.policy, cfg.epoch_ops, max_threads),
             num_priorities,
             max_threads,
             recorder,
@@ -215,24 +220,22 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         self.ctl.mode()
     }
 
-    /// Charges `transfers` emulated remote cache-line transfers and counts
-    /// them into the adaptive stats.
+    /// Charges `transfers` emulated remote cache-line transfers to thread
+    /// `tid`, counting them into its tally.
     #[inline]
-    fn charge(&self, transfers: u64) {
-        // ORDERING: Relaxed — a statistic, read by `stats()` only.
-        self.ctl
-            .remote_transfers
-            .fetch_add(transfers, Ordering::Relaxed);
+    fn charge(&self, tid: usize, transfers: u64) {
+        self.threads[tid].tally.note_transfers(transfers);
         self.topo.charge(transfers);
     }
 
-    /// The heap array's event hook: failed try-locks also feed the
-    /// controller's contention signal.
+    /// The heap array's event hook for thread `tid`: failed try-locks also
+    /// feed the controller's contention signal.
     #[inline]
-    fn note(&self) -> impl Fn(CounterEvent) + '_ {
+    fn note(&self, tid: usize) -> impl Fn(CounterEvent) + '_ {
+        let tally = &self.threads[tid].tally;
         move |e| {
             if matches!(e, CounterEvent::CasRetry) {
-                self.ctl.note_cas_retry();
+                tally.note_cas_retry();
             }
             if R::ENABLED {
                 self.recorder.record_event(e);
@@ -251,19 +254,15 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         self.topo.node_of_slot(q, self.heaps.len()) != node
     }
 
-    /// Pops `heap`; a pop (not a mere probe) of a remote slot is charged one
-    /// three-transfer episode. `remote` is asked only about a real pop.
+    /// Passes on what thread `tid` took from a locked heap: taking anything
+    /// (not a mere probe) from a remote slot is charged one three-transfer
+    /// episode, however many items it took. `remote` is asked only then.
     #[inline]
-    fn pop_charged(
-        &self,
-        heap: &mut BinaryHeap<T>,
-        remote: impl FnOnce() -> bool,
-    ) -> Option<(usize, T)> {
-        let out = heap.pop();
-        if out.is_some() && remote() {
-            self.charge(3);
+    fn charged<O>(&self, tid: usize, took: Option<O>, remote: impl FnOnce() -> bool) -> Option<O> {
+        if took.is_some() && remote() {
+            self.charge(tid, 3);
         }
-        out
+        took
     }
 
     /// Closes the bookkeeping for one completed operation (possibly closing
@@ -271,7 +270,8 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// thread's node — the whole serving discipline rides piggyback on
     /// ordinary operations.
     fn finish_op(&self, tid: usize, remote_win: Option<bool>) {
-        if self.ctl.note_op(remote_win, &self.topo) && R::ENABLED {
+        let tally = &self.threads[tid].tally;
+        if self.ctl.note_op(tally, remote_win, &self.topo) && R::ENABLED {
             self.recorder.record_event(CounterEvent::ModeSwitch);
         }
         self.serve_pending(tid, self.topo.node_of_tid(tid));
@@ -284,7 +284,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// accounting.
     fn pop_from_node(&self, tid: usize, node: usize) -> Option<(usize, T)> {
         let rng = &self.threads[tid].rng;
-        let note = self.note();
+        let note = self.note(tid);
         self.heaps
             .pop(self.partition(node), rng, None, &note, |_, h| h.pop())
             .or_else(|| {
@@ -339,7 +339,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             // Request read + response write: two remote transfers, paid by
             // this server (plus a full remote episode in the rare re-publish
             // race where the claimed home is not the server's own node).
-            self.charge(if home == node { 2 } else { 5 });
+            self.charge(tid, if home == node { 2 } else { 5 });
             // SAFETY: CLAIMED grants this server exclusive access to the
             // cell until it stores DONE: the requester touches it only
             // after acquiring DONE, and no second server can claim a slot
@@ -348,8 +348,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             // ORDERING: Release, pairs with the requester's Acquire load of
             // DONE: publishes the response cell.
             ctx.state.store(DONE, Ordering::Release);
-            // ORDERING: Relaxed — a statistic.
-            self.ctl.delegated.fetch_add(1, Ordering::Relaxed);
+            self.ctl.note_delegated();
         }
     }
 
@@ -386,10 +385,9 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
                 {
                     // ORDERING: Release, as every write of the hint.
                     self.pending[home].fetch_sub(1, Ordering::Release);
-                    // ORDERING: Relaxed — a statistic.
-                    self.ctl.self_served.fetch_add(1, Ordering::Relaxed);
+                    self.ctl.note_self_served();
                     let out = self.pop_from_node(tid, home);
-                    self.charge(3);
+                    self.charge(tid, 3);
                     return out;
                 }
                 // A server claimed it concurrently: its response is owed
@@ -428,19 +426,26 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             self.partition(my_node)
         };
         let rng = &self.threads[tid].rng;
-        let q = self.heaps.push(range, rng, None, &self.note(), file);
+        let q = self.heaps.push(range, rng, None, &self.note(tid), file);
         if oblivious && self.is_remote(q, my_node) {
-            self.charge(3);
+            self.charge(tid, 3);
         }
     }
 
-    /// One delete-min episode under the current mode. Returns the item (if
-    /// any) and whether the *first* two-choice draw picked a remote winner
-    /// — the mode-independent contention signal the controller feeds on.
-    fn delete_min_inner(&self, tid: usize) -> (Option<(usize, T)>, Option<bool>) {
+    /// One delete episode under the current mode. `take` runs on a locked
+    /// two-choice winner and may take several items, charged as one remote
+    /// episode however many; a delegated winner and the empty-pair sweep
+    /// yield one item each. Also returns whether the *first* two-choice
+    /// draw picked a remote winner — the mode-independent contention signal
+    /// the controller feeds on.
+    fn delete_episode<O>(
+        &self,
+        tid: usize,
+        mut take: impl FnMut(&mut BinaryHeap<T>) -> Option<O>,
+    ) -> (Option<Took<O, T>>, Option<bool>) {
         let my_node = self.topo.node_of_tid(tid);
         let rng = &self.threads[tid].rng;
-        let note = self.note();
+        let note = self.note(tid);
         let mut first_draw_remote = None;
         // Global two-choice draw in both modes, so the remote-win rate
         // reads the same either way; in delegation mode a remote winner is
@@ -458,23 +463,44 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
                 self.delegate_pop(tid, home, my_node)
             } else {
                 // Nobody could ever serve: direct three-transfer pop.
-                // ORDERING: Relaxed — a statistic.
-                self.ctl.self_served.fetch_add(1, Ordering::Relaxed);
+                self.ctl.note_self_served();
                 let out = self.pop_from_node(tid, home);
-                self.charge(3);
+                self.charge(tid, 3);
                 out
             };
             // `None`: the partition was empty by service time and its tops
             // are repaired; redraw globally.
-            out.map_or(Route::Redraw, Route::Served)
+            out.map_or(Route::Redraw, |e| Route::Served(Took::One(e)))
         };
-        let take = |_, h: &mut BinaryHeap<T>| self.pop_charged(h, || winner_remote.get());
-        let swept = |q, h: &mut BinaryHeap<T>| self.pop_charged(h, || self.is_remote(q, my_node));
+        let locked = |_, h: &mut BinaryHeap<T>| {
+            self.charged(tid, take(h), || winner_remote.get())
+                .map(Took::Locked)
+        };
+        let swept = |q, h: &mut BinaryHeap<T>| {
+            self.charged(tid, h.pop(), || self.is_remote(q, my_node))
+                .map(Took::One)
+        };
         let out = self
             .heaps
-            .pop_routed(self.heaps.all(), rng, None, &note, route, take)
+            .pop_routed(self.heaps.all(), rng, None, &note, route, locked)
             .or_else(|| self.heaps.sweep(self.heaps.all(), &note, swept));
         (out, first_draw_remote)
+    }
+}
+
+/// What one delete episode took: whatever the caller's closure made of a
+/// locked winner, or the one item a delegated pop or the sweep yields.
+enum Took<O, T> {
+    Locked(O),
+    One((usize, T)),
+}
+
+impl<T> Took<(usize, T), T> {
+    /// The item of a single delete, however it was taken.
+    fn item(self) -> (usize, T) {
+        match self {
+            Took::Locked(e) | Took::One(e) => e,
+        }
     }
 }
 
@@ -504,8 +530,9 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let (out, remote_win) = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.delete_min_inner(tid)
+            self.delete_episode(tid, BinaryHeap::pop)
         });
+        let out = out.map(Took::item);
         self.finish_op(tid, remote_win);
         if R::ENABLED && out.is_none() {
             self.recorder.record_event(CounterEvent::EmptyDeleteMin);
@@ -535,9 +562,12 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         Ok(())
     }
 
-    // A loop of single delete episodes (each possibly delegated) under one
-    // timing span; the whole batch counts as one operation against the
-    // adaptive epoch and fires one `BatchOp`.
+    // A locked two-choice winner gives up to `k - taken` items under one
+    // hold, as in `MultiQueuePq` (a remote one charged one episode); a
+    // delegated winner and the empty-pair sweep give one item each, so the
+    // mailbox carries singles only. One timing span; the whole batch
+    // counts as one operation against the adaptive epoch and fires one
+    // `BatchOp`.
     fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         if k == 0 {
@@ -547,10 +577,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
             let mut taken = 0;
             while taken < k {
-                let (e, win) = self.delete_min_inner(tid);
+                let (took, win) = self.delete_episode(tid, |h| pop_many(h, k - taken, out));
                 remote_win = remote_win.or(win);
-                match e {
-                    Some(e) => {
+                match took {
+                    Some(Took::Locked(n)) => taken += n,
+                    Some(Took::One(e)) => {
                         out.push(e);
                         taken += 1;
                     }
@@ -577,10 +608,10 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         }
         let mut remote_win = None;
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
-            let (removed, win) = self.delete_min_inner(tid);
+            let (removed, win) = self.delete_episode(tid, BinaryHeap::pop);
             remote_win = win;
             self.push_with(tid, |h| h.push(pri, item));
-            removed
+            removed.map(Took::item)
         });
         self.finish_op(tid, remote_win);
         obs::record_batch_op(&*self.recorder, 1);
@@ -606,7 +637,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     }
 
     fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        Some(self.ctl.stats())
+        Some(self.ctl.stats(self.threads.iter().map(|t| &t.tally)))
     }
 }
 
@@ -796,6 +827,25 @@ mod tests {
         }
         assert_eq!(got.len(), 101, "100 batched + 1 via replace_min");
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_batched_delete_from_one_heap_is_one_lock_acquisition() {
+        use crate::obs::AtomicRecorder;
+        // One thread: one node, two heaps. The batch lands in one of them,
+        // so every pair names that heap as the winner.
+        let rec = Arc::new(AtomicRecorder::new());
+        let q = NumaPq::with_config(8, 1, cfg(), Arc::clone(&rec));
+        assert_eq!(q.num_queues(), 2);
+        q.insert_batch(0, (0..10).map(|i| (i % 8, i)).collect())
+            .unwrap();
+        let locks = || rec.snapshot().event(CounterEvent::LockAcquire);
+        let before = locks();
+        let mut out = Vec::new();
+        assert_eq!(q.delete_min_batch(0, 8, &mut out), 8);
+        assert_eq!(locks() - before, 1, "one heap episode for the batch");
+        let pris: Vec<usize> = out.iter().map(|e| e.0).collect();
+        assert_eq!(pris, [0, 0, 1, 1, 2, 3, 4, 5], "one heap pops in order");
     }
 
     #[test]

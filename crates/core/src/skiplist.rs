@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use funnelpq_sync::{BinOrder, LockBin, TtasMutex};
-use funnelpq_util::XorShift64Star;
+use funnelpq_util::{CachePadded, XorShift64Star};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
@@ -39,7 +39,10 @@ struct Node<T> {
     /// Next node index per level; NONE terminates. Guarded by `lock` for
     /// writers and for readers that redirect around this node.
     forward: Vec<AtomicUsize>,
-    lock: TtasMutex<()>,
+    /// Padded: a splice or unlink takes it, and inline it would share a
+    /// line with `state` and the bin's size word, which every insert and
+    /// delete reads.
+    lock: CachePadded<TtasMutex<()>>,
 }
 
 /// Bounded-range concurrent skip-list priority queue.
@@ -62,9 +65,11 @@ struct Node<T> {
 pub struct SkipListPq<T, R: Recorder = NoopRecorder> {
     nodes: Vec<Node<T>>,
     head_forward: Vec<AtomicUsize>,
-    head_lock: TtasMutex<()>,
+    /// Both singleton locks padded, off the line of `del_bin`, which every
+    /// delete reads.
+    head_lock: CachePadded<TtasMutex<()>>,
     del_bin: AtomicUsize,
-    del_lock: TtasMutex<()>,
+    del_lock: CachePadded<TtasMutex<()>>,
     max_threads: usize,
     max_level: usize,
     recorder: Arc<R>,
@@ -117,16 +122,16 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                     height: h,
                     state: AtomicU8::new(UNTHREADED),
                     forward: (0..h).map(|_| AtomicUsize::new(NONE)).collect(),
-                    lock: TtasMutex::new(()),
+                    lock: CachePadded::new(TtasMutex::new(())),
                 }
             })
             .collect();
         SkipListPq {
             nodes,
             head_forward: (0..max_level).map(|_| AtomicUsize::new(NONE)).collect(),
-            head_lock: TtasMutex::new(()),
+            head_lock: CachePadded::new(TtasMutex::new(())),
             del_bin: AtomicUsize::new(NONE),
-            del_lock: TtasMutex::new(()),
+            del_lock: CachePadded::new(TtasMutex::new(())),
             max_threads,
             max_level,
             recorder,
@@ -304,8 +309,9 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         out
     }
 
-    // Sorting groups equal priorities into runs, so each run pays one
-    // threaded-state check (and at most one splice) instead of one per item.
+    // Sorting groups equal priorities into runs, so each run pays one bin
+    // episode and one threaded-state check (and at most one splice) instead
+    // of one of each per item.
     fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
@@ -317,14 +323,10 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
             let mut it = batch.into_iter().peekable();
             while let Some((pri, item)) = it.next() {
                 // Bin first (paper order), for the whole equal-priority run.
-                self.nodes[pri].bin.insert(item);
-                while let Some(&(next_pri, _)) = it.peek() {
-                    if next_pri != pri {
-                        break;
-                    }
-                    let (_, run_item) = it.next().expect("peeked entry present");
-                    self.nodes[pri].bin.insert(run_item);
-                }
+                let run = std::iter::from_fn(|| it.next_if(|e| e.0 == pri).map(|e| e.1));
+                self.nodes[pri]
+                    .bin
+                    .insert_many(std::iter::once(item).chain(run));
                 if self.nodes[pri].state.load(Ordering::Acquire) != THREADED {
                     self.thread_node(pri);
                 }
@@ -334,9 +336,10 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         Ok(())
     }
 
-    // Bin-aware drain: once a minimal bin is chosen it is drained until `k`
-    // items are taken or it runs dry, so a batch pays the delete-bin
-    // routing (and any unlink) once per *bin*, not once per item.
+    // Bin-aware drain: once a minimal bin is chosen it gives up to `k -
+    // taken` items in one bin episode (a short take means it ran dry and
+    // the drain re-routes), so a batch pays the delete-bin routing (and
+    // any unlink) once per *bin*, not once per item.
     fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         if k == 0 {
@@ -344,40 +347,27 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         }
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
             let mut taken = 0;
-            'outer: while taken < k {
+            while taken < k {
                 let db = self.del_bin.load(Ordering::Acquire);
                 let first = self.head_forward[0].load(Ordering::Acquire);
                 let db_ok = db != NONE && !self.nodes[db].bin.is_empty();
+                let drain = |want: usize, out: &mut Vec<(usize, T)>| {
+                    self.nodes[db]
+                        .bin
+                        .delete_many(want, |item| out.push((db, item)))
+                };
                 if db_ok && (first == NONE || db <= first) {
-                    while taken < k {
-                        match self.nodes[db].bin.delete() {
-                            Some(item) => {
-                                out.push((db, item));
-                                taken += 1;
-                            }
-                            None => continue 'outer, // bin ran dry; re-route
-                        }
-                    }
+                    taken += drain(k - taken, out);
                     continue;
                 }
                 if first == NONE {
                     // List empty: drain delete-bin stragglers, then report
                     // however much we got.
-                    let before = taken;
-                    if db != NONE {
-                        while taken < k {
-                            match self.nodes[db].bin.delete() {
-                                Some(item) => {
-                                    out.push((db, item));
-                                    taken += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                    if taken == before {
+                    let n = if db != NONE { drain(k - taken, out) } else { 0 };
+                    if n == 0 {
                         break;
                     }
+                    taken += n;
                     continue;
                 }
                 // Advance the delete bin to the list's first node.

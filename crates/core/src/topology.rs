@@ -100,6 +100,9 @@ impl Topology {
     /// Current emulated remote-transfer cost in nanoseconds.
     #[inline]
     pub fn remote_ns(&self) -> u64 {
+        // ORDERING: Relaxed — a cost knob; it publishes no other memory,
+        // and a reader that sees the old value for a while only charges
+        // (or scores) a few operations at the old price.
         self.remote_ns.load(Ordering::Relaxed)
     }
 
@@ -107,6 +110,7 @@ impl Topology {
     /// charged access — raising it mid-run is the native analogue of the
     /// simulator's regional latency spike.
     pub fn set_remote_ns(&self, ns: u64) {
+        // ORDERING: Relaxed; see `remote_ns`.
         self.remote_ns.store(ns, Ordering::Relaxed);
     }
 
@@ -115,6 +119,7 @@ impl Topology {
     /// Free (one relaxed load, one branch) while the knob is zero.
     #[inline]
     pub fn charge(&self, transfers: u64) {
+        // ORDERING: Relaxed; see `remote_ns`.
         let ns = self.remote_ns.load(Ordering::Relaxed);
         if ns == 0 {
             return;

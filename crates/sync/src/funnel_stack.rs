@@ -80,8 +80,10 @@ impl<T> Carry for Chain<T> {
 pub struct FunnelStack<T> {
     /// Head of the central chain; read without the lock for emptiness.
     head: CachePadded<AtomicPtr<Node<T>>>,
-    /// Serializes structural mutation of the central chain.
-    central_lock: TtasMutex<()>,
+    /// Serializes structural mutation of the central chain. Padded: the
+    /// stack's one contended lock, kept off the lines of `head` and the
+    /// funnel's read-mostly fields.
+    central_lock: CachePadded<TtasMutex<()>>,
     funnel: Funnel<Chain<T>>,
 }
 
@@ -111,7 +113,7 @@ impl<T: Send> FunnelStack<T> {
     pub fn with_sink(cfg: FunnelConfig, sink: Option<SinkRef>) -> Self {
         FunnelStack {
             head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            central_lock: TtasMutex::new(()),
+            central_lock: CachePadded::new(TtasMutex::new(())),
             funnel: Funnel::new(cfg, sink),
         }
     }

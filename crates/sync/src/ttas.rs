@@ -6,9 +6,14 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use funnelpq_util::{Backoff, CachePadded};
+use funnelpq_util::Backoff;
 
 /// A test-and-test-and-set spin lock protecting a value.
+///
+/// The flag sits inline beside the data, as in `std::sync::Mutex`, so a
+/// `TtasMutex<()>` is one byte and a lock costs its data no cache line of
+/// its own. A holder of a contended singleton lock that needs the flag
+/// isolated pads the whole lock (`CachePadded<TtasMutex<_>>`).
 ///
 /// # Examples
 ///
@@ -19,7 +24,7 @@ use funnelpq_util::{Backoff, CachePadded};
 /// assert_eq!(*m.lock(), 1);
 /// ```
 pub struct TtasMutex<T> {
-    flag: CachePadded<AtomicBool>,
+    flag: AtomicBool,
     data: UnsafeCell<T>,
 }
 
@@ -27,7 +32,7 @@ impl<T> TtasMutex<T> {
     /// Wraps `data` in a new unlocked spin lock.
     pub fn new(data: T) -> Self {
         TtasMutex {
-            flag: CachePadded::new(AtomicBool::new(false)),
+            flag: AtomicBool::new(false),
             data: UnsafeCell::new(data),
         }
     }
@@ -144,6 +149,12 @@ mod tests {
         }
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn the_flag_is_inline() {
+        assert_eq!(std::mem::size_of::<TtasMutex<()>>(), 1);
+        assert_eq!(std::mem::size_of::<TtasMutex<u64>>(), 16);
     }
 
     #[test]

@@ -355,6 +355,87 @@ fn batch_inserters_against_single_and_batched_deleters_conserve_items() {
     run(FunnelTreePq::new(16, THREADS)).validate();
 }
 
+/// NumaPq with four threads filing batches, half of them deleting in
+/// batches and half in singles: adaptive, with thread 0 raising and
+/// dropping the emulated remote cost so the mode moves both ways mid-run,
+/// and pinned to delegation. A batched delete takes en bloc from a locked
+/// winner and one item through the mailbox; every item filed must come
+/// back exactly once.
+#[test]
+fn numa_batched_conservation_adaptive_and_pinned_to_delegation() {
+    use funnelpq::{NumaConfig, NumaMode, NumaPolicy, NumaPq};
+    const T: usize = 4;
+    const ROUNDS: usize = 300;
+    const BATCH: usize = 8;
+    let adaptive = NumaConfig {
+        epoch_ops: 16,
+        ..NumaConfig::default()
+    };
+    let delegating = NumaConfig {
+        policy: NumaPolicy::Pinned(NumaMode::Delegation),
+        ..NumaConfig::default()
+    };
+    for (name, cfg) in [("adaptive", adaptive), ("delegation", delegating)] {
+        let shifting = name == "adaptive";
+        let q = Arc::new(NumaPq::new(16, T, cfg));
+        let watchdog = StressWatchdog::arm("numa_batched_conservation", T, STRESS_LIMIT);
+        let barrier = Arc::new(Barrier::new(T));
+        let handles: Vec<_> = (0..T)
+            .map(|tid| {
+                let (q, barrier) = (Arc::clone(&q), Arc::clone(&barrier));
+                let progress = watchdog.progress();
+                thread::spawn(move || {
+                    let (mut filed, mut out) = (Vec::new(), Vec::new());
+                    barrier.wait();
+                    for i in 0..ROUNDS {
+                        if shifting && tid == 0 && i % 50 == 0 {
+                            let dear = (i / 50) % 2 == 0;
+                            q.topology().set_remote_ns(if dear { 2_000 } else { 0 });
+                        }
+                        let batch: Vec<(usize, u64)> = (0..BATCH)
+                            .map(|j| {
+                                let id = ((tid * ROUNDS + i) * BATCH + j) as u64;
+                                ((id * 7 % 16) as usize, id)
+                            })
+                            .collect();
+                        filed.extend(batch.iter().map(|&(_, id)| id));
+                        q.insert_batch(tid, batch).unwrap();
+                        if tid % 2 == 0 {
+                            q.delete_min_batch(tid, BATCH, &mut out);
+                        } else {
+                            out.extend(q.delete_min(tid));
+                        }
+                        progress[tid].fetch_add(1, Ordering::Relaxed);
+                    }
+                    (filed, out)
+                })
+            })
+            .collect();
+        let (mut filed, mut taken) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (f, t) = h.join().unwrap();
+            filed.extend(f);
+            taken.extend(t.into_iter().map(|(_, id)| id));
+        }
+        let mut rest = Vec::new();
+        q.delete_min_batch(0, usize::MAX, &mut rest);
+        taken.extend(rest.into_iter().map(|(_, id)| id));
+        filed.sort_unstable();
+        taken.sort_unstable();
+        assert_eq!(taken, filed, "{name}: items lost or duplicated");
+        assert!(q.is_empty(), "{name}: queue should be empty after drain");
+        let s = q.adaptive_stats().unwrap();
+        if shifting {
+            assert!(s.switches > 0, "{name}: the mode never moved: {s:?}");
+        } else {
+            assert!(
+                s.delegated + s.self_served > 0,
+                "{name}: the mailbox was never used: {s:?}"
+            );
+        }
+    }
+}
+
 /// Many threads hammer a single priority: items behave like a pool and the
 /// queue never fabricates items.
 #[test]
