@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod audit;
 mod config;
 mod ctx;
 pub mod fault;
@@ -50,5 +49,6 @@ mod wheel;
 pub use config::MachineConfig;
 pub use ctx::{MemOp, ProcCtx, Span, WaitChange, WorkFuture};
 pub use fault::{FaultPlan, FaultPlanError, SpanPoint};
+pub use funnelpq_util::audit;
 pub use machine::{Addr, LivelockDiag, Machine, ProcDiag, ProcId, ProcState, RunOutcome, Word};
 pub use stats::{Acc, HotSpot, Stats, ACC_BUCKETS};

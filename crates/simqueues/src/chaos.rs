@@ -17,7 +17,8 @@
 
 use std::rc::Rc;
 
-use funnelpq_sim::audit::{audit_history, AuditError, AuditReport, AuditScope, History, OpRecord};
+use funnelpq_sim::audit::{audit_history, AuditError, AuditReport, AuditScope};
+use funnelpq_sim::audit::{History, OpRecord, Order};
 use funnelpq_sim::fault::FaultSummary;
 use funnelpq_sim::{FaultPlan, FaultPlanError, ProcId, RunOutcome};
 
@@ -139,9 +140,8 @@ impl ChaosError {
 /// and audits. See the module docs for the two-phase shape.
 ///
 /// The audit scope follows the algorithm's declared consistency: relaxed
-/// algorithms skip drain sortedness and get the rank-error distribution
-/// instead, unbounded here — use [`run_chaos_workload_bounded`] to make
-/// the audit enforce a quality ceiling.
+/// algorithms get the rank-error distribution, unbounded here — use
+/// [`run_chaos_workload_bounded`] to make the audit enforce a ceiling.
 pub fn run_chaos_workload(
     algo: Algorithm,
     wl: &Workload,
@@ -154,8 +154,8 @@ pub fn run_chaos_workload(
 /// [`run_chaos_workload`] with a hard per-delete drain rank-error bound:
 /// the audit fails with [`AuditError::RankErrorExceeded`] if any drain
 /// delete returns an item while more than `rank_error_bound` strictly
-/// smaller items remain. Strict algorithms keep the sortedness check, so
-/// a bound is only meaningful for relaxed ones.
+/// smaller items remain, or an Appendix-B window exceeds it. Strict
+/// algorithms are always held to 0.
 pub fn run_chaos_workload_bounded(
     algo: Algorithm,
     wl: &Workload,
@@ -304,9 +304,7 @@ pub fn run_chaos_workload_bounded(
         crashed: crashed.clone(),
         stranded,
         wedged,
-        linearizable: algo.consistency() == funnelpq::Consistency::Linearizable,
-        relaxed: algo.is_relaxed(),
-        rank_error_bound,
+        order: audit_order(algo, rank_error_bound),
     };
     let report = audit_history(&history, &scope).map_err(|error| ChaosError::Audit {
         error,
@@ -323,4 +321,13 @@ pub fn run_chaos_workload_bounded(
         fault_summary,
         structural_items,
     })
+}
+
+/// `algo`'s declared consistency as an audit order (`rank_bound` if relaxed).
+pub fn audit_order(algo: Algorithm, rank_bound: Option<u64>) -> Order {
+    match algo.consistency() {
+        funnelpq::Consistency::Linearizable => Order::Linearizable,
+        funnelpq::Consistency::QuiescentlyConsistent => Order::Quiescent,
+        funnelpq::Consistency::Relaxed => Order::Relaxed { rank_bound },
+    }
 }

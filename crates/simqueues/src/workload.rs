@@ -376,9 +376,7 @@ pub fn run_batched_quality(
 
     let scope = AuditScope {
         num_priorities: wl.num_priorities as u64,
-        linearizable: algo.consistency() == funnelpq::Consistency::Linearizable,
-        relaxed: algo.is_relaxed(),
-        rank_error_bound,
+        order: crate::chaos::audit_order(algo, rank_error_bound),
         ..AuditScope::default()
     };
     let report = audit_history(&hist.snapshot(), &scope)?;

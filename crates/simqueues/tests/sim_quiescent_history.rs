@@ -1,177 +1,138 @@
-//! Appendix-B specification check for the *simulated* queues, with exact
-//! virtual-time operation intervals (the simulator gives us precise begin
-//! and end cycles, so quiescent points are found exactly, not sampled).
-//!
-//! See `tests/quiescent_history.rs` for the native-thread version and the
-//! derivation of the bound: within a window between quiescent points that
-//! starts with queue content `E` and performs `k` successful delete-mins,
-//! every returned priority is ≤ the `k`-th smallest priority of `E`.
+//! Appendix-B specification check for the *simulated* queues: a
+//! pre-filled, bursty workload with exact virtual-time operation
+//! intervals, recorded into an audit `History` and checked by
+//! `audit_history`, whose window pass is the Appendix-B check
+//! (`tests/quiescent_history.rs` runs the same audit on native threads).
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use funnelpq_sim::{Machine, MachineConfig};
+use funnelpq_sim::audit::{audit_history, AuditError, AuditReport, AuditScope, History};
+use funnelpq_sim::{FaultPlan, Machine, MachineConfig};
+use funnelpq_simqueues::chaos::audit_order;
 use funnelpq_simqueues::queues::{Algorithm, BuildParams, SimPq};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Insert(u64),
-    DeleteHit(u64),
-    DeleteMiss,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    begin: u64,
-    end: u64,
-    kind: OpKind,
-}
-
-fn record_history(algo: Algorithm, procs: usize, pris: u64, ops: usize, seed: u64) -> Vec<Event> {
+/// Fills the queue with 400 items from one processor, runs `procs`
+/// processors of `ops` operations each with irregular local work between
+/// them (so quiescent gaps open), drains, and audits the whole history.
+/// `jitter` attaches a fault plan adding up to 32 cycles to every network
+/// leg.
+fn audited_run(algo: Algorithm, seed: u64, jitter: bool) -> Result<AuditReport, AuditError> {
+    let (procs, ops, pris) = (12, 30, 24u64);
     let mut m = Machine::new(MachineConfig::alewife_like(), seed);
-    let mut params = BuildParams::new(procs + 1, pris as usize);
+    let mut params = BuildParams::new(procs + 2, pris as usize);
     params.capacity = procs * ops + 512;
     let q = Rc::new(SimPq::build(&mut m, algo, &params));
-    let history = Rc::new(RefCell::new(Vec::new()));
-    // Seed phase: fill the queue, then reach a quiescent point, so the
-    // checkable windows (k ≤ |E|) are plentiful.
-    {
-        let ctx = m.ctx();
-        let q = Rc::clone(&q);
-        let history = Rc::clone(&history);
-        m.spawn(async move {
-            for i in 0..400u64 {
-                let begin = ctx.now();
-                let pri = ctx.random_below(pris);
-                q.insert(&ctx, pri, 1_000_000 + i).await;
-                history.borrow_mut().push(Event {
-                    begin,
-                    end: ctx.now(),
-                    kind: OpKind::Insert(pri),
-                });
-            }
-        });
-        assert!(m.run().is_quiescent());
+    if jitter {
+        m.attach_faults(&FaultPlan::new(seed).jitter(0, u64::MAX, 32))
+            .expect("a jitter plan needs no regions");
     }
+    let hist = History::new();
+    let (ctx, fill, h) = (m.ctx(), Rc::clone(&q), hist.clone());
+    m.spawn(async move {
+        for item in 1_000_000..1_000_400 {
+            let pri = ctx.random_below(pris);
+            let tok = h.begin_insert(ctx.pid(), pri, item, ctx.now());
+            fill.insert(&ctx, pri, item).await;
+            h.complete(tok, ctx.now());
+        }
+    });
+    assert!(m.run().is_quiescent(), "{algo}: fill did not quiesce");
     for p in 0..procs {
-        let ctx = m.ctx();
-        let q = Rc::clone(&q);
-        let history = Rc::clone(&history);
+        let (ctx, q, h) = (m.ctx(), Rc::clone(&q), hist.clone());
         m.spawn(async move {
             for i in 0..ops {
-                // Irregular local work opens quiescent gaps.
                 ctx.work(20 + ctx.random_below(300)).await;
-                let begin = ctx.now();
-                let kind = if ctx.random_bool(0.5) {
-                    let pri = ctx.random_below(pris);
-                    q.insert(&ctx, pri, (p * ops + i) as u64).await;
-                    OpKind::Insert(pri)
+                if ctx.random_bool(0.5) {
+                    let (pri, item) = (ctx.random_below(pris), (p * ops + i) as u64);
+                    let tok = h.begin_insert(ctx.pid(), pri, item, ctx.now());
+                    q.insert(&ctx, pri, item).await;
+                    h.complete(tok, ctx.now());
                 } else {
-                    match q.delete_min(&ctx).await {
-                        Some((pri, _)) => OpKind::DeleteHit(pri),
-                        None => OpKind::DeleteMiss,
-                    }
-                };
-                history.borrow_mut().push(Event {
-                    begin,
-                    end: ctx.now(),
-                    kind,
-                });
+                    let tok = h.begin_delete(ctx.pid(), ctx.now());
+                    let got = q.delete_min(&ctx).await;
+                    h.complete_delete(tok, got, ctx.now());
+                }
             }
         });
     }
     assert!(m.run().is_quiescent(), "{algo} did not quiesce");
-    let mut h = Rc::try_unwrap(history).unwrap().into_inner();
-    h.sort_by_key(|e| (e.begin, e.end));
-    h
-}
-
-fn check_history(name: &str, history: &[Event]) -> usize {
-    let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(history.len() * 2);
-    for e in history {
-        // Treat intervals as half-open [begin, end+1) so zero-length ops
-        // still overlap their own instant.
-        deltas.push((e.begin, 1));
-        deltas.push((e.end + 1, -1));
-    }
-    deltas.sort_unstable();
-    let mut open = 0i64;
-    let mut qpoints = vec![0u64];
-    for (stamp, d) in deltas {
-        open += d;
-        if open == 0 {
-            qpoints.push(stamp);
-        }
-    }
-
-    let mut held: Vec<u64> = Vec::new();
-    let mut checked = 0;
-    for w in qpoints.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let evs: Vec<&Event> = history
-            .iter()
-            .filter(|e| e.begin >= lo && e.begin < hi)
-            .collect();
-        if evs.is_empty() {
-            continue;
-        }
-        let hits: Vec<u64> = evs
-            .iter()
-            .filter_map(|e| match e.kind {
-                OpKind::DeleteHit(p) => Some(p),
-                _ => None,
-            })
-            .collect();
-        let k = hits.len();
-        // The bound below is only sound for k ≤ |E|: in any legal
-        // sequential order of the window, the i-th delete still finds at
-        // least |E| − (i−1) elements of E present, so its return is ≤ the
-        // i-th smallest of E ≤ kth(E). (For k > |E| chained overlaps allow
-        // a delete to legally return a large early insert before smaller
-        // ones arrive, so no E-based bound exists.)
-        if k > 0 && k <= held.len() {
-            let mut e_sorted = held.clone();
-            e_sorted.sort_unstable();
-            let bound = e_sorted[k - 1];
-            for &p in &hits {
-                assert!(
-                    p <= bound,
-                    "{name}: window [{lo},{hi}) returned {p} > bound {bound} (k={k})"
-                );
-            }
-            checked += 1;
-        }
-        // Within a window, operation order is unconstrained by quiescent
-        // consistency: credit all inserts first, then remove the hits.
-        for e in &evs {
-            if let OpKind::Insert(p) = e.kind {
-                held.push(p);
+    let (ctx, h) = (m.ctx(), hist.clone());
+    m.spawn(async move {
+        // A cycle apart from the last operation, so the drain is a window
+        // of its own.
+        ctx.work(1).await;
+        loop {
+            let tok = h.begin_delete(ctx.pid(), ctx.now());
+            let got = q.delete_min(&ctx).await;
+            h.complete_delete(tok, got, ctx.now());
+            h.mark_drain(tok);
+            if got.is_none() {
+                break;
             }
         }
-        for e in &evs {
-            if let OpKind::DeleteHit(p) = e.kind {
-                let pos = held
-                    .iter()
-                    .position(|&x| x == p)
-                    .unwrap_or_else(|| panic!("{name}: phantom delete of {p}"));
-                held.swap_remove(pos);
-            }
-        }
-    }
-    checked
+    });
+    assert!(m.run().is_quiescent(), "{algo}: drain did not quiesce");
+    let scope = AuditScope {
+        num_priorities: pris,
+        order: audit_order(algo, None),
+        ..AuditScope::default()
+    };
+    audit_history(&hist.snapshot(), &scope)
 }
 
 #[test]
 fn all_simulated_queues_satisfy_appendix_b() {
     for algo in Algorithm::ALL.into_iter().chain([Algorithm::HardwareTree]) {
-        let mut total_checked = 0;
+        let mut checked = 0;
         for seed in [11u64, 222, 3333] {
-            let history = record_history(algo, 12, 24, 30, seed);
-            total_checked += check_history(algo.name(), &history);
+            let report = audited_run(algo, seed, false)
+                .unwrap_or_else(|e| panic!("{algo} seed {seed}: {e}"));
+            checked += report.windows_checked;
         }
         assert!(
-            total_checked > 0,
+            checked > 0,
             "{algo}: the bursty workload should produce checkable windows"
         );
+    }
+}
+
+/// The Appendix-B audit over the twins of the two queues whose native
+/// copies have flaked on it (SkipList, HuntEtAl), for every seed in
+/// `seeds`, with and without jitter; fails listing every failing run.
+fn flake_search(seeds: std::ops::Range<u64>) {
+    let mut failures = Vec::new();
+    for seed in seeds {
+        for algo in [Algorithm::SkipList, Algorithm::HuntEtAl] {
+            for jitter in [false, true] {
+                if let Err(e) = audited_run(algo, seed, jitter) {
+                    failures.push(format!("{algo} seed {seed} jitter {jitter}: {e}"));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+#[ignore = "the full flake search; minutes in release, and fails on the open SkipList seeds"]
+fn flake_search_10k_seeds() {
+    flake_search(0..10_000);
+}
+
+#[test]
+#[ignore = "the flake search's CI slice; run in release"]
+fn flake_search_first_200_seeds() {
+    flake_search(0..200);
+}
+
+/// The smallest of the flake search's SkipList failures: a window opens
+/// with 403 items, the four smallest all at priority 7, and its four
+/// deletes return an 8 among them. The native SkipList flake ("returned
+/// priority p > bound p−1") has the same shape.
+#[test]
+#[ignore = "reproduces the open SkipList Appendix-B failure"]
+fn skip_list_seed_8042_returns_an_8_over_held_7s() {
+    if let Err(e) = audited_run(Algorithm::SkipList, 8042, false) {
+        panic!("{e}");
     }
 }

@@ -20,7 +20,9 @@
 //! * [`SeqRing`] — lock-free seqlock ring buffer for fixed-width trace
 //!   records (flight-recorder semantics);
 //! * [`mono_ns`] — process-wide monotonic nanosecond clock for
-//!   cross-thread trace timestamps.
+//!   cross-thread trace timestamps;
+//! * [`audit`] — the operation-history audit (conservation, ordering, rank
+//!   error, Appendix-B windows) for simulated and native runs alike.
 //!
 //! Everything here is `std`-only and deliberately small; these types exist
 //! so the workspace builds with no external crates at all.
@@ -29,6 +31,7 @@
 #![warn(rust_2018_idioms)]
 
 mod acc;
+pub mod audit;
 mod backoff;
 pub mod chrome;
 mod clock;

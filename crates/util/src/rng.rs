@@ -104,7 +104,10 @@ impl AtomicRng {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&self) -> u64 {
+        // ORDERING: Relaxed — one owning thread, and the state publishes no
+        // other memory; the atomic only makes the record holding it `Sync`.
         let x = xorshift_step(self.state.load(Ordering::Relaxed));
+        // ORDERING: Relaxed; see the load.
         self.state.store(x, Ordering::Relaxed);
         x.wrapping_mul(XORSHIFT_MULT)
     }
