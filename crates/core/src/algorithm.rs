@@ -12,9 +12,9 @@ pub enum Algorithm {
     HuntEtAl,
     /// Bounded-range skip list of bins with a delete bin.
     SkipList,
-    /// Array of MCS-locked bins, scanned.
+    /// Array of locked bins, scanned.
     SimpleLinear,
-    /// Tree of MCS-locked counters over locked bins.
+    /// Tree of locked counters over locked bins.
     SimpleTree,
     /// Array of combining-funnel stacks, scanned.
     LinearFunnels,

@@ -130,10 +130,10 @@ pub enum PqConfig {
     HuntEtAl(HuntConfig),
     /// Bounded-range skip list of bins.
     SkipList(SkipListConfig),
-    /// Array of MCS-locked bins (LIFO; FIFO through
+    /// Array of locked bins (LIFO; FIFO through
     /// [`crate::SimpleLinearPq::with_order`]).
     SimpleLinear,
-    /// Tree of MCS-locked counters over locked bins (LIFO; FIFO through
+    /// Tree of locked counters over locked bins (LIFO; FIFO through
     /// [`crate::SimpleTreePq::with_order`]).
     SimpleTree,
     /// Array of combining-funnel stacks.

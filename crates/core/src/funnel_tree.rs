@@ -12,8 +12,9 @@ use crate::counter_tree::CounterTree;
 use crate::obs::{NoopRecorder, Recorder};
 
 /// How many levels from the root use combining-funnel counters; deeper,
-/// lower-traffic counters fall back to MCS locks (paper: "only for counters
-/// at the top four levels of the tree").
+/// lower-traffic counters fall back to locked counters (paper: "only for
+/// counters at the top four levels of the tree"; its lock is MCS, the
+/// native one TTAS).
 pub const DEFAULT_FUNNEL_LEVELS: usize = 4;
 
 /// Tree of counters whose top levels are combining funnels (with bounded

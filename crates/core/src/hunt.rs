@@ -12,7 +12,8 @@
 
 use std::sync::Arc;
 
-use funnelpq_sync::{McsMutex, TtasMutex};
+use funnelpq_sync::{SinkRef, TtasMutex};
+use funnelpq_util::CachePadded;
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
@@ -72,7 +73,14 @@ fn bit_reversed_position(s: usize) -> usize {
 /// ```
 pub struct HuntPq<T, R: Recorder = NoopRecorder> {
     /// Guards `size`; held only while reserving/releasing a position.
-    size: McsMutex<usize>,
+    /// Padded as a whole lock: every operation takes it.
+    size: CachePadded<TtasMutex<usize>>,
+    /// Where the size lock's acquisitions are reported.
+    sink: Option<SinkRef>,
+    /// Debug builds: per thread, whether it has an item placed and not at
+    /// rest (Gruber's one pending insert per thread, 1509.07053).
+    #[cfg(debug_assertions)]
+    pending: Vec<std::sync::atomic::AtomicBool>,
     /// Heap nodes, 1-based; `nodes[0]` unused.
     nodes: Vec<TtasMutex<Node<T>>>,
     capacity: usize,
@@ -126,9 +134,11 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
                 })
             })
             .collect();
-        let sink = recorder.sink();
         HuntPq {
-            size: McsMutex::with_sink(0, sink),
+            size: CachePadded::new(TtasMutex::new(0)),
+            sink: recorder.sink(),
+            #[cfg(debug_assertions)]
+            pending: (0..max_threads).map(|_| Default::default()).collect(),
             nodes,
             capacity,
             num_priorities,
@@ -219,8 +229,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         }
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
             let mut saved: Vec<(usize, T)> = Vec::new();
-            {
-                let mut size = self.size.lock();
+            self.size.lock_noting(self.sink.as_ref(), |size| {
                 let m = k.min(*size);
                 saved.reserve(m);
                 for _ in 0..m {
@@ -230,7 +239,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
                     saved.push(bg.entry.take().expect("bottom node occupied"));
                     bg.tag = Tag::Empty;
                 }
-            }
+            });
             saved.sort_unstable_by_key(|e| e.0);
             let mut dq: std::collections::VecDeque<(usize, T)> = saved.into();
             let mut taken = 0;
@@ -300,7 +309,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     }
 
     fn is_empty(&self) -> bool {
-        *self.size.lock() == 0
+        self.size.lock_noting(self.sink.as_ref(), |size| *size == 0)
     }
 }
 
@@ -309,24 +318,40 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
     /// back in the error.
     #[inline]
     fn file(&self, tid: usize, pri: usize, item: T) -> Result<(), PqError<T>> {
+        let i = self.place(tid, pri, item)?;
+        self.bubble_up(tid, i);
+        Ok(())
+    }
+
+    /// Puts `(pri, item)` at the next bottom position, tagged
+    /// `Owned(tid)`, and returns the position.
+    #[inline]
+    fn place(&self, tid: usize, pri: usize, item: T) -> Result<usize, PqError<T>> {
         // Reserve a position under the size lock; lock the target node
         // before releasing it so a racing delete of the same position
         // blocks until our item is in place.
-        let i;
-        {
-            let mut size = self.size.lock();
+        let reserved = self.size.lock_noting(self.sink.as_ref(), |size| {
             if *size >= self.capacity {
-                return Err(PqError::CapacityExhausted { item });
+                return None;
             }
             *size += 1;
-            i = bit_reversed_position(*size);
-            let mut node = self.nodes[i].lock();
-            drop(size);
-            node.entry = Some((pri, item));
-            node.tag = Tag::Owned(tid);
-        }
-        self.bubble_up(tid, i);
-        Ok(())
+            let i = bit_reversed_position(*size);
+            Some((i, self.nodes[i].lock()))
+        });
+        let Some((i, mut node)) = reserved else {
+            return Err(PqError::CapacityExhausted { item });
+        };
+        // A bubble waits on parents other threads own: a thread owning two
+        // items could wait on one while another thread waits on it.
+        // ORDERING: Relaxed; only thread `tid` touches its flag.
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            !self.pending[tid].swap(true, std::sync::atomic::Ordering::Relaxed),
+            "thread {tid} placed a second pending insert"
+        );
+        node.entry = Some((pri, item));
+        node.tag = Tag::Owned(tid);
+        Ok(i)
     }
 
     /// Bubbles the item a thread just placed (tagged `Owned(tid)`) at
@@ -370,6 +395,9 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
                 root.tag = Tag::Available;
             }
         }
+        // ORDERING: as in `place`.
+        #[cfg(debug_assertions)]
+        self.pending[tid].store(false, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Sifts the just-installed root entry down to its resting place,
@@ -422,19 +450,17 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
 
     fn delete_min_inner(&self) -> Option<(usize, T)> {
         // Detach the bit-reversed last item.
-        let saved: (usize, T);
-        {
-            let mut size = self.size.lock();
+        let mut bg = self.size.lock_noting(self.sink.as_ref(), |size| {
             if *size == 0 {
                 return None;
             }
             let bottom = bit_reversed_position(*size);
             *size -= 1;
-            let mut bg = self.nodes[bottom].lock();
-            drop(size);
-            saved = bg.entry.take().expect("bottom node occupied");
-            bg.tag = Tag::Empty;
-        }
+            Some(self.nodes[bottom].lock())
+        })?;
+        let saved = bg.entry.take().expect("bottom node occupied");
+        bg.tag = Tag::Empty;
+        drop(bg);
         // Replace the root item with the detached one and sift down.
         let mut ig = self.nodes[1].lock();
         if ig.tag == Tag::Empty {
@@ -544,6 +570,45 @@ mod tests {
         assert_eq!(q.delete_min_batch(0, 10, &mut out), 1, "stops when dry");
         assert_eq!(out[0].0, 25);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn two_batch_inserters_each_keep_one_insert_pending() {
+        // Debug builds assert the rule on every placement; two threads
+        // filing overlapping batches meet on the same parents.
+        let q = HuntPq::with_capacity(64, 2, 4096);
+        let taken: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|tid| {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        for round in 0..200usize {
+                            let batch = (0..8)
+                                .map(|i| ((round * 7 + i * 13 + tid) % 64, i))
+                                .collect();
+                            q.insert_batch(tid, batch).unwrap();
+                            q.delete_min_batch(tid, 8, &mut out);
+                        }
+                        out.len()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let mut rest = Vec::new();
+        q.delete_min_batch(0, usize::MAX, &mut rest);
+        assert_eq!(taken + rest.len(), 2 * 200 * 8);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "second pending insert")]
+    fn placing_twice_without_a_bubble_is_caught() {
+        let q = HuntPq::with_capacity(8, 1, 8);
+        let _ = q.place(0, 3, 3u64);
+        let _ = q.place(0, 1, 1u64);
     }
 
     #[test]

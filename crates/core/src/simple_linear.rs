@@ -8,7 +8,7 @@ use funnelpq_sync::{BinOrder, LockBin};
 use crate::bin_pq::{BinPq, Linear};
 use crate::obs::{NoopRecorder, Recorder};
 
-/// One MCS-locked bin per priority; `delete_min` scans bins smallest-first,
+/// One locked bin per priority; `delete_min` scans bins smallest-first,
 /// attempting removal from each non-empty bin it meets.
 ///
 /// Inserts touch only their own bin, so they are embarrassingly parallel;

@@ -1,5 +1,6 @@
-//! `SimpleTree` (paper Figure 3): tree of MCS-locked counters with
-//! lock-based bins at the leaves.
+//! `SimpleTree` (paper Figure 3): tree of locked counters with lock-based
+//! bins at the leaves. The paper's locks are MCS; natively they are TTAS
+//! (`funnelpq_sync::LockedCounter`, `LockBin`).
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use crate::bin_pq::BinPq;
 use crate::counter_tree::CounterTree;
 use crate::obs::{NoopRecorder, Recorder};
 
-/// Binary tree of counters (each an MCS-locked integer) over lock-based
+/// Binary tree of counters (each a locked integer) over lock-based
 /// bins: `delete_min` costs `O(log N)` counter operations, `insert` half
 /// that on average.
 ///

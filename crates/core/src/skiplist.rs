@@ -139,6 +139,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
     }
 
     fn forward_of(&self, idx: usize, level: usize) -> usize {
+        // ORDERING: Acquire, pairs with `set_forward`: following a link
+        // into a node shows the `forward` its splicer set first.
         if idx == HEAD {
             self.head_forward[level].load(Ordering::Acquire)
         } else {
@@ -147,6 +149,7 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
     }
 
     fn set_forward(&self, idx: usize, level: usize, to: usize) {
+        // ORDERING: Release, under `idx`'s lock; see `forward_of`.
         if idx == HEAD {
             self.head_forward[level].store(to, Ordering::Release);
         } else {
@@ -185,6 +188,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                 let _g = self.lock_of(pred).lock();
                 // Validate under the lock: pred must still be in the list
                 // and still our immediate predecessor at this level.
+                // ORDERING: Acquire, pairs with the Release stores of
+                // `state`; `pred`'s lock keeps it linked while we write.
                 if pred != HEAD && self.nodes[pred].state.load(Ordering::Acquire) != THREADED {
                     continue;
                 }
@@ -193,6 +198,7 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                     continue; // someone spliced in between; re-search
                 }
                 debug_assert_ne!(succ, pri, "node already threaded");
+                // ORDERING: Release; `set_forward` below publishes it too.
                 node.forward[level].store(succ, Ordering::Release);
                 self.set_forward(pred, level, pri);
                 break;
@@ -205,6 +211,9 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
     fn thread_node(&self, pri: usize) {
         let node = &self.nodes[pri];
         loop {
+            // ORDERING: AcqRel; Acquire pairs with `unlink`'s UNTHREADED
+            // (its detaching stores precede our splice), and a failed read
+            // of THREADED sees the links as the load below does.
             match node.state.compare_exchange(
                 UNTHREADED,
                 THREADING,
@@ -213,6 +222,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
             ) {
                 Ok(_) => {
                     self.splice(pri);
+                    // ORDERING: Release: whoever reads THREADED sees the
+                    // links `splice` stored.
                     node.state.store(THREADED, Ordering::Release);
                     return;
                 }
@@ -223,6 +234,7 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                     // keeps our item reachable either way). Yield so the
                     // in-flight thread can finish even on a single core.
                     std::thread::yield_now();
+                    // ORDERING: Acquire, pairs with the THREADED store.
                     if node.state.load(Ordering::Acquire) == THREADED {
                         return;
                     }
@@ -236,6 +248,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
         let node = &self.nodes[pri];
         // Wait out a concurrent splice, then claim the node.
         loop {
+            // ORDERING: AcqRel; Acquire pairs with the splicer's THREADED,
+            // so we detach the links it stored. A failure only retries.
             match node.state.compare_exchange(
                 THREADED,
                 UNLINKING,
@@ -249,6 +263,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
         // Publish the delete bin *before* detaching from the list: a
         // concurrent delete must never observe both an empty list head and
         // a stale delete bin while this node's items are in flight.
+        // ORDERING: Release, pairs with the deleters' Acquire loads;
+        // writers are serialised by `del_lock`, which we hold.
         self.del_bin.store(pri, Ordering::Release);
         for level in (0..node.height).rev() {
             loop {
@@ -256,6 +272,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                 let _pg = self.lock_of(pred).lock();
                 let _ng = node.lock.lock();
                 if self.forward_of(pred, level) == pri {
+                    // ORDERING: Acquire, pairs with `set_forward`; our lock
+                    // makes the value current.
                     let succ = node.forward[level].load(Ordering::Acquire);
                     self.set_forward(pred, level, succ);
                     break;
@@ -263,6 +281,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                 // Stale predecessor; retry.
             }
         }
+        // ORDERING: Release, pairs with `thread_node`'s claiming CAS: our
+        // detaching stores happen before a re-splice.
         node.state.store(UNTHREADED, Ordering::Release);
     }
 }
@@ -291,6 +311,10 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
             // the node is/becomes threaded or a delete-bin drain can reach
             // it.
             self.nodes[pri].bin.insert(item);
+            // ORDERING: Acquire, pairs with the THREADED store. Nothing
+            // orders it after the bin's `size` store, so it and an
+            // unlinker's UNTHREADED may miss each other; `del_bin` still
+            // reaches the item until the next advance re-reads `size`.
             if self.nodes[pri].state.load(Ordering::Acquire) != THREADED {
                 self.thread_node(pri);
             }
@@ -327,6 +351,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
                 self.nodes[pri]
                     .bin
                     .insert_many(std::iter::once(item).chain(run));
+                // ORDERING: as in `try_insert`.
                 if self.nodes[pri].state.load(Ordering::Acquire) != THREADED {
                     self.thread_node(pri);
                 }
@@ -348,6 +373,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
             let mut taken = 0;
             while taken < k {
+                // ORDERING: as in `delete_min_inner`.
                 let db = self.del_bin.load(Ordering::Acquire);
                 let first = self.head_forward[0].load(Ordering::Acquire);
                 let db_ok = db != NONE && !self.nodes[db].bin.is_empty();
@@ -372,6 +398,8 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
                 }
                 // Advance the delete bin to the list's first node.
                 if let Some(_g) = self.del_lock.try_lock() {
+                    // ORDERING: Acquire twice, as above; `del_lock` makes
+                    // `del_bin` current (the head may still gain a splice).
                     let first2 = self.head_forward[0].load(Ordering::Acquire);
                     if first2 == NONE {
                         continue;
@@ -382,6 +410,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
                     if old_db != NONE
                         && old_db != first2
                         && !self.nodes[old_db].bin.is_empty()
+                        // ORDERING: Acquire; `thread_node`'s CAS decides the race.
                         && self.nodes[old_db].state.load(Ordering::Acquire) == UNTHREADED
                     {
                         self.thread_node(old_db);
@@ -407,6 +436,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
 impl<T: Send, R: Recorder> SkipListPq<T, R> {
     fn delete_min_inner(&self) -> Option<(usize, T)> {
         loop {
+            // ORDERING: Acquire twice, pairing with `unlink`'s `del_bin`
+            // and `set_forward`'s head link. Not a snapshot: `unlink` moves
+            // `del_bin` first, so this order can pair a stale `del_bin`
+            // with a fresh head (ROADMAP item 2); read the other way round
+            // the head would carry its `del_bin` with it.
             let db = self.del_bin.load(Ordering::Acquire);
             let first = self.head_forward[0].load(Ordering::Acquire);
             let db_ok = db != NONE && !self.nodes[db].bin.is_empty();
@@ -428,6 +462,8 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
             }
             // Advance the delete bin to the list's first node.
             if let Some(_g) = self.del_lock.try_lock() {
+                // ORDERING: Acquire twice, as above; `del_lock` makes
+                // `del_bin` current (the head may still gain a splice).
                 let first2 = self.head_forward[0].load(Ordering::Acquire);
                 if first2 == NONE {
                     continue;
@@ -440,6 +476,7 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                 if old_db != NONE
                     && old_db != first2
                     && !self.nodes[old_db].bin.is_empty()
+                    // ORDERING: Acquire; `thread_node`'s CAS decides the race.
                     && self.nodes[old_db].state.load(Ordering::Acquire) == UNTHREADED
                 {
                     self.thread_node(old_db);

@@ -24,8 +24,9 @@
 //! [`OpKind::index`] op spans, `TAG_LOCK` a lock interval, `TAG_CAS`
 //! a CAS-retry burst — and `w1..w3` are tag-specific timestamps/counts on
 //! the [`mono_ns`] timeline. Lock intervals arrive via the substrate
-//! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release for a
-//! sink that [wants spans](EventSink::wants_lock_spans)); CAS bursts
+//! [`EventSink::lock_span`] hook (MCS and TTAS locks time
+//! wait→hold→release for a sink that
+//! [wants spans](EventSink::wants_lock_spans)); CAS bursts
 //! arrive via `event_n(CasRetry, n)`, which the substrate already batches
 //! per operation episode, so one record is one burst.
 
@@ -408,6 +409,45 @@ mod tests {
             } = l
             {
                 assert!(wait_start_ns <= acquired_ns && acquired_ns <= released_ns);
+            }
+        }
+    }
+
+    #[test]
+    fn bins_and_locked_counters_report_spans_too() {
+        // The bins and the locked counters sit on the TTAS lock, not on
+        // MCS: its noted path must hand the recorder the same spans, one
+        // per counted acquisition.
+        for algo in [Algorithm::SimpleLinear, Algorithm::SimpleTree] {
+            let rec = Arc::new(TracingRecorder::with_config(1, 1024));
+            let q = PqBuilder::new(algo, 8, 1)
+                .recorder(Arc::clone(&rec))
+                .build::<u64>();
+            q.insert(0, 5, 5);
+            q.insert(0, 1, 1);
+            assert_eq!(q.delete_min(0), Some((1, 1)));
+            let acquires = rec.snapshot().event(CounterEvent::LockAcquire);
+            let spans: Vec<_> = rec
+                .drain()
+                .into_iter()
+                .filter_map(|r| match r {
+                    TraceRecord::Lock {
+                        wait_start_ns,
+                        acquired_ns,
+                        released_ns,
+                        ..
+                    } => Some((wait_start_ns, acquired_ns, released_ns)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!spans.is_empty(), "{algo:?}: lock spans missing");
+            assert_eq!(
+                spans.len() as u64,
+                acquires,
+                "{algo:?}: a span per acquisition"
+            );
+            for (wait, acq, rel) in spans {
+                assert!(wait <= acq && acq <= rel, "{algo:?}: span out of order");
             }
         }
     }

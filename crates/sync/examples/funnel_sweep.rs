@@ -8,7 +8,10 @@
 //! `BinaryHeap` in one `McsMutex`, alternating push / pop, once through
 //! `lock()` guards (`heap/lock`: every operation is a FIFO hand-off) and
 //! once through `run` (`heap/run`: the holder runs its waiters' sections);
-//! and one `LockBin` (insert + delete), which uses guards.
+//! and the two TTAS-locked objects the bounded-range queues are built
+//! from: one `LockBin` (`bin`: insert + delete) and one `LockedCounter`
+//! (`counter/locked`: alternating inc/dec, as the trees' root counter sees
+//! it).
 //!
 //! `cargo run --release -p funnelpq-sync --example funnel_sweep -- [window_ms]`
 
@@ -18,7 +21,8 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use funnelpq_sync::{
-    Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, McsMutex, SharedCounter,
+    Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, LockedCounter, McsMutex,
+    SharedCounter,
 };
 
 const MAX_T: usize = 8;
@@ -33,6 +37,16 @@ fn heap_step(heap: &mut BinaryHeap<u64>, i: u64) {
         heap.push(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % HEAP_ITEMS);
     } else {
         std::hint::black_box(heap.pop());
+    }
+}
+
+/// One step of a hot counter: threads alternate inc and dec out of phase,
+/// so reversing operations meet.
+fn counter_step(c: &impl SharedCounter, tid: usize, i: u64) {
+    if (i + tid as u64).is_multiple_of(2) {
+        std::hint::black_box(c.fetch_inc(tid));
+    } else {
+        std::hint::black_box(c.fetch_dec(tid));
     }
 }
 
@@ -75,7 +89,7 @@ fn row(object: &str, threads: usize, (counts, busy): (Vec<u64>, Duration)) {
     let total: u64 = counts.iter().sum();
     let ns = busy.as_nanos() as f64;
     println!(
-        "{object:<9} T={threads}  {:>8.1} ns/op  {:>7.2} Mops  per-thread {counts:?}",
+        "{object:<14} T={threads}  {:>8.1} ns/op  {:>7.2} Mops  per-thread {counts:?}",
         threads as f64 * ns / total as f64,
         total as f64 * 1e3 / ns,
     );
@@ -93,13 +107,7 @@ fn main() {
     for threads in [1, 2, 4, 8] {
         let cfg = FunnelConfig::for_threads(MAX_T);
         let c = FunnelCounter::new(1 << 20, Bounds::non_negative(), cfg.clone());
-        let counts = drive(threads, window, |tid, i| {
-            if (i + tid as u64).is_multiple_of(2) {
-                std::hint::black_box(c.fetch_inc(tid));
-            } else {
-                std::hint::black_box(c.fetch_dec(tid));
-            }
-        });
+        let counts = drive(threads, window, |tid, i| counter_step(&c, tid, i));
         row("counter", threads, counts);
         let s: FunnelStack<u64> = FunnelStack::new(cfg);
         let counts = drive(threads, window, |tid, i| {
@@ -118,5 +126,8 @@ fn main() {
             std::hint::black_box(bin.delete());
         });
         row("bin", threads, counts);
+        let c = LockedCounter::new(1 << 20, Bounds::non_negative());
+        let counts = drive(threads, window, |tid, i| counter_step(&c, tid, i));
+        row("counter/locked", threads, counts);
     }
 }

@@ -11,8 +11,13 @@
 //!   holds the lock runs the sections queued behind it (a bounded number,
 //!   in queue order) instead of handing the lock from thread to thread,
 //!   so the protected data stays in one cache. Both kinds of waiter share
-//!   one queue;
-//! * [`TtasMutex`] — a centralized test-and-test-and-set baseline lock;
+//!   one queue. Natively only SingleLock's heap sits on it, through `run`;
+//! * [`TtasMutex`] — a centralized test-and-test-and-set lock, the native
+//!   lock of bins, locked counters and HuntEtAl's heap: on a host with a
+//!   handful of cores it hands a short section over faster than a FIFO
+//!   queue, and it does not collapse when threads outnumber cores.
+//!   [`TtasMutex::lock_noting`] reports acquisitions and spans as an MCS
+//!   lock does;
 //! * [`LockBin`] — the paper's Figure-1 bin (lock + pool + one-read
 //!   emptiness test);
 //! * [`CasCounter`] / [`LockedCounter`] — non-combining shared counters;

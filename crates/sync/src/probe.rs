@@ -40,7 +40,8 @@ pub enum CounterEvent {
     /// Funnel adaption narrowed its layer slice, shallowed its traversal
     /// preference or shortened its collision wait.
     AdaptShrink,
-    /// A lock was acquired (MCS queue locks and the funnel stack's central
+    /// A lock was acquired (MCS queue locks, the TTAS locks of bins,
+    /// locked counters and HuntEtAl's size, and the funnel stack's central
     /// lock) — one per critical section, whoever runs it: a
     /// [`crate::McsMutex::run`] whose section the lock's holder executes
     /// still counts once, on the caller's side.
@@ -145,7 +146,7 @@ impl std::fmt::Display for CounterEvent {
 ///
 /// What a sink costs a lock acquisition depends on what it asks for. A
 /// counting sink (the default) costs one [`EventSink::event`] call, made
-/// before the thread queues for the lock, and no clock reads. A sink that
+/// before the thread waits for the lock, and no clock reads. A sink that
 /// returns `true` from [`EventSink::wants_lock_spans`] also gets one
 /// [`EventSink::lock_span`] per acquisition and pays three
 /// [`funnelpq_util::mono_ns`] reads for it, two of them — the acquire and
@@ -164,9 +165,11 @@ pub trait EventSink: Send + Sync {
         self.event_n(event, 1);
     }
 
-    /// Whether this sink consumes [`EventSink::lock_span`]. Locks ask once,
-    /// at construction, and time their acquisitions only for a sink that
-    /// says yes; a sink that overrides `lock_span` must override this too.
+    /// Whether this sink consumes [`EventSink::lock_span`]. MCS locks ask
+    /// once, at construction, TTAS locks on each noted acquisition; either
+    /// times its acquisitions only for a sink that says yes, so the answer
+    /// must not change. A sink that overrides `lock_span` must override
+    /// this too.
     fn wants_lock_spans(&self) -> bool {
         false
     }
@@ -188,6 +191,12 @@ pub trait EventSink: Send + Sync {
 
 /// Shared handle to an event sink, as stored by instrumented structures.
 pub type SinkRef = Arc<dyn EventSink>;
+
+impl std::fmt::Debug for dyn EventSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("EventSink")
+    }
+}
 
 #[cfg(test)]
 pub(crate) mod tests {
