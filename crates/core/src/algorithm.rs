@@ -6,7 +6,7 @@ use crate::traits::Consistency;
 /// Which of the paper's algorithms to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Heap under one MCS lock.
+    /// Heap under one lock (the paper's MCS; natively TTAS).
     SingleLock,
     /// Hunt et al. concurrent heap.
     HuntEtAl,

@@ -124,7 +124,7 @@ impl Default for NumaConfig {
 /// than a runtime error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PqConfig {
-    /// Heap under one MCS lock; no knobs.
+    /// Heap under one lock (the paper's MCS; natively TTAS); no knobs.
     SingleLock,
     /// Hunt et al. concurrent heap.
     HuntEtAl(HuntConfig),

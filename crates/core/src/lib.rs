@@ -12,7 +12,7 @@
 //!
 //! | Type | Paper name | Structure | Consistency |
 //! |------|-----------|-----------|-------------|
-//! | [`SingleLockPq`] | SingleLock | heap + one MCS lock | linearizable |
+//! | [`SingleLockPq`] | SingleLock | heap + one lock | linearizable |
 //! | [`HuntPq`] | HuntEtAl | heap, per-node locks, bit-reversal | quiescent |
 //! | [`SkipListPq`] | SkipList | skip list of bins + delete bin | quiescent |
 //! | [`SimpleLinearPq`] | SimpleLinear | array of locked bins | linearizable |

@@ -236,6 +236,9 @@ struct OpShard {
 impl OpShard {
     /// One operation, timed.
     fn record(&self, nanos: u64) {
+        // ORDERING: Relaxed ×4 — statistics that publish no other memory;
+        // each add is atomic, so no count is lost, and a snapshot taken
+        // mid-record may see some of the four and not the others.
         self.count.fetch_add(1, Ordering::Relaxed);
         self.timed.fetch_add(1, Ordering::Relaxed);
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -263,6 +266,7 @@ struct BatchShard {
 
 impl BatchShard {
     fn record(&self, size: u64) {
+        // ORDERING: Relaxed ×3 — as in `OpShard::record`.
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_items.fetch_add(size, Ordering::Relaxed);
         self.size_buckets[batch_bucket_of(size)].fetch_add(1, Ordering::Relaxed);
@@ -311,6 +315,8 @@ pub(crate) fn shard_index(n_shards: usize) -> usize {
     IDX.with(|c| {
         let mut v = c.get();
         if v == usize::MAX {
+            // ORDERING: Relaxed — the add only hands out indices round-
+            // robin and publishes nothing.
             v = NEXT.fetch_add(1, Ordering::Relaxed);
             c.set(v);
         }
@@ -384,6 +390,9 @@ impl AtomicRecorder {
     }
 
     /// Sums every shard into an owned, plain-data snapshot.
+    // ORDERING: every load here is Relaxed. The counters publish no other
+    // memory, and a snapshot is a statistic, not a consistent cut: an
+    // operation in flight may show in one counter and not yet in another.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in self.shards.iter() {
@@ -420,6 +429,7 @@ impl Recorder for AtomicRecorder {
     const ENABLED: bool = true;
 
     fn record_event_n(&self, event: CounterEvent, n: u64) {
+        // ORDERING: Relaxed — a statistic; see `snapshot`.
         self.shard().events[event.index()].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -427,6 +437,10 @@ impl Recorder for AtomicRecorder {
     fn begin_op(&self, kind: OpKind) -> bool {
         let shard = self.shard();
         let op = shard.op(kind);
+        // ORDERING: Relaxed load and stores on `skip`, a sampling hint:
+        // threads sharing a shard may lose a decrement (see `OpShard`),
+        // which moves a sample and never a count; the `count` add is a
+        // statistic like the rest.
         match op.skip.load(Ordering::Relaxed) {
             0 => {
                 let gap = MEAN_GAP / 2 + shard.rng.below(MEAN_GAP);

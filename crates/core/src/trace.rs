@@ -24,7 +24,7 @@
 //! [`OpKind::index`] op spans, `TAG_LOCK` a lock interval, `TAG_CAS`
 //! a CAS-retry burst — and `w1..w3` are tag-specific timestamps/counts on
 //! the [`mono_ns`] timeline. Lock intervals arrive via the substrate
-//! [`EventSink::lock_span`] hook (MCS and TTAS locks time
+//! [`EventSink::lock_span`] hook (the TTAS locks time
 //! wait→hold→release for a sink that
 //! [wants spans](EventSink::wants_lock_spans)); CAS bursts
 //! arrive via `event_n(CasRetry, n)`, which the substrate already batches
@@ -399,7 +399,7 @@ mod tests {
             .into_iter()
             .filter(|r| matches!(r, TraceRecord::Lock { .. }))
             .collect();
-        assert!(!locks.is_empty(), "MCS lock spans missing");
+        assert!(!locks.is_empty(), "lock spans missing");
         for l in locks {
             if let TraceRecord::Lock {
                 wait_start_ns,

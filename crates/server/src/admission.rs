@@ -1,7 +1,10 @@
 //! Admission control: per-tenant quotas plus a global in-flight cap.
 //!
 //! Counters are optimistic `fetch_add` / check / undo so the admit path is
-//! two uncontended RMWs in the common case and never takes a lock. Each
+//! two uncontended RMWs in the common case and never takes a lock. A
+//! counter already at its limit is refused on a plain load, so submitters
+//! spinning against a full server read the lines the dispatcher's release
+//! writes instead of taking them away from it. Each
 //! counter sits on its own cache line ([`CachePadded`]) — under hot-tenant
 //! skew the hot tenant's counter would otherwise false-share with its
 //! neighbours — and so do the tallies only submitters write, away from the
@@ -21,6 +24,21 @@ use funnelpq_util::CachePadded;
 
 use crate::error::AdmitError;
 use crate::job::Job;
+
+/// Takes one of `limit` slots on `counter`, or leaves it as it was.
+fn reserve(counter: &AtomicUsize, limit: usize) -> bool {
+    // ORDERING: Relaxed load, add and undo; the check that admits is on the
+    // RMW's own return value (module docs), the load only skips an RMW that
+    // would be undone.
+    if counter.load(Ordering::Relaxed) >= limit {
+        return false;
+    }
+    if counter.fetch_add(1, Ordering::Relaxed) >= limit {
+        counter.fetch_sub(1, Ordering::Relaxed);
+        return false;
+    }
+    true
+}
 
 /// Per-tenant quota + global capacity gate in front of the shard queues.
 #[derive(Debug)]
@@ -64,10 +82,7 @@ impl Admission {
                 job,
             });
         };
-        // ORDERING: Relaxed add and undo, here and on `global` below; the
-        // check is on the RMW's own return value (module docs).
-        if per_tenant.fetch_add(1, Ordering::Relaxed) >= self.quota {
-            per_tenant.fetch_sub(1, Ordering::Relaxed);
+        if !reserve(per_tenant, self.quota) {
             // ORDERING: Relaxed, a statistic (as are the other two tallies).
             self.tallies.rejected_quota.fetch_add(1, Ordering::Relaxed);
             return Err(AdmitError::TenantQuota {
@@ -76,8 +91,8 @@ impl Admission {
                 job,
             });
         }
-        if self.global.fetch_add(1, Ordering::Relaxed) >= self.capacity {
-            self.global.fetch_sub(1, Ordering::Relaxed);
+        if !reserve(&self.global, self.capacity) {
+            // ORDERING: Relaxed, the undo of the tenant's reservation.
             per_tenant.fetch_sub(1, Ordering::Relaxed);
             self.tallies
                 .rejected_capacity

@@ -474,7 +474,7 @@ impl<R: Recorder> Scheduler<R> {
                 return Err(ServerError::NoHealthyShard { job: stamp(0) });
             }
         };
-        // ORDERING: Acquire; partner is the AcqRel `fetch_add` in `dispatch`.
+        // ORDERING: Acquire; partner is the Release store in `dispatch`.
         // Only the value is used — a reading of the virtual service clock,
         // monotone by coherence alone — so this is stronger than it needs.
         let job = stamp(shard.dispatched.load(Ordering::Acquire));
@@ -1060,10 +1060,16 @@ impl<R: Recorder> DispatcherCtx<R> {
         state: &mut EpisodeState,
         t: &mut ShardTelemetry,
     ) -> u64 {
-        // ORDERING: AcqRel; partners are the Acquire loads that stamp
+        // This thread is the clock's only writer, so a load and a store
+        // advance it: unlike a locked RMW, the store does not stall the
+        // dispatcher while the line comes back from the submitter that
+        // last read it.
+        // ORDERING: Relaxed load of this thread's own last store; Release
+        // store, whose partners are the Acquire loads that stamp
         // `enqueued_slot`. The clock publishes no data: only its value is
         // read, so this is stronger than it needs.
-        let pre = self.shard.dispatched.fetch_add(1, Ordering::AcqRel);
+        let pre = self.shard.dispatched.load(Ordering::Relaxed);
+        self.shard.dispatched.store(pre + 1, Ordering::Release);
         report.dispatched += 1;
         let now = self.now_ns();
         let latency = now.saturating_sub(job.enqueued_ns);

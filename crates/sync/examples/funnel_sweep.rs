@@ -5,13 +5,13 @@
 //! wait for partners shows only in the last column.
 //!
 //! Then the queue lock, two ways from the same build: a 16 384-entry
-//! `BinaryHeap` in one `McsMutex`, alternating push / pop, once through
-//! `lock()` guards (`heap/lock`: every operation is a FIFO hand-off) and
-//! once through `run` (`heap/run`: the holder runs its waiters' sections);
-//! and the two TTAS-locked objects the bounded-range queues are built
-//! from: one `LockBin` (`bin`: insert + delete) and one `LockedCounter`
-//! (`counter/locked`: alternating inc/dec, as the trees' root counter sees
-//! it).
+//! `BinaryHeap`, alternating push / pop, once in an `McsMutex` (`heap/lock`:
+//! every operation is a FIFO hand-off, the paper's SingleLock) and once in
+//! a `TtasMutex` with flag and heap on separate lines (`heap/ttas`: the
+//! native SingleLock); and the two TTAS-locked objects the bounded-range
+//! queues are built from: one `LockBin` (`bin`: insert + delete) and one
+//! `LockedCounter` (`counter/locked`: alternating inc/dec, as the trees'
+//! root counter sees it).
 //!
 //! `cargo run --release -p funnelpq-sync --example funnel_sweep -- [window_ms]`
 
@@ -22,8 +22,9 @@ use std::time::{Duration, Instant};
 
 use funnelpq_sync::{
     Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, LockedCounter, McsMutex,
-    SharedCounter,
+    SharedCounter, TtasMutex,
 };
+use funnelpq_util::CachePadded;
 
 const MAX_T: usize = 8;
 
@@ -118,8 +119,9 @@ fn main() {
         let heap = McsMutex::new((0..HEAP_ITEMS).collect::<BinaryHeap<u64>>());
         let counts = drive(threads, window, |_, i| heap_step(&mut heap.lock(), i));
         row("heap/lock", threads, counts);
-        let counts = drive(threads, window, |_, i| heap.run(|h| heap_step(h, i)));
-        row("heap/run", threads, counts);
+        let heap = TtasMutex::new(CachePadded::new(heap.into_inner()));
+        let counts = drive(threads, window, |_, i| heap_step(&mut heap.lock(), i));
+        row("heap/ttas", threads, counts);
         let bin: LockBin<u64> = LockBin::new();
         let counts = drive(threads, window, |_, i| {
             bin.insert(i);

@@ -5,19 +5,15 @@
 //! Concurrent Priority Queue Algorithms* (PODC 1999):
 //!
 //! * [`McsLock`] / [`McsMutex`] — the Mellor-Crummey & Scott queue lock the
-//!   paper uses for bins and low-traffic counters. Besides guards
-//!   (`lock`, `try_lock`) the mutex has [`McsMutex::run`], which takes the
-//!   critical section as a closure: under contention the thread that
-//!   holds the lock runs the sections queued behind it (a bounded number,
-//!   in queue order) instead of handing the lock from thread to thread,
-//!   so the protected data stays in one cache. Both kinds of waiter share
-//!   one queue. Natively only SingleLock's heap sits on it, through `run`;
+//!   paper uses for bins and low-traffic counters. Natively no queue sits
+//!   on it any more (the simulated twins keep it); it stays for the
+//!   ledger's `sync.mcs.*` rows and `funnel_sweep`'s `heap/lock` row;
 //! * [`TtasMutex`] — a centralized test-and-test-and-set lock, the native
-//!   lock of bins, locked counters and HuntEtAl's heap: on a host with a
-//!   handful of cores it hands a short section over faster than a FIFO
-//!   queue, and it does not collapse when threads outnumber cores.
-//!   [`TtasMutex::lock_noting`] reports acquisitions and spans as an MCS
-//!   lock does;
+//!   lock of every queue: SingleLock's heap, bins, locked counters,
+//!   HuntEtAl and SkipList. On a host with a handful of cores it hands a
+//!   short section over faster than a FIFO queue, and it does not collapse
+//!   when threads outnumber cores. [`TtasMutex::lock_noting`] reports
+//!   acquisitions and spans to a sink;
 //! * [`LockBin`] — the paper's Figure-1 bin (lock + pool + one-read
 //!   emptiness test);
 //! * [`CasCounter`] / [`LockedCounter`] — non-combining shared counters;

@@ -40,11 +40,9 @@ pub enum CounterEvent {
     /// Funnel adaption narrowed its layer slice, shallowed its traversal
     /// preference or shortened its collision wait.
     AdaptShrink,
-    /// A lock was acquired (MCS queue locks, the TTAS locks of bins,
+    /// A lock was acquired (the TTAS locks of SingleLock's heap, bins,
     /// locked counters and HuntEtAl's size, and the funnel stack's central
-    /// lock) — one per critical section, whoever runs it: a
-    /// [`crate::McsMutex::run`] whose section the lock's holder executes
-    /// still counts once, on the caller's side.
+    /// lock) — one per critical section.
     LockAcquire,
     /// A queue-level `delete_min` found nothing to return.
     EmptyDeleteMin,
@@ -165,11 +163,10 @@ pub trait EventSink: Send + Sync {
         self.event_n(event, 1);
     }
 
-    /// Whether this sink consumes [`EventSink::lock_span`]. MCS locks ask
-    /// once, at construction, TTAS locks on each noted acquisition; either
-    /// times its acquisitions only for a sink that says yes, so the answer
-    /// must not change. A sink that overrides `lock_span` must override
-    /// this too.
+    /// Whether this sink consumes [`EventSink::lock_span`]. A noting lock
+    /// ([`crate::TtasMutex::lock_noting`]) asks on each acquisition and
+    /// times it only for a sink that says yes. A sink that overrides
+    /// `lock_span` must override this too.
     fn wants_lock_spans(&self) -> bool {
         false
     }
@@ -180,10 +177,7 @@ pub trait EventSink: Send + Sync {
     /// `acquired - wait_start` and hold time `released - acquired`.
     ///
     /// Called only when [`EventSink::wants_lock_spans`] returned `true`,
-    /// after the lock has been handed off. For a [`crate::McsMutex::run`]
-    /// section that the lock's holder executed, the call comes from the
-    /// thread that owns the section, with `acquired_ns` / `released_ns`
-    /// the section's start and end as the executing thread read them.
+    /// after the lock has been released, from the thread that held it.
     fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
         let _ = (wait_start_ns, acquired_ns, released_ns);
     }

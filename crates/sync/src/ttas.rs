@@ -2,8 +2,9 @@
 //!
 //! The classic centralized spin lock: cheap when uncontended, a hot spot
 //! when many processors want it. With a handful of cores it hands a short
-//! section over faster than [`crate::McsLock`]'s FIFO queue, so the native
-//! bins, locked counters, HuntEtAl and SkipList sit on it.
+//! section over faster than [`crate::McsLock`]'s FIFO queue, so every
+//! native queue lock sits on it: SingleLock's heap, the bins, the locked
+//! counters, HuntEtAl and SkipList.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +18,11 @@ use crate::probe::{CounterEvent, SinkRef};
 /// The flag sits inline beside the data, as in `std::sync::Mutex`, so a
 /// `TtasMutex<()>` is one byte and a lock costs its data no cache line of
 /// its own. A holder of a contended singleton lock that needs the flag
-/// isolated pads the whole lock (`CachePadded<TtasMutex<_>>`).
+/// isolated pads the whole lock (`CachePadded<TtasMutex<_>>`); one whose
+/// holder writes its data many times per hold pads the data instead
+/// (`TtasMutex<CachePadded<_>>`), which puts flag and data on lines of
+/// their own, so a waiter's polls do not pull the data's line away from
+/// the holder mid-hold.
 ///
 /// # Examples
 ///
@@ -64,8 +69,8 @@ impl<T> TtasMutex<T> {
         }
     }
 
-    /// `f(&mut self.lock())`, reporting the acquisition to `sink` as an
-    /// MCS lock does: one [`CounterEvent::LockAcquire`], and a wait → hold
+    /// `f(&mut self.lock())`, reporting the acquisition to `sink`: one
+    /// [`CounterEvent::LockAcquire`], and a wait → hold
     /// → release span if the sink
     /// [wants them](crate::probe::EventSink::wants_lock_spans). The lock's
     /// holder keeps the sink, so the flag stays one byte.

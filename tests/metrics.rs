@@ -219,6 +219,26 @@ fn single_lock_lock_acquisitions_are_exact() {
     assert_eq!(snap.event(CounterEvent::LockAcquire), 21);
     assert_eq!(snap.event(CounterEvent::EmptyDeleteMin), 1);
     assert_eq!(snap.delete_min.count, 11);
+    // The rest of the API takes the lock once per call as well: both
+    // batches (with items and without), the fused replace, the probe.
+    let drain = |k| q.delete_min_batch(0, k, &mut Vec::new());
+    let calls: [(&str, &dyn Fn()); 5] = [
+        ("insert_batch", &|| {
+            q.insert_batch(0, vec![(5, 2), (1, 3), (4, 4)]).unwrap()
+        }),
+        ("replace_min", &|| {
+            assert_eq!(q.replace_min(0, 6, 5), Some((1, 3)))
+        }),
+        ("is_empty", &|| assert!(!q.is_empty())),
+        ("delete_min_batch", &|| assert_eq!(drain(8), 3)),
+        ("empty delete_min_batch", &|| assert_eq!(drain(8), 0)),
+    ];
+    for (name, call) in calls {
+        let before = rec.snapshot().event(CounterEvent::LockAcquire);
+        call();
+        let taken = rec.snapshot().event(CounterEvent::LockAcquire) - before;
+        assert_eq!(taken, 1, "{name} took the lock {taken} times");
+    }
 }
 
 /// Funnel algorithms under contention surface funnel-specific events; at
