@@ -23,6 +23,7 @@
 //! ([`EventSink`]); a queue wires its recorder's sink into its locks,
 //! counters and funnels at construction time.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -216,35 +217,11 @@ pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O 
 /// reads of a timed op come to ≈ 1 ns per op, and one second of a
 /// 250 k ops/s caller still yields ≈ 3 800 samples, enough for a p99; 16
 /// costs a MultiQueue ≈ 3 % more and 256 is no cheaper within noise
-/// (sweep in `EXPERIMENTS.md`, "Ledger rows: sampled op timing").
+/// (sweep in `EXPERIMENTS.md`, "Ledger rows: sampled op timing"). What the
+/// recorder costs beyond that is exact counting into owned shards: ≈ 1.2×
+/// a bare two-thread SingleLock and 1.1× a MultiQueue on the ledger
+/// (`core.obs.overhead_ratio.*`; "Ledger rows: owner-written recorder shards").
 const MEAN_GAP: u64 = 64;
-
-/// One operation kind's count and latency aggregate within a shard.
-#[derive(Debug, Default)]
-struct OpShard {
-    count: AtomicU64,
-    timed: AtomicU64,
-    total_nanos: AtomicU64,
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    /// Operations left to count untimed before the next sample; 0 in a
-    /// fresh shard, so its first operation is timed. Plain load/store:
-    /// threads sharing a shard may lose a decrement, which shifts a
-    /// sample by an op and never touches `count`.
-    skip: AtomicU64,
-}
-
-impl OpShard {
-    /// One operation, timed.
-    fn record(&self, nanos: u64) {
-        // ORDERING: Relaxed ×4 — statistics that publish no other memory;
-        // each add is atomic, so no count is lost, and a snapshot taken
-        // mid-record may see some of the four and not the others.
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.timed.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Log₂ bucket index of a nanosecond sample.
 fn bucket_of(nanos: u64) -> usize {
@@ -256,29 +233,41 @@ fn batch_bucket_of(size: u64) -> usize {
     ((64 - size.leading_zeros()) as usize).min(BATCH_BUCKETS - 1)
 }
 
-/// Batch-size aggregate within a shard.
-#[derive(Debug, Default)]
-struct BatchShard {
-    count: AtomicU64,
-    total_items: AtomicU64,
-    size_buckets: [AtomicU64; BATCH_BUCKETS],
-}
-
-impl BatchShard {
-    fn record(&self, size: u64) {
-        // ORDERING: Relaxed ×3 — as in `OpShard::record`.
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_items.fetch_add(size, Ordering::Relaxed);
-        self.size_buckets[batch_bucket_of(size)].fetch_add(1, Ordering::Relaxed);
+/// Adds `n` to `c`, a word of a shard this thread owns (`owned`) or of
+/// the shared shard.
+#[inline(always)]
+fn add(c: &AtomicU64, n: u64, owned: bool) {
+    if owned {
+        // ORDERING: Relaxed load and store — the owner is the word's only
+        // writer, so no write lands between them; see `snapshot`.
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    } else {
+        // ORDERING: Relaxed — sharers race, so the add is atomic; see `snapshot`.
+        c.fetch_add(n, Ordering::Relaxed);
     }
 }
 
+/// One writer's counters; a pair holds `insert`'s word, then
+/// `delete_min`'s. `repr(C)` keeps the words every counted operation writes
+/// (up to the event `EmptyDeleteMin`) in the first 128-byte line.
 #[derive(Debug)]
+#[repr(C)]
 struct Shard {
+    /// The [`thread_token`] of the thread that writes this shard, or 0
+    /// while unclaimed; set once, by the claiming CAS, and never cleared.
+    owner: AtomicUsize,
+    count: [AtomicU64; 2],
+    /// Operations left to count untimed before the next sample (0 at first,
+    /// so the first is timed). Exact in an owned shard, its owner its only
+    /// writer; sharers may lose a decrement, shifting a sample, not a count.
+    skip: [AtomicU64; 2],
     events: [AtomicU64; CounterEvent::COUNT],
-    insert: OpShard,
-    delete_min: OpShard,
-    batch: BatchShard,
+    timed: [AtomicU64; 2],
+    total_nanos: [AtomicU64; 2],
+    buckets: [[AtomicU64; LATENCY_BUCKETS]; 2],
+    batches: AtomicU64,
+    batch_items: AtomicU64,
+    batch_buckets: [AtomicU64; BATCH_BUCKETS],
     /// Draws the sampling gaps of both op kinds.
     rng: AtomicRng,
 }
@@ -286,50 +275,61 @@ struct Shard {
 impl Shard {
     fn new(seed: u64) -> Self {
         Shard {
+            owner: AtomicUsize::new(0),
+            count: Default::default(),
+            skip: Default::default(),
             events: Default::default(),
-            insert: OpShard::default(),
-            delete_min: OpShard::default(),
-            batch: BatchShard::default(),
+            timed: Default::default(),
+            total_nanos: Default::default(),
+            buckets: Default::default(),
+            batches: Default::default(),
+            batch_items: Default::default(),
+            batch_buckets: Default::default(),
             rng: AtomicRng::new(seed),
-        }
-    }
-
-    /// The aggregate `kind` lands in.
-    fn op(&self, kind: OpKind) -> &OpShard {
-        match kind.base() {
-            OpKind::Insert => &self.insert,
-            _ => &self.delete_min,
         }
     }
 }
 
-/// Dense per-thread shard index: assigned once per OS thread, round-robin.
-/// Locks inside the substrate do not know dense queue thread ids, so the
-/// recorder derives its own shard key; counts stay exact because shards are
-/// atomic and threads merely *prefer* distinct shards.
-pub(crate) fn shard_index(n_shards: usize) -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    IDX.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            // ORDERING: Relaxed — the add only hands out indices round-
-            // robin and publishes nothing.
-            v = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(v);
+/// A thread's token (0 until assigned), and the recorder it used last
+/// with its shard there.
+struct Slot {
+    token: Cell<usize>,
+    last: Cell<(u64, usize)>,
+}
+
+thread_local! {
+    static SLOT: Slot = const { Slot { token: Cell::new(0), last: Cell::new((0, 0)) } };
+}
+
+/// This thread's token: nonzero, never given to another thread. It marks
+/// the shards the thread owns and picks its home shard and trace ring.
+pub(crate) fn thread_token() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(1);
+    SLOT.with(|s| {
+        if s.token.get() == 0 {
+            // ORDERING: Relaxed — hands out distinct tokens, publishes nothing.
+            s.token.set(NEXT.fetch_add(1, Ordering::Relaxed));
         }
-        v % n_shards
+        s.token.get()
     })
 }
 
 /// A [`Recorder`] (and substrate [`EventSink`]) that aggregates counts and
-/// latency histograms in per-thread-sharded atomics, drained on demand into
-/// a [`MetricsSnapshot`].
+/// latency histograms in per-thread shards, drained on demand into a
+/// [`MetricsSnapshot`].
 ///
-/// Counts are exact: every event and every operation lands in exactly one
-/// shard's atomic, and [`AtomicRecorder::snapshot`] sums over all shards.
+/// Counts are exact because each shard word has one writer or takes
+/// atomic adds. A thread's first count claims it a shard, the first free
+/// one from its home (token modulo shard count) on, by a CAS on the owner
+/// word; the owner is then its only writer and bumps it with a plain load
+/// and store, which loses nothing. A thread that finds every shard claimed
+/// counts through the shared shard with atomic adds, and
+/// [`AtomicRecorder::snapshot`] sums them all. So until more threads than
+/// shards have touched a recorder, each owns a shard. A shard stays with
+/// its first owner for the recorder's life, even after that thread exits:
+/// churn costs speed, never counts, as every thread after the first
+/// `n_shards` pays a `lock`-prefixed add per word on the shared shard.
+///
 /// Operation *timing* is sampled: of the operations a queue runs through
 /// [`timed`], each thread times the first of each base kind and then about
 /// one in 64 (gaps redrawn at random, `insert` and `delete_min` counted
@@ -352,7 +352,10 @@ pub(crate) fn shard_index(n_shards: usize) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct AtomicRecorder {
+    /// The owned shards, then the shared one.
     shards: Box<[CachePadded<Shard>]>,
+    /// Tells a thread's [`Slot`] for this recorder from one for another.
+    id: u64,
 }
 
 impl Default for AtomicRecorder {
@@ -371,22 +374,52 @@ impl AtomicRecorder {
         Self::with_shards(n)
     }
 
-    /// Creates a recorder with an explicit shard count.
+    /// Creates a recorder with `n_shards` shards for threads to own, plus
+    /// the shared one.
     ///
     /// # Panics
     ///
     /// Panics if `n_shards` is zero.
     pub fn with_shards(n_shards: usize) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         assert!(n_shards > 0, "need at least one shard");
         AtomicRecorder {
-            shards: (0..n_shards)
+            shards: (0..=n_shards)
                 .map(|i| CachePadded::new(Shard::new(i as u64)))
                 .collect(),
+            // ORDERING: Relaxed — hands out distinct ids, publishes nothing.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
-    fn shard(&self) -> &Shard {
-        &self.shards[shard_index(self.shards.len())]
+    /// This thread's shard, and whether the thread owns it.
+    #[inline]
+    fn shard(&self) -> (&Shard, bool) {
+        let (recorder, i) = SLOT.with(|s| s.last.get());
+        let i = if recorder == self.id { i } else { self.claim() };
+        (&self.shards[i], i + 1 < self.shards.len())
+    }
+
+    /// This thread's shard when its [`Slot`] is another recorder's: the
+    /// first from its home on that it owns or can claim, else the shared one.
+    #[cold]
+    #[inline(never)]
+    fn claim(&self) -> usize {
+        use Ordering::Relaxed;
+        let (token, owned) = (thread_token(), self.shards.len() - 1);
+        // ORDERING: Relaxed — the CAS only picks one owner and publishes no
+        // memory; the load first keeps failing CASes off owned lines.
+        let shard = (0..owned)
+            .map(|k| (token + k) % owned)
+            .find(|&i| match self.shards[i].owner.load(Relaxed) {
+                0 => (self.shards[i].owner)
+                    .compare_exchange(0, token, Relaxed, Relaxed)
+                    .is_ok(),
+                owner => owner == token,
+            })
+            .unwrap_or(owned);
+        SLOT.with(|s| s.last.set((self.id, shard)));
+        shard
     }
 
     /// Sums every shard into an owned, plain-data snapshot.
@@ -395,30 +428,24 @@ impl AtomicRecorder {
     // operation in flight may show in one counter and not yet in another.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         for shard in self.shards.iter() {
             for (i, c) in shard.events.iter().enumerate() {
-                snap.events[i] += c.load(Ordering::Relaxed);
+                snap.events[i] += load(c);
             }
-            for (agg, src) in [
-                (&mut snap.insert, &shard.insert),
-                (&mut snap.delete_min, &shard.delete_min),
-            ] {
-                agg.count += src.count.load(Ordering::Relaxed);
-                agg.timed += src.timed.load(Ordering::Relaxed);
-                agg.total_nanos += src.total_nanos.load(Ordering::Relaxed);
-                for (b, s) in agg.buckets.iter_mut().zip(src.buckets.iter()) {
-                    *b += s.load(Ordering::Relaxed);
+            let aggs = [&mut snap.insert, &mut snap.delete_min];
+            for (k, agg) in aggs.into_iter().enumerate() {
+                agg.count += load(&shard.count[k]);
+                agg.timed += load(&shard.timed[k]);
+                agg.total_nanos += load(&shard.total_nanos[k]);
+                for (b, s) in agg.buckets.iter_mut().zip(&shard.buckets[k]) {
+                    *b += load(s);
                 }
             }
-            snap.batch.count += shard.batch.count.load(Ordering::Relaxed);
-            snap.batch.total_items += shard.batch.total_items.load(Ordering::Relaxed);
-            for (b, s) in snap
-                .batch
-                .size_buckets
-                .iter_mut()
-                .zip(shard.batch.size_buckets.iter())
-            {
-                *b += s.load(Ordering::Relaxed);
+            snap.batch.count += load(&shard.batches);
+            snap.batch.total_items += load(&shard.batch_items);
+            for (b, s) in snap.batch.size_buckets.iter_mut().zip(&shard.batch_buckets) {
+                *b += load(s);
             }
         }
         snap
@@ -429,38 +456,45 @@ impl Recorder for AtomicRecorder {
     const ENABLED: bool = true;
 
     fn record_event_n(&self, event: CounterEvent, n: u64) {
-        // ORDERING: Relaxed — a statistic; see `snapshot`.
-        self.shard().events[event.index()].fetch_add(n, Ordering::Relaxed);
+        let (shard, owned) = self.shard();
+        add(&shard.events[event.index()], n, owned);
     }
 
     #[inline]
     fn begin_op(&self, kind: OpKind) -> bool {
-        let shard = self.shard();
-        let op = shard.op(kind);
-        // ORDERING: Relaxed load and stores on `skip`, a sampling hint:
-        // threads sharing a shard may lose a decrement (see `OpShard`),
-        // which moves a sample and never a count; the `count` add is a
-        // statistic like the rest.
-        match op.skip.load(Ordering::Relaxed) {
+        let (shard, owned) = self.shard();
+        let k = kind.base().index();
+        // ORDERING: Relaxed load and store on `skip`: the owner's own word
+        // (see `add`), or in the shared shard a sampling hint that may
+        // lose a decrement (see `Shard::skip`).
+        match shard.skip[k].load(Ordering::Relaxed) {
             0 => {
                 let gap = MEAN_GAP / 2 + shard.rng.below(MEAN_GAP);
-                op.skip.store(gap, Ordering::Relaxed);
+                shard.skip[k].store(gap, Ordering::Relaxed);
                 true
             }
             left => {
-                op.skip.store(left - 1, Ordering::Relaxed);
-                op.count.fetch_add(1, Ordering::Relaxed);
+                shard.skip[k].store(left - 1, Ordering::Relaxed);
+                add(&shard.count[k], 1, owned);
                 false
             }
         }
     }
 
     fn record_op(&self, kind: OpKind, nanos: u64) {
-        self.shard().op(kind).record(nanos);
+        let (shard, owned) = self.shard();
+        let k = kind.base().index();
+        add(&shard.count[k], 1, owned);
+        add(&shard.timed[k], 1, owned);
+        add(&shard.total_nanos[k], nanos, owned);
+        add(&shard.buckets[k][bucket_of(nanos)], 1, owned);
     }
 
     fn record_batch(&self, size: u64) {
-        self.shard().batch.record(size);
+        let (shard, owned) = self.shard();
+        add(&shard.batches, 1, owned);
+        add(&shard.batch_items, size, owned);
+        add(&shard.batch_buckets[batch_bucket_of(size)], 1, owned);
     }
 
     fn sink(self: &Arc<Self>) -> Option<SinkRef> {
@@ -648,6 +682,16 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    impl AtomicRecorder {
+        /// Writes that went through the shared shard: its op and batch
+        /// counts plus its events.
+        fn shared_writes(&self) -> u64 {
+            let s = self.shards.last().unwrap();
+            let words = s.count.iter().chain(&s.events).chain([&s.batches]);
+            words.map(|c| c.load(Ordering::Relaxed)).sum()
+        }
+    }
+
     #[test]
     fn bucket_edges() {
         assert_eq!(bucket_of(0), 0);
@@ -777,5 +821,109 @@ mod tests {
         let rec = Arc::new(NoopRecorder);
         assert!(rec.sink().is_none());
         const { assert!(!NoopRecorder::ENABLED) }
+    }
+
+    #[test]
+    fn the_words_every_op_writes_share_the_first_line() {
+        use std::mem::offset_of;
+        assert_eq!(offset_of!(Shard, owner), 0);
+        let hot_end = offset_of!(Shard, events) + 8 * (CounterEvent::EmptyDeleteMin.index() + 1);
+        assert!(offset_of!(Shard, skip) < hot_end && hot_end <= 128);
+    }
+
+    /// One pqbench-shaped slice per round: the main thread prefills a
+    /// SingleLock queue through a fresh recorder, then two workers run
+    /// mixed operations on it.
+    #[test]
+    fn threads_up_to_the_shard_count_each_own_a_shard() {
+        use crate::{Algorithm, PqBuilder};
+        for round in 0..12u64 {
+            let rec = Arc::new(AtomicRecorder::with_shards(3));
+            let q = PqBuilder::new(Algorithm::SingleLock, 8, 3)
+                .recorder(Arc::clone(&rec))
+                .build::<u64>();
+            for i in 0..100 {
+                q.insert(0, (i % 8) as usize, i);
+            }
+            std::thread::scope(|s| {
+                for tid in 1..3 {
+                    let q = &q;
+                    s.spawn(move || {
+                        for i in 0..1_000 {
+                            q.insert(tid, (i % 8) as usize, i);
+                            q.delete_min(tid);
+                        }
+                    });
+                }
+            });
+            let snap = rec.snapshot();
+            assert_eq!(snap.total_ops(), 100 + 2 * 2_000, "round {round}");
+            assert_eq!(snap.event(CounterEvent::LockAcquire), snap.total_ops());
+            assert_eq!(rec.shared_writes(), 0, "round {round}: a thread shared");
+        }
+        // As many threads as shards, all at once.
+        let rec = AtomicRecorder::with_shards(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1_000 {
+                        timed(&rec, OpKind::Insert, || ());
+                        rec.record_event(CounterEvent::LockAcquire);
+                    }
+                });
+            }
+        });
+        assert_eq!(rec.snapshot().insert.count, 4_000);
+        assert_eq!(rec.shared_writes(), 0);
+    }
+
+    #[test]
+    fn threads_sharing_the_shared_shard_lose_no_count() {
+        const THREADS: u64 = 4;
+        const N: u64 = 1_000_000;
+        let rec = AtomicRecorder::with_shards(1);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..N {
+                        rec.record_event(CounterEvent::LockAcquire);
+                    }
+                });
+            }
+        });
+        assert_eq!(rec.snapshot().event(CounterEvent::LockAcquire), THREADS * N);
+        assert_eq!(rec.shared_writes(), (THREADS - 1) * N);
+    }
+
+    #[test]
+    fn a_thread_whose_home_owner_exited_still_counts_exactly() {
+        let count = |rec: &AtomicRecorder| {
+            for _ in 0..1_000 {
+                timed(rec, OpKind::DeleteMin, || ());
+                rec.record_event(CounterEvent::CasRetry);
+                record_batch_op(rec, 3);
+            }
+        };
+        // One shard: every thread's home is the first owner's.
+        let rec = AtomicRecorder::with_shards(1);
+        std::thread::scope(|s| s.spawn(|| count(&rec)).join().unwrap());
+        assert_eq!(rec.shared_writes(), 0);
+        std::thread::scope(|s| s.spawn(|| count(&rec)).join().unwrap());
+        let snap = rec.snapshot();
+        assert_eq!(snap.delete_min.count, 2_000);
+        assert_eq!(snap.event(CounterEvent::CasRetry), 2_000);
+        assert_eq!(snap.batch.total_items, 6_000);
+        // The latecomer counted through the shared shard: its ops, its two
+        // events per iteration and its batches.
+        assert_eq!(rec.shared_writes(), 4 * 1_000);
+        // Two shards: of two latecomers, one claims the free shard.
+        let rec = AtomicRecorder::with_shards(2);
+        for _ in 0..3 {
+            std::thread::scope(|s| s.spawn(|| count(&rec)).join().unwrap());
+        }
+        assert_eq!(rec.snapshot().delete_min.count, 3_000);
+        assert_eq!(rec.shared_writes(), 4 * 1_000);
     }
 }

@@ -36,7 +36,7 @@ use funnelpq_util::chrome::{Arg, ChromeTrace};
 use funnelpq_util::{mono_ns, SeqRing};
 
 use crate::obs::{
-    shard_index, AtomicRecorder, CounterEvent, EventSink, MetricsSnapshot, OpKind, Recorder,
+    thread_token, AtomicRecorder, CounterEvent, EventSink, MetricsSnapshot, OpKind, Recorder,
     SinkRef,
 };
 
@@ -50,7 +50,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// A decoded trace record, as returned by [`TracingRecorder::drain`].
 /// `ring` is the per-thread ring the record came from (threads map onto
-/// rings by the same dense index the recorder shards use).
+/// rings by the same token that picks their recorder shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceRecord {
     /// One queue operation span.
@@ -132,8 +132,8 @@ impl Default for TracingRecorder {
 }
 
 impl TracingRecorder {
-    /// One ring per hardware thread, [`DEFAULT_RING_CAPACITY`] records
-    /// each.
+    /// One ring per hardware thread (rounded up to a power of two),
+    /// [`DEFAULT_RING_CAPACITY`] records each.
     pub fn new() -> Self {
         let rings = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -142,9 +142,9 @@ impl TracingRecorder {
     }
 
     /// Explicit ring count and per-ring record capacity (both rounded up
-    /// to powers of two internally where required).
+    /// to powers of two internally).
     pub fn with_config(rings: usize, capacity: usize) -> Self {
-        let rings = rings.max(1);
+        let rings = rings.max(1).next_power_of_two();
         TracingRecorder {
             inner: AtomicRecorder::new(),
             rings: (0..rings).map(|_| SeqRing::new(capacity)).collect(),
@@ -152,7 +152,7 @@ impl TracingRecorder {
     }
 
     fn ring(&self) -> &SeqRing<4> {
-        &self.rings[shard_index(self.rings.len())]
+        &self.rings[thread_token() & (self.rings.len() - 1)]
     }
 
     /// Number of per-thread rings.

@@ -143,8 +143,8 @@ impl std::fmt::Display for CounterEvent {
 /// so implementations must be cheap and must not block.
 ///
 /// What a sink costs a lock acquisition depends on what it asks for. A
-/// counting sink (the default) costs one [`EventSink::event`] call, made
-/// before the thread waits for the lock, and no clock reads. A sink that
+/// counting sink (the default) costs one out-of-line call and one
+/// [`EventSink::event`] before the wait, and no clock reads. A sink that
 /// returns `true` from [`EventSink::wants_lock_spans`] also gets one
 /// [`EventSink::lock_span`] per acquisition and pays three
 /// [`funnelpq_util::mono_ns`] reads for it, two of them — the acquire and
@@ -153,7 +153,7 @@ impl std::fmt::Display for CounterEvent {
 ///
 /// Methods take no thread id — locks do not know their caller's dense id —
 /// so implementations that shard must derive a shard key themselves (the
-/// `funnelpq` `AtomicRecorder` uses a thread-local shard index).
+/// `funnelpq` `AtomicRecorder` keeps each thread's shard in a thread-local).
 pub trait EventSink: Send + Sync {
     /// Record `n` occurrences of `event`.
     fn event_n(&self, event: CounterEvent, n: u64);

@@ -73,25 +73,31 @@ impl<T> TtasMutex<T> {
     /// [`CounterEvent::LockAcquire`], and a wait → hold
     /// → release span if the sink
     /// [wants them](crate::probe::EventSink::wants_lock_spans). The lock's
-    /// holder keeps the sink, so the flag stays one byte.
+    /// holder keeps the sink, so the flag stays one byte. A counting sink
+    /// costs one out-of-line call and no clock read.
     #[inline]
     pub fn lock_noting<R>(&self, sink: Option<&SinkRef>, f: impl FnOnce(&mut T) -> R) -> R {
         match sink {
             None => f(&mut self.lock()),
-            Some(sink) => self.lock_noted(sink, f),
+            Some(sink) => {
+                std::hint::cold_path();
+                self.lock_noted(sink, f)
+            }
         }
     }
 
-    // Out-of-line so the sink-absent path pays only a not-taken branch.
-    // A counting sink reads no clock; the span is reported after the
-    // release, so the sink call never extends the critical section.
-    #[cold]
+    // Out of line, so the sink-absent path pays only a not-taken branch and
+    // a sinked one a single call: callers inline `lock_noting` as they would
+    // a bare `lock`. Not cold, so a counted section compiles as an uncounted
+    // one does; the span is reported after the release, so the sink call
+    // never extends the critical section.
     #[inline(never)]
     fn lock_noted<R>(&self, sink: &SinkRef, f: impl FnOnce(&mut T) -> R) -> R {
         sink.event(CounterEvent::LockAcquire);
         if !sink.wants_lock_spans() {
             return f(&mut self.lock());
         }
+        std::hint::cold_path();
         let wait = stamp();
         let mut g = self.lock();
         let acquired = stamp();
