@@ -8,10 +8,10 @@
 //! choice cache and the three episodes an operation is made of —
 //!
 //! * [`HeapArray::push`]: try-lock a drawn (or sticky) slot, redrawing on
-//!   contention, and run a closure on its heap;
+//!   contention, and run a closure on its queue;
 //! * [`HeapArray::pop`]: read two tops, try-lock the smaller, run a closure
-//!   on its heap; a heap that comes up empty under a stale top is repaired
-//!   and the pair redrawn;
+//!   on its queue; a queue that comes up empty under a stale top is
+//!   repaired and the pair redrawn;
 //! * [`HeapArray::sweep`]: blocking-lock every slot of a range in order —
 //!   the definitive fallback when a sampled pair looks empty.
 //!
@@ -21,6 +21,15 @@
 //! end adds is which range, what the closure does to the locked heap, and —
 //! for `NumaPq` — where a winning slot's episode is *routed*
 //! ([`HeapArray::pop_routed`]).
+//!
+//! A slot's queue is a [`BufferedHeap`]: a short sorted deletion buffer in
+//! front of a binary heap (*Engineering MultiQueues*). It is an exact
+//! sequential priority queue, so the draws, the stickiness and the rank
+//! error are the array's alone; what the buffer changes is the cost of an
+//! operation on the slot. Under load most inserts are short-lived items
+//! below the slot's buffered ones: they cost a few shifted entries in one
+//! small array instead of a sift up a deep heap whose path another core
+//! wrote last.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -36,26 +45,129 @@ use crate::obs::CounterEvent;
 pub(crate) const EMPTY_TOP: usize = usize::MAX;
 
 /// Operations a thread re-uses one queue choice for before redrawing
-/// (Williams, Sanders & Dementiev's stickiness). A constant, not a knob:
-/// nothing in the workspace ever ran another value, and 8 against a fresh
-/// draw every operation was 62 against 113 ns per insert/delete pair.
+/// (Williams, Sanders & Dementiev's stickiness). A constant, not a knob.
+/// Swept with the buffered slots on a 2-vCPU host (`native_mixed`, three
+/// runs each, EXPERIMENTS.md "Ledger rows: buffered heap-array slots"):
+/// `mops.MultiQueue` read 7.2–7.8 at 1, 11.3–12.8 at 8 and 16.3–17.9 at
+/// 64, against a drain rank-error mean in the native audit of about 5, 50
+/// and — at 64, every run — past the audit's bound of 600 of the 800 items
+/// held. A fresh draw every operation gives the buffer's gain back; 64
+/// returns nearly arbitrary items.
 const STICKINESS: u32 = 8;
 
-/// One sequential heap plus its published minimum. Padded by the array so
+/// Most entries a slot's deletion buffer holds. At stickiness 8, with no
+/// rank-error or delay mean apart: 8 read `mops.MultiQueue` 10–12 % below
+/// 16; 32 read it 4–6 % above (8 of 9 pairs) but `native_mixed`
+/// `ops_per_s` level, `mops.NumaPq` 1.6 % and `setup_s` 2.5–4 % worse,
+/// for twice the memory.
+const BUFFER: usize = 16;
+
+/// A slot's sequential priority queue: a sorted deletion buffer of at most
+/// [`BUFFER`] entries in front of a binary heap.
+///
+/// Every buffered entry is at most every heap entry, and the buffer is
+/// empty only when the heap is; so the buffer's front is the minimum, a pop
+/// takes it, and the whole is one exact priority queue. An insert below
+/// the buffer's largest entry goes into the buffer at its sorted place
+/// (after its equals), the largest moving to the heap if the buffer
+/// overflows. An insert at or above it goes to the heap — except that while
+/// the heap is empty, a buffer with room takes it as its new largest entry.
+/// A pop that empties the buffer refills it from the heap. Among equal
+/// priorities the order differs from a bare heap's; no priority does.
+#[derive(Debug)]
+pub(crate) struct BufferedHeap<T> {
+    /// Descending by priority: the front (a minimum) is the last entry,
+    /// so a pop is `Vec::pop`.
+    buf: Vec<(usize, T)>,
+    heap: BinaryHeap<T>,
+}
+
+impl<T> BufferedHeap<T> {
+    fn new() -> Self {
+        BufferedHeap {
+            buf: Vec::with_capacity(BUFFER),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Number of stored entries.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.buf.len() + self.heap.len()
+    }
+
+    /// True when no entries are stored.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Smallest stored priority, if any.
+    fn peek_priority(&self) -> Option<usize> {
+        self.buf.last().map(|e| e.0)
+    }
+
+    /// Inserts an item under a priority.
+    #[inline]
+    pub(crate) fn push(&mut self, pri: usize, item: T) {
+        match self.buf.first() {
+            Some(&(largest, _)) if pri < largest => {
+                // Below its equals, so it pops after them.
+                let at = self.buf.partition_point(|e| e.0 > pri);
+                if self.buf.len() == BUFFER {
+                    // The largest leaves for the heap; the entries above
+                    // `pri` move down into its place.
+                    self.buf[..at].rotate_left(1);
+                    let (pri, item) = std::mem::replace(&mut self.buf[at - 1], (pri, item));
+                    self.heap.push(pri, item);
+                } else {
+                    self.buf.insert(at, (pri, item));
+                }
+            }
+            _ if self.heap.is_empty() && self.buf.len() < BUFFER => {
+                self.buf.insert(0, (pri, item));
+            }
+            _ => self.heap.push(pri, item),
+        }
+    }
+
+    /// Removes and returns a smallest-priority entry.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(usize, T)> {
+        let out = self.buf.pop()?;
+        if self.buf.is_empty() {
+            self.buf
+                .extend(std::iter::from_fn(|| self.heap.pop()).take(BUFFER));
+            self.buf.reverse();
+        }
+        Some(out)
+    }
+
+    /// Pop then push: returns a smallest entry held before `(pri, item)`
+    /// was filed, or `None` when there was none (the new entry is still
+    /// filed) — [`BinaryHeap::replace_min`]'s contract.
+    pub(crate) fn replace_min(&mut self, pri: usize, item: T) -> Option<(usize, T)> {
+        let out = self.pop();
+        self.push(pri, item);
+        out
+    }
+}
+
+/// One sequential queue plus its published minimum. Padded by the array so
 /// two threads working distinct slots never share a line — the entire point
 /// of the algorithm.
 #[derive(Debug)]
 struct Slot<T> {
-    /// Smallest priority in `heap`, or [`EMPTY_TOP`]; written only while
+    /// Smallest priority in `heap` (its buffer's front), or [`EMPTY_TOP`];
+    /// written only while
     /// holding the lock, read locklessly by the sampler.
     top: AtomicUsize,
-    heap: TtasMutex<BinaryHeap<T>>,
+    heap: TtasMutex<BufferedHeap<T>>,
 }
 
 impl<T> Slot<T> {
     /// Publishes `heap`'s minimum for the lockless sampler. `heap` is this
     /// slot's, borrowed out of its guard — so the lock is held.
-    fn publish_top(&self, heap: &BinaryHeap<T>) {
+    fn publish_top(&self, heap: &BufferedHeap<T>) {
         // ORDERING: Release, pairs with the samplers' Acquire loads: a
         // sampler that sees this top sees a value some holder really left
         // behind. Nothing *depends* on it — the heap is read under the lock
@@ -114,7 +226,7 @@ impl Sticky {
 /// delete's take from a locked winner. `None` when the heap gave nothing —
 /// a stale top, which [`HeapArray::pop_routed`] answers with a redraw.
 pub(crate) fn pop_many<T>(
-    heap: &mut BinaryHeap<T>,
+    heap: &mut BufferedHeap<T>,
     k: usize,
     out: &mut Vec<(usize, T)>,
 ) -> Option<usize> {
@@ -148,7 +260,7 @@ impl<T> HeapArray<T> {
             .map(|_| {
                 CachePadded::new(Slot {
                     top: AtomicUsize::new(EMPTY_TOP),
-                    heap: TtasMutex::new(BinaryHeap::new()),
+                    heap: TtasMutex::new(BufferedHeap::new()),
                 })
             })
             .collect();
@@ -200,7 +312,7 @@ impl<T> HeapArray<T> {
         rng: &AtomicRng,
         sticky: Option<&Sticky>,
         note: &impl Fn(CounterEvent),
-        f: impl FnOnce(&mut BinaryHeap<T>),
+        f: impl FnOnce(&mut BufferedHeap<T>),
     ) -> usize {
         let (q, was_cached, mut heap) = loop {
             let cached = sticky.and_then(Sticky::cached);
@@ -235,7 +347,7 @@ impl<T> HeapArray<T> {
         rng: &AtomicRng,
         sticky: Option<&Sticky>,
         note: &impl Fn(CounterEvent),
-        f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+        f: impl FnMut(usize, &mut BufferedHeap<T>) -> Option<R>,
     ) -> Option<R> {
         self.pop_routed(range, rng, sticky, note, |_| Route::Lock, f)
     }
@@ -262,7 +374,7 @@ impl<T> HeapArray<T> {
         sticky: Option<&Sticky>,
         note: &impl Fn(CounterEvent),
         mut route: impl FnMut(usize) -> Route<R>,
-        mut f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+        mut f: impl FnMut(usize, &mut BufferedHeap<T>) -> Option<R>,
     ) -> Option<R> {
         loop {
             let cached = sticky.and_then(Sticky::cached);
@@ -319,7 +431,7 @@ impl<T> HeapArray<T> {
         &self,
         range: Range<usize>,
         note: &impl Fn(CounterEvent),
-        mut f: impl FnMut(usize, &mut BinaryHeap<T>) -> Option<R>,
+        mut f: impl FnMut(usize, &mut BufferedHeap<T>) -> Option<R>,
     ) -> Option<R> {
         for q in range {
             let slot = &*self.slots[q];
@@ -340,6 +452,139 @@ mod tests {
     use super::*;
 
     fn quiet(_: CounterEvent) {}
+
+    /// The container's shape: a sorted buffer of at most [`BUFFER`]
+    /// entries, none above any heap entry, empty only with the heap.
+    fn assert_shape<T>(h: &BufferedHeap<T>, what: &str) {
+        assert!(h.buf.len() <= BUFFER, "{what}: buffer over-full");
+        assert!(
+            h.buf
+                .iter()
+                .zip(h.buf.iter().skip(1))
+                .all(|(a, b)| a.0 >= b.0),
+            "{what}: buffer unsorted"
+        );
+        match (h.buf.first(), h.heap.peek_priority()) {
+            (Some(&(last, _)), Some(root)) => {
+                assert!(last <= root, "{what}: buffered {last} above heap {root}")
+            }
+            (None, Some(_)) => panic!("{what}: empty buffer over a non-empty heap"),
+            _ => {}
+        }
+    }
+
+    /// Random push / pop / `replace_min` / `pop_many` sequences on one
+    /// slot against a sorted multiset, in fill and drain phases long enough
+    /// to overflow the buffer and refill it many times. Every pop returns a
+    /// minimum, and the length, the published top and the shape agree with
+    /// the model after every operation.
+    #[test]
+    fn a_slot_is_an_exact_priority_queue() {
+        use funnelpq_util::XorShift64Star;
+        use std::collections::BTreeMap;
+
+        /// How the shapes draw a priority: uniform over a range (a range of
+        /// one is all-equal), or strictly descending.
+        #[derive(Debug, Clone, Copy)]
+        enum Pris {
+            Below(u64),
+            Descending,
+        }
+        for (shape, seed) in [
+            (Pris::Below(1), 1),
+            (Pris::Below(3), 2),
+            (Pris::Below(32), 3),
+            (Pris::Below(1 << 20), 4),
+            (Pris::Descending, 5),
+        ] {
+            let heaps: HeapArray<usize> = HeapArray::new(1);
+            let slot = &*heaps.slots[0];
+            let mut rng = XorShift64Star::new(seed);
+            let mut model: BTreeMap<usize, usize> = BTreeMap::new();
+            let mut next_desc = usize::MAX / 2;
+            let mut pri = |rng: &mut XorShift64Star| match shape {
+                Pris::Below(n) => rng.below(n) as usize,
+                Pris::Descending => {
+                    next_desc -= 1;
+                    next_desc
+                }
+            };
+            // Removes the model's minimum and checks a popped entry
+            // against it; items carry their own priority.
+            let take = |model: &mut BTreeMap<usize, usize>, got: Option<(usize, usize)>| {
+                let want = model.first_key_value().map(|(&p, _)| p);
+                assert_eq!(got.map(|e| e.0), want, "{shape:?}: not a minimum");
+                if let Some((p, item)) = got {
+                    assert_eq!(p, item, "{shape:?}: entry torn");
+                    let n = model.get_mut(&p).expect("a held priority");
+                    *n -= 1;
+                    if *n == 0 {
+                        model.remove(&p);
+                    }
+                }
+            };
+            let mut out = Vec::new();
+            for step in 0..6_000 {
+                let filling = (step / 100) % 2 == 0;
+                let mut h = slot.heap.lock();
+                match (filling, rng.below(10)) {
+                    (true, 0..=5) | (false, 0) => {
+                        let p = pri(&mut rng);
+                        h.push(p, p);
+                        *model.entry(p).or_default() += 1;
+                    }
+                    (true, 6..=7) | (false, 1..=5) => take(&mut model, h.pop()),
+                    (_, 8) => {
+                        let p = pri(&mut rng);
+                        take(&mut model, h.replace_min(p, p));
+                        *model.entry(p).or_default() += 1;
+                    }
+                    _ => {
+                        out.clear();
+                        let k = 1 + rng.below(2 * BUFFER as u64 + 8) as usize;
+                        let held = h.len();
+                        let n = pop_many(&mut h, k, &mut out).unwrap_or(0);
+                        assert_eq!(n, k.min(held), "{shape:?}: pop_many stopped short");
+                        for &e in &out {
+                            take(&mut model, Some(e));
+                        }
+                    }
+                }
+                slot.publish_top(&h);
+                assert_shape(&h, &format!("{shape:?} step {step}"));
+                assert_eq!(h.len(), model.values().sum::<usize>(), "{shape:?}: len");
+                let top = model.first_key_value().map_or(EMPTY_TOP, |(&p, _)| p);
+                assert_eq!(slot.top.load(Ordering::Relaxed), top, "{shape:?}: top");
+            }
+        }
+    }
+
+    #[test]
+    fn the_buffer_takes_what_the_heap_cannot_hold_smaller() {
+        let mut h = BufferedHeap::new();
+        // Ascending into an empty heap: the buffer fills first.
+        for p in 0..BUFFER + 2 {
+            h.push(p, ());
+        }
+        assert_eq!((h.buf.len(), h.heap.len()), (BUFFER, 2));
+        // At or above the buffer's largest: the heap.
+        h.push(BUFFER - 1, ());
+        assert_eq!((h.buf.len(), h.heap.len()), (BUFFER, 3));
+        // Below it: the buffer, its largest overflowing to the heap.
+        h.push(0, ());
+        assert_eq!((h.buf.len(), h.heap.len()), (BUFFER, 4));
+        assert_eq!(
+            h.buf.iter().rev().map(|e| e.0).take(2).collect::<Vec<_>>(),
+            [0, 0]
+        );
+        assert_shape(&h, "after overflow");
+        // Draining the buffer refills it from the heap in one go.
+        for _ in 0..BUFFER {
+            h.pop();
+        }
+        assert_eq!((h.buf.len(), h.heap.len()), (4, 0));
+        assert_shape(&h, "after refill");
+    }
 
     #[test]
     fn two_choice_prefers_the_smaller_top() {

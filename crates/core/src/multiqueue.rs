@@ -16,8 +16,7 @@ use std::sync::Arc;
 use funnelpq_util::{AtomicRng, CachePadded};
 
 use crate::algorithm::Algorithm;
-use crate::heap::BinaryHeap;
-use crate::heap_array::{pop_many, HeapArray, Sticky, EMPTY_TOP};
+use crate::heap_array::{pop_many, BufferedHeap, HeapArray, Sticky, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::traits::{
     check_batch, check_insert, reject, BoundedPq, Consistency, PqBatchError, PqError,
@@ -39,7 +38,8 @@ struct ThreadCtx {
     del: Sticky,
 }
 
-/// The relaxed MultiQueue: `c·T` binary heaps, each under a test-and-set
+/// The relaxed MultiQueue: `c·T` sequential queues (each a short sorted
+/// deletion buffer in front of a binary heap), each under a test-and-set
 /// try-lock, with power-of-two-choices delete-min and sticky queue reuse.
 ///
 /// `insert` picks a random heap (re-drawing if its lock is held);
@@ -156,7 +156,7 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
     /// heap under one try-lock — one CAS, one top publication, however many
     /// pushes.
     #[inline]
-    fn push_with(&self, tid: usize, file: impl FnOnce(&mut BinaryHeap<T>)) {
+    fn push_with(&self, tid: usize, file: impl FnOnce(&mut BufferedHeap<T>)) {
         let t = &*self.threads[tid];
         self.heaps
             .push(self.heaps.all(), &t.rng, Some(&t.ins), &self.note(), file);
@@ -169,7 +169,7 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
     fn pop_sampled<O>(
         &self,
         tid: usize,
-        mut take: impl FnMut(&mut BinaryHeap<T>) -> Option<O>,
+        mut take: impl FnMut(&mut BufferedHeap<T>) -> Option<O>,
     ) -> Option<O> {
         let t = &*self.threads[tid];
         self.heaps.pop(
@@ -213,7 +213,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
     fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.pop_sampled(tid, BinaryHeap::pop)
+            self.pop_sampled(tid, BufferedHeap::pop)
                 .or_else(|| self.sweep())
         });
         if R::ENABLED && out.is_none() {

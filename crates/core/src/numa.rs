@@ -55,8 +55,7 @@ use funnelpq_util::{AtomicRng, CachePadded};
 use crate::adaptive::{AdaptiveCtl, AdaptiveStats, NumaMode, Tally};
 use crate::algorithm::Algorithm;
 use crate::config::NumaConfig;
-use crate::heap::BinaryHeap;
-use crate::heap_array::{pop_many, HeapArray, Route, EMPTY_TOP};
+use crate::heap_array::{pop_many, BufferedHeap, HeapArray, Route, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::topology::Topology;
 use crate::traits::{
@@ -417,7 +416,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     /// drawn from the caller's own partition in delegation mode (zero
     /// remote traffic), from anywhere — with a remote episode charged — in
     /// oblivious mode.
-    fn push_with(&self, tid: usize, file: impl FnOnce(&mut BinaryHeap<T>)) {
+    fn push_with(&self, tid: usize, file: impl FnOnce(&mut BufferedHeap<T>)) {
         let my_node = self.topo.node_of_tid(tid);
         let oblivious = self.ctl.mode() == NumaMode::Oblivious;
         let range = if oblivious {
@@ -441,7 +440,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     fn delete_episode<O>(
         &self,
         tid: usize,
-        mut take: impl FnMut(&mut BinaryHeap<T>) -> Option<O>,
+        mut take: impl FnMut(&mut BufferedHeap<T>) -> Option<O>,
     ) -> (Option<Took<O, T>>, Option<bool>) {
         let my_node = self.topo.node_of_tid(tid);
         let rng = &self.threads[tid].rng;
@@ -472,11 +471,11 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             // are repaired; redraw globally.
             out.map_or(Route::Redraw, |e| Route::Served(Took::One(e)))
         };
-        let locked = |_, h: &mut BinaryHeap<T>| {
+        let locked = |_, h: &mut BufferedHeap<T>| {
             self.charged(tid, take(h), || winner_remote.get())
                 .map(Took::Locked)
         };
-        let swept = |q, h: &mut BinaryHeap<T>| {
+        let swept = |q, h: &mut BufferedHeap<T>| {
             self.charged(tid, h.pop(), || self.is_remote(q, my_node))
                 .map(Took::One)
         };
@@ -530,7 +529,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     fn delete_min(&self, tid: usize) -> Option<(usize, T)> {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let (out, remote_win) = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.delete_episode(tid, BinaryHeap::pop)
+            self.delete_episode(tid, BufferedHeap::pop)
         });
         let out = out.map(Took::item);
         self.finish_op(tid, remote_win);
@@ -608,7 +607,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         }
         let mut remote_win = None;
         let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
-            let (removed, win) = self.delete_episode(tid, BinaryHeap::pop);
+            let (removed, win) = self.delete_episode(tid, BufferedHeap::pop);
             remote_win = win;
             self.push_with(tid, |h| h.push(pri, item));
             removed.map(Took::item)

@@ -155,7 +155,7 @@ impl SimMultiQueue {
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
+            let ok = self.heaps.slot(q).push(ctx, pri, item).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             if ok {
@@ -179,7 +179,7 @@ impl SimMultiQueue {
             ctx.work(costs::LOOP_ITER).await;
             self.heaps.lock_blocking(ctx, q).await;
             let hold = ctx.span("lock-hold");
-            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
+            let ok = self.heaps.slot(q).push(ctx, pri, item).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             if ok {
@@ -217,7 +217,7 @@ impl SimMultiQueue {
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let got = self.heaps.heap(q).pop(ctx).await;
+            let got = self.heaps.slot(q).pop(ctx).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             match got {
@@ -272,7 +272,7 @@ impl SimMultiQueue {
             let hold = ctx.span("lock-hold");
             while next < sorted.len() {
                 let (pri, item) = sorted[next];
-                if !self.heaps.heap(q).push(ctx, pri, item).await {
+                if !self.heaps.slot(q).push(ctx, pri, item).await {
                     break;
                 }
                 next += 1;
@@ -341,7 +341,7 @@ impl SimMultiQueue {
             let hold = ctx.span("lock-hold");
             let before = taken;
             while taken < k {
-                match self.heaps.heap(q).pop(ctx).await {
+                match self.heaps.slot(q).pop(ctx).await {
                     Some(e) => {
                         out.push(e);
                         taken += 1;

@@ -303,7 +303,7 @@ impl SimNumaPq {
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
+            let ok = self.heaps.slot(q).push(ctx, pri, item).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             if ok {
@@ -321,7 +321,7 @@ impl SimNumaPq {
             ctx.work(costs::LOOP_ITER).await;
             self.heaps.lock_blocking(ctx, q).await;
             let hold = ctx.span("lock-hold");
-            let ok = self.heaps.heap(q).push(ctx, pri, item).await;
+            let ok = self.heaps.slot(q).push(ctx, pri, item).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             if ok {
@@ -400,7 +400,7 @@ impl SimNumaPq {
                 continue;
             }
             let hold = ctx.span("lock-hold");
-            let got = self.heaps.heap(q).pop(ctx).await;
+            let got = self.heaps.slot(q).pop(ctx).await;
             hold.end();
             self.heaps.unlock(ctx, q).await;
             match got {

@@ -242,6 +242,14 @@ pub struct AuditReport {
     /// this distribution against the full one shows what batching costs in
     /// ordering quality. Empty when the drain used single deletes only.
     pub rank_error_batched: Acc,
+    /// Per-item delay over the sequential drain (Williams, Sanders &
+    /// Dementiev's dual of rank error): for each item the drain returns,
+    /// the number of earlier drain deletes that returned a strictly larger
+    /// priority while this item was a *top* item — held, with no strictly
+    /// smaller priority held. Rank error asks how far from the minimum a
+    /// delete reached; delay asks how long a minimum waited. A sorted
+    /// drain scores 0 on both.
+    pub delay: Acc,
     /// Appendix-B windows whose deletes were checked (0 when the pass was
     /// skipped).
     pub windows_checked: u64,
@@ -635,11 +643,13 @@ pub fn audit_history(ops: &[OpRecord], scope: &AuditScope) -> Result<AuditReport
     // smaller priority — the items that were still queued and should have
     // come out first. Counted back-to-front.
     let mut later = Counts::new(&pris);
+    let mut drain: Vec<(u64, u64)> = Vec::new();
     for op in ops.iter().rev() {
         if op.phase != Phase::Drain || op.kind != OpKind::DeleteMin || !op.completed || op.empty {
             continue;
         }
         let rank = later.below(op.pri) as u64;
+        drain.push((op.pri, rank));
         report.rank_error.record(rank);
         if op.batched {
             report.rank_error_batched.record(rank);
@@ -655,6 +665,8 @@ pub fn audit_history(ops: &[OpRecord], scope: &AuditScope) -> Result<AuditReport
         }
         later.add(op.pri, 1);
     }
+    drain.reverse();
+    record_delays(&drain, &mut report.delay);
 
     if let Some(bound) = bound.filter(|_| scope.crashed.is_empty() && !scope.wedged) {
         report.windows_checked = check_windows(ops, bound, &pris)?;
@@ -686,6 +698,36 @@ pub fn audit_history(ops: &[OpRecord], scope: &AuditScope) -> Result<AuditReport
     }
 
     Ok(report)
+}
+
+/// Records the delay ([`AuditReport::delay`]) of every item of a
+/// sequential drain, given as `(pri, rank error)` per delete in drain
+/// order. While the drain runs, the items held are exactly those it has
+/// still to return. An item with rank error above 0 had a smaller one
+/// held until after it left, so it was never a top item: delay 0.
+/// Otherwise it was a top item from just after `l`, the last earlier
+/// delete of a strictly smaller priority, until it left at `k`: every
+/// delete strictly between the two returned a priority at least its own,
+/// and its delay is how many of them were not equal to it. One forward
+/// pass keeps a stack of strictly increasing priorities: popping what is
+/// not smaller than the current priority leaves `l` on top and meets the
+/// previous delete of the same priority past `l`, if any, whose count of
+/// equals carries over.
+fn record_delays(drain: &[(u64, u64)], delay: &mut Acc) {
+    // (position, priority, deletes of that priority since the last smaller).
+    let mut stack: Vec<(usize, u64, usize)> = Vec::new();
+    for (k, &(pri, rank)) in drain.iter().enumerate() {
+        let mut equal = 0;
+        while let Some(&(_, p, e)) = stack.last().filter(|s| s.1 >= pri) {
+            if p == pri {
+                equal = e + 1;
+            }
+            stack.pop();
+        }
+        let since = k - stack.last().map_or(0, |s| s.0 + 1);
+        stack.push((k, pri, equal));
+        delay.record(if rank == 0 { (since - equal) as u64 } else { 0 });
+    }
 }
 
 /// The Appendix-B pass (see the module docs): one sort by start stamp cuts
@@ -1071,6 +1113,61 @@ mod tests {
 
         // A bound at the max passes.
         assert!(audit_history(&drain, &relaxed(8, Some(2))).is_ok());
+    }
+
+    #[test]
+    fn delay_counts_larger_deletes_while_an_item_is_a_top_item() {
+        // Drain 2, 0, 1, 1, 3, 0. Rank errors: 4, 0, 1, 1, 1, 0. Delays:
+        // the first 0 is a top item from the start and waits out the 2
+        // (1); the last 0 is one too and waits out the 2, 1, 1 and 3 (4);
+        // the equal 0 between does not count. Every other item had a
+        // smaller one held until after it left (rank error > 0): 0.
+        let r = audit_history(
+            &inserted_then_deleted(&[2, 0, 1, 1, 3, 0], true),
+            &relaxed(8, None),
+        )
+        .unwrap();
+        assert_eq!((r.rank_error.count(), r.rank_error.sum()), (6, 7));
+        assert_eq!((r.delay.count(), r.delay.sum(), r.delay.max()), (6, 5, 4));
+
+        // A sorted drain, ties included, scores 0 on both.
+        let r = audit_history(
+            &inserted_then_deleted(&[1, 1, 2, 2, 5], true),
+            &relaxed(8, None),
+        )
+        .unwrap();
+        assert_eq!(
+            (r.rank_error.sum(), r.delay.count(), r.delay.sum()),
+            (0, 5, 0)
+        );
+
+        // Delay is not rank error summed another way: in the reversed
+        // drain 3, 2, 1 the rank errors are 2, 1, 0, but only the 1 was
+        // ever a top item, and it waited out two deletes.
+        let r = audit_history(&inserted_then_deleted(&[3, 2, 1], true), &relaxed(8, None)).unwrap();
+        assert_eq!((r.rank_error.sum(), r.rank_error.max()), (3, 2));
+        assert_eq!((r.delay.sum(), r.delay.max()), (2, 2));
+
+        // Deletes outside the drain are not scored.
+        let r = audit_history(&inserted_then_deleted(&[2, 0], false), &relaxed(8, None)).unwrap();
+        assert_eq!(r.delay.count(), 0);
+
+        // The stack pass against the definition, on random drains: item
+        // `k` waits out every earlier delete `i` of a larger priority
+        // while nothing smaller is held at `i` (the held are `i..`).
+        let mut rng = crate::XorShift64Star::new(37);
+        for _ in 0..200 {
+            let pris: Vec<u64> = (0..1 + rng.below(24)).map(|_| rng.below(5)).collect();
+            let want: u64 = (0..pris.len())
+                .map(|k| {
+                    (0..k)
+                        .filter(|&i| pris[i] > pris[k] && pris[i..].iter().all(|&p| p >= pris[k]))
+                        .count() as u64
+                })
+                .sum();
+            let r = audit_history(&inserted_then_deleted(&pris, true), &relaxed(8, None)).unwrap();
+            assert_eq!(r.delay.sum(), want, "{pris:?}");
+        }
     }
 
     #[test]

@@ -209,13 +209,17 @@ fn main() -> ExitCode {
                             }
                         }
                         let f = &run.fault_summary;
+                        let r = &run.report;
                         println!(
                             "ok   {algo:13} {plan_name:14} seed {seed:#010x}: {} cycles, \
-                             {} ins / {} del / {} empty, {} stalls, {} delayed, {} crashed{}",
+                             {} ins / {} del / {} empty, drain rank error mean {:.3} / \
+                             delay mean {:.3}, {} stalls, {} delayed, {} crashed{}",
                             run.result.total_cycles,
-                            run.report.inserts,
-                            run.report.deletes,
-                            run.report.empty_deletes,
+                            r.inserts,
+                            r.deletes,
+                            r.empty_deletes,
+                            r.rank_error.mean(),
+                            r.delay.mean(),
                             f.stalls,
                             f.events_delayed,
                             run.crashed.len(),
