@@ -11,7 +11,7 @@
 //! Two small deviations from the paper's pseudocode, both documented in
 //! DESIGN.md: `delete_min` prefers the list head when its priority beats
 //! the delete bin's (one extra shared read), and advancing the delete bin
-//! re-threads a non-empty previous bin — together these restore exact
+//! first re-threads a non-empty previous bin — together these restore exact
 //! min-ordering at quiescence, which the bare pseudocode lacks.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -314,7 +314,8 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
             // ORDERING: Acquire, pairs with the THREADED store. Nothing
             // orders it after the bin's `size` store, so it and an
             // unlinker's UNTHREADED may miss each other; `del_bin` still
-            // reaches the item until the next advance re-reads `size`.
+            // reaches the item, and the next advance reads the bin under
+            // its lock before it moves `del_bin` off it.
             if self.nodes[pri].state.load(Ordering::Acquire) != THREADED {
                 self.thread_node(pri);
             }
@@ -396,28 +397,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
                     taken += n;
                     continue;
                 }
-                // Advance the delete bin to the list's first node.
-                if let Some(_g) = self.del_lock.try_lock() {
-                    // ORDERING: Acquire twice, as above; `del_lock` makes
-                    // `del_bin` current (the head may still gain a splice).
-                    let first2 = self.head_forward[0].load(Ordering::Acquire);
-                    if first2 == NONE {
-                        continue;
-                    }
-                    let old_db = self.del_bin.load(Ordering::Acquire);
-                    self.unlink(first2);
-                    drop(_g);
-                    if old_db != NONE
-                        && old_db != first2
-                        && !self.nodes[old_db].bin.is_empty()
-                        // ORDERING: Acquire; `thread_node`'s CAS decides the race.
-                        && self.nodes[old_db].state.load(Ordering::Acquire) == UNTHREADED
-                    {
-                        self.thread_node(old_db);
-                    }
-                } else {
-                    std::thread::yield_now();
-                }
+                self.advance_delete_bin();
             }
             taken
         });
@@ -460,30 +440,47 @@ impl<T: Send, R: Recorder> SkipListPq<T, R> {
                 }
                 return None;
             }
-            // Advance the delete bin to the list's first node.
-            if let Some(_g) = self.del_lock.try_lock() {
-                // ORDERING: Acquire twice, as above; `del_lock` makes
-                // `del_bin` current (the head may still gain a splice).
-                let first2 = self.head_forward[0].load(Ordering::Acquire);
-                if first2 == NONE {
-                    continue;
-                }
-                let old_db = self.del_bin.load(Ordering::Acquire);
-                self.unlink(first2);
-                drop(_g);
-                // Re-thread a previous delete bin that still holds items
-                // (late inserts), so nothing becomes unreachable.
-                if old_db != NONE
-                    && old_db != first2
-                    && !self.nodes[old_db].bin.is_empty()
-                    // ORDERING: Acquire; `thread_node`'s CAS decides the race.
-                    && self.nodes[old_db].state.load(Ordering::Acquire) == UNTHREADED
-                {
-                    self.thread_node(old_db);
-                }
-            } else {
-                std::thread::yield_now();
-            }
+            self.advance_delete_bin();
+        }
+    }
+
+    /// Moves the delete bin to the list's first node, or yields to the
+    /// deleter already doing so; the caller re-reads and retries either way.
+    ///
+    /// A previous delete bin that still holds items (late inserts) and is
+    /// not THREADED is threaded first, under the delete lock, and the move
+    /// left to the retry: until its splice has linked it, its items are
+    /// reachable only through `del_bin`, so retargeting `del_bin` before
+    /// would hide them from every deleter in between. That holds for a node
+    /// an insert is still splicing (THREADING) as much as for an UNTHREADED
+    /// one; `thread_node` splices the one and waits out the other.
+    fn advance_delete_bin(&self) {
+        let Some(_g) = self.del_lock.try_lock() else {
+            std::thread::yield_now();
+            return;
+        };
+        // ORDERING: Acquire twice, as in `delete_min_inner`; `del_lock`
+        // makes `del_bin` current (the head may still gain a splice).
+        let first = self.head_forward[0].load(Ordering::Acquire);
+        if first == NONE {
+            return;
+        }
+        let old_db = self.del_bin.load(Ordering::Acquire);
+        // The bin is read under its lock: an insert's `state` load is not
+        // ordered after its bin store, so one that read THREADED just before
+        // this node was unlinked into `del_bin` may still have its item in
+        // flight to a lock-free read. Through the lock either its hold came
+        // first (the item shows) or it comes after, and then its `state`
+        // load sees the UNTHREADED of that unlink and it threads the node.
+        if old_db != NONE
+            && old_db != first
+            && !self.nodes[old_db].bin.is_empty_locked()
+            // ORDERING: Acquire; `thread_node`'s CAS decides the race.
+            && self.nodes[old_db].state.load(Ordering::Acquire) != THREADED
+        {
+            self.thread_node(old_db);
+        } else {
+            self.unlink(first);
         }
     }
 }

@@ -26,7 +26,7 @@ pub struct SimFunnelConfig {
 
 impl SimFunnelConfig {
     /// Parameters scaled to `procs` processors sharing the funnel — the
-    /// shape chosen by the preliminary tuning run (`bench/funnel_tuning`,
+    /// shape chosen by the preliminary tuning run (`pqsim --figure tuning`,
     /// mirroring the paper's high-concurrency calibration, scored across
     /// several workloads): two layers at widths P/4 and P/16, two
     /// collision attempts per layer, short capture-wait spins. Width and

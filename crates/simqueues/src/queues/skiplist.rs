@@ -228,6 +228,34 @@ impl SimSkipList {
         ctx.write(node.state, ST_UNTHREADED).await;
     }
 
+    /// Moves the delete bin to the list's first node, or waits a step for
+    /// the deleter already doing so; the caller re-reads and retries either
+    /// way. A previous delete bin that still holds items and is not
+    /// THREADED is threaded (or its splice waited out) first, under the
+    /// delete lock, and the move left to the retry (mirrors the native
+    /// `advance_delete_bin`, which reads the bin under its lock; the
+    /// simulated machine is sequentially consistent, so one read does).
+    async fn advance_delete_bin(&self, ctx: &ProcCtx) {
+        if ctx.cas(self.del_lock, 0, 1).await != 0 {
+            ctx.work(costs::FUNNEL_SPIN_STEP).await;
+            return;
+        }
+        let first = ctx.read(self.head_forward).await;
+        if first != NIL {
+            let old_db = ctx.read(self.del_bin).await;
+            let stale = old_db != NIL
+                && old_db != first
+                && !self.meta(old_db).bin.is_empty(ctx).await
+                && ctx.read(self.meta(old_db).state).await != ST_THREADED;
+            if stale {
+                self.thread_node(ctx, old_db).await;
+            } else {
+                self.unlink(ctx, first).await;
+            }
+        }
+        ctx.write(self.del_lock, 0).await;
+    }
+
     /// Inserts `(pri, item)`.
     ///
     /// # Panics
@@ -276,27 +304,7 @@ impl SimSkipList {
                 }
                 return None;
             }
-            // Advance the delete bin: try-acquire the delete lock.
-            if ctx.cas(self.del_lock, 0, 1).await == 0 {
-                let first2 = ctx.read(self.head_forward).await;
-                if first2 == NIL {
-                    ctx.write(self.del_lock, 0).await;
-                    continue;
-                }
-                let old_db = ctx.read(self.del_bin).await;
-                self.unlink(ctx, first2).await;
-                ctx.write(self.del_lock, 0).await;
-                if old_db != NIL && old_db != first2 {
-                    let stale = !self.meta(old_db).bin.is_empty(ctx).await
-                        && ctx.read(self.meta(old_db).state).await == ST_UNTHREADED;
-                    if stale {
-                        self.thread_node(ctx, old_db).await;
-                    }
-                }
-            } else {
-                // Someone else is advancing; let them finish.
-                ctx.work(costs::FUNNEL_SPIN_STEP).await;
-            }
+            self.advance_delete_bin(ctx).await;
         }
     }
 
@@ -380,27 +388,7 @@ impl SimSkipList {
                 }
                 continue;
             }
-            // Advance the delete bin: try-acquire the delete lock.
-            if ctx.cas(self.del_lock, 0, 1).await == 0 {
-                let first2 = ctx.read(self.head_forward).await;
-                if first2 == NIL {
-                    ctx.write(self.del_lock, 0).await;
-                    continue;
-                }
-                let old_db = ctx.read(self.del_bin).await;
-                self.unlink(ctx, first2).await;
-                ctx.write(self.del_lock, 0).await;
-                if old_db != NIL && old_db != first2 {
-                    let stale = !self.meta(old_db).bin.is_empty(ctx).await
-                        && ctx.read(self.meta(old_db).state).await == ST_UNTHREADED;
-                    if stale {
-                        self.thread_node(ctx, old_db).await;
-                    }
-                }
-            } else {
-                // Someone else is advancing; let them finish.
-                ctx.work(costs::FUNNEL_SPIN_STEP).await;
-            }
+            self.advance_delete_bin(ctx).await;
         }
         taken
     }

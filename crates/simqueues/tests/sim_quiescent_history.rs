@@ -114,7 +114,7 @@ fn flake_search(seeds: std::ops::Range<u64>) {
 }
 
 #[test]
-#[ignore = "the full flake search; minutes in release, and fails on the open SkipList seeds"]
+#[ignore = "the full flake search; minutes in release"]
 fn flake_search_10k_seeds() {
     flake_search(0..10_000);
 }
@@ -125,12 +125,12 @@ fn flake_search_first_200_seeds() {
     flake_search(0..200);
 }
 
-/// The smallest of the flake search's SkipList failures: a window opens
-/// with 403 items, the four smallest all at priority 7, and its four
-/// deletes return an 8 among them. The native SkipList flake ("returned
-/// priority p > bound p−1") has the same shape.
+/// The smallest of the flake search's old SkipList failures: a window
+/// opened with 403 items, the four smallest all at priority 7, and its four
+/// deletes returned an 8 among them, because the delete bin moved off a
+/// bin of 7s before that bin was re-threaded into the list. The native
+/// SkipList flake ("returned priority p > bound p−1") had the same shape.
 #[test]
-#[ignore = "reproduces the open SkipList Appendix-B failure"]
 fn skip_list_seed_8042_returns_an_8_over_held_7s() {
     if let Err(e) = audited_run(Algorithm::SkipList, 8042, false) {
         panic!("{e}");

@@ -4,11 +4,9 @@
 //! a funnel that lets one thread monopolise the object while the others
 //! wait for partners shows only in the last column.
 //!
-//! Then the queue lock, two ways from the same build: a 16 384-entry
-//! `BinaryHeap`, alternating push / pop, once in an `McsMutex` (`heap/lock`:
-//! every operation is a FIFO hand-off, the paper's SingleLock) and once in
-//! a `TtasMutex` with flag and heap on separate lines (`heap/ttas`: the
-//! native SingleLock); and the two TTAS-locked objects the bounded-range
+//! Then the queue lock: a 16 384-entry `BinaryHeap`, alternating push /
+//! pop, in a `TtasMutex` with flag and heap on separate lines (`heap/ttas`:
+//! the native SingleLock); and the two TTAS-locked objects the bounded-range
 //! queues are built from: one `LockBin` (`bin`: insert + delete) and one
 //! `LockedCounter` (`counter/locked`: alternating inc/dec, as the trees'
 //! root counter sees it).
@@ -21,8 +19,8 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use funnelpq_sync::{
-    Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, LockedCounter, McsMutex,
-    SharedCounter, TtasMutex,
+    Bounds, FunnelConfig, FunnelCounter, FunnelStack, LockBin, LockedCounter, SharedCounter,
+    TtasMutex,
 };
 use funnelpq_util::CachePadded;
 
@@ -116,10 +114,9 @@ fn main() {
             std::hint::black_box(s.pop(tid));
         });
         row("stack", threads, counts);
-        let heap = McsMutex::new((0..HEAP_ITEMS).collect::<BinaryHeap<u64>>());
-        let counts = drive(threads, window, |_, i| heap_step(&mut heap.lock(), i));
-        row("heap/lock", threads, counts);
-        let heap = TtasMutex::new(CachePadded::new(heap.into_inner()));
+        let heap = TtasMutex::new(CachePadded::new(
+            (0..HEAP_ITEMS).collect::<BinaryHeap<u64>>(),
+        ));
         let counts = drive(threads, window, |_, i| heap_step(&mut heap.lock(), i));
         row("heap/ttas", threads, counts);
         let bin: LockBin<u64> = LockBin::new();

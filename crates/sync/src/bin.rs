@@ -153,6 +153,15 @@ impl<T> LockBin<T> {
         self.size.load(Ordering::Acquire)
     }
 
+    /// Emptiness read under the bin's lock (one noted acquisition). Unlike
+    /// [`is_empty`](Self::is_empty) it cannot miss an insert whose lock
+    /// hold came first: a caller that must not leave items behind decides
+    /// with this one, and an insert that comes after it sees whatever the
+    /// caller wrote before.
+    pub fn is_empty_locked(&self) -> bool {
+        self.items.lock_noting(self.sink.as_ref(), |g| g.is_empty())
+    }
+
     /// Drains all elements (used when tearing a queue down).
     pub fn drain(&self) -> Vec<T> {
         self.locked(|g| std::mem::take(g).into_iter().collect())
@@ -254,7 +263,7 @@ mod tests {
         const T: usize = 8;
         const N: usize = 500;
         let b = Arc::new(LockBin::new());
-        let got = Arc::new(McsMutex::new(Vec::new()));
+        let got = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for t in 0..T {
             let b = Arc::clone(&b);
@@ -264,7 +273,7 @@ mod tests {
                     b.insert(t * N + i);
                     if i % 2 == 0 {
                         if let Some(x) = b.delete() {
-                            got.lock().push(x);
+                            got.lock().unwrap().push(x);
                         }
                     }
                 }
@@ -273,12 +282,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut all = got.lock().clone();
+        let mut all = got.lock().unwrap().clone();
         all.extend(b.drain());
         all.sort_unstable();
         let expect: Vec<usize> = (0..T * N).collect();
         assert_eq!(all, expect, "every insert observed exactly once");
     }
-
-    use crate::mcs::McsMutex;
 }

@@ -4,10 +4,10 @@
 //! queues, reproducing the building blocks of Shavit & Zemach, *Scalable
 //! Concurrent Priority Queue Algorithms* (PODC 1999):
 //!
-//! * [`McsLock`] / [`McsMutex`] — the Mellor-Crummey & Scott queue lock the
-//!   paper uses for bins and low-traffic counters. Natively no queue sits
-//!   on it any more (the simulated twins keep it); it stays for the
-//!   ledger's `sync.mcs.*` rows and `funnel_sweep`'s `heap/lock` row;
+//! * [`McsLock`] — the Mellor-Crummey & Scott queue lock the paper uses
+//!   for bins and low-traffic counters. Natively no queue sits on it any
+//!   more (the simulated twins keep it); it stays for the ledger's
+//!   `sync.mcs.*` rows;
 //! * [`TtasMutex`] — a centralized test-and-test-and-set lock, the native
 //!   lock of every queue: SingleLock's heap, bins, locked counters,
 //!   HuntEtAl and SkipList. On a host with a handful of cores it hands a
@@ -72,7 +72,7 @@ pub use bin::{BinOrder, LockBin};
 pub use counter::{Bounds, CasCounter, LockedCounter, SharedCounter};
 pub use funnel::FunnelCounter;
 pub use funnel_stack::FunnelStack;
-pub use mcs::{McsGuard, McsLock, McsMutex, McsMutexGuard};
+pub use mcs::{McsGuard, McsLock};
 pub use probe::{CounterEvent, EventSink, SinkRef};
 pub use ttas::{TtasGuard, TtasMutex};
 pub use walk::FunnelConfig;

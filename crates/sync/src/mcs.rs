@@ -15,7 +15,7 @@
 //! so taking and returning a node is thread-local and the steady state
 //! allocates nothing.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
@@ -160,8 +160,8 @@ fn spin_while(mut blocked: impl FnMut() -> bool) {
     }
 }
 
-/// A raw MCS queue lock (no data). See [`McsMutex`] for the RAII wrapper
-/// most callers want.
+/// A raw MCS queue lock (no data): [`McsLock::lock`] returns an RAII
+/// guard.
 ///
 /// # Examples
 ///
@@ -324,91 +324,6 @@ impl Drop for McsGuard<'_> {
     }
 }
 
-/// A value protected by an [`McsLock`], in the style of `std::sync::Mutex`.
-///
-/// # Examples
-///
-/// ```
-/// use funnelpq_sync::McsMutex;
-/// let m = McsMutex::new(vec![1, 2]);
-/// m.lock().push(3);
-/// assert_eq!(m.lock().len(), 3);
-/// ```
-pub struct McsMutex<T> {
-    lock: McsLock,
-    data: UnsafeCell<T>,
-}
-
-impl<T> McsMutex<T> {
-    /// Wraps `data` in a new mutex.
-    pub fn new(data: T) -> Self {
-        McsMutex {
-            lock: McsLock::new(),
-            data: UnsafeCell::new(data),
-        }
-    }
-
-    /// Acquires the lock and returns a guard dereferencing to the data.
-    pub fn lock(&self) -> McsMutexGuard<'_, T> {
-        McsMutexGuard {
-            _guard: self.lock.lock(),
-            data: self.data.get(),
-        }
-    }
-
-    /// Attempts to acquire without waiting (fails if any thread is queued).
-    pub fn try_lock(&self) -> Option<McsMutexGuard<'_, T>> {
-        self.lock.try_lock().map(|g| McsMutexGuard {
-            _guard: g,
-            data: self.data.get(),
-        })
-    }
-
-    /// Returns a mutable reference without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    /// Consumes the mutex and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-// SAFETY: standard mutex reasoning — the guard provides exclusive access.
-unsafe impl<T: Send> Send for McsMutex<T> {}
-// SAFETY: as for `Send`.
-unsafe impl<T: Send> Sync for McsMutex<T> {}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for McsMutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("McsMutex")
-            .field("locked", &self.lock.is_locked())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Guard for [`McsMutex`].
-pub struct McsMutexGuard<'a, T> {
-    _guard: McsGuard<'a>,
-    data: *mut T,
-}
-
-impl<T> std::ops::Deref for McsMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the MCS guard guarantees exclusive access.
-        unsafe { &*self.data }
-    }
-}
-
-impl<T> std::ops::DerefMut for McsMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the MCS guard guarantees exclusive access.
-        unsafe { &mut *self.data }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -424,6 +339,38 @@ pub(crate) mod tests {
 
     fn node_allocs() -> usize {
         NODE_ALLOCS.with(Cell::get)
+    }
+
+    /// A count kept under an [`McsLock`] by a relaxed load and a separate
+    /// store: two holders at once lose an update, so a short count is
+    /// broken exclusion.
+    #[derive(Default)]
+    struct Counter {
+        lock: McsLock,
+        n: AtomicU64,
+    }
+
+    impl Counter {
+        fn bump(&self) {
+            let _g = self.lock.lock();
+            self.bump_held();
+        }
+
+        fn try_bump(&self) -> bool {
+            self.lock.try_lock().map(|_g| self.bump_held()).is_some()
+        }
+
+        /// The count before this bump; the caller holds the lock.
+        fn bump_held(&self) -> u64 {
+            let n = self.n.load(Ordering::Relaxed);
+            self.n.store(n + 1, Ordering::Relaxed);
+            n
+        }
+
+        fn get(&self) -> u64 {
+            let _g = self.lock.lock();
+            self.n.load(Ordering::Relaxed)
+        }
     }
 
     /// Joins `handles`, failing loudly if they are not all done within
@@ -467,116 +414,129 @@ pub(crate) mod tests {
     fn mutex_counter_stress() {
         const T: usize = 8;
         const N: usize = 2_000;
-        let m = Arc::new(McsMutex::new(0u64));
+        let c = Arc::new(Counter::default());
         let mut handles = Vec::new();
         for _ in 0..T {
-            let m = Arc::clone(&m);
+            let c = Arc::clone(&c);
             handles.push(thread::spawn(move || {
                 for _ in 0..N {
-                    *m.lock() += 1;
+                    c.bump();
                 }
             }));
         }
         // Four threads per core here; about 50 ms of work.
         join_within(handles, Duration::from_secs(20));
-        assert_eq!(*m.lock(), (T * N) as u64);
+        assert_eq!(c.get(), (T * N) as u64);
     }
 
     #[test]
     fn mixed_waiters_share_one_queue() {
         const N: u64 = 50_000;
-        let m = Arc::new(McsMutex::new(0u64));
+        let c = Arc::new(Counter::default());
         let tried = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let m = Arc::clone(&m);
+            let c = Arc::clone(&c);
             handles.push(thread::spawn(move || {
                 for _ in 0..N {
-                    *m.lock() += 1;
+                    c.bump();
                 }
             }));
         }
         {
-            let (m, tried) = (Arc::clone(&m), Arc::clone(&tried));
+            let (c, tried) = (Arc::clone(&c), Arc::clone(&tried));
             handles.push(thread::spawn(move || {
                 for _ in 0..N {
-                    if let Some(mut g) = m.try_lock() {
-                        *g += 1;
+                    if c.try_bump() {
                         tried.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }));
         }
         join_within(handles, Duration::from_secs(60));
-        assert_eq!(*m.lock(), 4 * N + tried.load(Ordering::Relaxed));
+        assert_eq!(c.get(), 4 * N + tried.load(Ordering::Relaxed));
     }
 
     #[test]
     fn a_panicking_own_section_releases_the_lock() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let m = McsMutex::new(0u32);
+        let c = Counter::default();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut g = m.lock();
-            *g += 1;
+            let _g = c.lock.lock();
+            c.bump_held();
             panic!("own section");
         }));
         assert!(caught.is_err());
-        assert!(!m.lock.is_locked());
-        assert_eq!(*m.lock(), 1);
+        assert!(!c.lock.is_locked());
+        assert_eq!(c.get(), 1);
     }
 
     #[test]
     fn contended_locks_allocate_nothing() {
         const T: usize = 4;
-        let m = Arc::new(McsMutex::new(0u64));
+        let c = Arc::new(Counter::default());
         let handles = (0..T)
             .map(|_| {
-                let m = Arc::clone(&m);
+                let c = Arc::clone(&c);
                 thread::spawn(move || {
                     for _ in 0..100 {
-                        *m.lock() += 1;
+                        c.bump();
                     }
                     let warm = node_allocs();
                     for _ in 0..10_000 {
-                        *m.lock() += 1;
+                        c.bump();
                     }
                     assert_eq!(node_allocs(), warm, "a contended lock allocated a node");
                 })
             })
             .collect();
         join_within(handles, Duration::from_secs(20));
-        assert_eq!(*m.lock(), (T * 10_100) as u64);
+        assert_eq!(c.get(), (T * 10_100) as u64);
     }
 
     #[test]
     fn mutex_into_inner_and_get_mut() {
-        let mut m = McsMutex::new(5);
-        *m.get_mut() += 1;
-        assert_eq!(m.into_inner(), 6);
+        // A lock nobody holds keeps no pointer into itself: the lock and
+        // the count beside it move, and the count comes back out through
+        // `&mut` and by value.
+        let mut c = Counter::default();
+        c.bump();
+        *c.n.get_mut() += 1;
+        let moved = c;
+        moved.bump();
+        assert!(!moved.lock.is_locked());
+        assert_eq!(moved.n.into_inner(), 3);
     }
 
     #[test]
     fn guards_are_exclusive_across_threads() {
-        // Two threads alternate appending; both observe a consistent Vec.
-        let m = Arc::new(McsMutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for t in 0..2 {
-            let m = Arc::clone(&m);
-            handles.push(thread::spawn(move || {
-                for i in 0..500 {
-                    let mut v = m.lock();
-                    let len = v.len();
-                    v.push((t, i, len));
-                }
-            }));
-        }
+        // Two threads alternate bumping; every bump sees a count no other
+        // bump saw.
+        let c = Arc::new(Counter::default());
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let handles = (0..2)
+            .map(|_| {
+                let (c, seen) = (Arc::clone(&c), Arc::clone(&seen));
+                thread::spawn(move || {
+                    let mine: Vec<u64> = (0..500)
+                        .map(|_| {
+                            let _g = c.lock.lock();
+                            c.bump_held()
+                        })
+                        .collect();
+                    seen.lock().unwrap().extend(mine);
+                })
+            })
+            .collect();
         join_within(handles, Duration::from_secs(20));
-        let v = m.lock();
-        assert_eq!(v.len(), 1000);
-        for (k, &(_, _, len)) in v.iter().enumerate() {
-            assert_eq!(k, len, "no two pushes observed the same length");
-        }
+        let mut all = std::mem::take(&mut *seen.lock().unwrap());
+        all.sort_unstable();
+        assert_eq!(
+            all,
+            (0..1000).collect::<Vec<u64>>(),
+            "two bumps saw one count"
+        );
     }
 
     #[test]
@@ -630,27 +590,27 @@ pub(crate) mod tests {
 
         // 64 threads that each lock once and exit: each frees its cached
         // node at exit (Miri's leak check is what watches this).
-        let m = Arc::new(McsMutex::new(0u32));
+        let c = Arc::new(Counter::default());
         let handles: Vec<_> = (0..64)
             .map(|_| {
-                let m = Arc::clone(&m);
-                thread::spawn(move || *m.lock() += 1)
+                let c = Arc::clone(&c);
+                thread::spawn(move || c.bump())
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*m.lock(), 64);
+        assert_eq!(c.get(), 64);
 
         // A lock taken from another thread-local's destructor, with the
         // node cache initialised before and after that thread-local so
         // that, whatever order the platform destroys them in, one of the
         // two runs locks after the cache is gone (`try_with` fails) and
         // has to allocate a second node; the other reuses its first.
-        struct LocksOnDrop(Arc<McsMutex<u32>>, Arc<AtomicUsize>);
+        struct LocksOnDrop(Arc<Counter>, Arc<AtomicUsize>);
         impl Drop for LocksOnDrop {
             fn drop(&mut self) {
-                *self.0.lock() += 1;
+                self.0.bump();
                 self.1.fetch_add(node_allocs(), Ordering::Relaxed);
             }
         }
@@ -659,18 +619,18 @@ pub(crate) mod tests {
         }
         let allocs = Arc::new(AtomicUsize::new(0));
         for cache_first in [true, false] {
-            let (m, allocs) = (Arc::clone(&m), Arc::clone(&allocs));
+            let (c, allocs) = (Arc::clone(&c), Arc::clone(&allocs));
             thread::spawn(move || {
                 if cache_first {
-                    drop(m.lock());
+                    drop(c.lock.lock());
                 }
-                PROBE.with(|p| p.set(Some(LocksOnDrop(Arc::clone(&m), allocs))));
-                drop(m.lock());
+                PROBE.with(|p| p.set(Some(LocksOnDrop(Arc::clone(&c), allocs))));
+                drop(c.lock.lock());
             })
             .join()
             .unwrap();
         }
-        assert_eq!(*m.lock(), 66, "both destructors took the lock");
+        assert_eq!(c.get(), 66, "both destructors took the lock");
         assert_eq!(allocs.load(Ordering::Relaxed), 1 + 2);
     }
 }

@@ -107,30 +107,6 @@ fn funnel_stack_sequential_matches_vec() {
     }
 }
 
-#[test]
-fn mcs_mutex_guards_arbitrary_mutation() {
-    // Single-threaded sanity that guard drops restore invariants.
-    for seed in 0..32u64 {
-        let mut rng = XorShift64Star::new(seed ^ 0x3C5);
-        let m = funnelpq_sync::McsMutex::new(Vec::<u8>::new());
-        let mut model = Vec::new();
-        let len = 1 + rng.below(99);
-        for _ in 0..len {
-            let op = rng.below(4) as u8;
-            match op {
-                0..=2 => {
-                    m.lock().push(op);
-                    model.push(op);
-                }
-                _ => {
-                    assert_eq!(m.lock().pop(), model.pop());
-                }
-            }
-        }
-        assert_eq!(m.lock().clone(), model, "seed {seed}");
-    }
-}
-
 /// Multi-threaded: final counter value must equal start + incs - decs
 /// restricted by the bound; all returned values in bounds.
 #[test]
