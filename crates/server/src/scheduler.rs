@@ -306,21 +306,64 @@ impl ServerReport {
 /// [`Scheduler::stop`] → [`ServerReport`]. Submitting after `stop` has
 /// begun returns [`ServerError::Stopped`] with the job.
 pub struct Scheduler<R: Recorder = NoopRecorder> {
+    core: Arc<Core<R>>,
+    next_id: CachePadded<AtomicU64>,
+    handles: Mutex<Vec<JoinHandle<ShardReport>>>,
+    started_at: Mutex<Option<Instant>>,
+}
+
+/// What the scheduler and its dispatchers share: one copy, behind one
+/// `Arc`, so each decision made from it is written once.
+struct Core<R: Recorder> {
     cfg: ServerConfig,
     shards: Vec<Arc<Shard>>,
     router: Router,
-    admission: Arc<Admission>,
+    admission: Admission,
+    /// The clock [`Job::enqueued_ns`] and deadlines are stamped against.
     epoch: Instant,
-    next_id: CachePadded<AtomicU64>,
-    stopping: Arc<AtomicBool>,
-    handles: Mutex<Vec<JoinHandle<ShardReport>>>,
-    started_at: Mutex<Option<Instant>>,
+    stopping: AtomicBool,
     /// Serializes every give-up failover insert: the recovery thread slot
-    /// (`clients + 1`) on each queue is shared by all supervisors, so only
-    /// one may use it at a time.
-    recovery: Arc<Mutex<()>>,
-    fault: Option<Arc<ArmedFaults>>,
+    /// on each queue is shared by all supervisors, so only one may use it
+    /// at a time.
+    recovery: Mutex<()>,
+    fault: Option<ArmedFaults>,
     recorder: Arc<R>,
+}
+
+impl<R: Recorder> Core<R> {
+    /// Nanoseconds since the epoch.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// A dispatcher's thread slot on its own shard's queue.
+    fn dispatcher_tid(&self) -> usize {
+        self.cfg.clients
+    }
+
+    /// The thread slot give-up failover inserts under, on any queue.
+    fn recovery_tid(&self) -> usize {
+        self.cfg.clients + 1
+    }
+
+    /// The band (queue priority) a deadline files under.
+    fn band_of(&self, deadline_ns: u64) -> usize {
+        let b = (deadline_ns as u128 * self.cfg.bands as u128) / self.cfg.horizon_ns as u128;
+        (b as usize).min(self.cfg.bands - 1)
+    }
+
+    /// The first healthy shard at or clockwise after `start`, if any.
+    fn healthy_from(&self, start: usize) -> Option<usize> {
+        let n = self.shards.len();
+        (0..n)
+            .map(|k| (start + k) % n)
+            // ORDERING: Acquire; partner is the Release store in `give_up`.
+            // The flag guards no data, and routing on it is advisory: no
+            // ordering closes the window in which a submit that read it up
+            // just before it went down inserts after the give-up's last
+            // drain, into a queue nobody drains any more.
+            .find(|&si| self.shards[si].healthy.load(Ordering::Acquire))
+    }
 }
 
 impl Scheduler<NoopRecorder> {
@@ -351,64 +394,55 @@ impl<R: Recorder> Scheduler<R> {
         for (tenant, shard) in &cfg.affinity {
             router.pin(*tenant, *shard)?;
         }
-        let admission = Arc::new(Admission::new(
-            cfg.tenants,
-            cfg.tenant_quota,
-            cfg.global_capacity,
-        ));
-        let fault = cfg
-            .fault_plan
-            .as_ref()
-            .map(|p| Arc::new(ArmedFaults::new(p)));
+        let admission = Admission::new(cfg.tenants, cfg.tenant_quota, cfg.global_capacity);
+        let fault = cfg.fault_plan.as_ref().map(ArmedFaults::new);
         Ok(Scheduler {
-            cfg,
-            shards,
-            router,
-            admission,
-            epoch: Instant::now(),
+            core: Arc::new(Core {
+                cfg,
+                shards,
+                router,
+                admission,
+                epoch: Instant::now(),
+                stopping: AtomicBool::new(false),
+                recovery: Mutex::new(()),
+                fault,
+                recorder,
+            }),
             next_id: CachePadded::new(AtomicU64::new(0)),
-            stopping: Arc::new(AtomicBool::new(false)),
             handles: Mutex::new(Vec::new()),
             started_at: Mutex::new(None),
-            recovery: Arc::new(Mutex::new(())),
-            fault,
-            recorder,
         })
     }
 
     /// Nanoseconds since this scheduler's epoch — the clock deadlines are
     /// expressed against.
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.core.now_ns()
     }
 
     /// The shard that serves `tenant` (hash placement unless pinned).
     pub fn route(&self, tenant: TenantId) -> usize {
-        self.router.route(tenant)
+        self.core.router.route(tenant)
     }
 
     /// The configuration this scheduler was built from.
     pub fn config(&self) -> &ServerConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// Jobs currently admitted but not yet finally dispatched.
     pub fn in_flight(&self) -> usize {
-        self.admission.in_flight()
+        self.core.admission.in_flight()
     }
 
     /// Whether shard `shard`'s dispatcher is still serving (a shard goes
     /// dark only by exhausting its restart budget).
     pub fn shard_healthy(&self, shard: usize) -> bool {
-        self.shards
+        self.core
+            .shards
             .get(shard)
             // ORDERING: Acquire, as in `healthy_from`.
             .is_some_and(|s| s.healthy.load(Ordering::Acquire))
-    }
-
-    fn band_of(&self, deadline_ns: u64) -> usize {
-        let b = (deadline_ns as u128 * self.cfg.bands as u128) / self.cfg.horizon_ns as u128;
-        (b as usize).min(self.cfg.bands - 1)
     }
 
     /// Submits `spec` on behalf of client thread `client`
@@ -418,7 +452,7 @@ impl<R: Recorder> Scheduler<R> {
     /// band. Every refusal carries the stamped job back.
     pub fn submit(&self, client: usize, spec: JobSpec) -> Result<JobId, ServerError> {
         let res = self.submit_inner(client, spec);
-        if let Some(faults) = &self.fault {
+        if let Some(faults) = &self.core.fault {
             // The burst trigger compares against this submit's id whether
             // it was admitted or refused — refusals consumed an id too.
             let id = match &res {
@@ -427,7 +461,7 @@ impl<R: Recorder> Scheduler<R> {
             };
             if let Some(burst) = id.and_then(|id| faults.at_submit(id)) {
                 for _ in 0..burst.jobs {
-                    let tenant = faults.draw_tenant(self.cfg.tenants);
+                    let tenant = faults.draw_tenant(self.core.cfg.tenants);
                     let spec = JobSpec::once(tenant, Deadline::In(burst.deadline_in_ns), 0);
                     // Burst refusals (quota, capacity, shed) are counted by
                     // the normal admission/shed tallies.
@@ -439,18 +473,19 @@ impl<R: Recorder> Scheduler<R> {
     }
 
     fn submit_inner(&self, client: usize, spec: JobSpec) -> Result<JobId, ServerError> {
-        if client >= self.cfg.clients {
+        let core = &*self.core;
+        if client >= core.cfg.clients {
             return Err(ServerError::Config {
                 reason: "client id out of range",
             });
         }
         // Route, then fail over past dark shards: a tenant whose home
         // shard gave up is served by the next healthy shard clockwise.
-        let routed = self.router.route(spec.tenant);
+        let routed = core.router.route(spec.tenant);
         // ORDERING: Relaxed; an id need only be unique, which the counter's
         // modification order gives every RMW.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let enqueued_ns = self.now_ns();
+        let enqueued_ns = core.now_ns();
         // A relative deadline resolves against the enqueue stamp itself,
         // so the promised slack cannot be eroded by anything that happened
         // before the submit landed.
@@ -468,8 +503,8 @@ impl<R: Recorder> Scheduler<R> {
             enqueued_ns,
             enqueued_slot: slot,
         };
-        let shard = match self.healthy_from(routed) {
-            Some(si) => &self.shards[si],
+        let shard = match core.healthy_from(routed) {
+            Some(si) => &core.shards[si],
             None => {
                 return Err(ServerError::NoHealthyShard { job: stamp(0) });
             }
@@ -481,39 +516,26 @@ impl<R: Recorder> Scheduler<R> {
         // ORDERING: Acquire; partner is the Release store in `stop`. A submit
         // that misses the flag races the stop and is counted in
         // `in_flight_at_stop` (callers quiesce clients first).
-        if self.stopping.load(Ordering::Acquire) {
+        if core.stopping.load(Ordering::Acquire) {
             return Err(ServerError::Stopped { job });
         }
-        if self.cfg.overload.shed {
+        if core.cfg.overload.shed {
             if let Some(after_ns) = self.shed_check(shard, &job) {
                 // ORDERING: Relaxed, a statistic.
                 shard.shed.fetch_add(1, Ordering::Relaxed);
                 if R::ENABLED {
-                    self.recorder.record_event(CounterEvent::JobShed);
+                    core.recorder.record_event(CounterEvent::JobShed);
                 }
                 return Err(AdmitError::Retry { after_ns, job }.into());
             }
         }
-        self.admission.try_admit(job)?;
-        let band = self.band_of(job.deadline_ns);
+        core.admission.try_admit(job)?;
+        let band = core.band_of(job.deadline_ns);
         if let Err(e) = shard.enqueue(client, band, job) {
-            self.admission.release(&mut vec![job.tenant.0 as usize]);
+            core.admission.release(&mut vec![job.tenant.0 as usize]);
             return Err(e.into());
         }
         Ok(id)
-    }
-
-    /// The first healthy shard at or clockwise after `start`, if any.
-    fn healthy_from(&self, start: usize) -> Option<usize> {
-        let n = self.shards.len();
-        (0..n)
-            .map(|k| (start + k) % n)
-            // ORDERING: Acquire; partner is the Release store in `give_up`.
-            // The flag guards no data, and routing on it is advisory: no
-            // ordering closes the window in which a submit that read it up
-            // just before it went down inserts after the give-up's last
-            // drain, into a queue nobody drains any more.
-            .find(|&si| self.shards[si].healthy.load(Ordering::Acquire))
     }
 
     /// Projects the shard's drain time against the job's slack; returns
@@ -527,14 +549,15 @@ impl<R: Recorder> Scheduler<R> {
         // ORDERING: Relaxed; partner is the Relaxed store in `run_episodes`.
         // An estimate: any recently published value will do.
         let published = shard.rate_ns.load(Ordering::Relaxed);
+        let cfg = &self.core.cfg;
         let rate_ns = if published == 0 {
-            self.cfg.service_ns
+            cfg.service_ns
         } else {
-            published.max(self.cfg.service_ns)
+            published.max(cfg.service_ns)
         };
         let est_wait = depth.saturating_mul(rate_ns);
         let slack = job.deadline_ns.saturating_sub(job.enqueued_ns);
-        if est_wait > slack.saturating_add(self.cfg.overload.margin_ns) {
+        if est_wait > slack.saturating_add(cfg.overload.margin_ns) {
             Some(est_wait - slack)
         } else {
             None
@@ -550,6 +573,7 @@ impl<R: Recorder> Scheduler<R> {
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let at_ns = self.now_ns();
         let per_shard = self
+            .core
             .shards
             .iter()
             .map(|s| {
@@ -564,8 +588,8 @@ impl<R: Recorder> Scheduler<R> {
             .collect();
         TelemetrySnapshot::assemble(
             at_ns,
-            self.cfg.backend.algorithm().name(),
-            self.cfg.telemetry_window_ns,
+            self.core.cfg.backend.algorithm().name(),
+            self.core.cfg.telemetry_window_ns,
             per_shard,
         )
     }
@@ -578,26 +602,11 @@ impl<R: Recorder> Scheduler<R> {
             return;
         }
         *self.started_at.lock().unwrap() = Some(Instant::now());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let ctx = DispatcherCtx {
-                epoch: self.epoch,
+        for (i, shard) in self.core.shards.iter().enumerate() {
+            let ctx = Dispatcher {
+                core: Arc::clone(&self.core),
                 shard: Arc::clone(shard),
-                shards: self.shards.clone(),
-                router: self.router.clone(),
-                stopping: Arc::clone(&self.stopping),
-                admission: Arc::clone(&self.admission),
-                recovery: Arc::clone(&self.recovery),
-                fault: self.fault.clone(),
-                supervise: self.cfg.supervise,
-                recorder: Arc::clone(&self.recorder),
                 index: i,
-                tid: self.cfg.clients,
-                recovery_tid: self.cfg.clients + 1,
-                drain: self.cfg.drain_batch,
-                service_ns: self.cfg.service_ns,
-                bands: self.cfg.bands,
-                horizon_ns: self.cfg.horizon_ns,
-                record_dispatches: self.cfg.record_dispatches,
             };
             handles.push(
                 std::thread::Builder::new()
@@ -621,10 +630,10 @@ impl<R: Recorder> Scheduler<R> {
         // and the dispatch loop. The flag publishes no data; a parked
         // dispatcher sees it because the unpark below synchronizes with the
         // return from its park.
-        self.stopping.store(true, Ordering::Release);
+        self.core.stopping.store(true, Ordering::Release);
         // Unconditionally: a dispatcher that read the flag down and is
         // about to park keeps the token and returns from that park at once.
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             shard.unpark();
         }
         let handles = std::mem::take(&mut *self.handles.lock().unwrap());
@@ -638,9 +647,9 @@ impl<R: Recorder> Scheduler<R> {
             // ORDERING: Relaxed, a statistic; exact once the caller has
             // quiesced (joined) its clients.
             submitted: self.next_id.load(Ordering::Relaxed),
-            admitted: self.admission.admitted(),
-            rejected_quota: self.admission.rejected_quota(),
-            rejected_capacity: self.admission.rejected_capacity(),
+            admitted: self.core.admission.admitted(),
+            rejected_quota: self.core.admission.rejected_quota(),
+            rejected_capacity: self.core.admission.rejected_capacity(),
             run_ns,
             ..ServerReport::default()
         };
@@ -690,12 +699,13 @@ impl<R: Recorder> Scheduler<R> {
             }
         }
         report.shed = self
+            .core
             .shards
             .iter()
             // ORDERING: Relaxed, a statistic (as `submitted` above).
             .map(|s| s.shed.load(Ordering::Relaxed))
             .sum();
-        report.in_flight_at_stop = self.admission.in_flight() as u64;
+        report.in_flight_at_stop = self.core.admission.in_flight() as u64;
         report
     }
 }
@@ -711,51 +721,26 @@ struct EpisodeState {
     finished: Vec<usize>,
 }
 
-/// Everything one dispatcher thread owns or shares.
-struct DispatcherCtx<R: Recorder> {
-    /// The scheduler's epoch: the clock [`Job::enqueued_ns`] and deadlines
-    /// are stamped against.
-    epoch: Instant,
+/// One dispatcher thread: the shared [`Core`] plus what is its own.
+struct Dispatcher<R: Recorder> {
+    core: Arc<Core<R>>,
+    /// `core.shards[index]`, held directly: the dispatch loop's shard.
     shard: Arc<Shard>,
-    /// All shards, for give-up failover.
-    shards: Vec<Arc<Shard>>,
-    router: Router,
-    stopping: Arc<AtomicBool>,
-    admission: Arc<Admission>,
-    recovery: Arc<Mutex<()>>,
-    fault: Option<Arc<ArmedFaults>>,
-    supervise: SuperviseConfig,
-    recorder: Arc<R>,
     index: usize,
-    tid: usize,
-    recovery_tid: usize,
-    drain: usize,
-    service_ns: u64,
-    bands: usize,
-    horizon_ns: u64,
-    record_dispatches: bool,
 }
 
-impl<R: Recorder> DispatcherCtx<R> {
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn band_of(&self, deadline_ns: u64) -> usize {
-        let b = (deadline_ns as u128 * self.bands as u128) / self.horizon_ns as u128;
-        (b as usize).min(self.bands - 1)
-    }
-
+impl<R: Recorder> Dispatcher<R> {
     /// The supervisor: runs the dispatch loop under `catch_unwind`,
     /// requeues panic survivors, restarts with bounded exponential backoff
     /// up to the budget, then fails the shard over to healthy peers.
     fn run(self) -> ShardReport {
+        let drain = self.core.cfg.drain_batch;
         let mut report = ShardReport::new(self.index);
         let mut state = EpisodeState {
-            out: Vec::with_capacity(self.drain.max(1) * 2),
+            out: Vec::with_capacity(drain * 2),
             cursor: 0,
             episode: 0,
-            finished: Vec::with_capacity(self.drain),
+            finished: Vec::with_capacity(drain),
         };
         loop {
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -768,12 +753,12 @@ impl<R: Recorder> DispatcherCtx<R> {
             report.panics += 1;
             report.last_panic = Some(panic_message(payload.as_ref()));
             drop(payload);
-            self.admission.release(&mut state.finished);
+            self.core.admission.release(&mut state.finished);
             // Jobs the dead incarnation had drained but not yet dispatched.
             let survivors = state.out.split_off(state.cursor.min(state.out.len()));
             state.out.clear();
             state.cursor = 0;
-            if report.restarts < self.supervise.max_restarts {
+            if report.restarts < self.core.cfg.supervise.max_restarts {
                 report.restarts += 1;
                 self.restart(&mut report, survivors);
             } else {
@@ -787,20 +772,21 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// dispatcher slot is free — the dispatcher is us), then the loop
     /// re-enters after backoff.
     fn restart(&self, report: &mut ShardReport, survivors: Vec<(usize, Job)>) {
+        let core = &*self.core;
         let mut requeued = 0u64;
         for (band, job) in survivors {
-            if self.shard.enqueue(self.tid, band, job).is_ok() {
+            if self.shard.enqueue(core.dispatcher_tid(), band, job).is_ok() {
                 requeued += 1;
             } else {
-                self.admission.release(&mut vec![job.tenant.0 as usize]);
+                core.admission.release(&mut vec![job.tenant.0 as usize]);
                 report.lost += 1;
             }
         }
         report.requeued += requeued;
         if R::ENABLED {
-            self.recorder.record_event(CounterEvent::ShardRestart);
+            core.recorder.record_event(CounterEvent::ShardRestart);
             if requeued > 0 {
-                self.recorder
+                core.recorder
                     .record_event_n(CounterEvent::JobsRequeued, requeued);
             }
         }
@@ -810,7 +796,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             t.requeued += requeued;
         }
         std::thread::sleep(Duration::from_nanos(
-            self.supervise.backoff_ns(report.restarts),
+            core.cfg.supervise.backoff_ns(report.restarts),
         ));
     }
 
@@ -821,18 +807,20 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// the recovery mutex. Jobs with nowhere to go are released and
     /// reported lost.
     fn give_up(&self, report: &mut ShardReport, survivors: Vec<(usize, Job)>) {
+        let core = &*self.core;
         report.gave_up = true;
-        // ORDERING: Release; partners are the Acquire loads in `healthy_from`
-        // and the failover search below. It publishes no data.
+        // ORDERING: Release; partner is the Acquire load in `healthy_from`,
+        // which from here on skips this shard. It publishes no data.
         self.shard.healthy.store(false, Ordering::Release);
         let mut pending = survivors;
-        let mut drained: Vec<(usize, Job)> = Vec::with_capacity(self.drain.max(1));
+        let drain = core.cfg.drain_batch;
+        let mut drained: Vec<(usize, Job)> = Vec::with_capacity(drain);
         loop {
             drained.clear();
             let got = self
                 .shard
                 .queue
-                .delete_min_batch(self.tid, self.drain.max(1), &mut drained);
+                .delete_min_batch(core.dispatcher_tid(), drain, &mut drained);
             if got == 0 {
                 break;
             }
@@ -841,32 +829,25 @@ impl<R: Recorder> DispatcherCtx<R> {
             pending.append(&mut drained);
         }
         let mut requeued = 0u64;
-        let _recovery = match self.recovery.lock() {
+        let tid = core.recovery_tid();
+        let _recovery = match core.recovery.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
         for (band, job) in pending {
-            let start = self.router.route(job.tenant);
-            let n = self.shards.len();
-            let target = (0..n)
-                .map(|k| (start + k) % n)
-                // ORDERING: Acquire, as in `healthy_from`.
-                .find(|&si| si != self.index && self.shards[si].healthy.load(Ordering::Acquire));
-            let placed = target.is_some_and(|si| {
-                self.shards[si]
-                    .enqueue(self.recovery_tid, band, job)
-                    .is_ok()
-            });
+            let placed = core
+                .healthy_from(core.router.route(job.tenant))
+                .is_some_and(|si| core.shards[si].enqueue(tid, band, job).is_ok());
             if placed {
                 requeued += 1;
             } else {
-                self.admission.release(&mut vec![job.tenant.0 as usize]);
+                core.admission.release(&mut vec![job.tenant.0 as usize]);
                 report.lost += 1;
             }
         }
         report.requeued += requeued;
         if R::ENABLED && requeued > 0 {
-            self.recorder
+            core.recorder
                 .record_event_n(CounterEvent::JobsRequeued, requeued);
         }
         self.shard.telemetry_cell().requeued += requeued;
@@ -884,6 +865,10 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// `catch_unwind`; all loop state that must survive a panic lives in
     /// `state` (the arrival estimate does not: a restart starts afresh).
     fn run_episodes(&self, report: &mut ShardReport, state: &mut EpisodeState) {
+        let core = &*self.core;
+        let drain = core.cfg.drain_batch;
+        let service_ns = core.cfg.service_ns;
+        let tid = core.dispatcher_tid();
         self.shard.attach_dispatcher();
         // Rank-error sampling only makes sense when a drain batch is an
         // en-bloc snapshot of the queue (see `telemetry` module docs).
@@ -891,7 +876,7 @@ impl<R: Recorder> DispatcherCtx<R> {
         // The pacing clock: each dispatch pushes it service_ns further out,
         // and we spin up to it, so sustained throughput is one job per
         // service_ns and the virtual clock tracks wall time.
-        let mut next_ready = self.now_ns();
+        let mut next_ready = core.now_ns();
         let mut rate = RateWindow::default();
         let mut arrivals = ArrivalGap::default();
         // Coalesce windows not yet filed: filed with the next drain, under
@@ -900,16 +885,16 @@ impl<R: Recorder> DispatcherCtx<R> {
         let mut poll_ns = 0;
         loop {
             // ORDERING: Acquire; partner is the Release store in `stop`.
-            let stopping = self.stopping.load(Ordering::Acquire);
+            let stopping = core.stopping.load(Ordering::Acquire);
             if !stopping {
                 let depth = self.shard.depth();
                 if depth == 0 {
                     self.idle_wait(&mut poll_ns);
-                    next_ready = self.now_ns();
+                    next_ready = core.now_ns();
                     continue;
                 }
-                if depth < self.drain as u64 && arrivals.another_due() {
-                    self.coalesce();
+                if depth < drain as u64 && arrivals.another_due() {
+                    self.coalesce(drain);
                     coalesced += 1;
                 }
             }
@@ -921,7 +906,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             let got = self
                 .shard
                 .queue
-                .delete_min_batch(self.tid, self.drain, &mut state.out);
+                .delete_min_batch(tid, drain, &mut state.out);
             if got == 0 {
                 if stopping {
                     return;
@@ -957,7 +942,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             // `out[cursor..]` — including the job in hand — survives.
             while state.cursor < state.out.len() {
                 let (_band, job) = state.out[state.cursor];
-                if let Some(faults) = &self.fault {
+                if let Some(faults) = &core.fault {
                     // Fires before any accounting: an injected panic loses
                     // nothing, an injected stall freezes the whole loop.
                     // ORDERING: Acquire, though this thread is the counter's
@@ -970,14 +955,14 @@ impl<R: Recorder> DispatcherCtx<R> {
                     }
                 }
                 let t = held.get_or_insert_with(|| self.shard.telemetry_cell());
-                let now = self.dispatch(job, report, state, t);
+                let now = self.dispatch(job, service_ns, report, state, t);
                 state.cursor += 1;
-                next_ready += self.service_ns;
-                if state.cursor == state.out.len() || state.cursor.is_multiple_of(self.drain) {
+                next_ready += service_ns;
+                if state.cursor == state.out.len() || state.cursor.is_multiple_of(drain) {
                     // The depth series is last-write-wins per window.
                     t.windows.record_depth(now, self.shard.depth());
                     held = None;
-                    self.admission.release(&mut state.finished);
+                    core.admission.release(&mut state.finished);
                 }
                 // No second clock read when backlogged: `dispatch`'s decides.
                 if now < next_ready {
@@ -986,7 +971,7 @@ impl<R: Recorder> DispatcherCtx<R> {
                 }
             }
             if let Some(per) = rate.add(busy.elapsed(), state.cursor as u64) {
-                let per = per.clamp(self.service_ns, self.service_ns.saturating_mul(1024));
+                let per = per.clamp(service_ns, service_ns.saturating_mul(1024));
                 // ORDERING: Relaxed; partner is the load in `shed_check`.
                 self.shard.rate_ns.store(per, Ordering::Relaxed);
             }
@@ -1010,7 +995,7 @@ impl<R: Recorder> DispatcherCtx<R> {
             let window = Duration::from_nanos(*poll_ns);
             let hit = loop {
                 // ORDERING: Acquire; partner is the Release store in `stop`.
-                if self.shard.depth() > 0 || self.stopping.load(Ordering::Acquire) {
+                if self.shard.depth() > 0 || self.core.stopping.load(Ordering::Acquire) {
                     break true;
                 }
                 if began.elapsed() >= window {
@@ -1041,12 +1026,12 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// come here: it is drained at once. The bound is what a job pays when
     /// the estimate says company is coming and it does not come (a burst
     /// that just ended, a fresh dispatcher that has measured nothing yet).
-    fn coalesce(&self) {
+    fn coalesce(&self, drain: usize) {
         let began = Instant::now();
-        while self.shard.depth() < self.drain as u64
+        while self.shard.depth() < drain as u64
             && began.elapsed() < Duration::from_nanos(COALESCE_NS)
             // ORDERING: Acquire; partner is the Release store in `stop`.
-            && !self.stopping.load(Ordering::Acquire)
+            && !self.core.stopping.load(Ordering::Acquire)
         {
             std::hint::spin_loop();
         }
@@ -1056,10 +1041,12 @@ impl<R: Recorder> DispatcherCtx<R> {
     fn dispatch(
         &self,
         job: Job,
+        service_ns: u64,
         report: &mut ShardReport,
         state: &mut EpisodeState,
         t: &mut ShardTelemetry,
     ) -> u64 {
+        let core = &*self.core;
         // This thread is the clock's only writer, so a load and a store
         // advance it: unlike a locked RMW, the store does not stall the
         // dispatcher while the line comes back from the submitter that
@@ -1071,11 +1058,11 @@ impl<R: Recorder> DispatcherCtx<R> {
         let pre = self.shard.dispatched.load(Ordering::Relaxed);
         self.shard.dispatched.store(pre + 1, Ordering::Release);
         report.dispatched += 1;
-        let now = self.now_ns();
+        let now = core.now_ns();
         let latency = now.saturating_sub(job.enqueued_ns);
         report.latency_ns.record(latency);
         let delay = pre.saturating_sub(job.enqueued_slot);
-        let slack = job.deadline_ns.saturating_sub(job.enqueued_ns) / self.service_ns;
+        let slack = job.deadline_ns.saturating_sub(job.enqueued_ns) / service_ns;
         // A miss must be late on BOTH clocks. Virtual-only lateness can be
         // manufactured by a client stalling between stamping the job and
         // finishing the insert (dispatches pass, slack doesn't move);
@@ -1086,14 +1073,14 @@ impl<R: Recorder> DispatcherCtx<R> {
         if missed {
             report.misses += 1;
             if R::ENABLED {
-                self.recorder.record_event(CounterEvent::DeadlineMiss);
+                core.recorder.record_event(CounterEvent::DeadlineMiss);
             }
         }
-        if self.record_dispatches {
+        if core.cfg.record_dispatches {
             report.dispatch_log.push(DispatchRecord {
                 job: job.id,
                 tenant: job.tenant,
-                band: self.band_of(job.deadline_ns),
+                band: core.band_of(job.deadline_ns),
                 deadline_ns: job.deadline_ns,
                 missed,
             });
@@ -1101,7 +1088,7 @@ impl<R: Recorder> DispatcherCtx<R> {
         t.record_dispatch(&job, now, latency, missed);
         // ORDERING: Acquire; partner is the Release store in `stop`.
         let rearm =
-            job.period_ns > 0 && job.repeats_left > 0 && !self.stopping.load(Ordering::Acquire);
+            job.period_ns > 0 && job.repeats_left > 0 && !core.stopping.load(Ordering::Acquire);
         if rearm {
             report.rearmed += 1;
             // Fixed-rate while on time, fixed-delay once late: re-arming
@@ -1120,12 +1107,13 @@ impl<R: Recorder> DispatcherCtx<R> {
             // Fused fast path: the re-insert and the next delete-min share
             // one synchronization episode; whatever it popped joins the
             // in-progress batch.
-            let band = self.band_of(next.deadline_ns);
+            let band = core.band_of(next.deadline_ns);
             // ORDERING: Relaxed, unlike the SeqCst bump in `Shard::enqueue`:
             // that one is half of the park handshake, and the only thread
             // this insert could owe a wake-up is this one.
             self.shard.enqueued.fetch_add(1, Ordering::Relaxed);
-            if let Some(popped) = self.shard.queue.replace_min(self.tid, band, next) {
+            let tid = core.dispatcher_tid();
+            if let Some(popped) = self.shard.queue.replace_min(tid, band, next) {
                 // The popped job left the queue and joins this episode's
                 // batch, so the re-arm was depth-neutral.
                 // ORDERING: Relaxed, as every decrement of the gauge.
@@ -1147,7 +1135,7 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// pacing clock's `+= service_ns` lets a late dispatcher catch up.
     fn pace(&self, deadline_ns: u64) {
         loop {
-            let remaining = deadline_ns.saturating_sub(self.now_ns());
+            let remaining = deadline_ns.saturating_sub(self.core.now_ns());
             if remaining == 0 {
                 return;
             }
@@ -1324,7 +1312,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         // Freed exactly once: a second release would have wrapped both.
-        assert_eq!(s.admission.tenant_in_flight(0), 0);
+        assert_eq!(s.core.admission.tenant_in_flight(0), 0);
         let r = s.stop();
         assert_eq!(r.dispatched, FIRINGS);
         assert_eq!(r.completed, 1);
@@ -1351,8 +1339,8 @@ mod tests {
     #[test]
     fn bands_clamp_to_the_horizon() {
         let s = Scheduler::new(tiny_cfg()).unwrap();
-        assert_eq!(s.band_of(0), 0);
-        assert_eq!(s.band_of(u64::MAX), 63);
+        assert_eq!(s.core.band_of(0), 0);
+        assert_eq!(s.core.band_of(u64::MAX), 63);
     }
 
     #[test]
@@ -1507,7 +1495,7 @@ mod tests {
         drain(&s);
         // Read after stop(): the join orders it after the last publish.
         s.stop();
-        let busy_only = s.shards[0].rate_ns.load(Ordering::Relaxed);
+        let busy_only = s.core.shards[0].rate_ns.load(Ordering::Relaxed);
         // The same 64 dispatches with 300 ms of nothing after the 48th: the
         // second window now straddles the gap, which would read as ~9 ms per
         // dispatch if any of the dispatcher's waiting were counted.
@@ -1519,7 +1507,7 @@ mod tests {
         submit(&s, 16);
         drain(&s);
         s.stop();
-        let gapped = s.shards[0].rate_ns.load(Ordering::Relaxed);
+        let gapped = s.core.shards[0].rate_ns.load(Ordering::Relaxed);
         for rate in [busy_only, gapped] {
             assert!(
                 rate >= SERVICE_NS,

@@ -338,13 +338,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// True when the plan crash-stops any processor — audits must then
-    /// tolerate lost in-flight operations and non-quiescent outcomes (a
-    /// crashed lock holder wedges everyone behind it).
-    pub fn has_crashes(&self) -> bool {
-        self.faults.iter().any(|f| matches!(f, Fault::Crash { .. }))
-    }
-
     /// Validates the plan against a run of `procs` processors. Shape-only
     /// checks (windows, cycles) are repeated by
     /// [`crate::Machine::attach_faults`], which also checks memory ranges;

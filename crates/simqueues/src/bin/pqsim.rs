@@ -42,7 +42,7 @@ OPTIONS [defaults: sweep; trace; chaos]:
                          HardwareTree, MultiQueue, NumaPq — the last three are
                          not the paper's: a fetch-and-add ablation and the two
                          relaxed post-paper designs
-                         [scalable; funneltree; all,multiqueue]
+                         [scalable; FunnelTree; all,MultiQueue]
     --procs <LIST>       processor counts         [16,64,256; 64; 16]
     --priorities <LIST>  priority ranges          [16]
     --ops <N>            accesses per processor   [64; 32; 24]

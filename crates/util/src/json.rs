@@ -20,7 +20,7 @@
 //! hundreds of numeric samples per row).
 
 /// Version stamp written into every machine-read JSON artifact
-/// (`MetricsSnapshot`, `CHAOS_server.json`, `TelemetrySnapshot`). CI
+/// (`MetricsSnapshot`, `TelemetrySnapshot`). CI
 /// validators assert it so a parser and an emitter cannot silently drift
 /// apart. Bump on any breaking layout change.
 ///

@@ -1,7 +1,7 @@
 //! Small-scale guards on the paper's headline *shapes* — cheap versions of
-//! the figure benches that fail loudly if the contention model or an
-//! algorithm regresses. Absolute cycle counts are not asserted, only
-//! orderings and ratios with generous margins.
+//! the figures `pqsim --figure N` prints, failing loudly if the contention
+//! model or an algorithm regresses. Absolute cycle counts are not asserted,
+//! only orderings and ratios with generous margins.
 
 use funnelpq_simqueues::funnel::{CounterMode, SimFunnelConfig};
 use funnelpq_simqueues::queues::Algorithm;
