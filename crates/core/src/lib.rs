@@ -88,7 +88,6 @@ mod simple_tree;
 mod single_lock;
 mod skiplist;
 mod topology;
-pub mod trace;
 mod traits;
 
 pub use adaptive::{AdaptiveStats, NumaMode, NumaPolicy};

@@ -34,8 +34,7 @@ pub use funnelpq_sync::probe::{CounterEvent, EventSink, SinkRef};
 
 /// Which queue operation a latency sample belongs to.
 ///
-/// The batched/fused kinds keep their identity for span tracing
-/// ([`crate::trace`]) while aggregating into the base `insert` /
+/// The batched/fused kinds aggregate into the base `insert` /
 /// `delete_min` histograms of a [`MetricsSnapshot`]: a batch insert is
 /// still time spent inserting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,16 +53,7 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Every kind, in a fixed order matching [`OpKind::index`].
-    pub const ALL: [OpKind; 5] = [
-        OpKind::Insert,
-        OpKind::DeleteMin,
-        OpKind::InsertBatch,
-        OpKind::DeleteMinBatch,
-        OpKind::ReplaceMin,
-    ];
-
-    /// Dense index in `0..ALL.len()` (trace-record encoding).
+    /// Dense index in `0..5`; a base kind's index is its histogram slot.
     pub fn index(self) -> usize {
         match self {
             OpKind::Insert => 0,
@@ -71,17 +61,6 @@ impl OpKind {
             OpKind::InsertBatch => 2,
             OpKind::DeleteMinBatch => 3,
             OpKind::ReplaceMin => 4,
-        }
-    }
-
-    /// Stable snake_case name (trace row labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Insert => "insert",
-            OpKind::DeleteMin => "delete_min",
-            OpKind::InsertBatch => "insert_batch",
-            OpKind::DeleteMinBatch => "delete_min_batch",
-            OpKind::ReplaceMin => "replace_min",
         }
     }
 
@@ -126,7 +105,7 @@ pub trait Recorder: Send + Sync + 'static {
     }
 
     /// Asked by [`timed`] before each operation of `kind`: `true` means
-    /// "time it and report it through [`Recorder::record_op_span`]";
+    /// "time it and report it through [`Recorder::record_op`]";
     /// `false` means the recorder has counted the operation itself and
     /// wants no clock read for it. The default times every operation.
     fn begin_op(&self, kind: OpKind) -> bool {
@@ -136,14 +115,6 @@ pub trait Recorder: Send + Sync + 'static {
 
     /// Record one operation of `kind` that took `nanos` nanoseconds.
     fn record_op(&self, kind: OpKind, nanos: u64);
-
-    /// Record one operation of `kind` spanning
-    /// `[start_ns, end_ns)` on the [`funnelpq_util::mono_ns`] timeline.
-    /// The default forwards the duration to [`Recorder::record_op`];
-    /// tracing recorders override it to keep the endpoints.
-    fn record_op_span(&self, kind: OpKind, start_ns: u64, end_ns: u64) {
-        self.record_op(kind, end_ns.saturating_sub(start_ns));
-    }
 
     /// Record one batched operation ([`crate::BoundedPq::insert_batch`],
     /// [`crate::BoundedPq::delete_min_batch`] or the fused
@@ -194,16 +165,14 @@ pub fn record_batch_op<R: Recorder>(rec: &R, size: u64) {
 
 /// Runs `f` as one `kind` operation on `rec`: every operation is counted,
 /// and the ones the recorder asks for ([`Recorder::begin_op`]) are timed
-/// and reported as a span — free when `R::ENABLED` is false (no timer
-/// read, no call, no branch). Timestamps come from the process-wide
-/// [`funnelpq_util::mono_ns`] clock so recorders that keep span endpoints
-/// (the tracer) see one cross-thread timeline.
+/// and reported through [`Recorder::record_op`] — free when `R::ENABLED`
+/// is false (no timer read, no call, no branch).
 #[inline]
 pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O {
     if R::ENABLED && rec.begin_op(kind) {
         let start = mono_ns();
         let out = f();
-        rec.record_op_span(kind, start, mono_ns());
+        rec.record_op(kind, mono_ns().saturating_sub(start));
         out
     } else {
         f()
@@ -302,7 +271,7 @@ thread_local! {
 }
 
 /// This thread's token: nonzero, never given to another thread. It marks
-/// the shards the thread owns and picks its home shard and trace ring.
+/// the shards the thread owns and picks its home shard.
 pub(crate) fn thread_token() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(1);
     SLOT.with(|s| {

@@ -3,8 +3,8 @@
 //! load directly in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! Row shapes and document framing come from the workspace-shared
-//! [`ChromeTrace`] builder, so simulator traces and the native
-//! `funnelpq::trace` drain render identically in the same UI.
+//! [`ChromeTrace`] builder, so simulator traces and `pqbench`'s native
+//! span timelines render identically in the same UI.
 
 use std::collections::BTreeMap;
 

@@ -9,11 +9,12 @@
 //!   more (the simulated twins keep it); it stays for the ledger's
 //!   `sync.mcs.*` rows;
 //! * [`TtasMutex`] — a centralized test-and-test-and-set lock, the native
-//!   lock of every queue: SingleLock's heap, bins, locked counters,
-//!   HuntEtAl and SkipList. On a host with a handful of cores it hands a
-//!   short section over faster than a FIFO queue, and it does not collapse
-//!   when threads outnumber cores. [`TtasMutex::lock_noting`] reports
-//!   acquisitions and spans to a sink;
+//!   lock of every queue: SingleLock's heap, the heap-array slots, bins,
+//!   locked counters, the funnel stack's central lock, HuntEtAl and
+//!   SkipList. On a host with a handful of cores it hands a short section
+//!   over faster than a FIFO queue, and it does not collapse when threads
+//!   outnumber cores. [`TtasMutex::lock_noting`] counts acquisitions into
+//!   a sink;
 //! * [`LockBin`] — the paper's Figure-1 bin (lock + pool + one-read
 //!   emptiness test);
 //! * [`CasCounter`] / [`LockedCounter`] — non-combining shared counters;

@@ -142,15 +142,6 @@ impl std::fmt::Display for CounterEvent {
 /// Receiver for substrate events. Sinks are called from inside hot paths,
 /// so implementations must be cheap and must not block.
 ///
-/// What a sink costs a lock acquisition depends on what it asks for. A
-/// counting sink (the default) costs one out-of-line call and one
-/// [`EventSink::event`] before the wait, and no clock reads. A sink that
-/// returns `true` from [`EventSink::wants_lock_spans`] also gets one
-/// [`EventSink::lock_span`] per acquisition and pays three
-/// [`funnelpq_util::mono_ns`] reads for it, two of them — the acquire and
-/// release stamps — inside the critical section; the `lock_span` call
-/// itself is made after the hand-off.
-///
 /// Methods take no thread id — locks do not know their caller's dense id —
 /// so implementations that shard must derive a shard key themselves (the
 /// `funnelpq` `AtomicRecorder` keeps each thread's shard in a thread-local).
@@ -161,25 +152,6 @@ pub trait EventSink: Send + Sync {
     /// Record one occurrence of `event`.
     fn event(&self, event: CounterEvent) {
         self.event_n(event, 1);
-    }
-
-    /// Whether this sink consumes [`EventSink::lock_span`]. A noting lock
-    /// ([`crate::TtasMutex::lock_noting`]) asks on each acquisition and
-    /// times it only for a sink that says yes. A sink that overrides
-    /// `lock_span` must override this too.
-    fn wants_lock_spans(&self) -> bool {
-        false
-    }
-
-    /// Record one completed lock acquire→hold→release interval, with all
-    /// three timestamps from [`funnelpq_util::mono_ns`]:
-    /// `wait_start_ns ≤ acquired_ns ≤ released_ns`, wait time being
-    /// `acquired - wait_start` and hold time `released - acquired`.
-    ///
-    /// Called only when [`EventSink::wants_lock_spans`] returned `true`,
-    /// after the lock has been released, from the thread that held it.
-    fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
-        let _ = (wait_start_ns, acquired_ns, released_ns);
     }
 }
 

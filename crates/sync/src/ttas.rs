@@ -3,13 +3,14 @@
 //! The classic centralized spin lock: cheap when uncontended, a hot spot
 //! when many processors want it. With a handful of cores it hands a short
 //! section over faster than [`crate::McsLock`]'s FIFO queue, so every
-//! native queue lock sits on it: SingleLock's heap, the bins, the locked
-//! counters, HuntEtAl and SkipList.
+//! native queue lock sits on it: SingleLock's heap, the heap-array slots
+//! of MultiQueue and NumaPq, the bins, the locked counters, the funnel
+//! stack's central lock, HuntEtAl and SkipList.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use funnelpq_util::{mono_ns, Backoff};
+use funnelpq_util::Backoff;
 
 use crate::probe::{CounterEvent, SinkRef};
 
@@ -69,12 +70,10 @@ impl<T> TtasMutex<T> {
         }
     }
 
-    /// `f(&mut self.lock())`, reporting the acquisition to `sink`: one
-    /// [`CounterEvent::LockAcquire`], and a wait → hold
-    /// → release span if the sink
-    /// [wants them](crate::probe::EventSink::wants_lock_spans). The lock's
-    /// holder keeps the sink, so the flag stays one byte. A counting sink
-    /// costs one out-of-line call and no clock read.
+    /// `f(&mut self.lock())`, reporting the acquisition to `sink` as one
+    /// [`CounterEvent::LockAcquire`]. The lock's holder keeps the sink, so
+    /// the flag stays one byte. A sink costs one out-of-line call and no
+    /// clock read.
     #[inline]
     pub fn lock_noting<R>(&self, sink: Option<&SinkRef>, f: impl FnOnce(&mut T) -> R) -> R {
         match sink {
@@ -89,23 +88,12 @@ impl<T> TtasMutex<T> {
     // Out of line, so the sink-absent path pays only a not-taken branch and
     // a sinked one a single call: callers inline `lock_noting` as they would
     // a bare `lock`. Not cold, so a counted section compiles as an uncounted
-    // one does; the span is reported after the release, so the sink call
-    // never extends the critical section.
+    // one does; the count is taken before the wait, so the sink call never
+    // extends the critical section.
     #[inline(never)]
     fn lock_noted<R>(&self, sink: &SinkRef, f: impl FnOnce(&mut T) -> R) -> R {
         sink.event(CounterEvent::LockAcquire);
-        if !sink.wants_lock_spans() {
-            return f(&mut self.lock());
-        }
-        std::hint::cold_path();
-        let wait = stamp();
-        let mut g = self.lock();
-        let acquired = stamp();
-        let out = f(&mut g);
-        let released = stamp();
-        drop(g);
-        sink.lock_span(wait, acquired, released);
-        out
+        f(&mut self.lock())
     }
 
     /// Single acquisition attempt.
@@ -137,13 +125,6 @@ impl<T> TtasMutex<T> {
     pub fn into_inner(self) -> T {
         self.data.into_inner()
     }
-}
-
-/// [`mono_ns`], counted per thread under test.
-fn stamp() -> u64 {
-    #[cfg(test)]
-    tests::CLOCK_READS.with(|c| c.set(c.get() + 1));
-    mono_ns()
 }
 
 // SAFETY: standard mutex reasoning — the guard provides exclusive access.
@@ -189,14 +170,8 @@ impl<T> std::ops::DerefMut for TtasGuard<'_, T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use std::cell::Cell;
     use std::sync::Arc;
     use std::thread;
-
-    thread_local! {
-        /// Clock reads `lock_noting` made on this thread.
-        pub(crate) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
-    }
 
     #[test]
     fn basic() {
@@ -218,21 +193,13 @@ pub(crate) mod tests {
         assert_eq!(std::mem::size_of::<TtasMutex<u64>>(), 16);
     }
 
-    /// Counts acquisitions and, if `spans`, keeps every span.
+    /// Counts acquisitions.
     #[derive(Default)]
     pub(crate) struct LockSink {
         pub(crate) acquires: std::sync::atomic::AtomicU64,
-        pub(crate) spans: Option<std::sync::Mutex<Vec<(u64, u64, u64)>>>,
     }
 
     impl LockSink {
-        pub(crate) fn with_spans() -> Self {
-            LockSink {
-                spans: Some(Default::default()),
-                ..Default::default()
-            }
-        }
-
         pub(crate) fn acquires(&self) -> u64 {
             self.acquires.load(Ordering::Relaxed)
         }
@@ -243,16 +210,6 @@ pub(crate) mod tests {
             assert_eq!(event, CounterEvent::LockAcquire);
             self.acquires.fetch_add(n, Ordering::Relaxed);
         }
-        fn wants_lock_spans(&self) -> bool {
-            self.spans.is_some()
-        }
-        fn lock_span(&self, wait: u64, acquired: u64, released: u64) {
-            let spans = self
-                .spans
-                .as_ref()
-                .expect("lock_span reached a counting sink");
-            spans.lock().unwrap().push((wait, acquired, released));
-        }
     }
 
     #[test]
@@ -260,35 +217,12 @@ pub(crate) mod tests {
         let sink = Arc::new(LockSink::default());
         let s: SinkRef = sink.clone();
         let m = TtasMutex::new(0u32);
-        let before = CLOCK_READS.with(Cell::get);
         for _ in 0..3 {
             m.lock_noting(Some(&s), |v| *v += 1);
         }
         m.lock_noting(None, |v| *v += 1);
-        assert_eq!(
-            CLOCK_READS.with(Cell::get),
-            before,
-            "a counting sink read the clock"
-        );
         assert_eq!(sink.acquires(), 3, "one count per sinked acquisition");
         assert_eq!(m.into_inner(), 4);
-    }
-
-    #[test]
-    fn a_span_sink_sees_ordered_spans() {
-        let sink = Arc::new(LockSink::with_spans());
-        let s: SinkRef = sink.clone();
-        let m = TtasMutex::new(0u32);
-        assert_eq!(m.lock_noting(Some(&s), |v| *v + 7), 7);
-        m.lock_noting(Some(&s), |v| *v += 1);
-        let spans = sink.spans.as_ref().unwrap().lock().unwrap();
-        assert_eq!(spans.len() as u64, sink.acquires());
-        assert_eq!(spans.len(), 2);
-        for &(wait, acq, rel) in spans.iter() {
-            assert!(wait <= acq && acq <= rel, "span out of order");
-        }
-        // Spans from one thread lie on one monotonic timeline.
-        assert!(spans[0].2 <= spans[1].0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Chrome Trace Format document builder, shared by the simulator's trace
-//! exporter and the native `funnelpq::trace` drain so both render in the
+//! exporter and `pqbench`'s native span timelines so both render in the
 //! same UI (`chrome://tracing`, <https://ui.perfetto.dev>).
 //!
 //! One row per event, compact JSON (a trace can hold hundreds of
@@ -8,7 +8,7 @@
 //! and the document framing; callers decide pids/tids and what the rows
 //! mean. Timestamps are written as microseconds because that is the unit
 //! Perfetto assumes; the label is cosmetic, so callers map their own time
-//! base onto it (the simulator writes cycles, the native tracer writes
+//! base onto it (the simulator writes cycles, `pqbench` writes
 //! nanoseconds).
 
 use crate::json::esc;

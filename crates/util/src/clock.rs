@@ -1,6 +1,6 @@
 //! Process-wide monotonic nanosecond clock.
 //!
-//! Trace records and telemetry windows need timestamps that are cheap,
+//! Span timestamps and telemetry windows need timestamps that are cheap,
 //! monotonic, and comparable *across threads* — `Instant` alone is
 //! opaque (no numeric value), so everything here is measured against one
 //! lazily-pinned process epoch. The first call pins the epoch; every
@@ -11,7 +11,7 @@ use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Nanoseconds since the process trace epoch (pinned on first use).
+/// Nanoseconds since the process epoch (pinned on first use).
 /// Monotonic and shared by every thread, so values from different
 /// threads order correctly on one timeline.
 pub fn mono_ns() -> u64 {

@@ -16,11 +16,9 @@
 //!   bench / telemetry artifact (plus the shared [`json::SCHEMA_VERSION`]
 //!   stamp CI validates);
 //! * [`chrome`] — Chrome Trace Format document builder shared by the
-//!   simulator exporter and the native tracer;
-//! * [`SeqRing`] — lock-free seqlock ring buffer for fixed-width trace
-//!   records (flight-recorder semantics);
+//!   simulator exporter and `pqbench`'s span timelines;
 //! * [`mono_ns`] — process-wide monotonic nanosecond clock for
-//!   cross-thread trace timestamps;
+//!   cross-thread timestamps;
 //! * [`audit`] — the operation-history audit (conservation, ordering, rank
 //!   error, Appendix-B windows) for simulated and native runs alike.
 //!
@@ -37,12 +35,10 @@ pub mod chrome;
 mod clock;
 pub mod json;
 mod pad;
-mod ring;
 mod rng;
 
 pub use acc::{Acc, ACC_BUCKETS};
 pub use backoff::Backoff;
 pub use clock::mono_ns;
 pub use pad::CachePadded;
-pub use ring::SeqRing;
 pub use rng::{splitmix64, AtomicRng, XorShift64Star};

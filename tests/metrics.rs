@@ -6,8 +6,9 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use funnelpq::obs::{record_batch_op, AtomicRecorder, CounterEvent, OpStats, Recorder};
-use funnelpq::trace::{TraceRecord, TracingRecorder};
+use funnelpq::obs::{
+    record_batch_op, AtomicRecorder, CounterEvent, OpKind, OpStats, Recorder, SinkRef,
+};
 use funnelpq::{Algorithm, BoundedPq, NumaConfig, PqBuilder, PqConfig};
 
 const THREADS: usize = 4;
@@ -128,13 +129,33 @@ fn alternating_caller_cannot_alias_a_kind_out_of_the_sample() {
     }
 }
 
-/// The flight recorder keeps the trait's default "time everything": one op
-/// span per operation, and a histogram over all of them.
+/// An `AtomicRecorder` behind a recorder that keeps `Recorder::begin_op`'s
+/// default, so `timed` asks it to time every operation.
+#[derive(Default)]
+struct TimesEveryOp(AtomicRecorder);
+
+impl Recorder for TimesEveryOp {
+    const ENABLED: bool = true;
+
+    fn record_event_n(&self, event: CounterEvent, n: u64) {
+        self.0.record_event_n(event, n);
+    }
+
+    fn record_op(&self, kind: OpKind, nanos: u64) {
+        self.0.record_op(kind, nanos);
+    }
+
+    fn sink(self: &Arc<Self>) -> Option<SinkRef> {
+        None
+    }
+}
+
+/// A recorder that keeps the trait's default "time everything" gets every
+/// operation timed: its sample is the whole count.
 #[test]
-fn tracing_recorder_still_records_every_op_span() {
+fn the_default_begin_op_times_every_op() {
     const PAIRS: u64 = 1_000;
-    // One ring, sized for every op span plus the lock span each op causes.
-    let rec = Arc::new(TracingRecorder::with_config(1, 8 * PAIRS as usize));
+    let rec = Arc::new(TimesEveryOp::default());
     let q = PqBuilder::new(Algorithm::SingleLock, 16, 1)
         .recorder(Arc::clone(&rec))
         .build::<u64>();
@@ -142,14 +163,8 @@ fn tracing_recorder_still_records_every_op_span() {
         q.insert(0, (i % 16) as usize, i);
         q.delete_min(0);
     }
-    let snap = rec.snapshot();
-    let spans = rec
-        .drain()
-        .iter()
-        .filter(|r| matches!(r, TraceRecord::Op { .. }))
-        .count() as u64;
+    let snap = rec.0.snapshot();
     assert_eq!(snap.total_ops(), 2 * PAIRS);
-    assert_eq!(spans, snap.total_ops(), "one op span per operation");
     assert_eq!(snap.insert.timed, snap.insert.count);
     assert_eq!(snap.delete_min.timed, snap.delete_min.count);
 }
@@ -239,6 +254,33 @@ fn single_lock_lock_acquisitions_are_exact() {
         let taken = rec.snapshot().event(CounterEvent::LockAcquire) - before;
         assert_eq!(taken, 1, "{name} took the lock {taken} times");
     }
+}
+
+/// The two-thread twin of the test above: on an `AtomicRecorder` the
+/// acquisition count stays exact under contention — one per operation.
+#[test]
+fn counting_recorder_sees_every_acquisition() {
+    const THREADS: usize = 2;
+    const PAIRS: u64 = 5_000;
+    let rec = Arc::new(AtomicRecorder::new());
+    let q = PqBuilder::new(Algorithm::SingleLock, 8, THREADS)
+        .recorder(Arc::clone(&rec))
+        .build::<u64>();
+    thread::scope(|s| {
+        for tid in 0..THREADS {
+            let q = &q;
+            s.spawn(move || {
+                for i in 0..PAIRS {
+                    q.insert(tid, (i % 8) as usize, i);
+                    q.delete_min(tid);
+                }
+            });
+        }
+    });
+    let snap = rec.snapshot();
+    let ops = snap.insert.count + snap.delete_min.count;
+    assert_eq!(ops, 2 * PAIRS * THREADS as u64);
+    assert_eq!(snap.event(CounterEvent::LockAcquire), ops);
 }
 
 /// Funnel algorithms under contention surface funnel-specific events; at

@@ -845,16 +845,39 @@ fn a_sparse_stream_is_drained_without_coalescing() {
 /// A producer submitting flat out keeps the dispatcher coalescing: jobs
 /// land far closer together than the bound, so a backlog smaller than a
 /// batch is worth the wait, and batches come out larger than one job.
+///
+/// Every `BURST` jobs the producer waits until the dispatcher has caught
+/// up to less than a batch. Without the wait a dispatcher that falls
+/// behind (it starts late, and 2 048 slots let the producer run far ahead)
+/// drains full batches to the end and never meets the backlog smaller
+/// than a batch that the coalesce decision is about. `BURST` is not a
+/// multiple of `drain_batch`, so a dispatcher that drains full batches
+/// all through a burst still meets a tail smaller than one. The pause is
+/// one capped sample in the arrival estimate per ~8 batches, which keeps
+/// the estimate under the bound.
 #[test]
 fn a_flat_out_producer_still_coalesces() {
     const JOBS: u64 = 20_000;
+    const BURST: u64 = 61;
     let mut c = cfg(PqConfig::SingleLock);
     c.shards = 1;
     c.record_dispatches = false;
+    let drain_batch = c.drain_batch;
+    assert_ne!(BURST % drain_batch as u64, 0);
     let s = Arc::new(Scheduler::new(c).unwrap());
     s.start();
     let mut admitted = 0;
     while admitted < JOBS {
+        if admitted % BURST == 0 {
+            let t0 = std::time::Instant::now();
+            while s.in_flight() >= drain_batch {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "the dispatcher never caught up"
+                );
+                std::thread::sleep(Duration::from_micros(20));
+            }
+        }
         let tenant = TenantId((admitted % TENANTS as u64) as u32);
         match s.submit(0, JobSpec::once(tenant, Deadline::In(1_000_000), admitted)) {
             Ok(_) => admitted += 1,
