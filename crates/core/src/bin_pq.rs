@@ -270,7 +270,7 @@ impl<T: Send, L: Layout<T>, R: Recorder> BoundedPq<T> for BinPq<T, L, R> {
         }
         let batch = check_batch(tid, batch, self.max_threads, self.num_priorities())?;
         let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        obs::timed(&*self.recorder, OpKind::Insert, || {
             self.layout.insert_batch(tid, batch)
         });
         obs::record_batch_op(&*self.recorder, n);
@@ -282,7 +282,7 @@ impl<T: Send, L: Layout<T>, R: Recorder> BoundedPq<T> for BinPq<T, L, R> {
         if k == 0 {
             return 0;
         }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             self.layout.delete_min_batch(tid, k, out)
         });
         obs::record_batch_op(&*self.recorder, taken as u64);

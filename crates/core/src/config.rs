@@ -131,16 +131,16 @@ pub enum PqConfig {
     /// Bounded-range skip list of bins.
     SkipList(SkipListConfig),
     /// Array of locked bins (LIFO; FIFO through
-    /// [`crate::SimpleLinearPq::with_order`]).
+    /// [`crate::SimpleLinearPq::with_recorder`]).
     SimpleLinear,
     /// Tree of locked counters over locked bins (LIFO; FIFO through
-    /// [`crate::SimpleTreePq::with_order`]).
+    /// [`crate::SimpleTreePq::with_recorder`]).
     SimpleTree,
     /// Array of combining-funnel stacks.
     LinearFunnels,
     /// Tree with funnel counters at the top
     /// [`crate::DEFAULT_FUNNEL_LEVELS`] levels and funnel-stack bins (other
-    /// cutoffs through [`crate::FunnelTreePq::with_config`]).
+    /// cutoffs through [`crate::FunnelTreePq::with_recorder`]).
     FunnelTree,
     /// Relaxed MultiQueue.
     MultiQueue(MultiQueueConfig),

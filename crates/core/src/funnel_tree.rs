@@ -30,8 +30,11 @@ pub const DEFAULT_FUNNEL_LEVELS: usize = 4;
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, FunnelTreePq};
-/// let q = FunnelTreePq::new(16, 8);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BoundedPq, FunnelConfig, FunnelTreePq, DEFAULT_FUNNEL_LEVELS};
+/// let cfg = FunnelConfig::for_threads(8);
+/// let q = FunnelTreePq::with_recorder(16, cfg, DEFAULT_FUNNEL_LEVELS, Arc::new(NoopRecorder));
 /// q.insert(0, 12, "l");
 /// q.insert(1, 3, "c");
 /// assert_eq!(q.delete_min(2), Some((3, "c")));
@@ -39,35 +42,15 @@ pub const DEFAULT_FUNNEL_LEVELS: usize = 4;
 /// ```
 pub type FunnelTreePq<T, R = NoopRecorder> = BinPq<T, CounterTree<T, FunnelStack<T>>, R>;
 
-impl<T: Send> FunnelTreePq<T> {
-    /// Creates a queue with default funnel parameters and the paper's
-    /// four-level funnel cutoff.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_config(
-            num_priorities,
-            FunnelConfig::for_threads(max_threads),
-            DEFAULT_FUNNEL_LEVELS,
-        )
-    }
-
-    /// Creates a queue with explicit funnel parameters and funnel-level
-    /// cutoff (`funnel_levels = 0` degrades to per-node locked counters
-    /// with funnel-stack bins; `usize::MAX` uses funnels throughout — the
-    /// ablation of §3.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` is zero or the config is invalid.
-    pub fn with_config(num_priorities: usize, cfg: FunnelConfig, funnel_levels: usize) -> Self {
-        Self::with_recorder(num_priorities, cfg, funnel_levels, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> FunnelTreePq<T, R> {
-    /// Like [`FunnelTreePq::with_config`], reporting metrics to `recorder`
-    /// (funnel collisions, eliminations, CAS retries, adaptions and the
-    /// deeper counters' lock acquisitions flow into the recorder's
-    /// substrate sink).
+    /// Creates a queue with the funnel parameters `cfg` (threads
+    /// `0..cfg.max_threads`) and funnel-level cutoff
+    /// ([`DEFAULT_FUNNEL_LEVELS`] is the paper's; `funnel_levels = 0`
+    /// degrades to per-node locked counters with funnel-stack bins;
+    /// `usize::MAX` uses funnels throughout — the ablation of §3.2),
+    /// reporting metrics to `recorder` (funnel collisions, eliminations,
+    /// CAS retries, adaptions and the deeper counters' lock acquisitions
+    /// flow into the recorder's substrate sink).
     ///
     /// # Panics
     ///
@@ -109,9 +92,14 @@ mod tests {
     use super::*;
     use crate::traits::BoundedPq;
 
+    fn queue<T: Send>(num_priorities: usize, funnel_levels: usize) -> FunnelTreePq<T> {
+        let cfg = FunnelConfig::for_threads(2);
+        FunnelTreePq::with_recorder(num_priorities, cfg, funnel_levels, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn sequential_priority_order() {
-        let q = FunnelTreePq::new(8, 2);
+        let q = queue(8, DEFAULT_FUNNEL_LEVELS);
         for p in [6usize, 1, 4, 1, 7] {
             q.insert(0, p, p);
         }
@@ -122,7 +110,7 @@ mod tests {
 
     #[test]
     fn funnels_throughout_variant_works() {
-        let q = FunnelTreePq::with_config(8, FunnelConfig::for_threads(2), usize::MAX);
+        let q = queue(8, usize::MAX);
         q.insert(0, 5, 'x');
         q.insert(1, 2, 'y');
         assert_eq!(q.delete_min(0), Some((2, 'y')));
@@ -131,7 +119,7 @@ mod tests {
 
     #[test]
     fn zero_funnel_levels_variant_works() {
-        let q = FunnelTreePq::with_config(4, FunnelConfig::for_threads(2), 0);
+        let q = queue(4, 0);
         q.insert(0, 3, 3);
         q.insert(0, 0, 0);
         assert_eq!(q.delete_min(0), Some((0, 0)));

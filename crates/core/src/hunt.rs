@@ -65,8 +65,10 @@ fn bit_reversed_position(s: usize) -> usize {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
 /// use funnelpq::{BoundedPq, HuntPq};
-/// let q = HuntPq::with_capacity(16, 2, 64);
+/// let q = HuntPq::with_recorder(16, 2, 64, Arc::new(NoopRecorder));
 /// q.insert(0, 9, "z");
 /// q.insert(1, 1, "a");
 /// assert_eq!(q.delete_min(0), Some((1, "a")));
@@ -89,30 +91,10 @@ pub struct HuntPq<T, R: Recorder = NoopRecorder> {
     recorder: Arc<R>,
 }
 
-impl<T: Send> HuntPq<T> {
-    /// Creates a queue with a default capacity of 2¹⁶ items.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_capacity(num_priorities, max_threads, 1 << 16)
-    }
-
-    /// Creates a queue holding at most `capacity` simultaneous items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is zero.
-    pub fn with_capacity(num_priorities: usize, max_threads: usize, capacity: usize) -> Self {
-        Self::with_recorder(
-            num_priorities,
-            max_threads,
-            capacity,
-            Arc::new(NoopRecorder),
-        )
-    }
-}
-
 impl<T: Send, R: Recorder> HuntPq<T, R> {
-    /// Like [`HuntPq::with_capacity`], reporting metrics to `recorder` (the
-    /// size lock's acquisitions flow into the recorder's substrate sink).
+    /// Creates a queue holding at most `capacity` simultaneous items,
+    /// reporting metrics to `recorder` (the size lock's acquisitions flow
+    /// into the recorder's substrate sink).
     ///
     /// # Panics
     ///
@@ -197,7 +179,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         // earlier (smaller) item from the same batch.
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let submitted = batch.len();
-        let leftover = obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        let leftover = obs::timed(&*self.recorder, OpKind::Insert, || {
             let mut it = batch.into_iter();
             while let Some((pri, item)) = it.next() {
                 if let Err(e) = self.file(tid, pri, item) {
@@ -227,7 +209,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         if k == 0 {
             return 0;
         }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut saved: Vec<(usize, T)> = Vec::new();
             self.size.lock_noting(self.sink.as_ref(), |size| {
                 let m = k.min(*size);
@@ -282,7 +264,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
             reject(&e);
         }
-        let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
+        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut root = self.nodes[1].lock();
             if root.tag == Tag::Available {
                 let min = root.entry.take().expect("root occupied");
@@ -463,10 +445,11 @@ impl<T: Send, R: Recorder> HuntPq<T, R> {
         drop(bg);
         // Replace the root item with the detached one and sift down.
         let mut ig = self.nodes[1].lock();
-        if ig.tag == Tag::Empty {
-            // The detached bottom *was* the root (or the root was consumed
-            // by a concurrent delete that raced us): the saved item is the
-            // answer.
+        if ig.tag == Tag::Empty || saved.0 < ig.priority() {
+            // The saved item is the answer, and the root stays: the
+            // detached bottom *was* the root (or a concurrent delete
+            // consumed it), or while we held `saved` another delete
+            // settled a larger item at the root (Appendix B).
             return Some(saved);
         }
         let min = ig.entry.take().expect("root occupied");
@@ -489,6 +472,11 @@ impl<T: std::fmt::Debug, R: Recorder> std::fmt::Debug for HuntPq<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize, capacity: usize) -> HuntPq<T> {
+        let rec = Arc::new(NoopRecorder);
+        HuntPq::with_recorder(num_priorities, max_threads, capacity, rec)
+    }
 
     #[test]
     fn a_node_is_its_entry_and_a_lock_byte() {
@@ -516,7 +504,7 @@ mod tests {
 
     #[test]
     fn sequential_order() {
-        let q = HuntPq::with_capacity(32, 1, 128);
+        let q = queue(32, 1, 128);
         for p in [17usize, 3, 3, 25, 0, 9] {
             q.insert(0, p, p);
         }
@@ -528,7 +516,7 @@ mod tests {
 
     #[test]
     fn refill_after_drain() {
-        let q = HuntPq::with_capacity(8, 1, 32);
+        let q = queue(8, 1, 32);
         for round in 0..4 {
             for p in 0..8 {
                 q.insert(0, (p + round) % 8, p);
@@ -546,7 +534,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity exhausted")]
     fn capacity_overflow_panics() {
-        let q = HuntPq::with_capacity(4, 1, 2);
+        let q = queue(4, 1, 2);
         q.insert(0, 0, ());
         q.insert(0, 1, ());
         q.insert(0, 2, ());
@@ -554,7 +542,7 @@ mod tests {
 
     #[test]
     fn batch_ops_match_singles() {
-        let q = HuntPq::with_capacity(32, 1, 128);
+        let q = queue(32, 1, 128);
         q.insert_batch(
             0,
             vec![(17, 17u64), (3, 3), (3, 103), (25, 25), (0, 0), (9, 9)],
@@ -576,7 +564,7 @@ mod tests {
     fn two_batch_inserters_each_keep_one_insert_pending() {
         // Debug builds assert the rule on every placement; two threads
         // filing overlapping batches meet on the same parents.
-        let q = HuntPq::with_capacity(64, 2, 4096);
+        let q = queue(64, 2, 4096);
         let taken: usize = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
                 .map(|tid| {
@@ -606,7 +594,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "second pending insert")]
     fn placing_twice_without_a_bubble_is_caught() {
-        let q = HuntPq::with_capacity(8, 1, 8);
+        let q = queue(8, 1, 8);
         let _ = q.place(0, 3, 3u64);
         let _ = q.place(0, 1, 1u64);
     }
@@ -614,7 +602,7 @@ mod tests {
     #[test]
     fn batch_insert_capacity_hit_returns_unconsumed_tail() {
         use crate::traits::PqBatchError;
-        let q = HuntPq::with_capacity(8, 1, 3);
+        let q = queue(8, 1, 3);
         q.insert(0, 7, 70u64);
         let err: PqBatchError<u64> = q
             .insert_batch(0, vec![(5, 50), (1, 10), (6, 60), (2, 20)])
@@ -635,7 +623,7 @@ mod tests {
         // Regression shape: the batch detaches bottoms whose priorities are
         // *smaller* than what the root holds after the first settle; the
         // min(root, saved) rule must still return exact ascending results.
-        let q = HuntPq::with_capacity(16, 1, 64);
+        let q = queue(16, 1, 64);
         q.insert_batch(0, vec![(0, 0u64), (1, 1), (5, 5)]).unwrap();
         let mut out = Vec::new();
         assert_eq!(q.delete_min_batch(0, 2, &mut out), 2);

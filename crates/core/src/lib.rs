@@ -23,7 +23,13 @@
 //! The last four are two layouts (an array of bins, a tree of counters)
 //! over two bins (`LockBin`, `FunnelStack`), so their names are type
 //! aliases of one generic queue, [`BinPq`]: one front end, four
-//! monomorphised instantiations, each with its own constructors.
+//! monomorphised instantiations.
+//!
+//! Each queue has exactly one public constructor, the one [`PqBuilder`]
+//! calls (`with_recorder`; `with_config` for [`MultiQueuePq`] and
+//! [`NumaPq`]). It takes the queue's every parameter and a recorder
+//! (`Arc::new(NoopRecorder)` for none); FIFO bins and other funnel
+//! cutoffs are built there.
 //!
 //! Beyond the paper, [`MultiQueuePq`] implements the modern *relaxed*
 //! answer to the same contention problem — `c·T` heaps behind try-locks
@@ -74,7 +80,6 @@ mod bin_pq;
 mod builder;
 mod config;
 mod counter_tree;
-mod error;
 mod funnel_tree;
 pub mod heap;
 mod heap_array;
@@ -95,7 +100,6 @@ pub use algorithm::Algorithm;
 pub use bin_pq::BinPq;
 pub use builder::{BuildError, PqBuilder};
 pub use config::{HuntConfig, MultiQueueConfig, NumaConfig, PqConfig, SkipListConfig};
-pub use error::Error;
 pub use funnel_tree::{FunnelTreePq, DEFAULT_FUNNEL_LEVELS};
 pub use hunt::HuntPq;
 pub use linear_funnels::LinearFunnelsPq;

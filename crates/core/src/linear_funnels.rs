@@ -23,33 +23,21 @@ use crate::obs::{NoopRecorder, Recorder};
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, LinearFunnelsPq};
-/// let q = LinearFunnelsPq::new(4, 8);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BoundedPq, FunnelConfig, LinearFunnelsPq};
+/// let cfg = FunnelConfig::for_threads(8);
+/// let q = LinearFunnelsPq::with_recorder(4, cfg, Arc::new(NoopRecorder));
 /// q.insert(0, 2, 'x');
 /// assert_eq!(q.delete_min(1), Some((2, 'x')));
 /// ```
 pub type LinearFunnelsPq<T, R = NoopRecorder> = BinPq<T, Linear<FunnelStack<T>>, R>;
 
-impl<T: Send> LinearFunnelsPq<T> {
-    /// Creates a queue with default funnel parameters for `max_threads`.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_config(num_priorities, FunnelConfig::for_threads(max_threads))
-    }
-
-    /// Creates a queue with explicit funnel parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` is zero or the config is invalid.
-    pub fn with_config(num_priorities: usize, cfg: FunnelConfig) -> Self {
-        Self::with_recorder(num_priorities, cfg, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> LinearFunnelsPq<T, R> {
-    /// Like [`LinearFunnelsPq::with_config`], reporting metrics to
-    /// `recorder` (funnel collisions, eliminations, adaptions and central
-    /// locks flow into the recorder's substrate sink).
+    /// Creates a queue with the funnel parameters `cfg` (threads
+    /// `0..cfg.max_threads`), reporting metrics to `recorder` (funnel
+    /// collisions, eliminations, adaptions and central locks flow into the
+    /// recorder's substrate sink).
     ///
     /// # Panics
     ///
@@ -70,9 +58,14 @@ mod tests {
     use crate::traits::BoundedPq;
     use std::thread;
 
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize) -> LinearFunnelsPq<T> {
+        let cfg = FunnelConfig::for_threads(max_threads);
+        LinearFunnelsPq::with_recorder(num_priorities, cfg, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn sequential_order() {
-        let q = LinearFunnelsPq::new(6, 1);
+        let q = queue(6, 1);
         q.insert(0, 5, 500);
         q.insert(0, 0, 0);
         q.insert(0, 3, 300);
@@ -86,7 +79,7 @@ mod tests {
     fn concurrent_conservation() {
         const T: usize = 8;
         const N: usize = 300;
-        let q = Arc::new(LinearFunnelsPq::new(4, T));
+        let q = Arc::new(queue(4, T));
         let taken = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for t in 0..T {

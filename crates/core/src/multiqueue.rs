@@ -6,7 +6,7 @@
 //! the delete-min hot spot through combining funnels while keeping strict
 //! semantics, it abandons strictness. `delete_min` samples two random heaps
 //! and pops from the one whose cached top is smaller, so the returned item
-//! is only *near* the minimum ([`Consistency::Relaxed`]); in exchange,
+//! is only *near* the minimum ([`Consistency::Relaxed`](crate::Consistency::Relaxed)); in exchange,
 //! operations touch one uncontended cache line each and throughput scales
 //! almost linearly with threads. The simulator's audit layer quantifies the
 //! slack as per-operation *rank error* instead of asserting sortedness.
@@ -18,9 +18,7 @@ use funnelpq_util::{AtomicRng, CachePadded};
 use crate::algorithm::Algorithm;
 use crate::heap_array::{pop_many, BufferedHeap, HeapArray, Sticky, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{
-    check_batch, check_insert, reject, BoundedPq, Consistency, PqBatchError, PqError,
-};
+use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, PqError};
 
 /// Default ratio of internal heaps to threads (`c` in the MultiQueues
 /// papers; `c = 2` is their baseline configuration).
@@ -45,7 +43,7 @@ struct ThreadCtx {
 /// `insert` picks a random heap (re-drawing if its lock is held);
 /// `delete_min` reads the published tops of two random heaps and pops from
 /// the smaller. Neither guarantee strict ordering — see
-/// [`Consistency::Relaxed`] — but element conservation is exact, and at
+/// [`Consistency::Relaxed`](crate::Consistency::Relaxed) — but element conservation is exact, and at
 /// quiescence an empty return means the queue really is empty (a full
 /// lock-sweep fallback backs the sampled fast path). A thread re-uses one
 /// choice for eight consecutive operations before re-drawing, amortizing
@@ -54,8 +52,11 @@ struct ThreadCtx {
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, MultiQueuePq};
-/// let q = MultiQueuePq::new(16, 4);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BoundedPq, MultiQueuePq, DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED};
+/// let rec = Arc::new(NoopRecorder);
+/// let q = MultiQueuePq::with_config(16, 4, DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED, rec);
 /// q.insert(0, 3, "c");
 /// q.insert(1, 1, "a");
 /// let mut got = vec![q.delete_min(2).unwrap(), q.delete_min(3).unwrap()];
@@ -72,37 +73,12 @@ pub struct MultiQueuePq<T, R: Recorder = NoopRecorder> {
     recorder: Arc<R>,
 }
 
-impl<T: Send> MultiQueuePq<T> {
-    /// Creates a queue for priorities `0..num_priorities` with the default
-    /// factor and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_recorder(num_priorities, max_threads, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
-    /// Creates a queue reporting metrics to `recorder`, with the default
-    /// factor and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn with_recorder(num_priorities: usize, max_threads: usize, recorder: Arc<R>) -> Self {
-        Self::with_config(
-            num_priorities,
-            max_threads,
-            DEFAULT_MQ_FACTOR,
-            DEFAULT_MQ_SEED,
-            recorder,
-        )
-    }
-
-    /// Fully parameterized constructor: `factor · max_threads` internal
-    /// heaps (at least two) and `seed` for the per-thread choice RNGs.
+    /// Creates a queue for priorities `0..num_priorities` with
+    /// `factor · max_threads` internal heaps (at least two) and `seed` for
+    /// the per-thread choice RNGs ([`DEFAULT_MQ_FACTOR`] and
+    /// [`DEFAULT_MQ_SEED`] are what [`crate::PqBuilder`] uses), reporting
+    /// metrics to `recorder`.
     ///
     /// # Panics
     ///
@@ -232,7 +208,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        obs::timed(&*self.recorder, OpKind::Insert, || {
             self.push_with(tid, |h| {
                 for (pri, item) in batch {
                     h.push(pri, item);
@@ -254,7 +230,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         if k == 0 {
             return 0;
         }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut taken = 0;
             while taken < k {
                 let drained = self.pop_sampled(tid, |h| pop_many(h, k - taken, out));
@@ -286,7 +262,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
             reject(&e);
         }
-        let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
+        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut item = Some(item);
             // A winner that turns out empty under a stale top still gets
             // the new item; the removal is then reported empty.
@@ -319,20 +295,22 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
     fn is_empty(&self) -> bool {
         self.heaps.is_empty()
     }
-
-    fn consistency(&self) -> Consistency {
-        Consistency::Relaxed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::Consistency;
     use std::collections::BTreeSet;
+
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize) -> MultiQueuePq<T> {
+        let (factor, seed, rec) = (DEFAULT_MQ_FACTOR, DEFAULT_MQ_SEED, Arc::new(NoopRecorder));
+        MultiQueuePq::with_config(num_priorities, max_threads, factor, seed, rec)
+    }
 
     #[test]
     fn conserves_elements_single_thread() {
-        let q = MultiQueuePq::new(32, 1);
+        let q = queue(32, 1);
         assert!(q.is_empty());
         for i in 0..100usize {
             q.insert(0, (i * 7) % 32, i);
@@ -353,7 +331,7 @@ mod tests {
         // Sequentially, each delete-min returns the min of two sampled heap
         // tops: the result can skip the global minimum, but never by more
         // than the number of heaps' worth of "stuck" smaller items.
-        let q = MultiQueuePq::new(64, 2);
+        let q = queue(64, 2);
         for i in 0..200usize {
             q.insert(i % 2, (i * 13) % 64, i);
         }
@@ -379,7 +357,7 @@ mod tests {
         use std::sync::Arc as StdArc;
         const T: usize = 4;
         const N: usize = 500;
-        let q = StdArc::new(MultiQueuePq::new(16, T));
+        let q = StdArc::new(queue(16, T));
         let handles: Vec<_> = (0..T)
             .map(|tid| {
                 let q = StdArc::clone(&q);
@@ -412,7 +390,7 @@ mod tests {
 
     #[test]
     fn batch_ops_conserve_elements() {
-        let q = MultiQueuePq::new(32, 1);
+        let q = queue(32, 1);
         let batch: Vec<(usize, usize)> = (0..100).map(|i| ((i * 7) % 32, i)).collect();
         q.insert_batch(0, batch).unwrap();
         let swapped = q.replace_min(0, 31, 1000).expect("queue is non-empty");
@@ -435,7 +413,7 @@ mod tests {
 
     #[test]
     fn replace_min_on_empty_queue_still_files() {
-        let q = MultiQueuePq::new(8, 1);
+        let q = queue(8, 1);
         assert_eq!(q.replace_min(0, 3, "x"), None);
         assert_eq!(q.delete_min(0), Some((3, "x")));
         assert!(q.is_empty());
@@ -443,7 +421,7 @@ mod tests {
 
     #[test]
     fn batch_insert_validates_without_filing() {
-        let q = MultiQueuePq::new(4, 1);
+        let q = queue(4, 1);
         let err = q.insert_batch(0, vec![(0, 'a'), (9, 'x')]).unwrap_err();
         assert_eq!(err.failed_pri, 9);
         assert_eq!(err.unconsumed_len(), 2);
@@ -452,14 +430,14 @@ mod tests {
 
     #[test]
     fn reports_relaxed_consistency() {
-        let q: MultiQueuePq<()> = MultiQueuePq::new(4, 1);
+        let q: MultiQueuePq<()> = queue(4, 1);
         assert_eq!(q.algorithm(), Algorithm::MultiQueue);
         assert_eq!(q.consistency(), Consistency::Relaxed);
     }
 
     #[test]
     fn try_insert_returns_the_item() {
-        let q = MultiQueuePq::new(4, 1);
+        let q = queue(4, 1);
         let err = q.try_insert(0, 9, "hot").unwrap_err();
         assert_eq!(err.into_item(), "hot");
         let err = q.try_insert(5, 0, "tid").unwrap_err();

@@ -35,8 +35,10 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
+//! use funnelpq::obs::NoopRecorder;
 //! use funnelpq::{BoundedPq, NumaConfig, NumaPq};
-//! let q = NumaPq::new(16, 4, NumaConfig::default());
+//! let q = NumaPq::with_config(16, 4, NumaConfig::default(), Arc::new(NoopRecorder));
 //! q.insert(0, 3, "c");
 //! q.insert(3, 1, "a");
 //! let mut got = vec![q.delete_min(1).unwrap(), q.delete_min(2).unwrap()];
@@ -58,9 +60,7 @@ use crate::config::NumaConfig;
 use crate::heap_array::{pop_many, BufferedHeap, HeapArray, Route, EMPTY_TOP};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::topology::Topology;
-use crate::traits::{
-    check_batch, check_insert, reject, BoundedPq, Consistency, PqBatchError, PqError,
-};
+use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, PqError};
 
 /// Request-slot state: no request outstanding.
 const IDLE: usize = 0;
@@ -137,19 +137,6 @@ pub struct NumaPq<T, R: Recorder = NoopRecorder> {
     num_priorities: usize,
     max_threads: usize,
     recorder: Arc<R>,
-}
-
-impl<T: Send> NumaPq<T> {
-    /// Creates a queue for priorities `0..num_priorities` with `cfg`'s
-    /// topology and policy and no recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities`, `max_threads`, `cfg.nodes`, or
-    /// `cfg.factor` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize, cfg: NumaConfig) -> Self {
-        Self::with_config(num_priorities, max_threads, cfg, Arc::new(NoopRecorder))
-    }
 }
 
 impl<T: Send, R: Recorder> NumaPq<T, R> {
@@ -549,7 +536,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        obs::timed(&*self.recorder, OpKind::Insert, || {
             self.push_with(tid, |h| {
                 for (pri, item) in batch {
                     h.push(pri, item);
@@ -573,7 +560,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
             return 0;
         }
         let mut remote_win = None;
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut taken = 0;
             while taken < k {
                 let (took, win) = self.delete_episode(tid, |h| pop_many(h, k - taken, out));
@@ -606,7 +593,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
             reject(&e);
         }
         let mut remote_win = None;
-        let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
+        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let (removed, win) = self.delete_episode(tid, BufferedHeap::pop);
             remote_win = win;
             self.push_with(tid, |h| h.push(pri, item));
@@ -631,10 +618,6 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         self.heaps.is_empty()
     }
 
-    fn consistency(&self) -> Consistency {
-        Consistency::Relaxed
-    }
-
     fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         Some(self.ctl.stats(self.threads.iter().map(|t| &t.tally)))
     }
@@ -644,7 +627,12 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
 mod tests {
     use super::*;
     use crate::adaptive::NumaPolicy;
+    use crate::traits::Consistency;
     use std::collections::BTreeSet;
+
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize, cfg: NumaConfig) -> NumaPq<T> {
+        NumaPq::with_config(num_priorities, max_threads, cfg, Arc::new(NoopRecorder))
+    }
 
     fn cfg() -> NumaConfig {
         NumaConfig::default()
@@ -652,7 +640,7 @@ mod tests {
 
     #[test]
     fn conserves_elements_single_thread() {
-        let q = NumaPq::new(32, 1, cfg());
+        let q = queue(32, 1, cfg());
         assert!(q.is_empty());
         for i in 0..100usize {
             q.insert(0, (i * 7) % 32, i);
@@ -674,7 +662,7 @@ mod tests {
         // have a would-be server (thread 1), so every remote winner walks
         // the whole mailbox — publish, spin out the budget with nobody
         // scheduled to claim, cancel by CAS, self-serve.
-        let q = NumaPq::new(
+        let q = queue(
             32,
             2,
             NumaConfig {
@@ -731,7 +719,7 @@ mod tests {
         use std::sync::Arc as StdArc;
         const T: usize = 4;
         const N: usize = 800;
-        let q = StdArc::new(NumaPq::new(
+        let q = StdArc::new(queue(
             16,
             T,
             NumaConfig {
@@ -779,7 +767,7 @@ mod tests {
         // Sequential workload, tiny epochs: with a huge emulated remote
         // cost the controller must leave oblivious mode, and dropping the
         // cost to zero must bring it back.
-        let q = NumaPq::new(
+        let q = queue(
             16,
             2,
             NumaConfig {
@@ -807,7 +795,7 @@ mod tests {
 
     #[test]
     fn batch_ops_conserve_elements() {
-        let q = NumaPq::new(32, 1, cfg());
+        let q = queue(32, 1, cfg());
         let batch: Vec<(usize, usize)> = (0..100).map(|i| ((i * 7) % 32, i)).collect();
         q.insert_batch(0, batch).unwrap();
         let swapped = q.replace_min(0, 31, 1000).expect("queue is non-empty");
@@ -849,7 +837,7 @@ mod tests {
 
     #[test]
     fn batch_insert_validates_without_filing() {
-        let q = NumaPq::new(4, 1, cfg());
+        let q = queue(4, 1, cfg());
         let err = q.insert_batch(0, vec![(0, 'a'), (9, 'x')]).unwrap_err();
         assert_eq!(err.failed_pri, 9);
         assert_eq!(err.unconsumed_len(), 2);
@@ -858,7 +846,7 @@ mod tests {
 
     #[test]
     fn replace_min_on_empty_queue_still_files() {
-        let q = NumaPq::new(8, 1, cfg());
+        let q = queue(8, 1, cfg());
         assert_eq!(q.replace_min(0, 3, "x"), None);
         assert_eq!(q.delete_min(0), Some((3, "x")));
         assert!(q.is_empty());
@@ -866,7 +854,7 @@ mod tests {
 
     #[test]
     fn reports_relaxed_consistency_and_stats() {
-        let q: NumaPq<()> = NumaPq::new(4, 1, cfg());
+        let q: NumaPq<()> = queue(4, 1, cfg());
         assert_eq!(q.algorithm(), Algorithm::NumaPq);
         assert_eq!(q.consistency(), Consistency::Relaxed);
         assert!(q.adaptive_stats().is_some());
@@ -875,7 +863,7 @@ mod tests {
 
     #[test]
     fn try_insert_returns_the_item() {
-        let q = NumaPq::new(4, 1, cfg());
+        let q = queue(4, 1, cfg());
         let err = q.try_insert(0, 9, "hot").unwrap_err();
         assert_eq!(err.into_item(), "hot");
         let err = q.try_insert(5, 0, "tid").unwrap_err();
@@ -887,7 +875,7 @@ mod tests {
     fn every_node_owns_a_two_choice_pair() {
         // factor 1 on one thread would give a single heap; the 2·nodes
         // floor must kick in.
-        let q: NumaPq<u64> = NumaPq::new(
+        let q: NumaPq<u64> = queue(
             8,
             2,
             NumaConfig {
@@ -898,7 +886,7 @@ mod tests {
         );
         assert!(q.num_queues() >= 4);
         // And a node count beyond the thread count is clamped.
-        let q: NumaPq<u64> = NumaPq::new(8, 2, NumaConfig { nodes: 64, ..cfg() });
+        let q: NumaPq<u64> = queue(8, 2, NumaConfig { nodes: 64, ..cfg() });
         assert_eq!(q.topology().nodes(), 2);
     }
 }

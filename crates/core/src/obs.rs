@@ -32,45 +32,20 @@ use funnelpq_util::{mono_ns, AtomicRng, CachePadded};
 
 pub use funnelpq_sync::probe::{CounterEvent, EventSink, SinkRef};
 
-/// Which queue operation a latency sample belongs to.
+/// Which queue operation a latency sample belongs to; its discriminant is
+/// its histogram slot in a [`MetricsSnapshot`].
 ///
-/// The batched/fused kinds aggregate into the base `insert` /
-/// `delete_min` histograms of a [`MetricsSnapshot`]: a batch insert is
-/// still time spent inserting.
+/// A batched or fused operation is reported under its base kind: an
+/// `insert_batch` is one `Insert` sample (time spent inserting), a
+/// `delete_min_batch` or `replace_min` one `DeleteMin` sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
-    /// A successful `insert` / `try_insert`.
+    /// An `insert` / `try_insert` / `insert_batch` call.
     Insert,
-    /// A `delete_min` call (counted whether or not it returned an item;
-    /// empty returns additionally fire [`CounterEvent::EmptyDeleteMin`]).
+    /// A `delete_min` / `delete_min_batch` / `replace_min` call (counted
+    /// whether or not it returned an item; empty returns additionally fire
+    /// [`CounterEvent::EmptyDeleteMin`]).
     DeleteMin,
-    /// An `insert_batch` call (one sample for the whole batch).
-    InsertBatch,
-    /// A `delete_min_batch` call (one sample for the whole drain).
-    DeleteMinBatch,
-    /// A fused `replace_min` (delete_min + insert in one episode).
-    ReplaceMin,
-}
-
-impl OpKind {
-    /// Dense index in `0..5`; a base kind's index is its histogram slot.
-    pub fn index(self) -> usize {
-        match self {
-            OpKind::Insert => 0,
-            OpKind::DeleteMin => 1,
-            OpKind::InsertBatch => 2,
-            OpKind::DeleteMinBatch => 3,
-            OpKind::ReplaceMin => 4,
-        }
-    }
-
-    /// Which base histogram this kind aggregates into.
-    fn base(self) -> OpKind {
-        match self {
-            OpKind::Insert | OpKind::InsertBatch => OpKind::Insert,
-            OpKind::DeleteMin | OpKind::DeleteMinBatch | OpKind::ReplaceMin => OpKind::DeleteMin,
-        }
-    }
 }
 
 /// Number of log₂ latency buckets ([`OpStats::buckets`]); bucket `i` counts
@@ -432,7 +407,7 @@ impl Recorder for AtomicRecorder {
     #[inline]
     fn begin_op(&self, kind: OpKind) -> bool {
         let (shard, owned) = self.shard();
-        let k = kind.base().index();
+        let k = kind as usize;
         // ORDERING: Relaxed load and store on `skip`: the owner's own word
         // (see `add`), or in the shared shard a sampling hint that may
         // lose a decrement (see `Shard::skip`).
@@ -452,7 +427,7 @@ impl Recorder for AtomicRecorder {
 
     fn record_op(&self, kind: OpKind, nanos: u64) {
         let (shard, owned) = self.shard();
-        let k = kind.base().index();
+        let k = kind as usize;
         add(&shard.count[k], 1, owned);
         add(&shard.timed[k], 1, owned);
         add(&shard.total_nanos[k], nanos, owned);

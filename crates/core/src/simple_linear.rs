@@ -22,8 +22,10 @@ use crate::obs::{NoopRecorder, Recorder};
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, SimpleLinearPq};
-/// let q = SimpleLinearPq::new(8, 2);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BinOrder, BoundedPq, SimpleLinearPq};
+/// let q = SimpleLinearPq::with_recorder(8, 2, BinOrder::Lifo, Arc::new(NoopRecorder));
 /// q.insert(0, 6, 'z');
 /// q.insert(1, 2, 'a');
 /// assert_eq!(q.delete_min(0), Some((2, 'a')));
@@ -32,32 +34,13 @@ use crate::obs::{NoopRecorder, Recorder};
 /// ```
 pub type SimpleLinearPq<T, R = NoopRecorder> = BinPq<T, Linear<LockBin<T>>, R>;
 
-impl<T: Send> SimpleLinearPq<T> {
-    /// Creates a queue for priorities `0..num_priorities`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_order(num_priorities, max_threads, BinOrder::Lifo)
-    }
-
-    /// Creates a queue whose equal-priority items come out in the given
-    /// order ([`BinOrder::Fifo`] for fairness, as §3.2 of the paper
-    /// suggests for applications where LIFO starvation matters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn with_order(num_priorities: usize, max_threads: usize, order: BinOrder) -> Self {
-        Self::with_recorder(num_priorities, max_threads, order, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> SimpleLinearPq<T, R> {
-    /// Like [`SimpleLinearPq::with_order`], reporting metrics to `recorder`
-    /// (every bin lock's acquisitions flow into the recorder's substrate
-    /// sink).
+    /// Creates a queue for priorities `0..num_priorities` whose
+    /// equal-priority items come out in the given order
+    /// ([`BinOrder::Fifo`] for fairness, as §3.2 of the paper suggests for
+    /// applications where LIFO starvation matters), reporting metrics to
+    /// `recorder` (every bin lock's acquisitions flow into the recorder's
+    /// substrate sink).
     ///
     /// # Panics
     ///
@@ -81,9 +64,13 @@ mod tests {
     use super::*;
     use crate::traits::BoundedPq;
 
+    fn queue<T: Send>(num_priorities: usize, order: BinOrder) -> SimpleLinearPq<T> {
+        SimpleLinearPq::with_recorder(num_priorities, 1, order, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn scan_finds_smallest() {
-        let q = SimpleLinearPq::new(10, 1);
+        let q = queue(10, BinOrder::Lifo);
         q.insert(0, 9, "i");
         q.insert(0, 4, "e");
         q.insert(0, 4, "e2");
@@ -95,7 +82,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_fair_within_a_priority() {
-        let q = SimpleLinearPq::with_order(4, 1, BinOrder::Fifo);
+        let q = queue(4, BinOrder::Fifo);
         for i in 0..5 {
             q.insert(0, 2, i);
         }
@@ -106,7 +93,7 @@ mod tests {
 
     #[test]
     fn equal_priority_items_all_retrievable() {
-        let q = SimpleLinearPq::new(2, 1);
+        let q = queue(2, BinOrder::Lifo);
         for i in 0..5 {
             q.insert(0, 1, i);
         }

@@ -24,8 +24,10 @@ use crate::obs::{NoopRecorder, Recorder};
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, SimpleTreePq};
-/// let q = SimpleTreePq::new(16, 4);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BinOrder, BoundedPq, SimpleTreePq};
+/// let q = SimpleTreePq::with_recorder(16, 4, BinOrder::Lifo, Arc::new(NoopRecorder));
 /// q.insert(0, 9, "i");
 /// q.insert(1, 4, "d");
 /// assert_eq!(q.delete_min(2), Some((4, "d")));
@@ -33,29 +35,10 @@ use crate::obs::{NoopRecorder, Recorder};
 /// ```
 pub type SimpleTreePq<T, R = NoopRecorder> = BinPq<T, CounterTree<T, LockBin<T>>, R>;
 
-impl<T: Send> SimpleTreePq<T> {
-    /// Creates a queue for priorities `0..num_priorities`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_order(num_priorities, max_threads, BinOrder::Lifo)
-    }
-
-    /// Creates a queue whose equal-priority items come out in the given
-    /// order ([`BinOrder::Fifo`] for fairness).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn with_order(num_priorities: usize, max_threads: usize, order: BinOrder) -> Self {
-        Self::with_recorder(num_priorities, max_threads, order, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> SimpleTreePq<T, R> {
-    /// Like [`SimpleTreePq::with_order`], reporting metrics to `recorder`
+    /// Creates a queue for priorities `0..num_priorities` whose
+    /// equal-priority items come out in the given order
+    /// ([`BinOrder::Fifo`] for fairness), reporting metrics to `recorder`
     /// (counter locks and bin locks flow into the recorder's substrate
     /// sink).
     ///
@@ -89,9 +72,13 @@ mod tests {
     use super::*;
     use crate::traits::BoundedPq;
 
+    fn queue<T: Send>(num_priorities: usize) -> SimpleTreePq<T> {
+        SimpleTreePq::with_recorder(num_priorities, 1, BinOrder::Lifo, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn sequential_priority_order() {
-        let q = SimpleTreePq::new(8, 1);
+        let q = queue(8);
         for p in [7usize, 0, 3, 3, 5] {
             q.insert(0, p, p * 10);
         }
@@ -103,7 +90,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_range() {
-        let q = SimpleTreePq::new(5, 1);
+        let q = queue(5);
         for p in (0..5).rev() {
             q.insert(0, p, p);
         }
@@ -115,7 +102,7 @@ mod tests {
 
     #[test]
     fn single_priority_range() {
-        let q = SimpleTreePq::new(1, 1);
+        let q = queue(1);
         q.insert(0, 0, 'a');
         q.insert(0, 0, 'b');
         assert_eq!(q.delete_min(0).map(|e| e.0), Some(0));

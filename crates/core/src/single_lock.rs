@@ -24,8 +24,10 @@ use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, 
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
 /// use funnelpq::{BoundedPq, SingleLockPq};
-/// let q = SingleLockPq::new(16, 4);
+/// let q = SingleLockPq::with_recorder(16, 4, Arc::new(NoopRecorder));
 /// q.insert(0, 3, "c");
 /// q.insert(0, 1, "a");
 /// assert_eq!(q.delete_min(0), Some((1, "a")));
@@ -43,20 +45,10 @@ pub struct SingleLockPq<T, R: Recorder = NoopRecorder> {
     recorder: Arc<R>,
 }
 
-impl<T: Send> SingleLockPq<T> {
-    /// Creates a queue for priorities `0..num_priorities`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_recorder(num_priorities, max_threads, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> SingleLockPq<T, R> {
-    /// Creates a queue reporting metrics to `recorder` (the heap lock's
-    /// acquisitions flow into the recorder's substrate sink).
+    /// Creates a queue for priorities `0..num_priorities`, reporting
+    /// metrics to `recorder` (the heap lock's acquisitions flow into the
+    /// recorder's substrate sink).
     ///
     /// # Panics
     ///
@@ -126,7 +118,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         let mut batch = check_batch(tid, batch, self.max_threads, self.num_priorities)?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        obs::timed(&*self.recorder, OpKind::Insert, || {
             self.locked(|heap| {
                 for (pri, item) in batch {
                     heap.push(pri, item);
@@ -140,7 +132,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     // One lock acquisition for up to `k` pops.
     fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
         assert!(tid < self.max_threads, "tid {tid} out of range");
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             self.locked(|heap| {
                 let mut taken = 0;
                 while taken < k {
@@ -168,7 +160,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         if let Err(e) = check_insert(tid, pri, self.max_threads, self.num_priorities, ()) {
             reject(&e);
         }
-        let out = obs::timed(&*self.recorder, OpKind::ReplaceMin, || {
+        let out = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             self.locked(|heap| heap.replace_min(pri, item))
         });
         obs::record_batch_op(&*self.recorder, 1);
@@ -193,9 +185,13 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
 mod tests {
     use super::*;
 
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize) -> SingleLockPq<T> {
+        SingleLockPq::with_recorder(num_priorities, max_threads, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn ordering() {
-        let q = SingleLockPq::new(8, 1);
+        let q = queue(8, 1);
         assert!(q.is_empty());
         q.insert(0, 5, 50);
         q.insert(0, 2, 20);
@@ -209,13 +205,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "priority")]
     fn rejects_out_of_range_priority() {
-        let q = SingleLockPq::new(4, 1);
+        let q = queue(4, 1);
         q.insert(0, 4, ());
     }
 
     #[test]
     fn batch_ops_round_trip() {
-        let q = SingleLockPq::new(16, 2);
+        let q = queue(16, 2);
         q.insert_batch(1, vec![(9, 'i'), (3, 'c'), (7, 'g')])
             .unwrap();
         q.insert_batch(0, Vec::new()).unwrap();
@@ -233,7 +229,7 @@ mod tests {
 
     #[test]
     fn batch_insert_rejects_bad_priority_without_filing_anything() {
-        let q = SingleLockPq::new(4, 1);
+        let q = queue(4, 1);
         let err = q
             .insert_batch(0, vec![(1, 'a'), (4, 'x'), (2, 'b')])
             .unwrap_err();
@@ -244,7 +240,7 @@ mod tests {
 
     #[test]
     fn try_insert_returns_the_item() {
-        let q = SingleLockPq::new(4, 1);
+        let q = queue(4, 1);
         let err = q.try_insert(0, 9, "hot").unwrap_err();
         assert_eq!(err.into_item(), "hot");
         let err = q.try_insert(5, 0, "tid").unwrap_err();

@@ -54,8 +54,11 @@ struct Node<T> {
 /// # Examples
 ///
 /// ```
-/// use funnelpq::{BoundedPq, SkipListPq};
-/// let q = SkipListPq::new(16, 2);
+/// use std::sync::Arc;
+/// use funnelpq::obs::NoopRecorder;
+/// use funnelpq::{BoundedPq, SkipListConfig, SkipListPq};
+/// let seed = SkipListConfig::default().seed;
+/// let q = SkipListPq::with_recorder(16, 2, seed, Arc::new(NoopRecorder));
 /// q.insert(0, 9, "z");
 /// q.insert(1, 4, "a");
 /// assert_eq!(q.delete_min(0), Some((4, "a")));
@@ -75,26 +78,11 @@ pub struct SkipListPq<T, R: Recorder = NoopRecorder> {
     recorder: Arc<R>,
 }
 
-impl<T: Send> SkipListPq<T> {
-    /// Creates a queue for priorities `0..num_priorities`. Tower heights
-    /// are drawn once, deterministically, at construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_priorities` or `max_threads` is zero.
-    pub fn new(num_priorities: usize, max_threads: usize) -> Self {
-        Self::with_seed(num_priorities, max_threads, 0x5EED_CAFE)
-    }
-
-    /// Like [`SkipListPq::new`] with an explicit height-RNG seed.
-    pub fn with_seed(num_priorities: usize, max_threads: usize, seed: u64) -> Self {
-        Self::with_recorder(num_priorities, max_threads, seed, Arc::new(NoopRecorder))
-    }
-}
-
 impl<T: Send, R: Recorder> SkipListPq<T, R> {
-    /// Like [`SkipListPq::with_seed`], reporting metrics to `recorder` (every
-    /// bin lock's acquisitions flow into the recorder's substrate sink).
+    /// Creates a queue for priorities `0..num_priorities`. Tower heights
+    /// are drawn once, deterministically from `seed`, at construction.
+    /// Metrics go to `recorder` (every bin lock's acquisitions flow into
+    /// the recorder's substrate sink).
     ///
     /// # Panics
     ///
@@ -344,7 +332,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         let mut batch = check_batch(tid, batch, self.max_threads, self.nodes.len())?;
         batch.sort_unstable_by_key(|&(pri, _)| pri);
         let n = batch.len() as u64;
-        obs::timed(&*self.recorder, OpKind::InsertBatch, || {
+        obs::timed(&*self.recorder, OpKind::Insert, || {
             let mut it = batch.into_iter().peekable();
             while let Some((pri, item)) = it.next() {
                 // Bin first (paper order), for the whole equal-priority run.
@@ -371,7 +359,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         if k == 0 {
             return 0;
         }
-        let taken = obs::timed(&*self.recorder, OpKind::DeleteMinBatch, || {
+        let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
             let mut taken = 0;
             while taken < k {
                 // ORDERING: as in `delete_min_inner`.
@@ -498,9 +486,14 @@ impl<T, R: Recorder> std::fmt::Debug for SkipListPq<T, R> {
 mod tests {
     use super::*;
 
+    fn queue<T: Send>(num_priorities: usize, max_threads: usize) -> SkipListPq<T> {
+        let seed = crate::SkipListConfig::default().seed;
+        SkipListPq::with_recorder(num_priorities, max_threads, seed, Arc::new(NoopRecorder))
+    }
+
     #[test]
     fn sequential_order() {
-        let q = SkipListPq::new(16, 1);
+        let q = queue(16, 1);
         for p in [9usize, 2, 11, 2, 15, 0] {
             q.insert(0, p, p);
         }
@@ -513,7 +506,7 @@ mod tests {
     #[test]
     fn smaller_insert_after_delete_bin_is_preferred() {
         // The anomaly case the delete-bin refinement fixes.
-        let q = SkipListPq::new(16, 1);
+        let q = queue(16, 1);
         q.insert(0, 5, 51);
         q.insert(0, 5, 52);
         assert_eq!(q.delete_min(0).unwrap().0, 5); // bin 5 becomes del_bin, 1 item left
@@ -525,7 +518,7 @@ mod tests {
 
     #[test]
     fn rethreading_unlinked_priority_works() {
-        let q = SkipListPq::new(8, 1);
+        let q = queue(8, 1);
         for round in 0..5 {
             q.insert(0, 4, round);
             assert_eq!(q.delete_min(0).map(|e| e.0), Some(4));
@@ -535,7 +528,7 @@ mod tests {
 
     #[test]
     fn batch_ops_preserve_order() {
-        let q = SkipListPq::new(16, 1);
+        let q = queue(16, 1);
         q.insert_batch(
             0,
             vec![(9, 90), (2, 20), (11, 110), (2, 21), (15, 150), (0, 1)],
@@ -559,7 +552,7 @@ mod tests {
     #[test]
     fn batch_drain_recovers_delete_bin_stragglers() {
         // Same anomaly shape as the singles test, through the batch path.
-        let q = SkipListPq::new(16, 1);
+        let q = queue(16, 1);
         q.insert_batch(0, vec![(5, 51), (5, 52)]).unwrap();
         assert_eq!(q.delete_min(0).unwrap().0, 5); // bin 5 becomes del_bin
         q.insert(0, 3, 30);
@@ -570,7 +563,7 @@ mod tests {
 
     #[test]
     fn full_range_drain() {
-        let q = SkipListPq::new(64, 1);
+        let q = queue(64, 1);
         for p in (0..64).rev() {
             q.insert(0, p, p);
         }

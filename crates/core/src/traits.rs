@@ -397,11 +397,6 @@ pub trait BoundedPq<T: Send>: Send + Sync {
     /// inserts).
     fn is_empty(&self) -> bool;
 
-    /// Short algorithm name as used in the paper (e.g. `"FunnelTree"`).
-    fn algorithm_name(&self) -> &'static str {
-        self.algorithm().name()
-    }
-
     /// The consistency condition the implementation provides.
     fn consistency(&self) -> Consistency {
         self.algorithm().consistency()

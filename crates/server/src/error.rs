@@ -2,9 +2,10 @@
 //!
 //! The server never panics on load: every refusal carries the rejected
 //! [`Job`] back to the caller (same ownership contract as
-//! [`funnelpq::PqError::into_item`]), and every queue-layer failure arrives
-//! as the unified [`funnelpq::Error`] so one `?` covers construction,
-//! insertion, and batch paths.
+//! [`funnelpq::PqError::into_item`]). The queue layer can fail in two
+//! places only: a shard's backend cannot be built (a
+//! [`funnelpq::BuildError`] from [`crate::Scheduler::new`]), or it refuses
+//! an insert (a [`funnelpq::PqError`] carrying the job).
 
 use crate::job::{Job, TenantId};
 
@@ -93,9 +94,11 @@ pub enum ServerError {
     /// Admission control refused the job (quota, capacity, unknown
     /// tenant); the job rides inside.
     Admit(AdmitError),
-    /// The queue layer refused: construction ([`funnelpq::BuildError`]) or
-    /// an insert rejection carrying the job.
-    Queue(funnelpq::Error<Job>),
+    /// A shard's backend queue could not be built.
+    Build(funnelpq::BuildError),
+    /// A shard's backend queue refused the insert (a HuntEtAl heap at
+    /// capacity); the job rides inside and its admission slot is freed.
+    Queue(funnelpq::PqError<Job>),
     /// The scheduler is stopping; the job was not accepted.
     Stopped {
         /// The rejected job.
@@ -123,14 +126,16 @@ pub enum ServerError {
 }
 
 impl ServerError {
-    /// Recovers the rejected job, when this error carries one (build and
-    /// config errors do not).
+    /// Recovers the rejected job, when this error carries one (build,
+    /// config and shard errors do not).
     pub fn into_job(self) -> Option<Job> {
         match self {
             ServerError::Admit(e) => Some(e.into_job()),
-            ServerError::Queue(e) => e.into_items().pop(),
+            ServerError::Queue(e) => Some(e.into_item()),
             ServerError::Stopped { job } | ServerError::NoHealthyShard { job } => Some(job),
-            ServerError::Config { .. } | ServerError::InvalidShard { .. } => None,
+            ServerError::Build(_)
+            | ServerError::Config { .. }
+            | ServerError::InvalidShard { .. } => None,
         }
     }
 }
@@ -141,21 +146,15 @@ impl From<AdmitError> for ServerError {
     }
 }
 
-impl From<funnelpq::Error<Job>> for ServerError {
-    fn from(e: funnelpq::Error<Job>) -> Self {
-        ServerError::Queue(e)
-    }
-}
-
 impl From<funnelpq::BuildError> for ServerError {
     fn from(e: funnelpq::BuildError) -> Self {
-        ServerError::Queue(e.into())
+        ServerError::Build(e)
     }
 }
 
 impl From<funnelpq::PqError<Job>> for ServerError {
     fn from(e: funnelpq::PqError<Job>) -> Self {
-        ServerError::Queue(e.into())
+        ServerError::Queue(e)
     }
 }
 
@@ -163,6 +162,7 @@ impl std::fmt::Display for ServerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServerError::Admit(e) => write!(f, "admission: {e}"),
+            ServerError::Build(e) => write!(f, "build: {e}"),
             ServerError::Queue(e) => write!(f, "queue: {e}"),
             ServerError::Stopped { .. } => write!(f, "scheduler is stopping"),
             ServerError::Config { reason } => write!(f, "config: {reason}"),
@@ -178,6 +178,7 @@ impl std::error::Error for ServerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServerError::Admit(e) => Some(e),
+            ServerError::Build(e) => Some(e),
             ServerError::Queue(e) => Some(e),
             _ => None,
         }
@@ -221,8 +222,7 @@ mod tests {
         .into();
         assert_eq!(e.into_job().map(|j| j.id), Some(1));
 
-        // A queue-level rejection arrives as the unified funnelpq::Error
-        // and still hands the job back.
+        // A backend's insert refusal hands the job back too.
         let e: ServerError = funnelpq::PqError::CapacityExhausted { item: job(2) }.into();
         assert_eq!(e.clone().into_job().map(|j| j.id), Some(2));
         assert!(e.to_string().starts_with("queue: "));

@@ -20,10 +20,11 @@ use crate::error::{AdmitError, ServerError};
 /// Jittered exponential backoff for resubmitting refused jobs.
 ///
 /// `next_delay` classifies the error: transient refusals (quota, capacity,
-/// queue-full races) get an exponentially growing delay; a shed job's
+/// a backend at its item capacity) get an exponentially growing delay; a shed job's
 /// [`AdmitError::Retry`] carries the server's own estimate of when the
 /// backlog will have drained, which overrides the exponential schedule;
-/// permanent errors (bad tenant, stopped scheduler, config) return `None`
+/// permanent errors (bad tenant, stopped scheduler, config, a backend that
+/// could not be built) return `None`
 /// — retrying cannot help. Call [`RetryPolicy::note_ok`] after a
 /// successful submit to reset the schedule.
 #[derive(Debug, Clone)]
@@ -157,6 +158,11 @@ mod tests {
             .is_none());
         assert!(p.next_delay(&ServerError::Stopped { job: job() }).is_none());
         assert!(p.next_delay(&ServerError::Config { reason: "x" }).is_none());
+        let unbuildable = ServerError::Build(funnelpq::BuildError::ZeroPriorities);
+        assert!(p.next_delay(&unbuildable).is_none());
+        // A backend's insert refusal is transient: the heap drains.
+        let full = ServerError::Queue(funnelpq::PqError::CapacityExhausted { item: job() });
+        assert!(p.next_delay(&full).is_some());
     }
 
     #[test]

@@ -1151,7 +1151,7 @@ impl<R: Recorder> Dispatcher<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use funnelpq::MultiQueueConfig;
+    use funnelpq::{HuntConfig, MultiQueueConfig, PqError};
 
     fn tiny_cfg() -> ServerConfig {
         ServerConfig {
@@ -1185,7 +1185,7 @@ mod tests {
             Scheduler::new(bad),
             Err(ServerError::Config { .. })
         ));
-        // A degenerate backend config surfaces as the unified queue error.
+        // A degenerate backend config surfaces as a build error.
         let bad = ServerConfig {
             backend: PqConfig::MultiQueue(MultiQueueConfig {
                 factor: 0,
@@ -1193,7 +1193,7 @@ mod tests {
             }),
             ..ServerConfig::default()
         };
-        assert!(matches!(Scheduler::new(bad), Err(ServerError::Queue(_))));
+        assert!(matches!(Scheduler::new(bad), Err(ServerError::Build(_))));
         // A fault plan aimed at a shard that does not exist.
         let bad = ServerConfig {
             fault_plan: Some(FaultPlan::new(1).dispatcher_panic(4, 0)),
@@ -1216,6 +1216,38 @@ mod tests {
             Scheduler::new(bad),
             Err(ServerError::Config { .. })
         ));
+    }
+
+    /// A backend that refuses an insert — a HuntEtAl heap at its item
+    /// capacity, below the scheduler's — hands the job back in
+    /// `ServerError::Queue`, and frees the admission slot and the tenant
+    /// quota the job had taken: every refusal leaves the counts where they
+    /// were.
+    #[test]
+    fn a_backend_refusal_hands_the_job_back_and_frees_its_slot() {
+        const HEAP: usize = 8;
+        let s = Scheduler::new(ServerConfig {
+            shards: 1,
+            backend: PqConfig::HuntEtAl(HuntConfig { capacity: HEAP }),
+            ..tiny_cfg()
+        })
+        .unwrap();
+        assert!(HEAP < s.config().global_capacity && HEAP < s.config().tenant_quota);
+        let now = s.now_ns();
+        let spec = |k| JobSpec::once(TenantId(1), Deadline::At(now + 1_000_000), k);
+        for k in 0..HEAP as u64 {
+            s.submit(0, spec(k)).unwrap();
+        }
+        for k in 100..103 {
+            match s.submit(0, spec(k)) {
+                Err(ServerError::Queue(PqError::CapacityExhausted { item })) => {
+                    assert_eq!((item.tenant, item.payload), (TenantId(1), k));
+                }
+                other => panic!("submit {k} past the heap's capacity: {other:?}"),
+            }
+            assert_eq!(s.in_flight(), HEAP);
+            assert_eq!(s.core.admission.tenant_in_flight(1), HEAP);
+        }
     }
 
     #[test]

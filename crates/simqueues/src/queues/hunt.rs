@@ -178,6 +178,7 @@ impl SimHunt {
     /// at the root, and sifts down with hand-over-hand locking.
     pub async fn delete_min(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
         ctx.work(costs::OP_SETUP).await;
+        let detach = ctx.span("heap-detach");
         self.size_lock.acquire(ctx).await;
         let n = ctx.read(self.size).await;
         if n == 0 {
@@ -192,6 +193,7 @@ impl SimHunt {
         let sitem = ctx.read(self.item_a(bottom)).await;
         ctx.write(self.tag_a(bottom), TAG_EMPTY).await;
         self.unlock_node(ctx, bottom).await;
+        drop(detach);
 
         self.lock_node(ctx, 1).await;
         if ctx.read(self.tag_a(1)).await == TAG_EMPTY {
@@ -200,6 +202,13 @@ impl SimHunt {
             return Some((spri, sitem));
         }
         let min_pri = ctx.read(self.pri_a(1)).await;
+        if spri < min_pri {
+            // While this delete held the detached item, another settled
+            // a larger one at the root: the detached item is the answer,
+            // and the root stays.
+            self.unlock_node(ctx, 1).await;
+            return Some((spri, sitem));
+        }
         let min_item = ctx.read(self.item_a(1)).await;
         ctx.write(self.pri_a(1), spri).await;
         ctx.write(self.item_a(1), sitem).await;

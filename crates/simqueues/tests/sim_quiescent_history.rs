@@ -136,3 +136,44 @@ fn skip_list_seed_8042_returns_an_8_over_held_7s() {
         panic!("{e}");
     }
 }
+
+/// HuntEtAl's Appendix-B defect, on a hand-built schedule. The heap holds
+/// three items at rest: 0 at the root, then 2 and 1 in bit-reversed
+/// filling order. Two deletes start together; the one that detaches the
+/// last item (1) is stalled before it locks the root, and the other
+/// detaches 2, takes 0 and leaves 2 at the root. The stalled delete holds
+/// a smaller item than the root: it must return its own 1, not the 2 it
+/// finds there — the window held {0, 1, 2}, so its two deletes take 0, 1
+/// (returning the root gave [0, 2], the shape of the native audit failure).
+#[test]
+fn hunt_delete_stalled_after_detach_returns_its_smaller_item() {
+    use funnelpq_sim::SpanPoint;
+    let mut m = Machine::new(MachineConfig::alewife_like(), 7);
+    let mut params = BuildParams::new(4, 4);
+    params.capacity = 8;
+    let q = Rc::new(SimPq::build(&mut m, Algorithm::HuntEtAl, &params));
+    // Inserts never open this span, so the first occurrence is the first
+    // delete's detach.
+    let plan = FaultPlan::new(7).stall_on_span("heap-detach", SpanPoint::End, 1, 20_000);
+    m.attach_faults(&plan)
+        .expect("a span stall needs no regions");
+    let (ctx, fill) = (m.ctx(), Rc::clone(&q));
+    m.spawn(async move {
+        for pri in [0, 2, 1] {
+            fill.insert(&ctx, pri, pri).await;
+        }
+    });
+    assert!(m.run().is_quiescent(), "fill did not quiesce");
+    let got = Rc::new(std::cell::RefCell::new(Vec::new()));
+    for _ in 0..2 {
+        let (ctx, q, got) = (m.ctx(), Rc::clone(&q), Rc::clone(&got));
+        m.spawn(async move {
+            let taken = q.delete_min(&ctx).await.expect("three items held");
+            got.borrow_mut().push(taken.0);
+        });
+    }
+    assert!(m.run().is_quiescent(), "deletes did not quiesce");
+    let mut got = got.take();
+    got.sort_unstable();
+    assert_eq!(got, [0, 1], "the window's two deletes");
+}

@@ -1,5 +1,5 @@
-//! Shared counters: the abstract operations (Figure 1 of the paper) and two
-//! non-combining implementations used as baselines.
+//! Shared counters: the abstract operations (Figure 1 of the paper) and the
+//! non-combining locked implementation used as the baseline.
 //!
 //! A *counter* holds an integer and supports fetch-and-increment and
 //! fetch-and-decrement; either direction may be *bounded*, meaning the
@@ -7,11 +7,9 @@
 //! bound. The paper's tree-based queues need an unbounded increment and a
 //! decrement bounded below by zero.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use funnelpq_util::CachePadded;
 
-use crate::probe::{CounterEvent, SinkRef};
+use crate::probe::SinkRef;
 use crate::ttas::TtasMutex;
 
 /// Inclusive bounds a counter's value must stay within.
@@ -74,117 +72,6 @@ pub trait SharedCounter: Send + Sync {
     fn value(&self) -> i64;
 }
 
-/// Counter implemented with a compare-and-swap retry loop on one shared
-/// word. The contention behaviour of "the hardware primitive applied
-/// directly": fine at low concurrency, a hot spot at high concurrency.
-///
-/// # Examples
-///
-/// ```
-/// use funnelpq_sync::{Bounds, CasCounter, SharedCounter};
-/// let c = CasCounter::new(0, Bounds::non_negative());
-/// assert_eq!(c.fetch_dec(0), 0); // saturated at the lower bound
-/// assert_eq!(c.fetch_inc(0), 0);
-/// assert_eq!(c.value(), 1);
-/// ```
-#[derive(Debug)]
-pub struct CasCounter {
-    val: CachePadded<AtomicI64>,
-    bounds: Bounds,
-    sink: Option<SinkRef>,
-}
-
-impl CasCounter {
-    /// Creates a counter with the given initial value and bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` lies outside `bounds`.
-    pub fn new(initial: i64, bounds: Bounds) -> Self {
-        Self::with_sink(initial, bounds, None)
-    }
-
-    /// Like [`CasCounter::new`], reporting each failed compare-and-swap as a
-    /// [`CounterEvent::CasRetry`] (batched per operation) to `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` lies outside `bounds`.
-    pub fn with_sink(initial: i64, bounds: Bounds, sink: Option<SinkRef>) -> Self {
-        assert_eq!(
-            bounds.clamp(initial),
-            initial,
-            "initial value out of bounds"
-        );
-        CasCounter {
-            val: CachePadded::new(AtomicI64::new(initial)),
-            bounds,
-            sink,
-        }
-    }
-
-    fn fetch_add_bounded(&self, delta: i64) -> i64 {
-        let mut retries = 0u64;
-        // ORDERING: Acquire, as is the failure side of the CAS below: a
-        // value returned without a successful CAS (saturated at a bound, or
-        // `delta` = 0) is a read, and a reader that finds the counter at its
-        // bound must see what the operation that put it there published.
-        let mut cur = self.val.load(Ordering::Acquire);
-        let out = loop {
-            let new = self.bounds.clamp(cur.saturating_add(delta));
-            if new == cur {
-                break cur;
-            }
-            // ORDERING: AcqRel on success — release so that what the caller
-            // did before an increment (filed the item it counts) is visible
-            // to the decrement that acquires the value it wrote.
-            match self
-                .val
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(v) => break v,
-                Err(v) => {
-                    retries += 1;
-                    cur = v;
-                }
-            }
-        };
-        if retries > 0 {
-            self.note_retries(retries);
-        }
-        out
-    }
-
-    // Out-of-line so the uncontended path pays only a not-taken branch.
-    #[cold]
-    #[inline(never)]
-    fn note_retries(&self, retries: u64) {
-        if let Some(s) = &self.sink {
-            s.event_n(CounterEvent::CasRetry, retries);
-        }
-    }
-}
-
-impl SharedCounter for CasCounter {
-    fn fetch_inc(&self, _tid: usize) -> i64 {
-        self.fetch_add_bounded(1)
-    }
-
-    fn fetch_dec(&self, _tid: usize) -> i64 {
-        self.fetch_add_bounded(-1)
-    }
-
-    fn fetch_add(&self, _tid: usize, delta: i64) -> i64 {
-        self.fetch_add_bounded(delta)
-    }
-
-    fn value(&self) -> i64 {
-        // ORDERING: Acquire; pairs with the release half of the CAS in
-        // `fetch_add_bounded`. A racy snapshot, exact at quiescence.
-        self.val.load(Ordering::Acquire)
-    }
-}
-
 /// Counter protected by a lock — the implementation the paper's
 /// `SimpleTree` uses at every node and `FunnelTree` uses at its deeper,
 /// low-traffic nodes. The paper's lock is MCS, and the simulated twin keeps
@@ -221,7 +108,7 @@ impl LockedCounter {
     }
 
     /// Like [`LockedCounter::new`], reporting each lock acquisition as a
-    /// [`CounterEvent::LockAcquire`] to `sink`.
+    /// [`CounterEvent::LockAcquire`](crate::CounterEvent::LockAcquire) to `sink`.
     ///
     /// # Panics
     ///
@@ -292,11 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn cas_counter_sequential() {
-        sequential_contract(&CasCounter::new(0, Bounds::non_negative()));
-    }
-
-    #[test]
     fn locked_counter_sequential() {
         sequential_contract(&LockedCounter::new(0, Bounds::non_negative()));
     }
@@ -315,7 +197,7 @@ mod tests {
 
     #[test]
     fn upper_bound_saturates() {
-        let c = CasCounter::new(
+        let c = LockedCounter::new(
             0,
             Bounds {
                 lo: Some(0),
@@ -366,9 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_contract_holds_for_all_three_counters() {
+    fn fetch_add_contract_holds_for_both_counters() {
         use crate::{FunnelConfig, FunnelCounter};
-        fetch_add_contract(&|v, b| Box::new(CasCounter::new(v, b)));
         fetch_add_contract(&|v, b| Box::new(LockedCounter::new(v, b)));
         fetch_add_contract(&|v, b| {
             Box::new(FunnelCounter::new(v, b, FunnelConfig::for_threads(2)))
@@ -378,7 +259,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn initial_out_of_bounds_panics() {
-        let _ = CasCounter::new(-1, Bounds::non_negative());
+        let _ = LockedCounter::new(-1, Bounds::non_negative());
     }
 
     fn concurrent_net(c: Arc<dyn SharedCounter>, threads: usize, ops: usize) {
@@ -398,15 +279,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn cas_counter_unbounded_concurrent_balance() {
-        let c: Arc<dyn SharedCounter> = Arc::new(CasCounter::new(0, Bounds::unbounded()));
-        concurrent_net(Arc::clone(&c), 8, 1000);
-        // 8 threads × 1000 ops, exactly half inc half dec per thread pattern:
-        // each thread alternates so nets 0.
-        assert_eq!(c.value(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   a sink;
 //! * [`LockBin`] — the paper's Figure-1 bin (lock + pool + one-read
 //!   emptiness test);
-//! * [`CasCounter`] / [`LockedCounter`] — non-combining shared counters;
+//! * [`LockedCounter`] — the non-combining shared counter;
 //! * [`FunnelCounter`] — the combining-funnel counter with *bounded*
 //!   fetch-and-decrement and elimination (paper §3.3, Figure 10);
 //! * [`FunnelStack`] — the combining-funnel stack used as a scalable bin,
@@ -70,7 +70,7 @@ mod ttas;
 mod walk;
 
 pub use bin::{BinOrder, LockBin};
-pub use counter::{Bounds, CasCounter, LockedCounter, SharedCounter};
+pub use counter::{Bounds, LockedCounter, SharedCounter};
 pub use funnel::FunnelCounter;
 pub use funnel_stack::FunnelStack;
 pub use mcs::{McsGuard, McsLock};

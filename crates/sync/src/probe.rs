@@ -19,8 +19,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterEvent {
     /// A central compare-and-swap failed and was retried
-    /// ([`crate::CasCounter`] retry loop, [`crate::FunnelCounter`] central
-    /// CAS).
+    /// ([`crate::FunnelCounter`] central CAS), or a relaxed queue's
+    /// try-lock on a heap slot failed and it drew another.
     CasRetry,
     /// An operation completed by eliminating against a reversing operation
     /// without touching the central structure (counted once per eliminated

@@ -28,23 +28,6 @@ impl Backoff {
         Backoff::default()
     }
 
-    /// Resets to the shortest delay.
-    pub fn reset(&self) {
-        self.step.set(0);
-    }
-
-    /// Spins `2^step` times (capped), for lock-free retries where the
-    /// awaited condition changes quickly.
-    pub fn spin(&self) {
-        let step = self.step.get().min(SPIN_LIMIT);
-        for _ in 0..1u32 << step {
-            std::hint::spin_loop();
-        }
-        if self.step.get() <= SPIN_LIMIT {
-            self.step.set(self.step.get() + 1);
-        }
-    }
-
     /// Backs off while blocked on another thread: spins while cheap, then
     /// yields the processor so the partner can run. For waits of unknown
     /// length on a *shared* word; a queue-lock waiter spinning on its own
@@ -62,12 +45,6 @@ impl Backoff {
             self.step.set(step + 1);
         }
     }
-
-    /// True once backoff has escalated to yielding; callers with a parking
-    /// primitive should switch to it at this point.
-    pub fn is_completed(&self) -> bool {
-        self.step.get() > YIELD_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -77,13 +54,13 @@ mod tests {
     #[test]
     fn escalates_to_completion() {
         let b = Backoff::new();
-        assert!(!b.is_completed());
         for _ in 0..=YIELD_LIMIT {
+            assert!(b.step.get() <= YIELD_LIMIT);
             b.snooze();
         }
-        assert!(b.is_completed());
-        b.reset();
-        assert!(!b.is_completed());
-        b.spin();
+        // Escalated to yielding, and it stays there.
+        assert_eq!(b.step.get(), YIELD_LIMIT + 1);
+        b.snooze();
+        assert_eq!(b.step.get(), YIELD_LIMIT + 1);
     }
 }

@@ -5,13 +5,7 @@
 //! crate used to carry its own `push_str` loop; this module is the one
 //! copy of the escaping, separator, float and NaN rules they all share.
 //!
-//! Two house styles are covered:
-//!
-//! * **spaced** (`"k": v`, `", "` separators) — the human-facing metric
-//!   and bench files;
-//! * **compact** (`"k":v`, `","`) — the Chrome-trace exporter, where one
-//!   row per event makes file size matter.
-//!
+//! One house style is covered, **spaced** (`"k": v`, `", "` separators).
 //! Layout is explicit at the call site: a container opened with
 //! `block = true` puts each element on its own line at two-space
 //! indentation per depth; `block = false` packs the container on one
@@ -65,7 +59,6 @@ struct Ctx {
 /// call sites only state layout intent.
 pub struct JsonWriter {
     out: String,
-    spaced: bool,
     stack: Vec<Ctx>,
     pending_value: bool,
 }
@@ -75,17 +68,6 @@ impl JsonWriter {
     pub fn spaced() -> Self {
         Self {
             out: String::new(),
-            spaced: true,
-            stack: Vec::new(),
-            pending_value: false,
-        }
-    }
-
-    /// Writer in the compact house style (`"k":v`, `","`).
-    pub fn compact() -> Self {
-        Self {
-            out: String::new(),
-            spaced: false,
             stack: Vec::new(),
             pending_value: false,
         }
@@ -109,14 +91,8 @@ impl JsonWriter {
         if let Some(ctx) = self.stack.last_mut() {
             if ctx.has_elems {
                 self.out.push(',');
-                match ctx.kind {
-                    Kind::Block => {}
-                    Kind::Inline => {
-                        if self.spaced {
-                            self.out.push(' ');
-                        }
-                    }
-                    Kind::CompactArr => {}
+                if ctx.kind == Kind::Inline {
+                    self.out.push(' ');
                 }
             }
             ctx.has_elems = true;
@@ -132,7 +108,7 @@ impl JsonWriter {
         self.elem();
         self.out.push('"');
         self.out.push_str(&esc(k));
-        self.out.push_str(if self.spaced { "\": " } else { "\":" });
+        self.out.push_str("\": ");
         self.pending_value = true;
     }
 
@@ -295,16 +271,16 @@ mod tests {
 
     #[test]
     fn compact_and_dense_arrays() {
-        let mut w = JsonWriter::compact();
+        let mut w = JsonWriter::spaced();
         w.begin_obj(false);
         w.field_u64("a", 1);
         w.key("b");
-        w.begin_arr(false);
+        w.begin_arr_compact();
         w.u64(1);
         w.u64(2);
         w.end();
         w.end();
-        assert_eq!(w.finish(), "{\"a\":1,\"b\":[1,2]}");
+        assert_eq!(w.finish(), "{\"a\": 1, \"b\": [1,2]}");
 
         let mut w = JsonWriter::spaced();
         w.begin_arr_compact();

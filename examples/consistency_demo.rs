@@ -27,7 +27,7 @@ fn main() {
     assert_eq!(q.consistency(), Consistency::QuiescentlyConsistent);
     println!(
         "{} is {}; checking the Appendix-B k-smallest guarantee…",
-        q.algorithm_name(),
+        q.algorithm().name(),
         q.consistency()
     );
 

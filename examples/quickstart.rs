@@ -25,7 +25,7 @@ fn main() {
     );
     println!(
         "created {} ({}), {} priorities",
-        q.algorithm_name(),
+        q.algorithm().name(),
         q.consistency(),
         q.num_priorities()
     );

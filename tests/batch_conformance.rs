@@ -12,10 +12,25 @@
 
 use std::collections::BTreeMap;
 
-use funnelpq::{Algorithm, BoundedPq, FunnelTreePq, HuntConfig, PqBuilder, PqConfig, SimpleTreePq};
+use std::sync::Arc;
+
+use funnelpq::obs::NoopRecorder;
+use funnelpq::{Algorithm, BinOrder, BoundedPq, FunnelConfig, FunnelTreePq, HuntConfig};
+use funnelpq::{PqBuilder, PqConfig, SimpleTreePq, DEFAULT_FUNNEL_LEVELS};
 use funnelpq_util::XorShift64Star;
 
 const NUM_PRIS: usize = 16;
+
+/// The two tree queues, built directly (one thread) so `validate` can see
+/// their counters.
+fn simple_tree(num_priorities: usize) -> SimpleTreePq<u64> {
+    SimpleTreePq::with_recorder(num_priorities, 1, BinOrder::Lifo, Arc::new(NoopRecorder))
+}
+
+fn funnel_tree(num_priorities: usize) -> FunnelTreePq<u64> {
+    let (cfg, levels) = (FunnelConfig::for_threads(1), DEFAULT_FUNNEL_LEVELS);
+    FunnelTreePq::with_recorder(num_priorities, cfg, levels, Arc::new(NoopRecorder))
+}
 
 /// Default typed config for `a`, except HuntEtAl gets an explicit
 /// capacity — the migrated form of the old `hunt_capacity` sweep knob.
@@ -152,11 +167,11 @@ fn batched_ops_conserve_items_and_strict_queues_stay_sorted() {
             let mut rng = XorShift64Star::new(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBA7C4);
             match a {
                 Algorithm::SimpleTree => {
-                    let q = SimpleTreePq::new(NUM_PRIS, 1);
+                    let q = simple_tree(NUM_PRIS);
                     run_case(&q, strict, &mut rng, &|| q.validate());
                 }
                 Algorithm::FunnelTree => {
-                    let q = FunnelTreePq::new(NUM_PRIS, 1);
+                    let q = funnel_tree(NUM_PRIS);
                     run_case(&q, strict, &mut rng, &|| q.validate());
                 }
                 _ => {
@@ -196,8 +211,8 @@ fn draining_with_an_unbounded_k_leaves_the_tree_counters_exact() {
             .chunks(40)
             .all(|c| c.windows(2).all(|w| w[0].0 <= w[1].0)));
     }
-    let q = SimpleTreePq::new(13, 1);
+    let q = simple_tree(13);
     cycle(&q, &|| q.validate());
-    let q = FunnelTreePq::new(13, 1);
+    let q = funnel_tree(13);
     cycle(&q, &|| q.validate());
 }

@@ -4,18 +4,25 @@
 
 use std::sync::Arc;
 
+use funnelpq::obs::NoopRecorder;
 use funnelpq::{BinOrder, BoundedPq, SimpleLinearPq, SimpleTreePq};
+
+fn linear(num_priorities: usize, max_threads: usize, order: BinOrder) -> SimpleLinearPq<u64> {
+    SimpleLinearPq::with_recorder(num_priorities, max_threads, order, Arc::new(NoopRecorder))
+}
 
 #[test]
 fn fifo_bins_serve_equal_priorities_in_arrival_order() {
     let queues: Vec<(&str, Box<dyn BoundedPq<u64>>)> = vec![
-        (
-            "SimpleLinear",
-            Box::new(SimpleLinearPq::with_order(4, 1, BinOrder::Fifo)),
-        ),
+        ("SimpleLinear", Box::new(linear(4, 1, BinOrder::Fifo))),
         (
             "SimpleTree",
-            Box::new(SimpleTreePq::with_order(4, 1, BinOrder::Fifo)),
+            Box::new(SimpleTreePq::with_recorder(
+                4,
+                1,
+                BinOrder::Fifo,
+                Arc::new(NoopRecorder),
+            )),
         ),
     ];
     for (name, q) in queues {
@@ -30,7 +37,7 @@ fn fifo_bins_serve_equal_priorities_in_arrival_order() {
 
 #[test]
 fn lifo_bins_serve_equal_priorities_in_reverse() {
-    let q = SimpleLinearPq::with_order(4, 1, BinOrder::Lifo);
+    let q = linear(4, 1, BinOrder::Lifo);
     for i in 0..10u64 {
         q.insert(0, 1, i);
     }
@@ -45,7 +52,7 @@ fn lifo_bins_serve_equal_priorities_in_reverse() {
 fn fifo_bins_preserve_per_thread_order_under_concurrency() {
     const THREADS: usize = 4;
     const N: u64 = 200;
-    let q = Arc::new(SimpleLinearPq::with_order(1, THREADS + 1, BinOrder::Fifo));
+    let q = Arc::new(linear(1, THREADS + 1, BinOrder::Fifo));
     let handles: Vec<_> = (0..THREADS)
         .map(|tid| {
             let q = Arc::clone(&q);
@@ -80,8 +87,8 @@ fn fifo_bins_preserve_per_thread_order_under_concurrency() {
 /// interleaved insert/delete pairs the *first* item is still inside.
 #[test]
 fn lifo_starvation_contrast() {
-    let lifo = SimpleLinearPq::with_order(1, 1, BinOrder::Lifo);
-    let fifo = SimpleLinearPq::with_order(1, 1, BinOrder::Fifo);
+    let lifo = linear(1, 1, BinOrder::Lifo);
+    let fifo = linear(1, 1, BinOrder::Fifo);
     lifo.insert(0, 0, 0u64);
     fifo.insert(0, 0, 0u64);
     for i in 1..=10 {

@@ -190,7 +190,7 @@ fn quiescent_k_smallest_batched() {
     const PER_THREAD: usize = 50;
     const K: usize = 200;
     for q in bounded_range_queues(32) {
-        let name = q.algorithm_name();
+        let name = q.algorithm().name();
         let barrier = Barrier::new(THREADS);
         let budget = AtomicUsize::new(K);
         let logs = logged("quiescent_k_smallest_batched", THREADS, |tid, log, tick| {
@@ -232,7 +232,9 @@ fn quiescent_k_smallest_batched() {
 /// back at zero.
 #[test]
 fn batch_inserters_against_single_and_batched_deleters_conserve_items() {
-    use funnelpq::{FunnelTreePq, LinearFunnelsPq, SimpleLinearPq, SimpleTreePq};
+    use funnelpq::obs::NoopRecorder;
+    use funnelpq::{BinOrder, FunnelConfig, FunnelTreePq, LinearFunnelsPq, SimpleLinearPq};
+    use funnelpq::{SimpleTreePq, DEFAULT_FUNNEL_LEVELS};
     const BATCHES: usize = 150;
     const BATCH: usize = 8;
     fn run<Q: BoundedPq<u64>>(q: Q) -> Q {
@@ -264,10 +266,13 @@ fn batch_inserters_against_single_and_batched_deleters_conserve_items() {
         drain_and_audit(&q, logs, None);
         q
     }
-    run(SimpleLinearPq::new(16, THREADS));
-    run(LinearFunnelsPq::new(16, THREADS));
-    run(SimpleTreePq::new(16, THREADS)).validate();
-    run(FunnelTreePq::new(16, THREADS)).validate();
+    let noop = || Arc::new(NoopRecorder);
+    let (lifo, funnels) = (BinOrder::Lifo, FunnelConfig::for_threads(THREADS));
+    run(SimpleLinearPq::with_recorder(16, THREADS, lifo, noop()));
+    run(LinearFunnelsPq::with_recorder(16, funnels.clone(), noop()));
+    run(SimpleTreePq::with_recorder(16, THREADS, lifo, noop())).validate();
+    let levels = DEFAULT_FUNNEL_LEVELS;
+    run(FunnelTreePq::with_recorder(16, funnels, levels, noop())).validate();
 }
 
 /// NumaPq with four threads filing batches, half of them deleting in
@@ -278,6 +283,7 @@ fn batch_inserters_against_single_and_batched_deleters_conserve_items() {
 /// back exactly once.
 #[test]
 fn numa_batched_conservation_adaptive_and_pinned_to_delegation() {
+    use funnelpq::obs::NoopRecorder;
     use funnelpq::{NumaConfig, NumaMode, NumaPolicy, NumaPq};
     const T: usize = 4;
     const ROUNDS: usize = 300;
@@ -292,7 +298,7 @@ fn numa_batched_conservation_adaptive_and_pinned_to_delegation() {
     };
     for (name, cfg) in [("adaptive", adaptive), ("delegation", delegating)] {
         let shifting = name == "adaptive";
-        let q = NumaPq::new(16, T, cfg);
+        let q = NumaPq::with_config(16, T, cfg, Arc::new(NoopRecorder));
         let barrier = Barrier::new(T);
         let logs = logged("numa_batched_conservation", T, |tid, log, tick| {
             let mut out = Vec::new();
@@ -364,7 +370,7 @@ fn consistency_labels() {
             q.consistency(),
             expect(q.algorithm()),
             "{}",
-            q.algorithm_name()
+            q.algorithm().name()
         );
     }
 }

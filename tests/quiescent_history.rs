@@ -53,7 +53,7 @@ fn run_check(q: &dyn BoundedPq<u64>, rank_bound: Option<u64>) -> AuditReport {
     assert!(
         report.windows_checked > 0,
         "{}: no checkable windows",
-        q.algorithm_name()
+        q.algorithm().name()
     );
     report
 }
@@ -63,7 +63,7 @@ fn run_check(q: &dyn BoundedPq<u64>, rank_bound: Option<u64>) -> AuditReport {
 fn print_pair(q: &dyn BoundedPq<u64>, report: &AuditReport) {
     eprintln!(
         "{}: drain rank error mean {:.3}, delay mean {:.3} over {} deletes",
-        q.algorithm_name(),
+        q.algorithm().name(),
         report.rank_error.mean(),
         report.delay.mean(),
         report.rank_error.count()

@@ -112,7 +112,7 @@ pub fn drain_and_audit<Q: BoundedPq<u64> + ?Sized>(
     logs: Vec<Log>,
     rank_bound: Option<u64>,
 ) -> AuditReport {
-    let name = q.algorithm_name();
+    let name = q.algorithm().name();
     let mut drain = Log::new(0);
     drain.phase = Phase::Drain;
     while drain.delete_min(q).is_some() {}
