@@ -259,7 +259,7 @@ impl<T: Send, L: Layout<T>, R: Recorder> BoundedPq<T> for BinPq<T, L, R> {
             self.layout.delete_min(tid)
         });
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -287,7 +287,7 @@ impl<T: Send, L: Layout<T>, R: Recorder> BoundedPq<T> for BinPq<T, L, R> {
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }

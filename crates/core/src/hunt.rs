@@ -160,7 +160,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
             self.delete_min_inner()
         });
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -252,7 +252,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }
@@ -285,7 +285,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, 1);
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }

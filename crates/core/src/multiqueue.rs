@@ -123,7 +123,7 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
     fn note(&self) -> impl Fn(CounterEvent) + '_ {
         move |e| {
             if R::ENABLED {
-                self.recorder.record_event(e);
+                self.recorder.event(e);
             }
         }
     }
@@ -193,7 +193,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
                 .or_else(|| self.sweep())
         });
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -249,7 +249,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }
@@ -279,7 +279,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, 1);
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }

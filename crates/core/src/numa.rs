@@ -224,7 +224,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
                 tally.note_cas_retry();
             }
             if R::ENABLED {
-                self.recorder.record_event(e);
+                self.recorder.event(e);
             }
         }
     }
@@ -258,7 +258,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
     fn finish_op(&self, tid: usize, remote_win: Option<bool>) {
         let tally = &self.threads[tid].tally;
         if self.ctl.note_op(tally, remote_win, &self.topo) && R::ENABLED {
-            self.recorder.record_event(CounterEvent::ModeSwitch);
+            self.recorder.event(CounterEvent::ModeSwitch);
         }
         self.serve_pending(tid, self.topo.node_of_tid(tid));
     }
@@ -521,7 +521,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         let out = out.map(Took::item);
         self.finish_op(tid, remote_win);
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -579,7 +579,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         self.finish_op(tid, remote_win);
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }
@@ -602,7 +602,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
         self.finish_op(tid, remote_win);
         obs::record_batch_op(&*self.recorder, 1);
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }

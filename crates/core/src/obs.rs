@@ -7,9 +7,9 @@
 //! exactly the signals an adaptive queue switches on. This module makes them
 //! observable on the native implementations:
 //!
-//! * [`Recorder`] — the queue-facing trait: counter events
-//!   ([`CounterEvent`]) plus log-bucketed latency histograms for `insert` /
-//!   `delete_min` ([`OpKind`]).
+//! * [`Recorder`] — the queue-facing trait: an [`EventSink`] for counter
+//!   events ([`CounterEvent`]) plus log-bucketed latency histograms for
+//!   `insert` / `delete_min` ([`OpKind`]).
 //! * [`NoopRecorder`] — the default; compiles to nothing. Queues are generic
 //!   over their recorder with `NoopRecorder` as the default parameter, so
 //!   the unobserved path is monomorphized without a single branch or timer
@@ -20,8 +20,9 @@
 //!   so it is cheap enough to leave attached.
 //!
 //! The substrate events come from `funnelpq-sync`'s probe layer
-//! ([`EventSink`]); a queue wires its recorder's sink into its locks,
-//! counters and funnels at construction time.
+//! ([`EventSink`]); a queue counts its own events on its recorder with the
+//! same `event` / `event_n` calls, and wires the recorder in as the sink of
+//! its locks, counters and funnels at construction time.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -58,26 +59,20 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// empty batches), so the top bucket starts at 2¹⁴ = 16384 items.
 pub const BATCH_BUCKETS: usize = 16;
 
-/// Receiver for queue-level metrics. Implementations must be `Send + Sync`;
-/// queues hold them in an `Arc` and call them from every operating thread.
+/// Receiver for queue-level metrics: counter events through its
+/// [`EventSink`] half, operation latencies and batch sizes through the
+/// methods below. Queues hold it in an `Arc` and call it from every
+/// operating thread.
 ///
 /// The `ENABLED` constant lets the compiler erase the instrumented paths —
 /// including the clock reads bracketing a timed operation — when the
 /// recorder is a no-op: queues guard their instrumentation with
 /// `if R::ENABLED { ... }`, which monomorphizes to nothing for
 /// [`NoopRecorder`].
-pub trait Recorder: Send + Sync + 'static {
+pub trait Recorder: EventSink + 'static {
     /// Whether this recorder wants data at all. `false` compiles the
     /// instrumentation out of the queue's hot paths.
     const ENABLED: bool;
-
-    /// Record `n` occurrences of a counter event.
-    fn record_event_n(&self, event: CounterEvent, n: u64);
-
-    /// Record one occurrence of a counter event.
-    fn record_event(&self, event: CounterEvent) {
-        self.record_event_n(event, 1);
-    }
 
     /// Asked by [`timed`] before each operation of `kind`: `true` means
     /// "time it and report it through [`Recorder::record_op`]";
@@ -101,8 +96,18 @@ pub trait Recorder: Send + Sync + 'static {
     }
 
     /// The substrate-facing sink to wire into locks, counters and funnels at
-    /// queue construction, or `None` to leave the substrate uninstrumented.
-    fn sink(self: &Arc<Self>) -> Option<SinkRef>;
+    /// queue construction: the recorder itself, or `None` when it is
+    /// disabled, which leaves the substrate uninstrumented.
+    fn sink(self: &Arc<Self>) -> Option<SinkRef>
+    where
+        Self: Sized,
+    {
+        if Self::ENABLED {
+            Some(Arc::clone(self) as SinkRef)
+        } else {
+            None
+        }
+    }
 }
 
 /// The do-nothing recorder every queue defaults to. All methods are empty
@@ -112,18 +117,16 @@ pub trait Recorder: Send + Sync + 'static {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopRecorder;
 
+impl EventSink for NoopRecorder {
+    #[inline(always)]
+    fn event_n(&self, _event: CounterEvent, _n: u64) {}
+}
+
 impl Recorder for NoopRecorder {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn record_event_n(&self, _event: CounterEvent, _n: u64) {}
-
-    #[inline(always)]
     fn record_op(&self, _kind: OpKind, _nanos: u64) {}
-
-    fn sink(self: &Arc<Self>) -> Option<SinkRef> {
-        None
-    }
 }
 
 /// Reports one batched operation that moved `size` items to `rec`: a
@@ -133,7 +136,7 @@ impl Recorder for NoopRecorder {
 #[inline]
 pub fn record_batch_op<R: Recorder>(rec: &R, size: u64) {
     if R::ENABLED {
-        rec.record_event(CounterEvent::BatchOp);
+        rec.event(CounterEvent::BatchOp);
         rec.record_batch(size);
     }
 }
@@ -396,13 +399,15 @@ impl AtomicRecorder {
     }
 }
 
-impl Recorder for AtomicRecorder {
-    const ENABLED: bool = true;
-
-    fn record_event_n(&self, event: CounterEvent, n: u64) {
+impl EventSink for AtomicRecorder {
+    fn event_n(&self, event: CounterEvent, n: u64) {
         let (shard, owned) = self.shard();
         add(&shard.events[event.index()], n, owned);
     }
+}
+
+impl Recorder for AtomicRecorder {
+    const ENABLED: bool = true;
 
     #[inline]
     fn begin_op(&self, kind: OpKind) -> bool {
@@ -439,16 +444,6 @@ impl Recorder for AtomicRecorder {
         add(&shard.batches, 1, owned);
         add(&shard.batch_items, size, owned);
         add(&shard.batch_buckets[batch_bucket_of(size)], 1, owned);
-    }
-
-    fn sink(self: &Arc<Self>) -> Option<SinkRef> {
-        Some(Arc::clone(self) as SinkRef)
-    }
-}
-
-impl EventSink for AtomicRecorder {
-    fn event_n(&self, event: CounterEvent, n: u64) {
-        self.record_event_n(event, n);
     }
 }
 
@@ -563,7 +558,7 @@ impl MetricsSnapshot {
     /// offline). Layout:
     ///
     /// ```json
-    /// {"schema_version": 3,
+    /// {"schema_version": 4,
     ///  "algorithm": "...",
     ///  "events": {"cas_retry": 0, ...},
     ///  "insert": {"count": 0, "timed": 0, "total_nanos": 0, "mean_nanos": 0,
@@ -656,7 +651,7 @@ mod tests {
                 let rec = Arc::clone(&rec);
                 std::thread::spawn(move || {
                     for i in 0..100u64 {
-                        rec.record_event(CounterEvent::CasRetry);
+                        rec.event(CounterEvent::CasRetry);
                         rec.record_op(OpKind::Insert, i);
                     }
                 })
@@ -711,10 +706,10 @@ mod tests {
     #[test]
     fn json_is_balanced_and_names_every_event() {
         let rec = Arc::new(AtomicRecorder::new());
-        rec.record_event_n(CounterEvent::ElimHit, 7);
+        rec.event_n(CounterEvent::ElimHit, 7);
         rec.record_op(OpKind::Insert, 42);
         let json = rec.snapshot().to_json("FunnelTree");
-        assert!(json.starts_with("{\n  \"schema_version\": 3,"));
+        assert!(json.starts_with("{\n  \"schema_version\": 4,"));
         assert!(json.contains("\"algorithm\": \"FunnelTree\""));
         assert!(json.contains("\"elim_hit\": 7"));
         for e in CounterEvent::ALL {
@@ -812,7 +807,7 @@ mod tests {
                 s.spawn(|| {
                     for _ in 0..1_000 {
                         timed(&rec, OpKind::Insert, || ());
-                        rec.record_event(CounterEvent::LockAcquire);
+                        rec.event(CounterEvent::LockAcquire);
                     }
                 });
             }
@@ -832,7 +827,7 @@ mod tests {
                 s.spawn(|| {
                     start.wait();
                     for _ in 0..N {
-                        rec.record_event(CounterEvent::LockAcquire);
+                        rec.event(CounterEvent::LockAcquire);
                     }
                 });
             }
@@ -846,7 +841,7 @@ mod tests {
         let count = |rec: &AtomicRecorder| {
             for _ in 0..1_000 {
                 timed(rec, OpKind::DeleteMin, || ());
-                rec.record_event(CounterEvent::CasRetry);
+                rec.event(CounterEvent::CasRetry);
                 record_batch_op(rec, 3);
             }
         };

@@ -103,7 +103,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
             self.locked(BinaryHeap::pop)
         });
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -149,7 +149,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 && k > 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }
@@ -165,7 +165,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, 1);
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }

@@ -317,7 +317,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
             self.delete_min_inner()
         });
         if R::ENABLED && out.is_none() {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         out
     }
@@ -391,7 +391,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
         if R::ENABLED && taken == 0 {
-            self.recorder.record_event(CounterEvent::EmptyDeleteMin);
+            self.recorder.event(CounterEvent::EmptyDeleteMin);
         }
         taken
     }

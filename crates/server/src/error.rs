@@ -109,14 +109,6 @@ pub enum ServerError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A shard index was out of range — an affinity pin (or a
-    /// [`crate::Router::pin`] call) named a shard the router does not have.
-    InvalidShard {
-        /// The offending shard index.
-        shard: usize,
-        /// The configured shard count.
-        shards: usize,
-    },
     /// Every shard that could serve the job has gone dark (its dispatcher
     /// exhausted the restart budget); the job was not accepted.
     NoHealthyShard {
@@ -126,16 +118,14 @@ pub enum ServerError {
 }
 
 impl ServerError {
-    /// Recovers the rejected job, when this error carries one (build,
-    /// config and shard errors do not).
+    /// Recovers the rejected job, when this error carries one (build
+    /// and config errors do not).
     pub fn into_job(self) -> Option<Job> {
         match self {
             ServerError::Admit(e) => Some(e.into_job()),
             ServerError::Queue(e) => Some(e.into_item()),
             ServerError::Stopped { job } | ServerError::NoHealthyShard { job } => Some(job),
-            ServerError::Build(_)
-            | ServerError::Config { .. }
-            | ServerError::InvalidShard { .. } => None,
+            ServerError::Build(_) | ServerError::Config { .. } => None,
         }
     }
 }
@@ -166,9 +156,6 @@ impl std::fmt::Display for ServerError {
             ServerError::Queue(e) => write!(f, "queue: {e}"),
             ServerError::Stopped { .. } => write!(f, "scheduler is stopping"),
             ServerError::Config { reason } => write!(f, "config: {reason}"),
-            ServerError::InvalidShard { shard, shards } => {
-                write!(f, "shard {shard} out of range (shards {shards})")
-            }
             ServerError::NoHealthyShard { .. } => write!(f, "no healthy shard available"),
         }
     }
@@ -242,13 +229,6 @@ mod tests {
         };
         assert!(e.to_string().contains("retry in 5000ns"));
         assert_eq!(e.into_job().id, 4);
-
-        let e = ServerError::InvalidShard {
-            shard: 9,
-            shards: 4,
-        };
-        assert_eq!(e.to_string(), "shard 9 out of range (shards 4)");
-        assert_eq!(e.into_job(), None);
 
         let e = ServerError::NoHealthyShard { job: job(5) };
         assert_eq!(e.to_string(), "no healthy shard available");

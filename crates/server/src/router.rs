@@ -1,6 +1,5 @@
 //! Tenant → shard routing: hash by default, explicit affinity pins on top.
 
-use crate::error::ServerError;
 use crate::job::{tenant_hash, TenantId};
 
 /// Routes tenants onto shards. The default placement hashes the tenant id
@@ -24,24 +23,12 @@ impl Router {
         }
     }
 
-    /// Pins `tenant` to `shard`, overriding the hash placement.
-    ///
-    /// A shard index the router does not have is refused as
-    /// [`ServerError::InvalidShard`] — typed, like every other server
-    /// refusal, so a bad affinity entry cannot take the process down.
-    /// Out-of-range tenants are ignored (they are refused by admission
-    /// before routing is ever consulted).
-    pub fn pin(&mut self, tenant: TenantId, shard: usize) -> Result<(), ServerError> {
-        if shard >= self.shards {
-            return Err(ServerError::InvalidShard {
-                shard,
-                shards: self.shards,
-            });
-        }
-        if let Some(slot) = self.affinity.get_mut(tenant.0 as usize) {
-            *slot = Some(shard);
-        }
-        Ok(())
+    /// Pins `tenant` to `shard`, overriding the hash placement. Both are
+    /// in range: `ServerConfig::validate` refuses an affinity pin that is
+    /// not, before the scheduler pins anything.
+    pub(crate) fn pin(&mut self, tenant: TenantId, shard: usize) {
+        debug_assert!(shard < self.shards);
+        self.affinity[tenant.0 as usize] = Some(shard);
     }
 
     /// The shard that serves `tenant`.
@@ -78,24 +65,9 @@ mod tests {
         let t = TenantId(5);
         let hashed = r.route(t);
         let target = (hashed + 1) % 4;
-        r.pin(t, target).unwrap();
+        r.pin(t, target);
         assert_eq!(r.route(t), target);
         // Other tenants keep their hash placement.
         assert_eq!(r.route(TenantId(6)), Router::new(4, 8).route(TenantId(6)));
-    }
-
-    #[test]
-    fn pin_rejects_bad_shard_with_typed_error() {
-        let mut r = Router::new(2, 4);
-        let err = r.pin(TenantId(0), 2).unwrap_err();
-        assert_eq!(
-            err,
-            ServerError::InvalidShard {
-                shard: 2,
-                shards: 2
-            }
-        );
-        // The failed pin left no affinity behind.
-        assert_eq!(r.route(TenantId(0)), Router::new(2, 4).route(TenantId(0)));
     }
 }

@@ -2,13 +2,14 @@
 //! supervised dispatcher thread, behind admission control, overload
 //! shedding, and a tenant router.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use funnelpq::obs::{CounterEvent, NoopRecorder, Recorder};
+use funnelpq::obs::{NoopRecorder, Recorder};
 use funnelpq::{PqBuilder, PqConfig};
 use funnelpq_util::{Acc, CachePadded};
 
@@ -234,8 +235,9 @@ impl ServerConfig {
     }
 }
 
-/// What a stopped scheduler hands back: merged shard accounting plus the
-/// admission tallies.
+/// What a stopped scheduler hands back: the dispatchers' own reports, the
+/// admission tallies, and the totals of one final telemetry snapshot
+/// (`dispatched`, `misses`, `restarts`, `requeued`, `shed`, `latency_ns`).
 #[derive(Debug, Clone, Default)]
 pub struct ServerReport {
     /// Per-shard reports, indexed by shard.
@@ -306,15 +308,18 @@ impl ServerReport {
 /// [`Scheduler::stop`] → [`ServerReport`]. Submitting after `stop` has
 /// begun returns [`ServerError::Stopped`] with the job.
 pub struct Scheduler<R: Recorder = NoopRecorder> {
-    core: Arc<Core<R>>,
+    core: Arc<Core>,
     next_id: CachePadded<AtomicU64>,
     handles: Mutex<Vec<JoinHandle<ShardReport>>>,
     started_at: Mutex<Option<Instant>>,
+    /// The recorder type the shard queues were built with; the scheduler
+    /// itself records nothing.
+    recorder: PhantomData<fn() -> R>,
 }
 
 /// What the scheduler and its dispatchers share: one copy, behind one
 /// `Arc`, so each decision made from it is written once.
-struct Core<R: Recorder> {
+struct Core {
     cfg: ServerConfig,
     shards: Vec<Arc<Shard>>,
     router: Router,
@@ -327,10 +332,9 @@ struct Core<R: Recorder> {
     /// at a time.
     recovery: Mutex<()>,
     fault: Option<ArmedFaults>,
-    recorder: Arc<R>,
 }
 
-impl<R: Recorder> Core<R> {
+impl Core {
     /// Nanoseconds since the epoch.
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -374,8 +378,9 @@ impl Scheduler<NoopRecorder> {
 }
 
 impl<R: Recorder> Scheduler<R> {
-    /// Builds a scheduler whose shard queues and server-level counters
-    /// (deadline misses, restarts, requeues, sheds) feed `recorder`.
+    /// Builds a scheduler whose shard queues feed `recorder`. The server's
+    /// own facts (dispatches, misses, restarts, requeues, sheds) are filed
+    /// in its telemetry, not in the recorder.
     pub fn with_recorder(cfg: ServerConfig, recorder: Arc<R>) -> Result<Self, ServerError> {
         cfg.validate()?;
         let mut shards = Vec::with_capacity(cfg.shards);
@@ -392,7 +397,7 @@ impl<R: Recorder> Scheduler<R> {
         }
         let mut router = Router::new(cfg.shards, cfg.tenants);
         for (tenant, shard) in &cfg.affinity {
-            router.pin(*tenant, *shard)?;
+            router.pin(*tenant, *shard);
         }
         let admission = Admission::new(cfg.tenants, cfg.tenant_quota, cfg.global_capacity);
         let fault = cfg.fault_plan.as_ref().map(ArmedFaults::new);
@@ -406,11 +411,11 @@ impl<R: Recorder> Scheduler<R> {
                 stopping: AtomicBool::new(false),
                 recovery: Mutex::new(()),
                 fault,
-                recorder,
             }),
             next_id: CachePadded::new(AtomicU64::new(0)),
             handles: Mutex::new(Vec::new()),
             started_at: Mutex::new(None),
+            recorder: PhantomData,
         })
     }
 
@@ -523,9 +528,6 @@ impl<R: Recorder> Scheduler<R> {
             if let Some(after_ns) = self.shed_check(shard, &job) {
                 // ORDERING: Relaxed, a statistic.
                 shard.shed.fetch_add(1, Ordering::Relaxed);
-                if R::ENABLED {
-                    core.recorder.record_event(CounterEvent::JobShed);
-                }
                 return Err(AdmitError::Retry { after_ns, job }.into());
             }
         }
@@ -617,7 +619,8 @@ impl<R: Recorder> Scheduler<R> {
         }
     }
 
-    /// Stops the dispatchers and merges their reports. Never panics:
+    /// Stops the dispatchers, collects their reports and takes one final
+    /// telemetry snapshot for the report's totals. Never panics:
     /// dispatcher panics were already absorbed by each shard's supervisor,
     /// and each shard's ending is reported as a typed
     /// [`StopReport`] in [`ServerReport::stops`]. Callers should quiesce
@@ -653,29 +656,38 @@ impl<R: Recorder> Scheduler<R> {
             run_ns,
             ..ServerReport::default()
         };
-        for (i, h) in handles.into_iter().enumerate() {
-            match h.join() {
+        let joined: Vec<_> = handles.into_iter().map(JoinHandle::join).collect();
+        // Every dispatcher has exited, so the cells are final.
+        let t = self.telemetry();
+        report.dispatched = t.dispatched();
+        report.misses = t.misses();
+        report.restarts = t.restarts();
+        report.requeued = t.requeued();
+        report.shed = t.shed();
+        for shard in &t.shards {
+            report.latency_ns.merge(&shard.latency_ns);
+        }
+        for (i, joined) in joined.into_iter().enumerate() {
+            match joined {
                 Ok(s) => {
-                    report.dispatched += s.dispatched;
                     report.completed += s.completed;
-                    report.misses += s.misses;
                     report.rearmed += s.rearmed;
                     report.panics += s.panics;
-                    report.restarts += u64::from(s.restarts);
-                    report.requeued += s.requeued;
                     report.lost += s.lost;
-                    report.latency_ns.merge(&s.latency_ns);
+                    let cell = &t.shards[s.shard];
+                    // At most `max_restarts`, a u32.
+                    let restarts = cell.restarts as u32;
                     let outcome = if s.gave_up {
                         StopOutcome::GaveUp {
-                            restarts: s.restarts,
-                            requeued: s.requeued,
+                            restarts,
+                            requeued: cell.requeued,
                             lost: s.lost,
                             last_panic: s.last_panic.clone().unwrap_or_default(),
                         }
                     } else if s.panics > 0 {
                         StopOutcome::Recovered {
-                            restarts: s.restarts,
-                            requeued: s.requeued,
+                            restarts,
+                            requeued: cell.requeued,
                             last_panic: s.last_panic.clone().unwrap_or_default(),
                         }
                     } else {
@@ -698,13 +710,6 @@ impl<R: Recorder> Scheduler<R> {
                 }),
             }
         }
-        report.shed = self
-            .core
-            .shards
-            .iter()
-            // ORDERING: Relaxed, a statistic (as `submitted` above).
-            .map(|s| s.shed.load(Ordering::Relaxed))
-            .sum();
         report.in_flight_at_stop = self.core.admission.in_flight() as u64;
         report
     }
@@ -722,14 +727,14 @@ struct EpisodeState {
 }
 
 /// One dispatcher thread: the shared [`Core`] plus what is its own.
-struct Dispatcher<R: Recorder> {
-    core: Arc<Core<R>>,
+struct Dispatcher {
+    core: Arc<Core>,
     /// `core.shards[index]`, held directly: the dispatch loop's shard.
     shard: Arc<Shard>,
     index: usize,
 }
 
-impl<R: Recorder> Dispatcher<R> {
+impl Dispatcher {
     /// The supervisor: runs the dispatch loop under `catch_unwind`,
     /// requeues panic survivors, restarts with bounded exponential backoff
     /// up to the budget, then fails the shard over to healthy peers.
@@ -758,8 +763,8 @@ impl<R: Recorder> Dispatcher<R> {
             let survivors = state.out.split_off(state.cursor.min(state.out.len()));
             state.out.clear();
             state.cursor = 0;
-            if report.restarts < self.core.cfg.supervise.max_restarts {
-                report.restarts += 1;
+            let restarts = self.shard.telemetry_cell().restarts;
+            if restarts < u64::from(self.core.cfg.supervise.max_restarts) {
                 self.restart(&mut report, survivors);
             } else {
                 self.give_up(&mut report, survivors);
@@ -782,21 +787,14 @@ impl<R: Recorder> Dispatcher<R> {
                 report.lost += 1;
             }
         }
-        report.requeued += requeued;
-        if R::ENABLED {
-            core.recorder.record_event(CounterEvent::ShardRestart);
-            if requeued > 0 {
-                core.recorder
-                    .record_event_n(CounterEvent::JobsRequeued, requeued);
-            }
-        }
-        {
+        let restarts = {
             let mut t = self.shard.telemetry_cell();
             t.restarts += 1;
             t.requeued += requeued;
-        }
+            t.restarts
+        };
         std::thread::sleep(Duration::from_nanos(
-            core.cfg.supervise.backoff_ns(report.restarts),
+            core.cfg.supervise.backoff_ns(restarts),
         ));
     }
 
@@ -844,11 +842,6 @@ impl<R: Recorder> Dispatcher<R> {
                 core.admission.release(&mut vec![job.tenant.0 as usize]);
                 report.lost += 1;
             }
-        }
-        report.requeued += requeued;
-        if R::ENABLED && requeued > 0 {
-            core.recorder
-                .record_event_n(CounterEvent::JobsRequeued, requeued);
         }
         self.shard.telemetry_cell().requeued += requeued;
     }
@@ -1057,10 +1050,8 @@ impl<R: Recorder> Dispatcher<R> {
         // read, so this is stronger than it needs.
         let pre = self.shard.dispatched.load(Ordering::Relaxed);
         self.shard.dispatched.store(pre + 1, Ordering::Release);
-        report.dispatched += 1;
         let now = core.now_ns();
         let latency = now.saturating_sub(job.enqueued_ns);
-        report.latency_ns.record(latency);
         let delay = pre.saturating_sub(job.enqueued_slot);
         let slack = job.deadline_ns.saturating_sub(job.enqueued_ns) / service_ns;
         // A miss must be late on BOTH clocks. Virtual-only lateness can be
@@ -1070,12 +1061,6 @@ impl<R: Recorder> Dispatcher<R> {
         // virtual clock freezes with it). The conjunction leaves exactly
         // the backend-caused lateness: queueing and ordering error.
         let missed = delay > slack && now > job.deadline_ns;
-        if missed {
-            report.misses += 1;
-            if R::ENABLED {
-                core.recorder.record_event(CounterEvent::DeadlineMiss);
-            }
-        }
         if core.cfg.record_dispatches {
             report.dispatch_log.push(DispatchRecord {
                 job: job.id,
@@ -1177,14 +1162,17 @@ mod tests {
             Scheduler::new(bad),
             Err(ServerError::Config { .. })
         ));
-        let bad = ServerConfig {
-            affinity: vec![(TenantId(0), 9)],
-            ..ServerConfig::default()
-        };
-        assert!(matches!(
-            Scheduler::new(bad),
-            Err(ServerError::Config { .. })
-        ));
+        // An affinity pin to a shard, or for a tenant, out of range.
+        for affinity in [vec![(TenantId(0), 9)], vec![(TenantId(16), 0)]] {
+            let bad = ServerConfig {
+                affinity,
+                ..ServerConfig::default()
+            };
+            assert!(matches!(
+                Scheduler::new(bad),
+                Err(ServerError::Config { .. })
+            ));
+        }
         // A degenerate backend config surfaces as a build error.
         let bad = ServerConfig {
             backend: PqConfig::MultiQueue(MultiQueueConfig {

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Thread;
 
 use funnelpq::{BoundedPq, PqError};
-use funnelpq_util::{Acc, CachePadded};
+use funnelpq_util::CachePadded;
 
 use crate::job::{Job, JobId, TenantId};
 use crate::telemetry::ShardTelemetry;
@@ -174,32 +174,24 @@ pub struct DispatchRecord {
     pub missed: bool,
 }
 
-/// What one shard's dispatcher thread hands back when it exits.
+/// What one shard's dispatcher thread hands back when it exits: what its
+/// telemetry cell does not file. Its dispatches, misses, latencies,
+/// restarts and requeues are in the cell, and reach
+/// [`ServerReport`](crate::ServerReport) from there.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Which shard this is.
     pub shard: usize,
-    /// Total dispatches (periodic re-arms count once per firing).
-    pub dispatched: u64,
     /// Jobs fully finished (a periodic job completes only on its last
     /// firing, releasing its admission slot).
     pub completed: u64,
-    /// Dispatches that missed their deadline on the virtual service clock.
-    pub misses: u64,
     /// Periodic re-arms performed via the fused `replace_min`.
     pub rearmed: u64,
-    /// Wall-clock enqueue→dispatch latency histogram (nanoseconds).
-    pub latency_ns: Acc,
     /// Per-dispatch log, populated only when the server runs with
     /// `record_dispatches` (conservation/ordering tests).
     pub dispatch_log: Vec<DispatchRecord>,
     /// Times the dispatcher panicked (injected or genuine).
     pub panics: u64,
-    /// Times the supervisor restarted the dispatcher after a panic.
-    pub restarts: u32,
-    /// Jobs requeued after panics: survivors put back into this shard on a
-    /// restart, plus the queue handed to healthy shards on a give-up.
-    pub requeued: u64,
     /// Jobs that could not be placed anywhere after a give-up (no healthy
     /// shard left); their admission slots were released.
     pub lost: u64,

@@ -21,9 +21,9 @@
 //! [`crate::Scheduler::stop`] *returns* — it never re-raises a dispatcher
 //! panic — and reports one [`StopReport`] per shard.
 //!
-//! Restarts and requeued jobs are surfaced three ways: the obs layer
-//! (`CounterEvent::ShardRestart` / `CounterEvent::JobsRequeued`), the
-//! live telemetry snapshot, and the final [`crate::ServerReport`].
+//! Restarts and requeued jobs are filed once, in the shard's telemetry
+//! cell: the live snapshot reads them there, and so does the final
+//! [`crate::ServerReport`].
 
 /// Restart policy for a shard's supervised dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl Default for SuperviseConfig {
 impl SuperviseConfig {
     /// The backoff before restart number `restart` (1-based): bounded
     /// exponential, `base << (restart - 1)` capped at `backoff_max_ns`.
-    pub(crate) fn backoff_ns(&self, restart: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, restart: u64) -> u64 {
         let shift = restart.saturating_sub(1).min(20);
         self.backoff_base_ns
             .saturating_mul(1u64 << shift)

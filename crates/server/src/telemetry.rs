@@ -73,13 +73,14 @@ impl TenantStats {
 pub struct ShardStats {
     /// Which shard.
     pub shard: usize,
-    /// Dispatches this shard has performed.
+    /// Dispatches this shard has performed: the sum of its tenant rows.
     pub dispatched: u64,
-    /// Deadline misses among them.
+    /// Deadline misses among them: the sum of its tenant rows.
     pub misses: u64,
     /// Jobs sitting in the shard's queue right now.
     pub depth: u64,
-    /// Wall-clock enqueue→dispatch latency histogram (nanoseconds).
+    /// Wall-clock enqueue→dispatch latency histogram (nanoseconds): its
+    /// tenant rows' histograms merged.
     pub latency_ns: Acc,
     /// Per-element displacement histogram from sampled drain batches
     /// (see the module docs). Empty when the backend's batches are not
@@ -215,15 +216,17 @@ impl WindowRing {
     }
 }
 
-/// One shard's telemetry cell. Written only by the shard's dispatcher
-/// (uncontended mutex); read by [`Scheduler::telemetry`].
+/// One shard's telemetry cell: the one place the server files a
+/// dispatch, a miss, a latency, a restart or a requeue. Written only by
+/// the shard's dispatcher (uncontended mutex); read by
+/// [`Scheduler::telemetry`], and once more by [`Scheduler::stop`] for
+/// the report. Shard totals are not filed: [`TelemetrySnapshot::assemble`]
+/// sums them from the tenant rows.
 ///
 /// [`Scheduler::telemetry`]: crate::Scheduler::telemetry
+/// [`Scheduler::stop`]: crate::Scheduler::stop
 #[derive(Debug, Clone)]
 pub(crate) struct ShardTelemetry {
-    pub(crate) dispatched: u64,
-    pub(crate) misses: u64,
-    pub(crate) latency_ns: Acc,
     pub(crate) rank_error: Acc,
     pub(crate) rank_samples: u64,
     /// Written by the shard's supervisor between dispatcher incarnations
@@ -240,9 +243,6 @@ pub(crate) struct ShardTelemetry {
 impl ShardTelemetry {
     pub(crate) fn new(tenants: usize, window_ns: u64) -> Self {
         ShardTelemetry {
-            dispatched: 0,
-            misses: 0,
-            latency_ns: Acc::new(),
             rank_error: Acc::new(),
             rank_samples: 0,
             restarts: 0,
@@ -258,8 +258,9 @@ impl ShardTelemetry {
         }
     }
 
-    /// Files one dispatch: shard totals, the tenant's histograms, and the
-    /// current time-series window.
+    /// Files one dispatch: the tenant's row (count, miss, latency and
+    /// slack) and the current time-series window. Admission refuses a
+    /// tenant out of range, so every dispatched job has a row.
     pub(crate) fn record_dispatch(
         &mut self,
         job: &Job,
@@ -267,16 +268,12 @@ impl ShardTelemetry {
         latency_ns: u64,
         missed: bool,
     ) {
-        self.dispatched += 1;
-        self.misses += u64::from(missed);
-        self.latency_ns.record(latency_ns);
         self.windows.record_dispatch(now_ns, missed);
-        if let Some(t) = self.tenants.get_mut(job.tenant.0 as usize) {
-            t.dispatched += 1;
-            t.misses += u64::from(missed);
-            t.latency_ns.record(latency_ns);
-            t.slack_ns.record(job.deadline_ns.saturating_sub(now_ns));
-        }
+        let t = &mut self.tenants[job.tenant.0 as usize];
+        t.dispatched += 1;
+        t.misses += u64::from(missed);
+        t.latency_ns.record(latency_ns);
+        t.slack_ns.record(job.deadline_ns.saturating_sub(now_ns));
     }
 
     /// Scores one sampled drain batch: each element's displacement is the
@@ -517,12 +514,16 @@ impl TelemetrySnapshot {
         let mut tenants: Vec<TenantStats> = Vec::new();
         let mut windows: Vec<WindowStats> = Vec::new();
         for (shard, (cell, depth, shed, adaptive)) in per_shard.into_iter().enumerate() {
+            let mut total = TenantStats::default();
+            for t in &cell.tenants {
+                total.merge(t);
+            }
             snap.shards.push(ShardStats {
                 shard,
-                dispatched: cell.dispatched,
-                misses: cell.misses,
+                dispatched: total.dispatched,
+                misses: total.misses,
                 depth,
-                latency_ns: cell.latency_ns,
+                latency_ns: total.latency_ns,
                 rank_error: cell.rank_error,
                 rank_samples: cell.rank_samples,
                 restarts: cell.restarts,
@@ -587,8 +588,6 @@ mod tests {
         t.record_dispatch(&job(1, 0, 500), 50, 50, false);
         t.record_dispatch(&job(1, 0, 90), 150, 150, true);
         t.record_dispatch(&job(3, 100, 1_000), 160, 60, false);
-        assert_eq!(t.dispatched, 3);
-        assert_eq!(t.misses, 1);
         assert_eq!(t.tenants[1].dispatched, 2);
         assert_eq!(t.tenants[1].misses, 1);
         assert_eq!(t.tenants[3].slack_ns.count(), 1);
@@ -664,6 +663,9 @@ mod tests {
         assert_eq!(snap.schema_version, SCHEMA_VERSION);
         assert_eq!(snap.dispatched(), 3);
         assert_eq!(snap.misses(), 1);
+        // Shard totals are their tenant rows summed.
+        let b = &snap.shards[1];
+        assert_eq!((b.dispatched, b.misses, b.latency_ns.count()), (2, 1, 2));
         assert_eq!(snap.depth(), 7);
         assert_eq!(snap.restarts(), 1);
         assert_eq!(snap.requeued(), 4);
@@ -679,7 +681,7 @@ mod tests {
         assert_eq!(snap.windows[0].dispatched, 1);
         assert_eq!(snap.windows[1].dispatched, 2);
         let j = snap.to_json();
-        assert!(j.starts_with("{\n  \"schema_version\": 3,"));
+        assert!(j.starts_with("{\n  \"schema_version\": 4,"));
         assert!(j.contains("\"backend\": \"multiqueue\""));
         assert!(j.contains("\"tenant\": 1"));
         assert!(j.contains("\"rank_samples\": 1"));

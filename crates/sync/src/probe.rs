@@ -49,21 +49,6 @@ pub enum CounterEvent {
     /// A batched queue operation (`insert_batch`, `delete_min_batch`, or
     /// fused `replace_min`) ran — counted once per batch, not per item.
     BatchOp,
-    /// A scheduled job was dispatched after its deadline. Recorded by the
-    /// `funnelpq-server` serving layer, not by the queues themselves: it is
-    /// the product-level signal the relaxation/rank-error tradeoff cashes
-    /// out as.
-    DeadlineMiss,
-    /// A shard dispatcher panicked and its supervisor restarted it
-    /// (`funnelpq-server` resilience layer; counted once per restart).
-    ShardRestart,
-    /// A job that survived a dispatcher panic was requeued — back into the
-    /// restarted shard or rerouted to a healthy one (counted per job).
-    JobsRequeued,
-    /// A job was shed at admission because its deadline was already
-    /// unmeetable given the target shard's backlog and dispatch rate
-    /// (`funnelpq-server` overload control; counted per shed job).
-    JobShed,
     /// The NUMA-adaptive controller flipped a queue between its oblivious
     /// and delegation serving modes (`funnelpq` `NumaPq`; counted once per
     /// switch-over, by the thread that closed the deciding epoch).
@@ -72,7 +57,7 @@ pub enum CounterEvent {
 
 impl CounterEvent {
     /// Number of distinct event kinds.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 10;
 
     /// Every event kind, in a fixed order matching [`CounterEvent::index`].
     pub const ALL: [CounterEvent; CounterEvent::COUNT] = [
@@ -85,10 +70,6 @@ impl CounterEvent {
         CounterEvent::LockAcquire,
         CounterEvent::EmptyDeleteMin,
         CounterEvent::BatchOp,
-        CounterEvent::DeadlineMiss,
-        CounterEvent::ShardRestart,
-        CounterEvent::JobsRequeued,
-        CounterEvent::JobShed,
         CounterEvent::ModeSwitch,
     ];
 
@@ -104,11 +85,7 @@ impl CounterEvent {
             CounterEvent::LockAcquire => 6,
             CounterEvent::EmptyDeleteMin => 7,
             CounterEvent::BatchOp => 8,
-            CounterEvent::DeadlineMiss => 9,
-            CounterEvent::ShardRestart => 10,
-            CounterEvent::JobsRequeued => 11,
-            CounterEvent::JobShed => 12,
-            CounterEvent::ModeSwitch => 13,
+            CounterEvent::ModeSwitch => 9,
         }
     }
 
@@ -124,10 +101,6 @@ impl CounterEvent {
             CounterEvent::LockAcquire => "lock_acquire",
             CounterEvent::EmptyDeleteMin => "empty_delete_min",
             CounterEvent::BatchOp => "batch_op",
-            CounterEvent::DeadlineMiss => "deadline_miss",
-            CounterEvent::ShardRestart => "shard_restart",
-            CounterEvent::JobsRequeued => "jobs_requeued",
-            CounterEvent::JobShed => "job_shed",
             CounterEvent::ModeSwitch => "mode_switch",
         }
     }

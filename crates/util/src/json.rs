@@ -22,7 +22,10 @@
 /// `shed` in `TelemetrySnapshot`) and the supervision counter events.
 /// 3 added the NUMA controller surface (`numa_mode` / `mode_switches`
 /// totals and the per-shard `numa` block in `TelemetrySnapshot`).
-pub const SCHEMA_VERSION: u32 = 3;
+/// 4 dropped the four server events (`deadline_miss`, `shard_restart`,
+/// `jobs_requeued`, `job_shed`) from `MetricsSnapshot`'s `events`: the
+/// server files those facts in its telemetry only.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Minimal JSON string escaping for names (labels contain no exotic
 /// characters, but quoting must never break the document).

@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use funnelpq::obs::{
-    record_batch_op, AtomicRecorder, CounterEvent, OpKind, OpStats, Recorder, SinkRef,
+    record_batch_op, AtomicRecorder, CounterEvent, EventSink, OpKind, OpStats, Recorder,
 };
 use funnelpq::{Algorithm, BoundedPq, NumaConfig, PqBuilder, PqConfig};
 
@@ -134,19 +134,17 @@ fn alternating_caller_cannot_alias_a_kind_out_of_the_sample() {
 #[derive(Default)]
 struct TimesEveryOp(AtomicRecorder);
 
+impl EventSink for TimesEveryOp {
+    fn event_n(&self, event: CounterEvent, n: u64) {
+        self.0.event_n(event, n);
+    }
+}
+
 impl Recorder for TimesEveryOp {
     const ENABLED: bool = true;
 
-    fn record_event_n(&self, event: CounterEvent, n: u64) {
-        self.0.record_event_n(event, n);
-    }
-
     fn record_op(&self, kind: OpKind, nanos: u64) {
         self.0.record_op(kind, nanos);
-    }
-
-    fn sink(self: &Arc<Self>) -> Option<SinkRef> {
-        None
     }
 }
 
@@ -341,11 +339,11 @@ fn concurrent_writers_aggregate_exactly_across_shards() {
                 thread::spawn(move || {
                     barrier.wait();
                     for _ in 0..300 {
-                        rec.record_event(CounterEvent::CasRetry);
+                        rec.event(CounterEvent::CasRetry);
                     }
-                    rec.record_event_n(CounterEvent::ElimHit, 7);
+                    rec.event_n(CounterEvent::ElimHit, 7);
                     for _ in 0..17 {
-                        rec.record_event(CounterEvent::DeadlineMiss);
+                        rec.event(CounterEvent::ModeSwitch);
                     }
                     for (size, n) in BATCHES {
                         for _ in 0..n {
@@ -363,7 +361,7 @@ fn concurrent_writers_aggregate_exactly_across_shards() {
         let w = WRITERS as u64;
         assert_eq!(snap.event(CounterEvent::CasRetry), 300 * w);
         assert_eq!(snap.event(CounterEvent::ElimHit), 7 * w);
-        assert_eq!(snap.event(CounterEvent::DeadlineMiss), 17 * w);
+        assert_eq!(snap.event(CounterEvent::ModeSwitch), 17 * w);
         // Events the schedule never fired stay zero.
         assert_eq!(snap.event(CounterEvent::FunnelCollision), 0);
         assert_eq!(snap.event(CounterEvent::LockAcquire), 0);

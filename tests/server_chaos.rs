@@ -213,6 +213,9 @@ fn dispatcher_panics_lose_no_jobs_across_backends_and_seeds() {
             assert_eq!(t.restarts(), report.restarts, "{label}");
             assert_eq!(t.requeued(), report.requeued, "{label}");
             assert_eq!(t.dispatched(), report.dispatched, "{label}");
+            assert_eq!(t.misses(), report.misses, "{label}");
+            assert_eq!(t.shed(), report.shed, "{label}");
+            assert_eq!(report.latency_ns.count(), report.dispatched, "{label}");
         }
     }
 }

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use funnelpq::obs::{AtomicRecorder, CounterEvent, Recorder};
+use funnelpq::obs::Recorder;
 use funnelpq::{MultiQueueConfig, PqConfig};
 use funnelpq_server::{Deadline, JobId, JobSpec, Scheduler, ServerConfig, ServerError, TenantId};
 use funnelpq_util::XorShift64Star;
@@ -301,18 +301,17 @@ fn strict_backend_dispatches_in_deadline_band_order_within_a_shard() {
     assert_eq!(report.misses, 0);
 }
 
-/// Every miss the dispatcher counts also reaches an attached recorder as
-/// `CounterEvent::DeadlineMiss`, so the obs pipeline and the stop report
-/// agree. Jobs queued before `start()` with a deadline already behind them
-/// have zero slack: on one strict shard the k-th dispatch has waited k
-/// slots, so all but the first miss on both clocks.
+/// A miss is filed once, in the shard's tenant row, and every count of
+/// it agrees: the stop report, the telemetry totals, the sum of the tenant
+/// rows and the dispatch log. Jobs queued before `start()` with a deadline
+/// already behind them have zero slack: on one strict shard the k-th
+/// dispatch has waited k slots, so all but the first miss on both clocks.
 #[test]
-fn deadline_misses_reach_the_recorder_and_match_the_report() {
+fn deadline_misses_agree_across_report_telemetry_tenant_rows_and_log() {
     let mut c = cfg(PqConfig::SingleLock);
     c.shards = 1;
     c.tenants = 1;
-    let recorder = Arc::new(AtomicRecorder::new());
-    let s = Scheduler::with_recorder(c, Arc::clone(&recorder)).unwrap();
+    let s = Scheduler::new(c).unwrap();
     for k in 0..64u64 {
         s.submit(0, JobSpec::once(TenantId(0), Deadline::At(0), k))
             .unwrap();
@@ -320,12 +319,13 @@ fn deadline_misses_reach_the_recorder_and_match_the_report() {
     s.start();
     drain(&s);
     let report = s.stop();
+    let t = s.telemetry();
     assert_eq!(report.dispatched, 64);
     assert_eq!(report.misses, 63);
-    assert_eq!(
-        recorder.snapshot().event(CounterEvent::DeadlineMiss),
-        report.misses
-    );
+    assert_eq!(t.misses(), 63);
+    assert_eq!(t.tenants.iter().map(|x| x.misses).sum::<u64>(), 63);
+    let logged = report.shards[0].dispatch_log.iter().filter(|r| r.missed);
+    assert_eq!(logged.count(), 63);
 }
 
 #[test]
@@ -409,7 +409,7 @@ fn telemetry_reconciles_with_the_stop_report() {
     assert_eq!(t.rank_error_mean(), 0.0);
 
     let json = t.to_json();
-    assert!(json.starts_with("{\n  \"schema_version\": 3,"));
+    assert!(json.starts_with("{\n  \"schema_version\": 4,"));
     assert!(json.contains("\"backend\": \"SingleLock\""));
 }
 
