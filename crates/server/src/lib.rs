@@ -39,9 +39,11 @@
 //! shard instead of re-raising. Overload control ([`OverloadConfig`])
 //! sheds jobs whose deadlines are unmeetable given backlog × measured
 //! dispatch rate, handing back [`AdmitError::Retry`] with a drain-time
-//! hint that [`RetryPolicy`] turns into jittered client backoff. A seeded
-//! [`FaultPlan`] injects dispatcher panics, stalls, and admission bursts
-//! natively for chaos testing (see `docs/FAULTS.md`).
+//! hint that [`RetryPolicy`] turns into jittered client backoff. Three named
+//! [`Seam`]s — a submit between routing and enqueue, a dispatcher about to
+//! dispatch, a give-up after its last drain — call one [`SeamHandler`], so
+//! a test can panic, stall or hold a thread at a protocol step (see
+//! `docs/FAULTS.md`).
 //!
 //! ## Example
 //!
@@ -68,21 +70,21 @@
 
 mod admission;
 mod error;
-mod fault;
 mod job;
 mod retry;
 mod router;
 mod scheduler;
+mod seam;
 mod shard;
 mod supervise;
 pub mod telemetry;
 
 pub use error::{AdmitError, ServerError};
-pub use fault::{FaultPlan, ServerFault};
 pub use job::{Deadline, Job, JobId, JobSpec, TenantId};
 pub use retry::RetryPolicy;
 pub use router::Router;
 pub use scheduler::{OverloadConfig, Scheduler, ServerConfig, ServerReport};
+pub use seam::{Seam, SeamHandler};
 pub use shard::{DispatchRecord, ShardReport};
 pub use supervise::{StopOutcome, StopReport, SuperviseConfig};
 pub use telemetry::{ShardStats, TelemetrySnapshot, TenantStats, WaitStats, WindowStats};

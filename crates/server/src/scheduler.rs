@@ -15,10 +15,10 @@ use funnelpq_util::{Acc, CachePadded};
 
 use crate::admission::Admission;
 use crate::error::{AdmitError, ServerError};
-use crate::fault::{ArmedFaults, FaultPlan};
 use crate::job::{Deadline, Job, JobId, JobSpec, TenantId};
 use crate::router::Router;
-use crate::shard::{DispatchRecord, Shard, ShardReport};
+use crate::seam::{Seam, SeamHandler};
+use crate::shard::{DispatchRecord, Refused, Shard, ShardReport};
 use crate::supervise::{panic_message, StopOutcome, StopReport, SuperviseConfig};
 use crate::telemetry::{ShardTelemetry, TelemetrySnapshot, RANK_SAMPLE_PERIOD};
 
@@ -163,9 +163,10 @@ pub struct ServerConfig {
     pub overload: OverloadConfig,
     /// Dispatcher restart policy after panics.
     pub supervise: SuperviseConfig,
-    /// Seeded fault plan for chaos testing (`None` in production: the
-    /// dispatch and submit paths then pay one presence test each).
-    pub fault_plan: Option<FaultPlan>,
+    /// The handler the scheduler's [`Seam`]s call, for tests that step in
+    /// at a protocol step (`None` in production: each seam then costs one
+    /// presence test).
+    pub seams: Option<SeamHandler>,
 }
 
 impl Default for ServerConfig {
@@ -186,7 +187,7 @@ impl Default for ServerConfig {
             affinity: Vec::new(),
             overload: OverloadConfig::default(),
             supervise: SuperviseConfig::default(),
-            fault_plan: None,
+            seams: None,
         }
     }
 }
@@ -221,13 +222,6 @@ impl ServerConfig {
             "affinity pin out of range"
         } else if self.supervise.backoff_max_ns < self.supervise.backoff_base_ns {
             "supervise backoff_max_ns must be >= backoff_base_ns"
-        } else if self
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.max_shard())
-            .is_some_and(|s| s >= self.shards)
-        {
-            "fault plan targets a shard out of range"
         } else {
             return Ok(());
         };
@@ -260,8 +254,6 @@ pub struct ServerReport {
     pub completed: u64,
     /// Dispatches that missed their deadline on the virtual service clock.
     pub misses: u64,
-    /// Periodic re-arms performed via the fused `replace_min`.
-    pub rearmed: u64,
     /// Dispatcher panics across shards (injected or genuine).
     pub panics: u64,
     /// Supervisor restarts across shards.
@@ -331,7 +323,6 @@ struct Core {
     /// on each queue is shared by all supervisors, so only one may use it
     /// at a time.
     recovery: Mutex<()>,
-    fault: Option<ArmedFaults>,
 }
 
 impl Core {
@@ -361,12 +352,34 @@ impl Core {
         let n = self.shards.len();
         (0..n)
             .map(|k| (start + k) % n)
-            // ORDERING: Acquire; partner is the Release store in `give_up`.
-            // The flag guards no data, and routing on it is advisory: no
-            // ordering closes the window in which a submit that read it up
-            // just before it went down inserts after the give-up's last
-            // drain, into a queue nobody drains any more.
+            // ORDERING: Acquire; partner is the SeqCst store in `give_up`.
+            // The flag guards no data, and routing on it is advisory: a
+            // submit that read it up just before it went down is turned back
+            // by the SeqCst re-check in `Shard::enqueue`, whose partner is
+            // the same store, and `place` re-routes it from there.
             .find(|&si| self.shards[si].healthy.load(Ordering::Acquire))
+    }
+
+    /// Enqueues `job` on shard `si`, moving on to the next healthy shard
+    /// clockwise whenever the one it tries has gone dark under it.
+    fn place(
+        &self,
+        mut si: usize,
+        tid: usize,
+        band: usize,
+        mut job: Job,
+    ) -> Result<(), ServerError> {
+        loop {
+            match self.shards[si].enqueue(tid, band, job) {
+                Ok(()) => return Ok(()),
+                Err(Refused::Queue(e)) => return Err(e.into()),
+                Err(Refused::Dark(back)) => job = back,
+            }
+            si = match self.healthy_from(si) {
+                Some(next) => next,
+                None => return Err(ServerError::NoHealthyShard { job }),
+            };
+        }
     }
 }
 
@@ -400,7 +413,6 @@ impl<R: Recorder> Scheduler<R> {
             router.pin(*tenant, *shard);
         }
         let admission = Admission::new(cfg.tenants, cfg.tenant_quota, cfg.global_capacity);
-        let fault = cfg.fault_plan.as_ref().map(ArmedFaults::new);
         Ok(Scheduler {
             core: Arc::new(Core {
                 cfg,
@@ -410,7 +422,6 @@ impl<R: Recorder> Scheduler<R> {
                 epoch: Instant::now(),
                 stopping: AtomicBool::new(false),
                 recovery: Mutex::new(()),
-                fault,
             }),
             next_id: CachePadded::new(AtomicU64::new(0)),
             handles: Mutex::new(Vec::new()),
@@ -456,28 +467,6 @@ impl<R: Recorder> Scheduler<R> {
     /// against quota and capacity, and files the job under its deadline
     /// band. Every refusal carries the stamped job back.
     pub fn submit(&self, client: usize, spec: JobSpec) -> Result<JobId, ServerError> {
-        let res = self.submit_inner(client, spec);
-        if let Some(faults) = &self.core.fault {
-            // The burst trigger compares against this submit's id whether
-            // it was admitted or refused — refusals consumed an id too.
-            let id = match &res {
-                Ok(id) => Some(*id),
-                Err(e) => e.clone().into_job().map(|j| j.id),
-            };
-            if let Some(burst) = id.and_then(|id| faults.at_submit(id)) {
-                for _ in 0..burst.jobs {
-                    let tenant = faults.draw_tenant(self.core.cfg.tenants);
-                    let spec = JobSpec::once(tenant, Deadline::In(burst.deadline_in_ns), 0);
-                    // Burst refusals (quota, capacity, shed) are counted by
-                    // the normal admission/shed tallies.
-                    let _ = self.submit_inner(client, spec);
-                }
-            }
-        }
-        res
-    }
-
-    fn submit_inner(&self, client: usize, spec: JobSpec) -> Result<JobId, ServerError> {
         let core = &*self.core;
         if client >= core.cfg.clients {
             return Err(ServerError::Config {
@@ -508,12 +497,14 @@ impl<R: Recorder> Scheduler<R> {
             enqueued_ns,
             enqueued_slot: slot,
         };
-        let shard = match core.healthy_from(routed) {
-            Some(si) => &core.shards[si],
-            None => {
-                return Err(ServerError::NoHealthyShard { job: stamp(0) });
-            }
+        let si = match core.healthy_from(routed) {
+            Some(si) => si,
+            None => return Err(ServerError::NoHealthyShard { job: stamp(0) }),
         };
+        if let Some(seams) = &core.cfg.seams {
+            seams.fire(Seam::SubmitRouted { shard: si });
+        }
+        let shard = &core.shards[si];
         // ORDERING: Acquire; partner is the Release store in `dispatch`.
         // Only the value is used — a reading of the virtual service clock,
         // monotone by coherence alone — so this is stronger than it needs.
@@ -533,9 +524,9 @@ impl<R: Recorder> Scheduler<R> {
         }
         core.admission.try_admit(job)?;
         let band = core.band_of(job.deadline_ns);
-        if let Err(e) = shard.enqueue(client, band, job) {
+        if let Err(e) = core.place(si, client, band, job) {
             core.admission.release(&mut vec![job.tenant.0 as usize]);
-            return Err(e.into());
+            return Err(e);
         }
         Ok(id)
     }
@@ -629,7 +620,7 @@ impl<R: Recorder> Scheduler<R> {
     /// stop); anything still queued is counted in
     /// [`ServerReport::in_flight_at_stop`].
     pub fn stop(&self) -> ServerReport {
-        // ORDERING: Release; partners are the Acquire loads in `submit_inner`
+        // ORDERING: Release; partners are the Acquire loads in `submit`
         // and the dispatch loop. The flag publishes no data; a parked
         // dispatcher sees it because the unpark below synchronizes with the
         // return from its park.
@@ -671,7 +662,6 @@ impl<R: Recorder> Scheduler<R> {
             match joined {
                 Ok(s) => {
                     report.completed += s.completed;
-                    report.rearmed += s.rearmed;
                     report.panics += s.panics;
                     report.lost += s.lost;
                     let cell = &t.shards[s.shard];
@@ -799,17 +789,20 @@ impl Dispatcher {
     }
 
     /// Give-up path: the restart budget is spent. Mark the shard dark so
-    /// submitters route around it, drain everything still queued, and hand
-    /// each job to the first healthy shard clockwise from its home
+    /// submitters route around it, drain until the depth gauge reads zero
+    /// (so every insert that raced the mark has landed and been taken), and
+    /// hand each job to the first healthy shard clockwise from its home
     /// placement — through the shared recovery thread slot, serialized by
     /// the recovery mutex. Jobs with nowhere to go are released and
     /// reported lost.
     fn give_up(&self, report: &mut ShardReport, survivors: Vec<(usize, Job)>) {
         let core = &*self.core;
         report.gave_up = true;
-        // ORDERING: Release; partner is the Acquire load in `healthy_from`,
-        // which from here on skips this shard. It publishes no data.
-        self.shard.healthy.store(false, Ordering::Release);
+        // ORDERING: SeqCst, the give-up's Dekker store; partners are the
+        // SeqCst re-check in `Shard::enqueue`, which from here on refuses
+        // (so no insert lands after the gauge below reads zero), and the
+        // Acquire load in `healthy_from`, which skips this shard.
+        self.shard.healthy.store(false, Ordering::SeqCst);
         let mut pending = survivors;
         let drain = core.cfg.drain_batch;
         let mut drained: Vec<(usize, Job)> = Vec::with_capacity(drain);
@@ -820,11 +813,23 @@ impl Dispatcher {
                 .queue
                 .delete_min_batch(core.dispatcher_tid(), drain, &mut drained);
             if got == 0 {
-                break;
+                // ORDERING: SeqCst, the give-up's Dekker load; partner is the
+                // gauge `fetch_add` in `Shard::enqueue`. An enqueue that saw
+                // the shard healthy bumped the gauge before this load, so it
+                // reads above zero until that job is drained here.
+                if self.shard.enqueued.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
+                // An enqueue is between its bump and its insert (or rollback).
+                std::thread::yield_now();
+                continue;
             }
             // ORDERING: Relaxed, as in `run_episodes`.
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             pending.append(&mut drained);
+        }
+        if let Some(seams) = &core.cfg.seams {
+            seams.fire(Seam::GiveUpDrained { shard: self.index });
         }
         let mut requeued = 0u64;
         let tid = core.recovery_tid();
@@ -835,7 +840,7 @@ impl Dispatcher {
         for (band, job) in pending {
             let placed = core
                 .healthy_from(core.router.route(job.tenant))
-                .is_some_and(|si| core.shards[si].enqueue(tid, band, job).is_ok());
+                .is_some_and(|si| core.place(si, tid, band, job).is_ok());
             if placed {
                 requeued += 1;
             } else {
@@ -935,17 +940,18 @@ impl Dispatcher {
             // `out[cursor..]` — including the job in hand — survives.
             while state.cursor < state.out.len() {
                 let (_band, job) = state.out[state.cursor];
-                if let Some(faults) = &core.fault {
-                    // Fires before any accounting: an injected panic loses
-                    // nothing, an injected stall freezes the whole loop.
-                    // ORDERING: Acquire, though this thread is the counter's
-                    // only writer and reads its own last store either way.
-                    if let Some(stall_ns) = faults
-                        .at_dispatch(self.index, self.shard.dispatched.load(Ordering::Acquire))
-                    {
-                        held = None;
-                        std::thread::sleep(Duration::from_nanos(stall_ns));
-                    }
+                if let Some(seams) = &core.cfg.seams {
+                    // Before any accounting, so a panic here loses nothing,
+                    // and with the telemetry guard let go: the handler may
+                    // block.
+                    held = None;
+                    // ORDERING: Relaxed; this thread is the counter's only
+                    // writer and reads its own last store.
+                    let n = self.shard.dispatched.load(Ordering::Relaxed);
+                    seams.fire(Seam::DispatchJob {
+                        shard: self.index,
+                        n,
+                    });
                 }
                 let t = held.get_or_insert_with(|| self.shard.telemetry_cell());
                 let now = self.dispatch(job, service_ns, report, state, t);
@@ -1075,7 +1081,6 @@ impl Dispatcher {
         let rearm =
             job.period_ns > 0 && job.repeats_left > 0 && !core.stopping.load(Ordering::Acquire);
         if rearm {
-            report.rearmed += 1;
             // Fixed-rate while on time, fixed-delay once late: re-arming
             // from max(deadline, now) keeps every firing's slack at least
             // one full period, so a host stall cannot manufacture a string
@@ -1182,15 +1187,6 @@ mod tests {
             ..ServerConfig::default()
         };
         assert!(matches!(Scheduler::new(bad), Err(ServerError::Build(_))));
-        // A fault plan aimed at a shard that does not exist.
-        let bad = ServerConfig {
-            fault_plan: Some(FaultPlan::new(1).dispatcher_panic(4, 0)),
-            ..ServerConfig::default()
-        };
-        assert!(matches!(
-            Scheduler::new(bad),
-            Err(ServerError::Config { .. })
-        ));
         // An inverted supervision backoff range.
         let bad = ServerConfig {
             supervise: SuperviseConfig {
@@ -1287,7 +1283,6 @@ mod tests {
         assert_eq!(r.admitted, 10);
         assert_eq!(r.completed, 10, "a periodic job completes exactly once");
         assert_eq!(r.dispatched, 30, "3 firings each");
-        assert_eq!(r.rearmed, 20);
     }
 
     /// Slots are freed a drained batch at a time, and a batch a periodic
@@ -1368,14 +1363,18 @@ mod tests {
         // Regression for the old `h.join().expect(...)` in stop(): a
         // dispatcher panic must surface as a typed StopOutcome, with the
         // panicked shard's jobs recovered, never as a stop()-time panic.
+        let fired = [AtomicBool::new(false), AtomicBool::new(false)];
         let s = Scheduler::new(ServerConfig {
-            fault_plan: Some(
-                FaultPlan::new(3)
-                    .dispatcher_panic(0, 5)
-                    .dispatcher_panic(1, 5),
-            ),
+            // Each shard's dispatcher panics once, at its 6th dispatch.
+            seams: Some(SeamHandler::new(move |seam| {
+                if let Seam::DispatchJob { shard, n } = seam {
+                    if n >= 5 && !fired[shard].swap(true, Ordering::Relaxed) {
+                        panic!("injected: dispatcher panic at dispatch {n} on shard {shard}");
+                    }
+                }
+            })),
             // Pin tenants so both shards are guaranteed traffic (and so
-            // both faults are guaranteed to fire).
+            // both panics are guaranteed to fire).
             affinity: vec![
                 (TenantId(0), 0),
                 (TenantId(1), 1),
@@ -1400,7 +1399,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let r = s.stop();
-        assert_eq!(r.panics, 2, "both shards' faults fired");
+        assert_eq!(r.panics, 2, "both shards' panics fired");
         assert_eq!(r.restarts, 2);
         assert_eq!(r.completed, 100, "every admitted job still completed");
         assert_eq!(r.lost, 0);

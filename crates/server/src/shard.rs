@@ -34,8 +34,9 @@ pub(crate) struct Shard {
     /// whatever order the compiler lays the struct out in.
     pub(crate) telemetry: CachePadded<Mutex<ShardTelemetry>>,
     /// Cleared when the shard's dispatcher exhausts its restart budget and
-    /// gives up. Submitters route around dark shards; the give-up path
-    /// drains the queue into healthy ones.
+    /// gives up. Submitters route around dark shards, and [`Shard::enqueue`]
+    /// refuses into one; the give-up path drains the queue into healthy
+    /// ones.
     pub(crate) healthy: AtomicBool,
     /// Jobs shed at admission for this shard (deadline unmeetable given
     /// backlog × dispatch rate). Written by submitters, so it lives here
@@ -82,15 +83,27 @@ impl Shard {
     /// failover. Depth goes up *before* the insert (and back down on
     /// failure) so the dispatcher's decrement for this job can never
     /// observe the gauge below the true population; once the job has
-    /// landed, a parked dispatcher is woken.
-    pub(crate) fn enqueue(&self, tid: usize, band: usize, job: Job) -> Result<(), PqError<Job>> {
-        // ORDERING: SeqCst, the submitter's Dekker store; partner is the gauge
-        // load in `park_while_empty` (docs/SERVER.md, "The dispatcher": Park).
+    /// landed, a parked dispatcher is woken. A shard that has gone dark
+    /// hands the job back as [`Refused::Dark`] instead of inserting it.
+    pub(crate) fn enqueue(&self, tid: usize, band: usize, job: Job) -> Result<(), Refused> {
+        // ORDERING: SeqCst, the submitter's Dekker store for two handshakes.
+        // Partners: the gauge load in `park_while_empty` (docs/SERVER.md,
+        // "The dispatcher": Park), and the gauge load in `give_up`, which
+        // waits out every bump it sees before its last drain ends.
         self.enqueued.fetch_add(1, Ordering::SeqCst);
+        // ORDERING: SeqCst, the submitter's Dekker load; partner is the
+        // `healthy.store(false)` in `give_up`. Either this load sees the
+        // shard dark, or the give-up's gauge load sees the bump above and
+        // drains this insert (docs/SERVER.md, "Supervision": give-up).
+        if !self.healthy.load(Ordering::SeqCst) {
+            // ORDERING: Relaxed, the rollback of a bump that landed nothing.
+            self.enqueued.fetch_sub(1, Ordering::Relaxed);
+            return Err(Refused::Dark(job));
+        }
         if let Err(e) = self.queue.try_insert(tid, band, job) {
             // ORDERING: Relaxed, the rollback of a bump that landed nothing.
             self.enqueued.fetch_sub(1, Ordering::Relaxed);
-            return Err(e);
+            return Err(Refused::Queue(e));
         }
         // The swap elects one waker among racing submitters.
         // ORDERING: SeqCst load, the submitter's Dekker load; partner is
@@ -157,6 +170,15 @@ impl Shard {
     }
 }
 
+/// Why [`Shard::enqueue`] handed a job back.
+#[derive(Debug)]
+pub(crate) enum Refused {
+    /// The shard has gone dark: place the job on a healthy peer.
+    Dark(Job),
+    /// The backend refused the insert.
+    Queue(PqError<Job>),
+}
+
 /// One dispatched job, as remembered by a shard running with
 /// `record_dispatches` on (integration tests reconstruct conservation and
 /// ordering from these).
@@ -185,8 +207,6 @@ pub struct ShardReport {
     /// Jobs fully finished (a periodic job completes only on its last
     /// firing, releasing its admission slot).
     pub completed: u64,
-    /// Periodic re-arms performed via the fused `replace_min`.
-    pub rearmed: u64,
     /// Per-dispatch log, populated only when the server runs with
     /// `record_dispatches` (conservation/ordering tests).
     pub dispatch_log: Vec<DispatchRecord>,
@@ -278,8 +298,20 @@ mod tests {
         s.enqueue(0, 3, job(1)).unwrap();
         assert_eq!(s.depth(), 1);
         // Band 8 is out of range: the job comes back, the gauge with it.
-        assert_eq!(s.enqueue(0, 8, job(2)).unwrap_err().into_item().id, 2);
+        match s.enqueue(0, 8, job(2)) {
+            Err(Refused::Queue(e)) => assert_eq!(e.into_item().id, 2),
+            _ => panic!("band 8 must be refused"),
+        }
         assert_eq!(s.depth(), 1);
+        // A dark shard hands the job back uninserted, gauge unmoved.
+        s.healthy.store(false, Ordering::SeqCst);
+        match s.enqueue(0, 3, job(3)) {
+            Err(Refused::Dark(j)) => assert_eq!(j.id, 3),
+            _ => panic!("a dark shard must refuse"),
+        }
+        assert_eq!(s.depth(), 1);
+        assert_eq!(s.queue.delete_min(0).map(|(_, j)| j.id), Some(1));
+        assert!(s.queue.is_empty());
     }
 
     #[test]

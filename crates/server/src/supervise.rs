@@ -3,8 +3,9 @@
 //!
 //! Every shard's dispatcher loop runs under a supervisor (one
 //! `catch_unwind` ring around each dispatch episode). When the loop
-//! panics — an injected [`crate::FaultPlan`] fault in tests, a genuine bug
-//! in production — the supervisor:
+//! panics — a test's [`crate::SeamHandler`] panicking at
+//! [`crate::Seam::DispatchJob`], a genuine bug in production — the
+//! supervisor:
 //!
 //! 1. collects the *survivors*: jobs the episode had drained from the
 //!    queue but not yet dispatched (they would otherwise be lost with the
@@ -16,8 +17,9 @@
 //!    [`SuperviseConfig::max_restarts`] times.
 //!
 //! A shard that exhausts its restart budget marks itself unhealthy (the
-//! scheduler routes around it), drains its entire queue into healthy
-//! shards, and exits with [`StopOutcome::GaveUp`]. Either way
+//! scheduler routes around it, and an enqueue that raced the mark is
+//! either turned back or waited out), drains its entire queue into
+//! healthy shards, and exits with [`StopOutcome::GaveUp`]. Either way
 //! [`crate::Scheduler::stop`] *returns* — it never re-raises a dispatcher
 //! panic — and reports one [`StopReport`] per shard.
 //!

@@ -1,25 +1,28 @@
-//! Chaos tests for the `funnelpq-server` resilience layer: seeded fault
-//! plans (dispatcher panics, stalls, admission bursts) driven against
-//! live schedulers, with a conservation audit after every run — each
-//! admitted job must be dispatched exactly once per firing, shed with the
-//! job returned, or explicitly reported lost, and lost must be zero
-//! whenever a healthy shard exists.
+//! Chaos tests for the `funnelpq-server` resilience layer: dispatcher
+//! panics and stalls injected through the scheduler's seams, and client
+//! admission bursts, driven against live schedulers, with a conservation
+//! audit after every run — each admitted job must be dispatched exactly
+//! once per firing, shed with the job returned, or explicitly reported
+//! lost, and lost must be zero whenever a healthy shard exists.
 //!
 //! The two sweeps (panics; stalls with an admission burst) run three
-//! backends × pinned seeds each, and each run is audited in full.
+//! backends × pinned seeds each, and each run is audited in full. The
+//! give-up race test holds a submit at `Seam::SubmitRouted` while its
+//! shard gives up.
 //!
 //! ```text
 //! cargo test --release -p funnelpq-server --test server_chaos
 //! ```
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use funnelpq::{MultiQueueConfig, PqConfig};
 use funnelpq_server::{
-    AdmitError, Deadline, FaultPlan, JobId, JobSpec, OverloadConfig, Scheduler, ServerConfig,
-    ServerError, ServerReport, StopOutcome, SuperviseConfig, TenantId,
+    AdmitError, Deadline, JobId, JobSpec, OverloadConfig, Scheduler, Seam, SeamHandler,
+    ServerConfig, ServerError, ServerReport, StopOutcome, SuperviseConfig, TenantId,
 };
 use funnelpq_util::XorShift64Star;
 
@@ -38,7 +41,57 @@ fn backends() -> Vec<PqConfig> {
     ]
 }
 
-fn chaos_cfg(backend: PqConfig, plan: FaultPlan) -> ServerConfig {
+/// One dispatcher fault, fired at `Seam::DispatchJob` by [`faults`].
+#[derive(Clone, Copy)]
+enum Fault {
+    /// Panic shard `shard`'s dispatcher at its dispatch count `at`.
+    Panic { shard: usize, at: u64 },
+    /// Stall shard `shard`'s dispatcher for `stall_ns` at its dispatch
+    /// count `at`.
+    Stall {
+        shard: usize,
+        at: u64,
+        stall_ns: u64,
+    },
+}
+
+/// A seam handler that fires each of `faults` once, at the first
+/// `Seam::DispatchJob` of its shard whose count `n` is at least its `at`
+/// (so a restarted dispatcher sails past a consumed trigger). The faults
+/// are tried in list order: a panic fires at once, and a stall sleeps the
+/// longest of the stalls that fired.
+fn faults(faults: &[Fault]) -> SeamHandler {
+    let armed: Vec<(Fault, AtomicBool)> = faults
+        .iter()
+        .map(|f| (*f, AtomicBool::new(false)))
+        .collect();
+    SeamHandler::new(move |seam| {
+        let Seam::DispatchJob { shard, n } = seam else {
+            return;
+        };
+        let mut stall_ns = 0;
+        for (fault, fired) in &armed {
+            match *fault {
+                Fault::Panic { shard: s, at }
+                    if s == shard && n >= at && !fired.swap(true, Ordering::Relaxed) =>
+                {
+                    panic!("injected: dispatcher panic at dispatch {n} on shard {shard}");
+                }
+                Fault::Stall {
+                    shard: s,
+                    at,
+                    stall_ns: ns,
+                } if s == shard && n >= at && !fired.swap(true, Ordering::Relaxed) => {
+                    stall_ns = stall_ns.max(ns);
+                }
+                _ => {}
+            }
+        }
+        std::thread::sleep(Duration::from_nanos(stall_ns));
+    })
+}
+
+fn chaos_cfg(backend: PqConfig, seams: SeamHandler) -> ServerConfig {
     ServerConfig {
         shards: SHARDS,
         tenants: TENANTS,
@@ -56,7 +109,7 @@ fn chaos_cfg(backend: PqConfig, plan: FaultPlan) -> ServerConfig {
         affinity: (0..TENANTS as u32)
             .map(|t| (TenantId(t), t as usize % SHARDS))
             .collect(),
-        fault_plan: Some(plan),
+        seams: Some(seams),
         ..ServerConfig::default()
     }
 }
@@ -70,17 +123,36 @@ fn drain(s: &Scheduler) {
     }
 }
 
+/// The submit whose id reaches `BURST_AT` sets off an admission burst: its
+/// client at once submits `BURST_JOBS` one-shot jobs, due in
+/// `BURST_DEADLINE_NS`, for tenants drawn from the run's own seeded stream
+/// (a thundering herd).
+const BURST_AT: u64 = 100;
+const BURST_JOBS: u32 = 64;
+const BURST_DEADLINE_NS: u64 = 1_000_000_000;
+
 /// Four client threads submit 250 jobs each, seeded: a one-shot/periodic
 /// mix, or one-shot jobs only, while the dispatchers run (and crash, and
-/// recover). Returns the ids the clients saw admitted.
-fn run_clients(s: &Arc<Scheduler>, seed: u64, one_shot_only: bool) -> HashSet<JobId> {
+/// recover); with `burst`, one of them also sets off the admission burst.
+/// Returns the ids the clients saw admitted, burst jobs included.
+fn run_clients(s: &Arc<Scheduler>, seed: u64, one_shot_only: bool, burst: bool) -> HashSet<JobId> {
     let base = s.now_ns();
+    let burst_fired = Arc::new(AtomicBool::new(!burst));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|client| {
             let s = Arc::clone(s);
+            let burst_fired = Arc::clone(&burst_fired);
             std::thread::spawn(move || {
                 let mut rng = XorShift64Star::new(seed ^ (client as u64) << 32);
                 let mut admitted = Vec::new();
+                let mut submit = |spec| match s.submit(client, spec) {
+                    Ok(id) => {
+                        admitted.push(id);
+                        id
+                    }
+                    Err(ServerError::Admit(e)) => e.into_job().id,
+                    Err(other) => panic!("unexpected submit error: {other}"),
+                };
                 for k in 0..250 {
                     let tenant = TenantId(rng.below(TENANTS as u64) as u32);
                     let deadline = Deadline::At(base + 1_000_000 + rng.below(1_000_000_000));
@@ -89,10 +161,13 @@ fn run_clients(s: &Arc<Scheduler>, seed: u64, one_shot_only: bool) -> HashSet<Jo
                     } else {
                         JobSpec::once(tenant, deadline, k)
                     };
-                    match s.submit(client, spec) {
-                        Ok(id) => admitted.push(id),
-                        Err(ServerError::Admit(_)) => {}
-                        Err(other) => panic!("unexpected submit error: {other}"),
+                    // A refused submit consumed an id too.
+                    if submit(spec) >= BURST_AT && !burst_fired.swap(true, Ordering::Relaxed) {
+                        let mut herd = XorShift64Star::new(seed | 1);
+                        for _ in 0..BURST_JOBS {
+                            let tenant = TenantId(herd.below(TENANTS as u64) as u32);
+                            submit(JobSpec::once(tenant, Deadline::In(BURST_DEADLINE_NS), 0));
+                        }
                     }
                 }
                 admitted
@@ -111,19 +186,16 @@ fn run_clients(s: &Arc<Scheduler>, seed: u64, one_shot_only: bool) -> HashSet<Jo
 /// The conservation audit: every admitted job dispatched at least once and
 /// exactly once per firing, nothing invented, nothing silently dropped,
 /// every panic answered by a restart and every shard stopped clean or
-/// recovered. `admitted` holds the ids the clients saw admitted. Without
-/// a `burst` they are every job the server admitted, so the ids dispatched
-/// must be exactly them; with one, the jobs the server admitted on its own
-/// have ids no client saw and are audited by count.
-fn assert_conserved(label: &str, admitted: &HashSet<JobId>, burst: bool, report: &ServerReport) {
+/// recovered. `admitted` holds the ids the clients saw admitted, which
+/// are every job the server admitted, so the ids dispatched must be
+/// exactly them.
+fn assert_conserved(label: &str, admitted: &HashSet<JobId>, report: &ServerReport) {
     assert_eq!(report.in_flight_at_stop, 0, "{label}: slots leaked");
-    if !burst {
-        assert_eq!(
-            report.admitted,
-            admitted.len() as u64,
-            "{label}: the server admitted exactly the jobs the clients saw admitted"
-        );
-    }
+    assert_eq!(
+        report.admitted,
+        admitted.len() as u64,
+        "{label}: the server admitted exactly the jobs the clients saw admitted"
+    );
     assert_eq!(
         report.lost, 0,
         "{label}: no job may be lost while a shard is healthy"
@@ -147,11 +219,6 @@ fn assert_conserved(label: &str, admitted: &HashSet<JobId>, burst: bool, report:
         "{label}: a dispatched job was never admitted"
     );
     assert_eq!(firings, report.dispatched, "{label}");
-    assert_eq!(
-        report.dispatched,
-        report.completed + report.rearmed,
-        "{label}: each dispatch either completes a job or re-arms it"
-    );
     assert_eq!(report.restarts, report.panics, "{label}");
     for stop in &report.stops {
         assert!(
@@ -181,18 +248,19 @@ fn dispatcher_panics_lose_no_jobs_across_backends_and_seeds() {
                 "{}/seed {seed:#x}/one-shot only {one_shot_only}",
                 backend.algorithm().name()
             );
-            let plan = FaultPlan::new(seed)
-                .dispatcher_panic(0, 20)
-                .dispatcher_panic(1, 35);
-            let s = Arc::new(Scheduler::new(chaos_cfg(backend.clone(), plan)).unwrap());
+            let seams = faults(&[
+                Fault::Panic { shard: 0, at: 20 },
+                Fault::Panic { shard: 1, at: 35 },
+            ]);
+            let s = Arc::new(Scheduler::new(chaos_cfg(backend.clone(), seams)).unwrap());
             s.start();
-            let admitted = run_clients(&s, seed, one_shot_only);
+            let admitted = run_clients(&s, seed, one_shot_only, false);
             drain(&s);
             let t = s.telemetry();
             let report = s.stop();
 
             assert_eq!(report.panics, 2, "{label}: both injected panics fired");
-            assert_conserved(&label, &admitted, false, &report);
+            assert_conserved(&label, &admitted, &report);
             for stop in &report.stops {
                 match &stop.outcome {
                     StopOutcome::Recovered {
@@ -240,16 +308,24 @@ fn dispatcher_stalls_and_bursts_conserve_jobs() {
                 "{}/seed {seed:#x}/stall {stall_ns} ns",
                 backend.algorithm().name()
             );
-            let plan = FaultPlan::new(seed)
-                .dispatcher_stall(0, 10, stall_ns)
-                .dispatcher_stall(1, 10, stall_ns)
-                .admission_burst(100, 64, 1_000_000_000);
-            let s = Arc::new(Scheduler::new(chaos_cfg(backend.clone(), plan)).unwrap());
+            let seams = faults(&[
+                Fault::Stall {
+                    shard: 0,
+                    at: 10,
+                    stall_ns,
+                },
+                Fault::Stall {
+                    shard: 1,
+                    at: 10,
+                    stall_ns,
+                },
+            ]);
+            let s = Arc::new(Scheduler::new(chaos_cfg(backend.clone(), seams)).unwrap());
             s.start();
             // One-shot only: with no re-arms the audit's counts (dispatched
             // = completed = admitted = distinct ids logged) leave no room for
             // a second dispatch of any id, burst jobs included.
-            let admitted = run_clients(&s, seed, true);
+            let admitted = run_clients(&s, seed, true, true);
             drain(&s);
             let report = s.stop();
 
@@ -263,7 +339,7 @@ fn dispatcher_stalls_and_bursts_conserve_jobs() {
                 report.dispatched, report.completed,
                 "{label}: one-shot only"
             );
-            assert_conserved(&label, &admitted, true, &report);
+            assert_conserved(&label, &admitted, &report);
         }
     }
 }
@@ -272,8 +348,8 @@ fn dispatcher_stalls_and_bursts_conserve_jobs() {
 /// healthy shard, later submits route around it, and nothing is lost.
 #[test]
 fn exhausted_restart_budget_fails_over_to_healthy_shards() {
-    let plan = FaultPlan::new(7).dispatcher_panic(0, 5);
-    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    let seams = faults(&[Fault::Panic { shard: 0, at: 5 }]);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, seams);
     cfg.supervise = SuperviseConfig {
         max_restarts: 0,
         ..SuperviseConfig::default()
@@ -338,7 +414,6 @@ fn exhausted_restart_budget_fails_over_to_healthy_shards() {
 /// visible accounting, not a hang and not a leak.
 #[test]
 fn single_shard_give_up_reports_lost_jobs_and_releases_slots() {
-    let plan = FaultPlan::new(11).dispatcher_panic(0, 5);
     let cfg = ServerConfig {
         shards: 1,
         tenants: 2,
@@ -351,7 +426,7 @@ fn single_shard_give_up_reports_lost_jobs_and_releases_slots() {
             max_restarts: 0,
             ..SuperviseConfig::default()
         },
-        fault_plan: Some(plan),
+        seams: Some(faults(&[Fault::Panic { shard: 0, at: 5 }])),
         ..ServerConfig::default()
     };
     let s = Scheduler::new(cfg).unwrap();
@@ -393,7 +468,6 @@ fn single_shard_give_up_reports_lost_jobs_and_releases_slots() {
 /// guaranteed miss.
 #[test]
 fn shedding_reacts_to_a_stalled_dispatcher() {
-    let plan = FaultPlan::new(13).dispatcher_stall(0, 0, 400_000_000);
     let cfg = ServerConfig {
         shards: 1,
         tenants: 2,
@@ -405,7 +479,11 @@ fn shedding_reacts_to_a_stalled_dispatcher() {
             shed: true,
             margin_ns: 0,
         },
-        fault_plan: Some(plan),
+        seams: Some(faults(&[Fault::Stall {
+            shard: 0,
+            at: 0,
+            stall_ns: 400_000_000,
+        }])),
         ..ServerConfig::default()
     };
     let s = Scheduler::new(cfg).unwrap();
@@ -447,8 +525,8 @@ fn shedding_reacts_to_a_stalled_dispatcher() {
 /// submitted after it has parked *again* still wake it.
 #[test]
 fn a_dispatcher_restarted_around_a_park_still_wakes() {
-    let plan = FaultPlan::new(17).dispatcher_panic(0, 0);
-    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    let seams = faults(&[Fault::Panic { shard: 0, at: 0 }]);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, seams);
     cfg.shards = 1;
     cfg.affinity.clear();
     let s = Scheduler::new(cfg).unwrap();
@@ -488,10 +566,15 @@ fn a_dispatcher_restarted_around_a_park_still_wakes() {
 /// else ever will — or the jobs strand and the drain watchdog trips.
 #[test]
 fn failover_into_a_parked_peer_wakes_it() {
-    let plan = FaultPlan::new(19)
-        .dispatcher_stall(0, 0, 50_000_000)
-        .dispatcher_panic(0, 5);
-    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    let seams = faults(&[
+        Fault::Stall {
+            shard: 0,
+            at: 0,
+            stall_ns: 50_000_000,
+        },
+        Fault::Panic { shard: 0, at: 5 },
+    ]);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, seams);
     cfg.supervise = SuperviseConfig {
         max_restarts: 0,
         ..SuperviseConfig::default()
@@ -534,8 +617,11 @@ fn a_panic_mid_batch_frees_the_finished_jobs_slots_exactly_once() {
     const JOBS: u64 = 48;
     const BACKOFF_NS: u64 = 200_000_000;
     for k in [1u64, 8, 16] {
-        let plan = FaultPlan::new(k).dispatcher_panic(0, 16 + k - 1);
-        let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+        let seams = faults(&[Fault::Panic {
+            shard: 0,
+            at: 16 + k - 1,
+        }]);
+        let mut cfg = chaos_cfg(PqConfig::SingleLock, seams);
         cfg.shards = 1;
         cfg.affinity.clear();
         cfg.drain_batch = 16;
@@ -570,8 +656,84 @@ fn a_panic_mid_batch_frees_the_finished_jobs_slots_exactly_once() {
         assert_eq!(report.restarts, 1, "k = {k}");
         assert_eq!(report.requeued, 17 - k, "k = {k}: survivors of the batch");
         assert_eq!(report.completed, JOBS, "k = {k}");
-        assert_conserved(&format!("k = {k}"), &admitted, false, &report);
+        assert_conserved(&format!("k = {k}"), &admitted, &report);
         let log = &report.shards[0].dispatch_log;
         assert_eq!(log.len() as u64, JOBS, "k = {k}: each job dispatched once");
     }
+}
+
+/// The give-up race: a submit that has routed to a shard, and has not yet
+/// enqueued, when that shard gives up. Shard 0 has no restart budget and
+/// panics at its first dispatch; the second submit routed to it is held
+/// at `Seam::SubmitRouted` until shard 0's give-up has drained its queue
+/// for the last time. The held job must not land in that queue, which
+/// nobody drains any more: it is re-routed, and shard 1 runs it.
+#[test]
+fn a_submit_racing_a_give_up_is_rerouted_not_stranded() {
+    // 0: under way; 1: the submit is held; 2: shard 0 has drained.
+    let phase = Arc::new((Mutex::new(0u8), Condvar::new()));
+    let advance = |phase: &(Mutex<u8>, Condvar), to: u8| {
+        *phase.0.lock().unwrap() = to;
+        phase.1.notify_all();
+    };
+    let reached = |phase: &(Mutex<u8>, Condvar), at: u8| {
+        drop(phase.1.wait_while(phase.0.lock().unwrap(), |p| *p < at));
+    };
+    let seams = {
+        let phase = Arc::clone(&phase);
+        let (dispatched, routed_to_0) = (AtomicBool::new(false), AtomicUsize::new(0));
+        SeamHandler::new(move |seam| match seam {
+            Seam::DispatchJob { shard: 0, n } if !dispatched.swap(true, Ordering::Relaxed) => {
+                panic!("injected: dispatcher panic at dispatch {n} on shard 0");
+            }
+            Seam::SubmitRouted { shard: 0 } if routed_to_0.fetch_add(1, Ordering::Relaxed) == 1 => {
+                advance(&phase, 1);
+                reached(&phase, 2);
+            }
+            Seam::GiveUpDrained { shard: 0 } => advance(&phase, 2),
+            _ => {}
+        })
+    };
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, seams);
+    cfg.supervise = SuperviseConfig {
+        max_restarts: 0,
+        ..SuperviseConfig::default()
+    };
+    let s = Arc::new(Scheduler::new(cfg).unwrap());
+    let base = s.now_ns() + 1_000_000_000;
+    // Tenant 0 is pinned to shard 0. The first job is the one whose
+    // dispatch panics; the second is held, routed to a healthy shard 0,
+    // before the dispatchers start.
+    s.submit(0, JobSpec::once(TenantId(0), Deadline::At(base), 0))
+        .unwrap();
+    let racer = {
+        let s = Arc::clone(&s);
+        std::thread::spawn(move || s.submit(1, JobSpec::once(TenantId(0), Deadline::At(base), 1)))
+    };
+    reached(&phase, 1);
+    s.start();
+    let racer_id = racer.join().unwrap().expect("the held submit is admitted");
+    // The give-up files its failover of the first job once it has placed it.
+    let mut spins = 0;
+    while s.telemetry().requeued() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+        spins += 1;
+        assert!(spins < 30_000, "shard 0 never failed over");
+    }
+    let report = s.stop();
+
+    assert_eq!(report.in_flight_at_stop, 0, "the held job was stranded");
+    assert_eq!(report.lost, 0);
+    assert_eq!((report.admitted, report.completed), (2, 2));
+    assert!(matches!(
+        report.stops[0].outcome,
+        StopOutcome::GaveUp { lost: 0, .. }
+    ));
+    assert!(
+        report.shards[1]
+            .dispatch_log
+            .iter()
+            .any(|r| r.job == racer_id),
+        "shard 1 ran the held job"
+    );
 }
