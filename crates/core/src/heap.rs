@@ -4,6 +4,10 @@
 //! A sift lifts the moving entry out once into a private `Hole`, moves each
 //! entry it passes into the hole with one copy, and writes the lifted entry
 //! once where the hole stops.
+//!
+//! A caller that takes every entry at once (`take_entries`) gets the array
+//! in heap order and turns it into pop order itself
+//! (`sort_into_pop_order`), away from whatever guarded the heap.
 
 use std::mem::ManuallyDrop;
 use std::ptr;
@@ -75,6 +79,21 @@ impl<T> BinaryHeap<T> {
         Some(self.replace_root((pri, item)))
     }
 
+    /// Moves every entry into `spare`, which must be empty, and keeps
+    /// `spare`'s allocation in their place: one pointer swap. The entries
+    /// arrive in heap order; [`sort_into_pop_order`] turns them into the
+    /// sequence `pop` would have returned.
+    pub(crate) fn take_entries(&mut self, spare: &mut Vec<(usize, T)>) {
+        debug_assert!(spare.is_empty(), "entries in `spare` skip the sift");
+        std::mem::swap(&mut self.entries, spare);
+    }
+
+    /// Where the entries are stored, for tests that follow the buffer.
+    #[cfg(test)]
+    pub(crate) fn as_ptr(&self) -> *const (usize, T) {
+        self.entries.as_ptr()
+    }
+
     /// Removes and returns a smallest-priority entry.
     pub fn pop(&mut self) -> Option<(usize, T)> {
         let last = self.entries.pop()?;
@@ -100,35 +119,57 @@ impl<T> BinaryHeap<T> {
         }
     }
 
-    /// Takes the root out, sifts `elt` down from the root in its place and
-    /// returns the old root. The hole moves to the smaller child (the left
-    /// one on a tie) while that child is strictly smaller than `elt`; which
-    /// of two equal priorities leaves first depends on exactly these
-    /// comparisons, and the twins and tape pins compare items.
+    /// Takes the root out, sifts `elt` down from the root in its place
+    /// ([`sift_down`]) and returns the old root.
     fn replace_root(&mut self, elt: (usize, T)) -> (usize, T) {
-        let (mut hole, root) = Hole::replacing(&mut self.entries, 0, elt);
-        let n = hole.len();
-        loop {
-            let left = 2 * hole.pos() + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            // SAFETY: left < n and right < n are checked; both exceed
-            // hole.pos(), so neither is the hole.
-            let child = if right < n && unsafe { hole.get(right).0 < hole.get(left).0 } {
-                right
-            } else {
-                left
-            };
-            // SAFETY: child is left or right, in bounds and not the hole.
-            if unsafe { hole.get(child) }.0 >= hole.element().0 {
-                break;
-            }
-            // SAFETY: as above.
-            unsafe { hole.move_to(child) };
-        }
+        let (hole, root) = Hole::replacing(&mut self.entries, 0, elt);
+        sift_down(hole);
         root
+    }
+}
+
+/// Turns `entries`, a heap array as [`BinaryHeap::take_entries`] hands it
+/// over, into ascending pop order in place: the exact `(pri, item)`
+/// sequence, ties included, that popping the heap empty returns. Each step
+/// is `pop` on the shrinking prefix `entries[..=end]`: the last entry goes
+/// to the root, [`sift_down`] runs there on `entries[..end]` with `pop`'s
+/// comparisons, and the old root lands at `end`. That leaves the pops
+/// last-first, so the array is reversed at the end.
+pub(crate) fn sort_into_pop_order<T>(entries: &mut [(usize, T)]) {
+    for end in (1..entries.len()).rev() {
+        entries.swap(0, end);
+        sift_down(Hole::new(&mut entries[..end], 0));
+    }
+    entries.reverse();
+}
+
+/// Sifts the hole's entry down through the hole's slice. The hole moves to
+/// the smaller child (the left one on a tie) while that child is strictly
+/// smaller than the entry; which of two equal priorities leaves first
+/// depends on exactly these comparisons, and the twins and tape pins
+/// compare items. Always inlined, so `pop` keeps the loop in its own body.
+#[inline(always)]
+fn sift_down<T>(mut hole: Hole<'_, (usize, T)>) {
+    let n = hole.len();
+    loop {
+        let left = 2 * hole.pos() + 1;
+        if left >= n {
+            break;
+        }
+        let right = left + 1;
+        // SAFETY: left < n and right < n are checked; both exceed
+        // hole.pos(), so neither is the hole.
+        let child = if right < n && unsafe { hole.get(right).0 < hole.get(left).0 } {
+            right
+        } else {
+            left
+        };
+        // SAFETY: child is left or right, in bounds and not the hole.
+        if unsafe { hole.get(child) }.0 >= hole.element().0 {
+            break;
+        }
+        // SAFETY: as above.
+        unsafe { hole.move_to(child) };
     }
 }
 
@@ -385,6 +426,56 @@ mod tests {
             "drop counts {:?}",
             drops.borrow()
         );
+    }
+
+    #[test]
+    fn a_taken_array_sorts_into_the_sequence_popping_returns() {
+        // 8 priorities over up to 64 entries keep ties dense; every item is
+        // distinct, so a tie broken other than `pop` breaks it shows. A few
+        // pops before the take vary the array's shape beyond what pushes
+        // alone build.
+        const CASES: usize = 10_000;
+        let mut rng = XorShift64Star::new(0x7a4e);
+        for case in 0..CASES {
+            let len = rng.below(65) as usize;
+            let pops = rng.below(9) as usize;
+            let drops = Rc::new(RefCell::new(vec![0u32; len + pops]));
+            let mut taken = BinaryHeap::new();
+            let mut popped = BinaryHeap::new();
+            for id in 0..len + pops {
+                let pri = rng.below(8) as usize;
+                taken.push(
+                    pri,
+                    Counted {
+                        id,
+                        drops: Rc::clone(&drops),
+                    },
+                );
+                popped.push(pri, id);
+            }
+            for _ in 0..pops {
+                let (a, b) = (taken.pop().unwrap(), popped.pop().unwrap());
+                assert_eq!((a.0, a.1.id), b, "case {case}: a pop before the take");
+            }
+            let mut want = Vec::new();
+            while let Some(e) = popped.pop() {
+                want.push(e);
+            }
+            let mut got = Vec::new();
+            taken.take_entries(&mut got);
+            assert!(taken.is_empty());
+            sort_into_pop_order(&mut got);
+            let got_ids: Vec<_> = got.iter().map(|(pri, c)| (*pri, c.id)).collect();
+            assert_eq!(got_ids, want, "case {case}: {len} entries");
+            let dropped = || drops.borrow().iter().map(|&d| d as usize).sum::<usize>();
+            assert_eq!(dropped(), pops, "case {case}: the take or sort dropped");
+            drop(got);
+            assert!(
+                drops.borrow().iter().all(|&d| d == 1),
+                "case {case}: drop counts {:?}",
+                drops.borrow()
+            );
+        }
     }
 
     #[test]

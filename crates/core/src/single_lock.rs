@@ -10,7 +10,7 @@ use funnelpq_sync::{SinkRef, TtasMutex};
 use funnelpq_util::CachePadded;
 
 use crate::algorithm::Algorithm;
-use crate::heap::BinaryHeap;
+use crate::heap::{sort_into_pop_order, BinaryHeap};
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
 use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, PqError};
 
@@ -36,7 +36,8 @@ use crate::traits::{check_batch, check_insert, reject, BoundedPq, PqBatchError, 
 pub struct SingleLockPq<T, R: Recorder = NoopRecorder> {
     /// The lock's flag and the heap's header each on a line of their own:
     /// a waiter polling the flag does not pull away the line a holder
-    /// writes on every push and pop (a batch drain writes it `k` times).
+    /// writes on every push and pop (a batch drain that pops writes it `k`
+    /// times).
     heap: TtasMutex<CachePadded<BinaryHeap<T>>>,
     /// Where the heap lock's acquisitions are reported.
     sink: Option<SinkRef>,
@@ -129,11 +130,22 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         Ok(())
     }
 
-    // One lock acquisition for up to `k` pops.
+    // One lock acquisition per call, on either of two paths. A batch that
+    // empties the heap takes its array whole: `out` and the heap swap
+    // storage under the lock, and the array is sorted into pop order after
+    // the lock is released. It applies only when `out` is empty (it becomes
+    // the heap) and can hold the heap (the heap does not regrow under the
+    // lock from a smaller buffer); an empty heap keeps its own buffer.
+    // Otherwise up to `k` pops run in the one hold.
     fn delete_min_batch(&self, tid: usize, k: usize, out: &mut Vec<(usize, T)>) -> usize {
         assert!(tid < self.max_threads, "tid {tid} out of range");
         let taken = obs::timed(&*self.recorder, OpKind::DeleteMin, || {
-            self.locked(|heap| {
+            let popped = self.locked(|heap| {
+                let n = heap.len();
+                if n > 0 && n <= k && out.is_empty() && out.capacity() >= n {
+                    heap.take_entries(out);
+                    return None;
+                }
                 let mut taken = 0;
                 while taken < k {
                     match heap.pop() {
@@ -144,7 +156,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
                         None => break,
                     }
                 }
-                taken
+                Some(taken)
+            });
+            popped.unwrap_or_else(|| {
+                sort_into_pop_order(out);
+                out.len()
             })
         });
         obs::record_batch_op(&*self.recorder, taken as u64);
@@ -170,8 +186,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
         out
     }
 
-    // The whole drain happens under one lock hold, so a batch is always a
-    // sorted prefix of the heap at one instant.
+    // Each batch is taken in one lock hold, so it is a sorted prefix of the
+    // heap at one instant. The pop loop returns that prefix directly. A
+    // whole-heap take moves the entire heap out at one instant, which is
+    // exactly what `len` pops in one hold would return, and the sort outside
+    // the lock puts it in that pop order.
     fn ordered_batch_drain(&self) -> bool {
         true
     }
@@ -225,6 +244,103 @@ mod tests {
         assert_eq!(out, vec![(5, 'e')]);
         assert_eq!(q.replace_min(0, 2, 'b'), None, "empty queue still files");
         assert_eq!(q.delete_min(0), Some((2, 'b')));
+    }
+
+    /// A queue holding `n` entries over 4 priorities (dense ties), item
+    /// `i` the `i`-th inserted.
+    fn filled(n: usize) -> SingleLockPq<usize> {
+        let q = queue(4, 1);
+        for i in 0..n {
+            q.insert(0, (i * 7 + i / 3) % 4, i);
+        }
+        q
+    }
+
+    /// Drains `q` with `delete_min_batch(k)` into `out` and reports whether
+    /// the call took the heap's array whole (`out` now owns the buffer the
+    /// heap held).
+    fn drain_took_whole(q: &SingleLockPq<usize>, k: usize, out: &mut Vec<(usize, usize)>) -> bool {
+        let held = q.locked(|heap| heap.as_ptr());
+        q.delete_min_batch(0, k, out);
+        out.as_ptr() == held
+    }
+
+    #[test]
+    fn a_whole_heap_take_returns_what_the_pop_loop_returns() {
+        for n in [1, 2, 3, 7, 16, 33] {
+            let (taken, popped) = (filled(n), filled(n));
+            let mut roomy = Vec::with_capacity(n);
+            let mut bare = Vec::new();
+            assert!(drain_took_whole(&taken, n, &mut roomy), "{n}: roomy out");
+            assert!(!drain_took_whole(&popped, n, &mut bare), "{n}: bare out");
+            assert_eq!(roomy, bare, "{n} entries");
+            assert!(roomy.is_sorted_by_key(|e| e.0));
+            assert!(taken.is_empty() && popped.is_empty());
+        }
+        // The heap keeps working on the buffer it was handed.
+        let q = filled(10);
+        let mut out = Vec::with_capacity(16);
+        assert!(drain_took_whole(&q, 16, &mut out));
+        q.insert(0, 2, 100);
+        q.insert(0, 1, 101);
+        assert_eq!(q.delete_min(0), Some((1, 101)));
+        assert_eq!(q.delete_min(0), Some((2, 100)));
+        assert_eq!(q.delete_min(0), None);
+    }
+
+    #[test]
+    fn a_batch_that_cannot_take_the_heap_whole_pops() {
+        const N: usize = 12;
+        // `out` already holds entries: the take would overwrite them.
+        let q = filled(N);
+        let mut out = Vec::with_capacity(2 * N);
+        out.push((9, 9));
+        assert!(!drain_took_whole(&q, 2 * N, &mut out));
+        assert_eq!(out.len(), N + 1);
+        assert_eq!(out[0], (9, 9));
+        assert!(out[1..].is_sorted_by_key(|e| e.0));
+        // `k` is smaller than the heap: only a prefix leaves.
+        let q = filled(N);
+        let mut out = Vec::with_capacity(2 * N);
+        assert!(!drain_took_whole(&q, N - 1, &mut out));
+        assert_eq!(out.len(), N - 1);
+        assert_eq!(q.delete_min(0).map(|e| e.0), Some(3));
+        // `out` cannot hold the heap: the heap would regrow under the lock.
+        let q = filled(N);
+        let mut out = Vec::with_capacity(N - 1);
+        assert!(!drain_took_whole(&q, N, &mut out));
+        assert_eq!(out.len(), N);
+        assert!(q.is_empty());
+        // An empty heap keeps its buffer.
+        let q = filled(N);
+        let mut out = Vec::with_capacity(N);
+        assert!(drain_took_whole(&q, N, &mut out));
+        out.clear();
+        assert!(!drain_took_whole(&q, N, &mut out));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_batch_takes_the_lock_once_on_either_path() {
+        use crate::obs::AtomicRecorder;
+        let rec = Arc::new(AtomicRecorder::new());
+        let q = SingleLockPq::with_recorder(4, 1, Arc::clone(&rec));
+        let locks = || rec.snapshot().event(CounterEvent::LockAcquire);
+        q.insert_batch(0, (0..10).map(|i| (i % 4, i)).collect())
+            .unwrap();
+        let mut out = Vec::new();
+        let before = locks();
+        assert_eq!(q.delete_min_batch(0, 4, &mut out), 4, "pop loop");
+        assert_eq!(locks() - before, 1);
+        let mut whole = Vec::with_capacity(8);
+        let before = locks();
+        assert_eq!(q.delete_min_batch(0, 8, &mut whole), 6, "whole take");
+        assert_eq!(locks() - before, 1);
+        let before = locks();
+        assert_eq!(q.delete_min_batch(0, 8, &mut Vec::with_capacity(8)), 0);
+        assert_eq!(locks() - before, 1, "empty heap");
+        let pris: Vec<usize> = out.iter().chain(&whole).map(|e| e.0).collect();
+        assert_eq!(pris, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]);
     }
 
     #[test]

@@ -73,6 +73,7 @@ impl Admission {
 
     /// Tries to reserve one in-flight slot for `job`'s tenant. On refusal
     /// the counters are rolled back and the job rides home in the error.
+    /// A reserved slot is not yet an admitted job ([`Self::count_admitted`]).
     pub(crate) fn try_admit(&self, job: Job) -> Result<(), AdmitError> {
         let t = job.tenant.0 as usize;
         let Some(per_tenant) = self.tenants.get(t) else {
@@ -102,8 +103,15 @@ impl Admission {
                 job,
             });
         }
-        self.tallies.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Counts one admitted job, once its shard has taken it: a job refused
+    /// after admission gives its slot back through [`Self::release`] and is
+    /// never counted, so `admitted == completed + lost` at quiesce.
+    pub(crate) fn count_admitted(&self) {
+        // ORDERING: Relaxed, a statistic.
+        self.tallies.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Releases the slots reserved by successful [`Self::try_admit`]s, one
@@ -180,6 +188,10 @@ mod tests {
         ));
         // A different tenant is unaffected.
         assert!(a.try_admit(job(1)).is_ok());
+        assert_eq!(a.admitted(), 0, "a reserved slot is not yet counted");
+        for _ in 0..3 {
+            a.count_admitted();
+        }
         assert_eq!(a.admitted(), 3);
         assert_eq!(a.rejected_quota(), 1);
         // Releasing frees the slot again.
@@ -225,6 +237,7 @@ mod tests {
                     for _ in 0..500 {
                         if a.try_admit(job(t)).is_ok() {
                             peak.fetch_max(a.in_flight(), Ordering::Relaxed);
+                            a.count_admitted();
                             admitted += 1;
                             a.release(&mut vec![t as usize]);
                         }
@@ -274,6 +287,7 @@ mod tests {
                             std::thread::yield_now();
                             continue;
                         }
+                        a.count_admitted();
                         admitted += 1;
                         let mine = held[t].fetch_add(1, Ordering::SeqCst) + 1;
                         let all = held[TENANTS].fetch_add(1, Ordering::SeqCst) + 1;

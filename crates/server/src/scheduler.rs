@@ -241,7 +241,8 @@ pub struct ServerReport {
     pub stops: Vec<StopReport>,
     /// Jobs submitted (including rejected ones).
     pub submitted: u64,
-    /// Jobs admitted past quota + capacity.
+    /// Jobs admitted past quota + capacity and taken by a shard's queue (a
+    /// job the backend or a dark shard refuses after admission is not).
     pub admitted: u64,
     /// Jobs refused for per-tenant quota.
     pub rejected_quota: u64,
@@ -528,6 +529,7 @@ impl<R: Recorder> Scheduler<R> {
             core.admission.release(&mut vec![job.tenant.0 as usize]);
             return Err(e);
         }
+        core.admission.count_admitted();
         Ok(id)
     }
 
@@ -1231,6 +1233,7 @@ mod tests {
             }
             assert_eq!(s.in_flight(), HEAP);
             assert_eq!(s.core.admission.tenant_in_flight(1), HEAP);
+            assert_eq!(s.core.admission.admitted(), HEAP as u64);
         }
     }
 

@@ -8,7 +8,7 @@
 
 mod recorder;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -334,6 +334,59 @@ fn numa_batched_conservation_adaptive_and_pinned_to_delegation() {
             );
         }
     }
+}
+
+/// The server's drain on SingleLock, raced: one thread files single items
+/// over 256 priorities while another drains with `delete_min_batch(16)`
+/// into a buffer it clears first and that can hold 32, so a batch that
+/// empties the heap takes the heap's array whole and sorts it outside the
+/// lock. Every item must come back once (the audit, and an id count and
+/// checksum), every batch in priority order, and some batches must have
+/// taken the whole heap: `out` came back on another buffer although the
+/// pop loop would not have had to grow it.
+#[test]
+fn whole_heap_drains_racing_an_inserter_conserve_items_in_order() {
+    use funnelpq::obs::NoopRecorder;
+    use funnelpq::SingleLockPq;
+    const ITEMS: u64 = 20_000;
+    const DRAIN: usize = 16;
+    let q = SingleLockPq::with_recorder(256, 2, Arc::new(NoopRecorder));
+    let inserting = AtomicBool::new(true);
+    let (count, sum, whole) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let logs = logged("whole_heap_drains", 2, |tid, log, tick| {
+        if tid == 0 {
+            for id in 0..ITEMS {
+                log.insert(&q, (id * 37 % 256) as usize, id);
+                tick();
+            }
+            inserting.store(false, Ordering::Release);
+            return;
+        }
+        let mut out = Vec::with_capacity(2 * DRAIN);
+        loop {
+            let last = !inserting.load(Ordering::Acquire);
+            out.clear();
+            let (room, buffer) = (out.capacity(), out.as_ptr());
+            let n = log.delete_min_batch(&q, DRAIN, &mut out);
+            if n > 0 && room >= n && out.as_ptr() != buffer {
+                whole.fetch_add(1, Ordering::Relaxed);
+            }
+            assert!(
+                out.is_sorted_by_key(|e| e.0),
+                "a batch out of priority order: {out:?}"
+            );
+            count.fetch_add(n as u64, Ordering::Relaxed);
+            sum.fetch_add(out.iter().map(|e| e.1).sum::<u64>(), Ordering::Relaxed);
+            tick();
+            if last && n == 0 {
+                break;
+            }
+        }
+    });
+    drain_and_audit(&q, logs, None);
+    assert_eq!(count.into_inner(), ITEMS, "items drained");
+    assert_eq!(sum.into_inner(), ITEMS * (ITEMS - 1) / 2, "id checksum");
+    assert!(whole.into_inner() > 0, "no batch took the whole heap");
 }
 
 /// Many threads hammer a single priority: items behave like a pool and the
